@@ -1,18 +1,18 @@
-"""Benchmark the solver's numba kernel against the pure-numpy fallback.
+"""Time the solver on representative reconstruction problems.
 
-Run with ``python benchmarks/bench_solver.py``.  The same iteration-loop
-source backs both paths (see vartomo/_kernels.py); this script measures
-what the JIT actually buys on representative reconstruction problems.
+Run with ``PYTHONPATH=src python benchmarks/bench_solver.py``.  Prints the
+best of three wall times per problem, with the iteration count and the
+time per iteration.
 """
 
 import time
 
 import numpy as np
 
-from vartomo._kernels import admm_loop_numba
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
+from vartomo.linalg import vec_hermitian
 from vartomo.probes import RngSeed, Scheme, random_channel
-from vartomo.sdp import SdpProblem, solve
+from vartomo.sdp import BoxRows, SdpProblem, solve
 from vartomo.tomography import ReconstructionOptions, build_sqpt_program, make_dataset
 
 
@@ -29,25 +29,24 @@ def tomography_problem(n_qubits: int, rank: int, shots: int = 0) -> SdpProblem:
 
 
 def random_diag_sdp(dim: int, n_rows: int) -> SdpProblem:
+    """minimize <diag(w), X> over X psd with random floors on diagonal entries."""
     rng = np.random.default_rng(41)
-    from vartomo.linalg import vec_hermitian
-
-    p = SdpProblem(psd_dim=dim, n_slack=0)
-    p.objective = vec_hermitian(np.diag(rng.uniform(0.5, 2.0, size=dim)))
-    for _ in range(n_rows):
-        k = rng.integers(dim)
-        unit = np.zeros((dim, dim))
-        unit[k, k] = 1.0
-        p.add_inequality(vec_hermitian(unit), rng.uniform(0.1, 1.0), np.inf)
-    return p
+    objective = vec_hermitian(np.diag(rng.uniform(0.5, 2.0, size=dim)))
+    psd = np.zeros((n_rows, dim * dim))
+    lower = np.empty(n_rows)
+    for r in range(n_rows):
+        psd[r, rng.integers(dim)] = 1.0  # svec puts the diagonal first
+        lower[r] = rng.uniform(0.1, 1.0)
+    rows = BoxRows(psd, lower, np.full(n_rows, np.inf))
+    return SdpProblem(psd_dim=dim, n_slack=0, objective=objective, inequalities=rows)
 
 
-def time_solve(problem, backend, tol=1e-7, repeats=3):
+def time_solve(problem, tol=1e-7, repeats=3):
     best = np.inf
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = solve(problem, tol, backend=backend)
+        result = solve(problem, tol)
         best = min(best, time.perf_counter() - start)
     return best, result
 
@@ -59,27 +58,13 @@ def main():
         ("two-qubit SQPT, noiseless", tomography_problem(2, 8)),
         ("random diagonal SDP (dim 8)", random_diag_sdp(8, 24)),
     ]
-
-    have_numba = admm_loop_numba is not None
-    if have_numba:
-        # trigger JIT compilation outside the timed region
-        solve(cases[0][1], 1e-5, backend="numba")
-    else:
-        print("numba unavailable: timing the numpy path only\n")
-
-    header = f"{'problem':34s} {'numpy':>10s}"
-    if have_numba:
-        header += f" {'numba':>10s} {'speedup':>8s} {'iters':>7s}"
+    header = f"{'problem':34s} {'time':>10s} {'iters':>7s} {'us/iter':>8s}"
     print(header)
     print("-" * len(header))
     for name, problem in cases:
-        t_np, r_np = time_solve(problem, "numpy")
-        line = f"{name:34s} {t_np * 1e3:9.1f}ms"
-        if have_numba:
-            t_nb, r_nb = time_solve(problem, "numba")
-            assert r_nb.status == r_np.status
-            line += f" {t_nb * 1e3:9.1f}ms {t_np / t_nb:7.1f}x {r_nb.iterations:7d}"
-        print(line)
+        t, result = time_solve(problem)
+        per_iter = t / result.iterations * 1e6
+        print(f"{name:34s} {t * 1e3:8.1f}ms {result.iterations:7d} {per_iter:8.1f}")
 
 
 if __name__ == "__main__":

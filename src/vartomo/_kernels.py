@@ -1,8 +1,7 @@
 """Hot solver kernel: the ADMM iteration loop.
 
-The same source function is compiled with numba when available and used
-as-is (pure numpy) otherwise.  Set ``VARTOMO_NO_NUMBA=1`` to force the
-numpy path; ``benchmarks/bench_solver.py`` compares the two.
+Plain numpy: each iteration is a few dense matvecs and one small
+Hermitian eigendecomposition; ``benchmarks/bench_solver.py`` times it.
 
 The loop solves
 
@@ -21,14 +20,12 @@ drift apart by more than a factor of ten.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
 
 
-def _admm_loop(
+def admm_loop(
     A,
     At,
     Finv,
@@ -145,32 +142,11 @@ def _admm_loop(
     return it, converged, rho, r_prim, r_dual
 
 
-admm_loop_numpy = _admm_loop
+def get_loop(_backend=None):
+    """The ADMM loop.
 
-try:  # pragma: no cover - exercised via the numba backend tests
-    import numba
-
-    admm_loop_numba = numba.njit(cache=True)(_admm_loop)
-except ImportError:  # pragma: no cover
-    numba = None
-    admm_loop_numba = None
-
-_FORCED_OFF = os.environ.get("VARTOMO_NO_NUMBA", "").strip() not in ("", "0")
-
-
-def default_backend() -> str:
-    """"numba" when importable and not disabled via VARTOMO_NO_NUMBA."""
-    if _FORCED_OFF or admm_loop_numba is None:
-        return "numpy"
-    return "numba"
-
-
-def get_loop(backend: str | None = None):
-    name = backend or default_backend()
-    if name == "numpy":
-        return admm_loop_numpy
-    if name == "numba":
-        if admm_loop_numba is None:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        return admm_loop_numba
-    raise ValueError(f"unknown backend {name!r}")
+    :func:`vartomo.sdp.solve` fetches its loop through ``sdp.get_loop`` so
+    that the benchmark's tracer (``perfbench/spans.py``) can wrap it; the
+    tracer calls the original with one argument, which is ignored.
+    """
+    return admm_loop

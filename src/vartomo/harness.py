@@ -26,7 +26,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,7 +51,6 @@ class ExperimentConfig:
     solver_max_iter: int = 200_000
     master_seed: RngSeed = RngSeed(0)
     output_dir: str = "runs/experiment"
-    workers: int = 1
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -63,8 +61,8 @@ class ExperimentConfig:
                 raise ValueError(f"rank {r} outside [1, {d * d}]")
         if self.channels_per_rank < 1:
             raise ValueError("channels_per_rank must be >= 1")
-        if self.sweep_trials < 1 or self.sweep_batch < 1 or self.workers < 1:
-            raise ValueError("sweep_trials, sweep_batch, and workers must be >= 1")
+        if self.sweep_trials < 1 or self.sweep_batch < 1:
+            raise ValueError("sweep_trials and sweep_batch must be >= 1")
 
     @property
     def d(self) -> int:
@@ -94,7 +92,6 @@ def config_to_json(cfg: ExperimentConfig) -> str:
             "solver_max_iter": cfg.solver_max_iter,
             "master_seed": {"seed": cfg.master_seed.seed, "generator_id": cfg.master_seed.generator_id},
             "output_dir": cfg.output_dir,
-            "workers": cfg.workers,
         },
         indent=2,
     )
@@ -119,7 +116,6 @@ def config_from_json(text: str) -> ExperimentConfig:
         "sweep_trials",
         "sweep_batch",
         "solver_max_iter",
-        "workers",
     ):
         if key in doc:
             kwargs[key] = int(doc[key])
@@ -226,16 +222,10 @@ def _run_channel(
 
 def run_experiment(cfg: ExperimentConfig, write_bundle: bool = True) -> ExperimentResult:
     """Run the full rank sweep and (optionally) persist the bundle."""
-    keys = [(rank, c) for rank in cfg.ranks for c in range(cfg.channels_per_rank)]
+    # one run per distinct (rank, channel), in sorted order
+    keys = sorted({(rank, c) for rank in cfg.ranks for c in range(cfg.channels_per_rank)})
     started = time.time()
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outputs = list(pool.map(lambda kc: _run_channel(cfg, *kc), keys))
-    else:
-        outputs = [_run_channel(cfg, rank, c) for rank, c in keys]
-    # deterministic merge regardless of completion order
-    by_key = {(row.rank, row.channel_index): (row, ch, sw) for row, ch, sw in outputs}
-    ordered = [by_key[k] for k in sorted(by_key)]
+    ordered = [_run_channel(cfg, rank, c) for rank, c in keys]
     rows = tuple(row for row, _, _ in ordered)
     result = ExperimentResult(config=cfg, rows=rows, aggregates=tuple(_aggregate(list(rows))))
     if write_bundle:

@@ -1,9 +1,17 @@
-"""Conic problem container and operator-splitting solver.
+"""Conic problem record and operator-splitting solver.
 
-One Hermitian PSD block (the process-matrix candidate), one block of
-nonnegative scalars (the per-measurement noise slacks), a linear
-objective, two-sided linear inequalities, and optional equalities.
-The variable vector is ``[svec(X) || slacks]``.
+One Hermitian PSD block X (D x D), one block of nonnegative scalars (the
+slacks, each with an upper cap), a linear objective, two-sided linear
+inequalities, and equalities.  The variable vector is
+``[svec(X) || slacks]``.
+
+Every box row carries its PSD-block coefficients and at most one slack:
+
+    lower <= <psd, svec(X)> + slack_coeff * slacks[slack_index] <= upper
+
+with ``slack_index = -1`` for a row without a slack.  Rows are held in
+bulk, one array per field (:class:`BoxRows`); equalities are rows with
+``lower == upper``.
 
 The solver is ADMM with PSD projection (see :mod:`vartomo._kernels`).
 Infeasibility is reported heuristically: the primal residual stalls far
@@ -21,8 +29,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import linalg, tolerances as tol
-from ._kernels import default_backend, get_loop
-from .channels import OperatorBasis
+from ._kernels import get_loop
 
 
 class SolveStatus(enum.Enum):
@@ -32,14 +39,52 @@ class SolveStatus(enum.Enum):
 
 
 @dataclass
+class BoxRows:
+    """Rows ``lower <= psd . svec(X) + slack_coeff * slacks[slack_index] <= upper``.
+
+    ``psd`` is (rows, D^2); the other fields hold one entry per row.
+    ``slack_index`` and ``slack_coeff`` default to "no slack" (-1, 0).
+    """
+
+    psd: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    slack_index: np.ndarray = field(default=None)  # type: ignore[assignment]
+    slack_coeff: np.ndarray = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        self.psd = np.asarray(self.psd, dtype=float)
+        if self.psd.ndim != 2:
+            raise ValueError("psd coefficients must be a (rows, D^2) array")
+        n = len(self.psd)
+        self.lower = np.asarray(self.lower, dtype=float)
+        self.upper = np.asarray(self.upper, dtype=float)
+        if self.slack_index is None:
+            self.slack_index = np.full(n, -1)
+        if self.slack_coeff is None:
+            self.slack_coeff = np.zeros(n)
+        self.slack_index = np.asarray(self.slack_index, dtype=np.intp)
+        self.slack_coeff = np.asarray(self.slack_coeff, dtype=float)
+        if any(a.shape != (n,) for a in (self.lower, self.upper, self.slack_index, self.slack_coeff)):
+            raise ValueError("need one bound pair, slack index and slack coefficient per row")
+        bad = np.flatnonzero(self.lower > self.upper)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"empty interval [{self.lower[i]}, {self.upper[i]}] in row {i}")
+
+    def __len__(self) -> int:
+        return self.psd.shape[0]
+
+
+@dataclass
 class SdpProblem:
-    """Standard-form container; rows are appended by the builders."""
+    """Validated array record of one conic program."""
 
     psd_dim: int
     n_slack: int
     objective: np.ndarray = field(default=None)  # type: ignore[assignment]
-    inequalities: list[tuple[np.ndarray, float, float]] = field(default_factory=list)
-    equalities: list[tuple[np.ndarray, float]] = field(default_factory=list)
+    inequalities: BoxRows = field(default=None)  # type: ignore[assignment]
+    equalities: BoxRows = field(default=None)  # type: ignore[assignment]
     slack_caps: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -55,43 +100,37 @@ class SdpProblem:
         self.slack_caps = np.asarray(self.slack_caps, dtype=float)
         if self.slack_caps.shape != (self.n_slack,):
             raise ValueError("one cap per slack")
+        for name in ("inequalities", "equalities"):
+            rows = getattr(self, name)
+            if rows is None:
+                rows = BoxRows(np.zeros((0, self.psd_dim**2)), [], [])
+                setattr(self, name, rows)
+            if rows.psd.shape[1] != self.psd_dim**2:
+                raise ValueError(f"{name}: psd coefficients must have length {self.psd_dim**2}")
+            if np.any((rows.slack_index < -1) | (rows.slack_index >= self.n_slack)):
+                raise ValueError(f"{name}: slack index out of range")
+        if np.any(self.equalities.lower != self.equalities.upper):
+            raise ValueError("equality rows need lower == upper")
 
     @property
     def n_vars(self) -> int:
         return self.psd_dim**2 + self.n_slack
 
-    def _check_row(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.n_vars,):
-            raise ValueError(f"coefficient vector must have length {self.n_vars}")
-        return vec
-
-    def add_inequality(self, vec: np.ndarray, lower: float, upper: float) -> None:
-        if lower > upper:
-            raise ValueError(f"empty interval [{lower}, {upper}]")
-        self.inequalities.append((self._check_row(vec), float(lower), float(upper)))
-
-    def add_equality(self, vec: np.ndarray, value: float) -> None:
-        self.equalities.append((self._check_row(vec), float(value)))
-
-    def cap_slack(self, index: int, cap: float) -> None:
-        self.slack_caps[index] = min(self.slack_caps[index], cap)
-
-    def chi_row(self, chi_coeffs: np.ndarray) -> np.ndarray:
-        """Embed a psd-block coefficient vector into full variable coordinates."""
-        chi_coeffs = np.asarray(chi_coeffs, dtype=float)
-        if chi_coeffs.shape != (self.psd_dim**2,):
-            raise ValueError("chi coefficient vector has wrong length")
-        return np.concatenate([chi_coeffs, np.zeros(self.n_slack)])
-
     def stacked_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All box rows (inequalities then equalities) as (A, lower, upper)."""
-        rows = [v for v, _, _ in self.inequalities] + [v for v, _ in self.equalities]
-        lower = [lo for _, lo, _ in self.inequalities] + [val for _, val in self.equalities]
-        upper = [hi for _, _, hi in self.inequalities] + [val for _, val in self.equalities]
-        if not rows:
-            return np.zeros((0, self.n_vars)), np.zeros(0), np.zeros(0)
-        return np.stack(rows), np.array(lower, dtype=float), np.array(upper, dtype=float)
+        """All box rows (inequalities then equalities) as dense (A, lower, upper)."""
+        groups = (self.inequalities, self.equalities)
+        DD = self.psd_dim**2
+        A = np.zeros((sum(len(g) for g in groups), self.n_vars))
+        start = 0
+        for g in groups:
+            block = A[start : start + len(g)]
+            block[:, :DD] = g.psd
+            has = np.flatnonzero(g.slack_index >= 0)
+            block[has, DD + g.slack_index[has]] = g.slack_coeff[has]
+            start += len(g)
+        lower = np.concatenate([g.lower for g in groups])
+        upper = np.concatenate([g.upper for g in groups])
+        return A, lower, upper
 
 
 @dataclass
@@ -105,97 +144,6 @@ class SdpSolution:
     status: SolveStatus
 
 
-# --- row/objective assembly ---------------------------------------------------
-
-
-def expectation_coefficient_matrix(
-    rho: np.ndarray, effect: np.ndarray, basis: OperatorBasis, ancilla: bool = False
-) -> np.ndarray:
-    """Hermitian K with <svec K, svec chi> = Tr(E . sum chi_ij B_i rho B_j^dag).
-
-    B_i is the basis element, lifted to I (x) E_i when ``ancilla`` is set
-    (rho and the effect then live on dimension d^2).
-    """
-    B = lifted_basis(basis) if ancilla else basis.elements
-    if rho.shape[0] != B.shape[1] or effect.shape[0] != B.shape[1]:
-        raise ValueError("dimension mismatch between state, effect, and basis")
-    T = np.einsum("iab,bc->iac", B, rho)
-    M = np.einsum("ab,ibc,jac->ij", effect, T, B.conj(), optimize=True)
-    return linalg.hermitian_part(M.conj(), reject_tol=1e-9)
-
-
-def lifted_basis(basis: OperatorBasis) -> np.ndarray:
-    """Basis elements wrapped as I (x) E_i for ancilla-assisted rows."""
-    eye = np.eye(basis.d)
-    return np.stack([np.kron(eye, E) for E in basis.elements])
-
-
-def assemble_expectation_row(
-    rho: np.ndarray, effect: np.ndarray, basis: OperatorBasis, ancilla: bool = False
-) -> np.ndarray:
-    """Coefficient row over svec(chi) reproducing Tr(E . map-output) exactly."""
-    return linalg.vec_hermitian(expectation_coefficient_matrix(rho, effect, basis, ancilla))
-
-
-def assemble_objective(
-    terms: list[tuple[np.ndarray | None, np.ndarray | None]], psd_dim: int, n_slack: int
-) -> np.ndarray:
-    """Sum of Hermitian chi-weight matrices and slack weight vectors as one
-    coefficient vector over [svec(chi) || slacks]."""
-    chi_part = np.zeros(psd_dim**2)
-    slack_part = np.zeros(n_slack)
-    for chi_weight, slack_weights in terms:
-        if chi_weight is not None:
-            W = np.asarray(chi_weight, dtype=complex)
-            if W.shape != (psd_dim, psd_dim):
-                raise ValueError(f"chi weight must be {psd_dim} x {psd_dim}")
-            chi_part += linalg.vec_hermitian(W)
-        if slack_weights is not None:
-            slack_part += np.asarray(slack_weights, dtype=float)
-    return np.concatenate([chi_part, slack_part])
-
-
-def add_noise_envelope(
-    problem: SdpProblem,
-    row: np.ndarray,
-    p: float,
-    slack_index: int,
-    *,
-    shots: int = 0,
-    p_min: float = 1e-6,
-    additive_scale: float | None = None,
-    additive_cap: float = 100.0,
-) -> None:
-    """Install the two-sided noise envelope for one measured probability.
-
-    For p >= p_min the relative form (1-D)p <= <row, chi> <= (1+D)p is
-    used, linear in (chi, D).  Below p_min that envelope would collapse
-    to an equality, so an additive window |<row, chi> - p| <= D * scale
-    is installed instead, with the slack capped: a near-zero record
-    should absorb sampling noise, not an arbitrary contradiction.
-    """
-    if p < 0:
-        raise ValueError("negative probability")
-    base = problem.chi_row(row)
-    slack_pos = problem.psd_dim**2 + slack_index
-    if p >= p_min:
-        lo_row = base.copy()
-        lo_row[slack_pos] = p
-        problem.add_inequality(lo_row, p, np.inf)  # <row,chi> + p*D >= p
-        hi_row = base.copy()
-        hi_row[slack_pos] = -p
-        problem.add_inequality(hi_row, -np.inf, p)  # <row,chi> - p*D <= p
-    else:
-        scale = additive_scale if additive_scale is not None else (1.0 / shots if shots > 0 else 1e-3)
-        lo_row = base.copy()
-        lo_row[slack_pos] = scale
-        problem.add_inequality(lo_row, p, np.inf)
-        hi_row = base.copy()
-        hi_row[slack_pos] = -scale
-        problem.add_inequality(hi_row, -np.inf, p)
-        problem.cap_slack(slack_index, additive_cap)
-
-
 # --- solver -------------------------------------------------------------------
 
 
@@ -206,7 +154,6 @@ def solve(
     *,
     rho: float = 1.0,
     alpha: float = 1.6,
-    backend: str | None = None,
     trace: TextIO | Callable[[str], None] | None = None,
     detect_infeasible: bool = True,
     stall_iters: int = 3000,
@@ -233,10 +180,9 @@ def solve(
     if p_rows:
         norms = np.linalg.norm(A, axis=1)
         norms[norms == 0] = 1.0
-        A = A / norms[:, None]
-        lower = lower / norms
-        upper = upper / norms
-    A = np.ascontiguousarray(A)
+        A /= norms[:, None]
+        lower /= norms
+        upper /= norms
     At = np.ascontiguousarray(A.T)
 
     # Scale-invariant objective: the iterates depend only on c's direction.
@@ -258,7 +204,9 @@ def solve(
     u2 = np.zeros(p_rows)
     caps = problem.slack_caps.copy()
 
-    loop = get_loop(backend)
+    # Looked up through this module's name on every call: the benchmark's
+    # tracer (perfbench/spans.py) replaces sdp.get_loop to time the loop.
+    loop = get_loop()
     write = trace.write if hasattr(trace, "write") else trace
 
     iters = 0
@@ -323,55 +271,68 @@ def solve(
 
 
 def problem_to_json(problem: SdpProblem) -> str:
+    """Problem document with every row as a dense coefficient list."""
+    A, lower, upper = problem.stacked_rows()
+    n_ineq = len(problem.inequalities)
     return json.dumps(
         {
             "psd_dim": problem.psd_dim,
             "n_slack": problem.n_slack,
             "objective": problem.objective.tolist(),
-            "slack_caps": [None if np.isinf(c) else c for c in problem.slack_caps],
+            "slack_caps": [None if np.isinf(c) else float(c) for c in problem.slack_caps],
             "inequalities": [
                 {
-                    "coeffs": vec.tolist(),
-                    "lower": None if np.isneginf(lo) else lo,
-                    "upper": None if np.isposinf(hi) else hi,
+                    "coeffs": A[i].tolist(),
+                    "lower": None if np.isneginf(lower[i]) else float(lower[i]),
+                    "upper": None if np.isposinf(upper[i]) else float(upper[i]),
                 }
-                for vec, lo, hi in problem.inequalities
+                for i in range(n_ineq)
             ],
             "equalities": [
-                {"coeffs": vec.tolist(), "value": val} for vec, val in problem.equalities
+                {"coeffs": A[i].tolist(), "value": float(lower[i])}
+                for i in range(n_ineq, A.shape[0])
             ],
         }
     )
 
 
+def _rows_from_dense(coeffs: list, psd_dim: int, n_vars: int, lower, upper) -> BoxRows:
+    A = np.asarray(coeffs, dtype=float).reshape(len(coeffs), n_vars)
+    DD = psd_dim**2
+    rows, cols = np.nonzero(A[:, DD:])
+    if np.any(np.bincount(rows, minlength=len(A)) > 1):
+        raise ValueError("a row may carry at most one slack coefficient")
+    index = np.full(len(A), -1)
+    index[rows] = cols
+    coeff = np.zeros(len(A))
+    coeff[rows] = A[rows, DD + cols]
+    return BoxRows(A[:, :DD], lower, upper, index, coeff)
+
+
 def problem_from_json(text: str) -> SdpProblem:
     doc = json.loads(text)
-    problem = SdpProblem(psd_dim=int(doc["psd_dim"]), n_slack=int(doc["n_slack"]))
-    problem.objective = np.asarray(doc["objective"], dtype=float)
-    if problem.objective.shape != (problem.n_vars,):
-        raise ValueError("objective length does not match block sizes")
-    caps = [np.inf if c is None else float(c) for c in doc["slack_caps"]]
-    problem.slack_caps = np.asarray(caps, dtype=float)
-    for entry in doc["inequalities"]:
-        lo = -np.inf if entry["lower"] is None else float(entry["lower"])
-        hi = np.inf if entry["upper"] is None else float(entry["upper"])
-        problem.add_inequality(np.asarray(entry["coeffs"], dtype=float), lo, hi)
-    for entry in doc["equalities"]:
-        problem.add_equality(np.asarray(entry["coeffs"], dtype=float), float(entry["value"]))
-    return problem
+    psd_dim, n_slack = int(doc["psd_dim"]), int(doc["n_slack"])
+    n_vars = psd_dim**2 + n_slack
+    ineq, eq = doc["inequalities"], doc["equalities"]
+    lo = [-np.inf if e["lower"] is None else float(e["lower"]) for e in ineq]
+    hi = [np.inf if e["upper"] is None else float(e["upper"]) for e in ineq]
+    values = [float(e["value"]) for e in eq]
+    return SdpProblem(
+        psd_dim=psd_dim,
+        n_slack=n_slack,
+        objective=doc["objective"],
+        inequalities=_rows_from_dense([e["coeffs"] for e in ineq], psd_dim, n_vars, lo, hi),
+        equalities=_rows_from_dense([e["coeffs"] for e in eq], psd_dim, n_vars, values, values),
+        slack_caps=[np.inf if c is None else float(c) for c in doc["slack_caps"]],
+    )
 
 
 __all__ = [
     "SolveStatus",
+    "BoxRows",
     "SdpProblem",
     "SdpSolution",
-    "expectation_coefficient_matrix",
-    "assemble_expectation_row",
-    "assemble_objective",
-    "add_noise_envelope",
-    "lifted_basis",
     "solve",
     "problem_to_json",
     "problem_from_json",
-    "default_backend",
 ]

@@ -42,16 +42,7 @@ from .probes import (
     sqpt_probe_states,
     unknown_subspace_hamiltonian,
 )
-from .sdp import (
-    SdpProblem,
-    SdpSolution,
-    SolveStatus,
-    add_noise_envelope,
-    assemble_objective,
-    expectation_coefficient_matrix,
-    lifted_basis,
-    solve,
-)
+from .sdp import BoxRows, SdpProblem, SdpSolution, SolveStatus, solve
 
 
 @dataclass(frozen=True)
@@ -75,13 +66,6 @@ class TomographyDataset:
     def k_t(self) -> int:
         return len(self.probes.states)
 
-    @property
-    def n_k(self) -> list[int]:
-        counts = [0] * self.k_t
-        for r in self.records:
-            counts[r.probe_index] += 1
-        return counts
-
 
 @dataclass
 class ReconstructionOptions:
@@ -91,30 +75,30 @@ class ReconstructionOptions:
     p_min: float = 1e-6
     additive_scale: float | None = None
     additive_cap: float = 100.0
-    backend: str | None = None
     detect_infeasible: bool = True
 
 
 @dataclass(frozen=True)
-class EnvelopeInfo:
-    """What was installed for one record, for post-hoc re-verification."""
-
-    record: MeasurementRecord
-    row: np.ndarray  # chi-part coefficients
-    slack_index: int
-    scale: float  # p for the relative branch, the additive scale otherwise
-
-    def violation(self, chi_vec: np.ndarray, slacks: np.ndarray) -> float:
-        value = float(self.row @ chi_vec)
-        width = slacks[self.slack_index] * self.scale
-        return max(0.0, self.record.p - width - value, value - self.record.p - width)
-
-
-@dataclass(frozen=True)
 class ProgramLayout:
-    slack_index: dict[tuple[int, int], int]
-    envelopes: tuple[EnvelopeInfo, ...]
+    """What the program installed, for post-hoc re-verification.
+
+    Slack s belongs to one distinct (probe, effect) pair; ``chi_rows[s]``
+    is that pair's expectation row.  Record i uses slack
+    ``record_slack[i]`` with envelope scale ``scale[i]``.
+    """
+
+    records: tuple[MeasurementRecord, ...]
+    record_slack: np.ndarray  # (n_records,)
+    scale: np.ndarray  # (n_records,)
+    chi_rows: np.ndarray  # (n_slack, psd_dim^2)
     probe_trace_rows: np.ndarray  # (k_t, psd_dim^2)
+
+    def violations(self, chi_vec: np.ndarray, slacks: np.ndarray) -> np.ndarray:
+        """How far each record's value lies outside its envelope (0 inside)."""
+        p = np.array([r.p for r in self.records])
+        value = (self.chi_rows @ chi_vec)[self.record_slack]
+        width = slacks[self.record_slack] * self.scale
+        return np.maximum(0.0, np.maximum(p - width - value, value - p - width))
 
 
 @dataclass(frozen=True)
@@ -140,16 +124,72 @@ class InfeasibleDataError(RuntimeError):
         super().__init__(f"records are mutually inconsistent; worst envelope violations: {head}")
 
 
-def _measurement_rows(
-    rho: np.ndarray, effects: np.ndarray, basis: OperatorBasis, ancilla: bool
+def measurement_rows(
+    rho: np.ndarray, effects: np.ndarray, basis: OperatorBasis, ancilla: bool = False
 ) -> np.ndarray:
-    """Expectation rows for a stack of effects against one probe state."""
-    B = lifted_basis(basis) if ancilla else basis.elements
+    """svec rows K_l with <K_l, svec chi> = Tr(E_l . sum_ij chi_ij B_i rho B_j^dag).
+
+    One row per effect in the (n, dim, dim) stack ``effects``, all against
+    one probe state.  B_i is the basis element, lifted to I (x) B_i when
+    ``ancilla`` is set (rho and the effects then live on dimension d^2).
+    Every measurement row, probe-trace row and objective weight of the
+    programs comes from here.
+    """
+    B = basis.elements
+    if ancilla:
+        B = np.stack([np.kron(np.eye(basis.d), E) for E in B])
+    if rho.shape[0] != B.shape[1] or effects.shape[-1] != B.shape[1]:
+        raise ValueError("dimension mismatch between state, effect, and basis")
     T = np.einsum("iab,bc->iac", B, rho)
     M = np.einsum("lab,ibc,jac->lij", effects, T, B.conj(), optimize=True)
     K = M.conj()
     K = 0.5 * (K + K.conj().transpose(0, 2, 1))
     return linalg.vec_hermitian_stack(K)
+
+
+def noise_envelope(
+    chi_rows: np.ndarray,
+    record_slack: np.ndarray,
+    p: np.ndarray,
+    shots: np.ndarray,
+    options: ReconstructionOptions,
+) -> tuple[BoxRows, np.ndarray, np.ndarray]:
+    """Two-sided noise envelopes, two rows per measured probability.
+
+    Record i has value <chi_rows[s], svec chi> with s = record_slack[i],
+    and gets the rows  value + scale_i * D_s >= p_i  and
+    value - scale_i * D_s <= p_i, interleaved (lo, hi) per record.  For
+    p >= p_min the scale is p itself, the relative form
+    (1-D)p <= value <= (1+D)p.  Below p_min that would collapse to an
+    equality, so the additive window |value - p| <= D * scale is used
+    with scale = additive_scale (default 1/shots, or 1e-3 for exact
+    data) and the slack capped at additive_cap: a near-zero record
+    should absorb sampling noise, not an arbitrary contradiction.
+
+    Returns the rows, the per-record scale, and the slack caps.
+    """
+    p = np.asarray(p, dtype=float)
+    shots = np.asarray(shots)
+    if np.any(p < 0):
+        raise ValueError("negative probability")
+    if options.additive_scale is not None:
+        additive_scale = options.additive_scale
+    else:
+        additive_scale = np.where(shots > 0, 1.0 / np.maximum(shots, 1), 1e-3)
+    relative = p >= options.p_min
+    scale = np.where(relative, p, additive_scale)
+    caps = np.full(len(chi_rows), np.inf)
+    np.minimum.at(caps, record_slack[~relative], options.additive_cap)
+
+    slack = np.repeat(record_slack, 2)
+    rows = BoxRows(
+        psd=chi_rows[slack],
+        lower=np.column_stack([p, np.full(p.shape, -np.inf)]).ravel(),
+        upper=np.column_stack([np.full(p.shape, np.inf), p]).ravel(),
+        slack_index=slack,
+        slack_coeff=np.column_stack([scale, -scale]).ravel(),
+    )
+    return rows, scale, caps
 
 
 def _trace_preserving_rows(basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -171,82 +211,75 @@ def _trace_preserving_rows(basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray
 def _build_program(
     data: TomographyDataset, options: ReconstructionOptions
 ) -> tuple[SdpProblem, ProgramLayout]:
+    """Rows in order: the envelopes (lo, hi per record), Tr(out_k) <= 1 per
+    probe, then the trace-preserving equalities when requested."""
     if not data.records:
         raise ValueError("dataset has no measurement records: nothing to fit")
     ancilla = data.scheme is Scheme.AAPT
     psd_dim = data.d**2
 
+    def rows(k: int, effects: np.ndarray) -> np.ndarray:
+        return measurement_rows(data.probes.states[k].rho, effects, data.basis, ancilla)
+
+    # One slack, and one expectation row, per distinct (probe, effect).
     slack_index: dict[tuple[int, int], int] = {}
     for r in data.records:
         slack_index.setdefault((r.probe_index, r.effect_index), len(slack_index))
-    problem = SdpProblem(psd_dim=psd_dim, n_slack=len(slack_index))
-
-    # Objective: unmeasured-subspace weight per probe plus the slack total.
-    terms: list[tuple[np.ndarray | None, np.ndarray | None]] = [
-        (None, np.ones(problem.n_slack))
-    ]
+    n_slack = len(slack_index)
     measured_by_probe: dict[int, list[int]] = {k: [] for k in range(data.k_t)}
     for k, lam in slack_index:
         measured_by_probe[k].append(lam)
+    chi_rows = np.empty((n_slack, psd_dim**2))
+    for k, lams in measured_by_probe.items():
+        if lams:
+            lams = sorted(lams)
+            chi_rows[[slack_index[(k, lam)] for lam in lams]] = rows(k, data.effects.effects[lams])
+
+    # Objective: unmeasured-subspace weight per probe plus the slack total.
+    chi_weight = np.zeros(psd_dim**2)
     for k in range(data.k_t):
         H = unknown_subspace_hamiltonian(data.effects, measured_by_probe[k])
-        K = expectation_coefficient_matrix(data.probes.states[k].rho, H, data.basis, ancilla)
-        terms.append((K, None))
-    problem.objective = assemble_objective(terms, psd_dim, problem.n_slack)
+        chi_weight += rows(k, H[None])[0]
 
-    # One expectation row per distinct (probe, effect); envelopes per record.
-    space_dim = data.d**2 if ancilla else data.d
-    row_cache: dict[int, np.ndarray] = {}
-    for k in range(data.k_t):
-        lams = sorted(measured_by_probe[k])
-        if lams:
-            rows = _measurement_rows(
-                data.probes.states[k].rho, data.effects.effects[lams], data.basis, ancilla
-            )
-            row_cache.update({(k, lam): rows[i] for i, lam in enumerate(lams)})
-    envelopes = []
-    for r in data.records:
-        row = row_cache[(r.probe_index, r.effect_index)]
-        idx = slack_index[(r.probe_index, r.effect_index)]
-        add_noise_envelope(
-            problem,
-            row,
-            r.p,
-            idx,
-            shots=r.shots,
-            p_min=options.p_min,
-            additive_scale=options.additive_scale,
-            additive_cap=options.additive_cap,
-        )
-        if r.p >= options.p_min:
-            scale = r.p
-        else:
-            scale = (
-                options.additive_scale
-                if options.additive_scale is not None
-                else (1.0 / r.shots if r.shots > 0 else 1e-3)
-            )
-        envelopes.append(EnvelopeInfo(record=r, row=row, slack_index=idx, scale=scale))
+    record_slack = np.array([slack_index[(r.probe_index, r.effect_index)] for r in data.records])
+    envelope, scale, caps = noise_envelope(
+        chi_rows,
+        record_slack,
+        np.array([r.p for r in data.records]),
+        np.array([r.shots for r in data.records]),
+        options,
+    )
 
     # Tr(out_k) <= 1 for every probe, measured or not.
-    eye = np.eye(space_dim, dtype=complex)
-    trace_rows = np.stack(
-        [
-            _measurement_rows(state.rho, eye[None], data.basis, ancilla)[0]
-            for state in data.probes.states
-        ]
+    space_dim = data.d**2 if ancilla else data.d
+    eye = np.eye(space_dim, dtype=complex)[None]
+    trace_rows = np.stack([rows(k, eye)[0] for k in range(data.k_t)])
+    no_slack = np.full(data.k_t, -1)
+    inequalities = BoxRows(
+        psd=np.concatenate([envelope.psd, trace_rows]),
+        lower=np.concatenate([envelope.lower, np.full(data.k_t, -np.inf)]),
+        upper=np.concatenate([envelope.upper, np.ones(data.k_t)]),
+        slack_index=np.concatenate([envelope.slack_index, no_slack]),
+        slack_coeff=np.concatenate([envelope.slack_coeff, np.zeros(data.k_t)]),
     )
-    for row in trace_rows:
-        problem.add_inequality(problem.chi_row(row), -np.inf, 1.0)
-
+    equalities = None
     if options.tp_constraint:
         tp_rows, targets = _trace_preserving_rows(data.basis)
-        for row, target in zip(tp_rows, targets):
-            problem.add_equality(problem.chi_row(row), float(target))
+        equalities = BoxRows(tp_rows, targets, targets)
 
+    problem = SdpProblem(
+        psd_dim=psd_dim,
+        n_slack=n_slack,
+        objective=np.concatenate([chi_weight, np.ones(n_slack)]),
+        inequalities=inequalities,
+        equalities=equalities,
+        slack_caps=caps,
+    )
     layout = ProgramLayout(
-        slack_index=slack_index,
-        envelopes=tuple(envelopes),
+        records=data.records,
+        record_slack=record_slack,
+        scale=scale,
+        chi_rows=chi_rows,
         probe_trace_rows=trace_rows,
     )
     return problem, layout
@@ -284,37 +317,41 @@ def reconstruct(
 
     Raises InfeasibleDataError when the solver certifies (heuristically)
     that the records are mutually inconsistent; the error carries the
-    records ranked by envelope violation.
+    records ranked by envelope violation.  Warns (RuntimeWarning) when
+    the solver stopped at its iteration cap: the estimate is then the
+    best iterate seen, not a converged optimum.
     """
     options = options or ReconstructionOptions()
     builder = build_sqpt_program if data.scheme is Scheme.SQPT else build_aapt_program
     problem, layout = builder(data, options)
     solution = solve(
-        problem,
-        options.tol,
-        options.max_iter,
-        backend=options.backend,
-        detect_infeasible=options.detect_infeasible,
+        problem, options.tol, options.max_iter, detect_infeasible=options.detect_infeasible
     )
-    chi_vec = linalg.vec_hermitian(solution.chi_block)
     if solution.status is SolveStatus.INFEASIBLE:
-        scored = sorted(
-            ((env.record, env.violation(chi_vec, solution.slacks)) for env in layout.envelopes),
-            key=lambda pair: -pair[1],
+        violations = layout.violations(linalg.vec_hermitian(solution.chi_block), solution.slacks)
+        ranked = np.argsort(-violations, kind="stable")
+        raise InfeasibleDataError(
+            solution, [(layout.records[i], float(violations[i])) for i in ranked]
         )
-        raise InfeasibleDataError(solution, scored)
+    if solution.status is SolveStatus.MAX_ITER:
+        warnings.warn(
+            f"reconstruction did not converge: status {solution.status.value} after "
+            f"{solution.iterations} iterations (primal residual "
+            f"{solution.primal_residual:.3e}, dual residual {solution.dual_residual:.3e})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     chi = linalg.psd_project(solution.chi_block)
     chi_hat = ProcessMatrix(d=data.d, basis=data.basis, chi=chi)
     chi_vec = linalg.vec_hermitian(chi)
-    violations = [env.violation(chi_vec, solution.slacks) for env in layout.envelopes]
     traces = layout.probe_trace_rows @ chi_vec
     return ReconstructionResult(
         chi_hat=chi_hat,
         slack_sum=float(solution.slacks.sum()),
         per_probe_trace=tuple(float(t) for t in traces),
         solver=solution,
-        max_envelope_violation=float(max(violations)),
+        max_envelope_violation=float(layout.violations(chi_vec, solution.slacks).max()),
     )
 
 
@@ -416,7 +453,7 @@ def dataset_from_json(text: str) -> tuple[TomographyDataset, KrausSet | None]:
 class _IncrementalRank:
     """Rank of a growing set of vectors via Gram-Schmidt against a kept basis."""
 
-    def __init__(self, dim: int, rel_tol: float = 1e-9):
+    def __init__(self, rel_tol: float = 1e-9):
         self.basis: list[np.ndarray] = []
         self.rel_tol = rel_tol
 
@@ -517,7 +554,7 @@ def minimal_elements_sweep(
     trial_results = []
     for t in range(trials):
         order = seed.derive("order", t).generator().permutation(len(pairs))
-        tracker = _IncrementalRank(basis.size**2)
+        tracker = _IncrementalRank()
         records: list[MeasurementRecord] = []
         trace: list[tuple[int, float]] = []
         iterations = 0
@@ -530,7 +567,7 @@ def minimal_elements_sweep(
             for idx in take:
                 k, lam = pairs[idx]
                 records.append(all_records[(k, lam)])
-                row = _measurement_rows(
+                row = measurement_rows(
                     probe_set.states[k].rho, effect_set.effects[lam : lam + 1], basis, ancilla
                 )[0]
                 tracker.add(row)

@@ -8,68 +8,84 @@ are computed constructively (never by the solver under test).
 import numpy as np
 
 from vartomo import linalg
-from vartomo.sdp import SdpProblem
+from vartomo.sdp import BoxRows, SdpProblem
 
 
 def build_canned_problems():
     problems = []
+    inf = np.inf
 
     # 1. minimize Tr(X), X psd 1x1, X_11 >= 1
-    p = SdpProblem(psd_dim=1, n_slack=0)
-    p.objective = linalg.vec_hermitian(np.eye(1))
-    p.add_inequality(np.array([1.0]), 1.0, np.inf)
+    p = SdpProblem(
+        psd_dim=1,
+        n_slack=0,
+        objective=linalg.vec_hermitian(np.eye(1)),
+        inequalities=BoxRows([[1.0]], [1.0], [inf]),
+    )
     problems.append(("unit-psd-floor", p, 1.0))
 
     # 2. minimize x over one nonnegative slack, x >= 3
-    p = SdpProblem(psd_dim=0, n_slack=1)
-    p.objective = np.array([1.0])
-    p.add_inequality(np.array([1.0]), 3.0, np.inf)
+    p = SdpProblem(
+        psd_dim=0,
+        n_slack=1,
+        objective=[1.0],
+        inequalities=BoxRows(np.zeros((1, 0)), [3.0], [inf], slack_index=[0], slack_coeff=[1.0]),
+    )
     problems.append(("slack-floor", p, 3.0))
 
     # 3. minimize <diag(1,2), X>, Tr X = 1, X psd: eigenvalue LP, optimum e00
-    p = SdpProblem(psd_dim=2, n_slack=0)
-    p.objective = linalg.vec_hermitian(np.diag([1.0, 2.0]))
-    p.add_equality(linalg.vec_hermitian(np.eye(2)), 1.0)
+    p = SdpProblem(
+        psd_dim=2,
+        n_slack=0,
+        objective=linalg.vec_hermitian(np.diag([1.0, 2.0])),
+        equalities=BoxRows([linalg.vec_hermitian(np.eye(2))], [1.0], [1.0]),
+    )
     problems.append(("eigenvalue-lp", p, 1.0))
 
     # 4-7. random diagonally solvable SDPs: minimize <diag(w), X> with
     # X_kk >= b_k and X psd; the optimum is diag(b) with value w.b.
+    # svec puts the diagonal first, so row k is the unit vector e_k.
     rng = np.random.default_rng(2718)
     for i, dim in enumerate((2, 3, 4, 5)):
         w = rng.uniform(0.5, 2.0, size=dim)
         b = rng.uniform(0.1, 1.0, size=dim)
-        p = SdpProblem(psd_dim=dim, n_slack=0)
-        p.objective = linalg.vec_hermitian(np.diag(w))
-        for k in range(dim):
-            unit = np.zeros((dim, dim))
-            unit[k, k] = 1.0
-            p.add_inequality(linalg.vec_hermitian(unit), b[k], np.inf)
+        p = SdpProblem(
+            psd_dim=dim,
+            n_slack=0,
+            objective=linalg.vec_hermitian(np.diag(w)),
+            inequalities=BoxRows(np.eye(dim, dim * dim), b, np.full(dim, inf)),
+        )
         problems.append((f"diag-floor-{i}", p, float(w @ b)))
 
     # 8-9. weighted slack LPs with per-coordinate floors.
     for i, n in enumerate((3, 6)):
         w = rng.uniform(0.5, 2.0, size=n)
         b = rng.uniform(0.0, 1.5, size=n)
-        p = SdpProblem(psd_dim=0, n_slack=n)
-        p.objective = w.copy()
-        for k in range(n):
-            row = np.zeros(n)
-            row[k] = 1.0
-            p.add_inequality(row, b[k], np.inf)
+        p = SdpProblem(
+            psd_dim=0,
+            n_slack=n,
+            objective=w.copy(),
+            inequalities=BoxRows(
+                np.zeros((n, 0)), b, np.full(n, inf), slack_index=np.arange(n), slack_coeff=np.ones(n)
+            ),
+        )
         problems.append((f"slack-lp-{i}", p, float(w @ b)))
 
     # 10. mixed: minimize Tr(X) + s with Tr(X) >= 1/2, s >= 1/4, and a
     # box row tying them: Tr(X) + s <= 2 (inactive at the optimum).
-    p = SdpProblem(psd_dim=2, n_slack=1)
-    p.objective = np.concatenate([linalg.vec_hermitian(np.eye(2)), [1.0]])
-    trace_row = np.concatenate([linalg.vec_hermitian(np.eye(2)), [0.0]])
-    p.add_inequality(trace_row, 0.5, np.inf)
-    slack_row = np.zeros(5)
-    slack_row[4] = 1.0
-    p.add_inequality(slack_row, 0.25, np.inf)
-    both = trace_row.copy()
-    both[4] = 1.0
-    p.add_inequality(both, -np.inf, 2.0)
+    trace_row = linalg.vec_hermitian(np.eye(2))
+    p = SdpProblem(
+        psd_dim=2,
+        n_slack=1,
+        objective=np.concatenate([trace_row, [1.0]]),
+        inequalities=BoxRows(
+            [trace_row, np.zeros(4), trace_row],
+            [0.5, 0.25, -inf],
+            [inf, inf, 2.0],
+            slack_index=[-1, 0, 0],
+            slack_coeff=[0.0, 1.0, 1.0],
+        ),
+    )
     problems.append(("mixed-blocks", p, 0.75))
 
     assert len(problems) == 10

@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -5,24 +6,32 @@ import pytest
 
 from canned_suite import build_canned_problems
 from vartomo import linalg
-from vartomo._kernels import admm_loop_numba, default_backend
-from vartomo.channels import build_scaled_pauli_basis
+from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
+from vartomo.probes import RngSeed, Scheme, random_channel, unknown_subspace_hamiltonian
 from vartomo.sdp import (
+    BoxRows,
     SdpProblem,
     SolveStatus,
-    add_noise_envelope,
-    assemble_expectation_row,
-    assemble_objective,
-    expectation_coefficient_matrix,
     problem_from_json,
     problem_to_json,
     solve,
+)
+from vartomo.tomography import (
+    ReconstructionOptions,
+    build_sqpt_program,
+    make_dataset,
+    measurement_rows,
+    noise_envelope,
 )
 
 
 def rand_hermitian(rng, n):
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (M + M.conj().T) / 2
+
+
+def expectation_row(rho, effect, basis, ancilla=False):
+    return measurement_rows(rho, effect[None], basis, ancilla)[0]
 
 
 class TestRowAssembly:
@@ -40,7 +49,7 @@ class TestRowAssembly:
                 for j in range(4)
             )
             direct = np.trace(effect @ out)
-            row = assemble_expectation_row(rho, effect, basis)
+            row = expectation_row(rho, effect, basis)
             assert abs(row @ linalg.vec_hermitian(chi) - direct) <= 1e-12
 
     def test_aapt_row_matches_direct_evaluation(self):
@@ -57,18 +66,17 @@ class TestRowAssembly:
                 for j in range(4)
             )
             direct = np.trace(effect @ out)
-            row = assemble_expectation_row(rho, effect, basis, ancilla=True)
+            row = expectation_row(rho, effect, basis, ancilla=True)
             assert abs(row @ linalg.vec_hermitian(chi) - direct) <= 1e-12
 
     def test_identity_effect_gives_trace_one_for_tp_chi(self):
-        from vartomo.channels import kraus_to_chi
-        from vartomo.probes import RngSeed, random_channel, sqpt_probe_states
+        from vartomo.probes import sqpt_probe_states
 
         basis = build_scaled_pauli_basis(1)
         chi = kraus_to_chi(random_channel(2, 2, RngSeed(23)), basis)
         vec = linalg.vec_hermitian(chi.chi)
         for state in sqpt_probe_states(1).states:
-            row = assemble_expectation_row(state.rho, np.eye(2, dtype=complex), basis)
+            row = expectation_row(state.rho, np.eye(2, dtype=complex), basis)
             assert row @ vec == pytest.approx(1.0, abs=1e-10)
 
     def test_unit_chi_reduces_to_born_rule(self):
@@ -79,7 +87,7 @@ class TestRowAssembly:
         for _ in range(5):
             rho = rand_hermitian(rng, 2)
             effect = rand_hermitian(rng, 2)
-            row = assemble_expectation_row(rho, effect, basis)
+            row = expectation_row(rho, effect, basis)
             assert abs(row @ linalg.vec_hermitian(chi) - np.trace(effect @ rho)) <= 1e-12
 
     def test_bell_probe_bell_effect(self):
@@ -89,51 +97,67 @@ class TestRowAssembly:
         chi = np.zeros((4, 4), dtype=complex)
         chi[0, 0] = 4.0
         bell = maximally_entangled_state(2).rho
-        row = assemble_expectation_row(bell, bell, basis, ancilla=True)
+        row = expectation_row(bell, bell, basis, ancilla=True)
         assert row @ linalg.vec_hermitian(chi) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestObjectiveAssembly:
     def test_pure_slack_objective(self):
-        c = assemble_objective([(None, np.ones(3))], psd_dim=2, n_slack=3)
-        assert np.allclose(c, [0, 0, 0, 0, 1, 1, 1])
+        # complete data leaves no unmeasured subspace: only the slacks weigh
+        truth = kraus_to_chi(random_channel(2, 2, RngSeed(26)), build_scaled_pauli_basis(1))
+        problem, _ = build_sqpt_program(make_dataset(truth, Scheme.SQPT, 1))
+        assert np.abs(problem.objective[:16]).max() <= 1e-12
+        assert np.array_equal(problem.objective[16:], np.ones(problem.n_slack))
 
     def test_inner_product_matches_direct_trace(self):
         basis = build_scaled_pauli_basis(1)
         rng = np.random.default_rng(25)
+        truth = kraus_to_chi(random_channel(2, 2, RngSeed(27)), basis)
+        selected = [[0, 3], [], [1, 2, 5], [4]]
+        data = make_dataset(truth, Scheme.SQPT, 1, selected=selected)
+        problem, _ = build_sqpt_program(data)
         for _ in range(10):
             chi = rand_hermitian(rng, 4)
-            rho = rand_hermitian(rng, 2)
-            H = rand_hermitian(rng, 2)
-            K = expectation_coefficient_matrix(rho, H, basis)
-            slack_w = rng.uniform(size=2)
-            c = assemble_objective([(K, slack_w)], psd_dim=4, n_slack=2)
-            deltas = rng.uniform(size=2)
+            deltas = rng.uniform(size=problem.n_slack)
             x = np.concatenate([linalg.vec_hermitian(chi), deltas])
-            out = sum(
-                chi[i, j] * basis.elements[i] @ rho @ basis.elements[j].conj().T
-                for i in range(4)
-                for j in range(4)
-            )
-            direct = np.trace(H @ out).real + slack_w @ deltas
-            assert abs(c @ x - direct) <= 1e-10
+            direct = 0.0
+            for state, lams in zip(data.probes.states, selected):
+                out = sum(
+                    chi[i, j] * basis.elements[i] @ state.rho @ basis.elements[j].conj().T
+                    for i in range(4)
+                    for j in range(4)
+                )
+                direct += np.trace(unknown_subspace_hamiltonian(data.effects, lams) @ out).real
+            assert abs(problem.objective @ x - (direct + deltas.sum())) <= 1e-10
+
+
+def envelope_problem(p, objective, options=None, equalities=None):
+    """One 1x1 psd variable measured by the row [1.0] at probability p."""
+    rows, _, caps = noise_envelope(
+        np.array([[1.0]]), np.array([0]), [p], [0], options or ReconstructionOptions()
+    )
+    return SdpProblem(
+        psd_dim=1,
+        n_slack=1,
+        objective=objective,
+        inequalities=rows,
+        equalities=equalities,
+        slack_caps=caps,
+    )
 
 
 class TestNoiseEnvelope:
     def test_noiseless_consistency_drives_slack_to_zero(self):
         # one variable pinned by an envelope around its exact value
-        p = SdpProblem(psd_dim=1, n_slack=1)
-        p.objective = np.array([0.0, 1.0])
-        add_noise_envelope(p, np.array([1.0]), 1 / 3, 0)
+        p = envelope_problem(1 / 3, [0.0, 1.0])
         s = solve(p, 1e-9)
         assert s.status is SolveStatus.OPTIMAL
         assert s.slacks[0] <= 1e-6
         assert s.chi_block[0, 0].real == pytest.approx(1 / 3, abs=1e-6)
 
     def test_zero_probability_uses_additive_branch(self):
-        p = SdpProblem(psd_dim=1, n_slack=1)
-        p.objective = np.array([0.0, 1.0])
-        add_noise_envelope(p, np.array([1.0]), 0.0, 0, additive_scale=1e-3)
+        p = envelope_problem(0.0, [0.0, 1.0], ReconstructionOptions(additive_scale=1e-3))
+        assert np.array_equal(p.inequalities.slack_coeff, [1e-3, -1e-3])
         # feasible with Delta = 0 iff the row value is exactly 0
         s = solve(p, 1e-9)
         assert s.slacks[0] <= 1e-6
@@ -141,20 +165,16 @@ class TestNoiseEnvelope:
         assert p.slack_caps[0] == 100.0
 
     def test_envelope_window_arithmetic(self):
-        # p = 0.5 with Delta fixed at 0.1 by a tight cap and a floor:
-        # minimizing the row value lands on the lower edge 0.45.
-        p = SdpProblem(psd_dim=1, n_slack=1)
-        p.objective = np.array([1.0, 0.0])
-        add_noise_envelope(p, np.array([1.0]), 0.5, 0)
-        slack_floor = np.array([0.0, 1.0])
-        p.add_inequality(slack_floor, 0.1, 0.1)
+        # p = 0.5 with Delta pinned at 0.1 by an equality: minimizing the
+        # row value lands on the lower edge 0.45.
+        pin = BoxRows(np.zeros((1, 1)), [0.1], [0.1], slack_index=[0], slack_coeff=[1.0])
+        p = envelope_problem(0.5, [1.0, 0.0], equalities=pin)
         s = solve(p, 1e-9)
         assert s.chi_block[0, 0].real == pytest.approx(0.45, abs=1e-6)
 
     def test_negative_probability_rejected(self):
-        p = SdpProblem(psd_dim=1, n_slack=1)
-        with pytest.raises(ValueError):
-            add_noise_envelope(p, np.array([1.0]), -0.1, 0)
+        with pytest.raises(ValueError, match="negative"):
+            envelope_problem(-0.1, [0.0, 1.0])
 
 
 class TestSolver:
@@ -172,11 +192,9 @@ class TestSolver:
         for name, problem, _ in build_canned_problems():
             s = solve(problem, 1e-8)
             x = np.concatenate([linalg.vec_hermitian(s.chi_block), s.slacks])
-            for vec, lo, hi in problem.inequalities:
-                v = vec @ x
-                assert v >= lo - 1e-7 and v <= hi + 1e-7, name
-            for vec, val in problem.equalities:
-                assert abs(vec @ x - val) <= 1e-7, name
+            A, lower, upper = problem.stacked_rows()
+            v = A @ x
+            assert np.all(v >= lower - 1e-7) and np.all(v <= upper + 1e-7), name
             if problem.psd_dim:
                 assert np.linalg.eigvalsh(s.chi_block).min() >= -1e-7, name
 
@@ -188,10 +206,8 @@ class TestSolver:
         assert np.abs(a.chi_block - b.chi_block).max() <= 1e-6
 
     def test_infeasible_box(self):
-        p = SdpProblem(psd_dim=0, n_slack=1)
-        p.objective = np.array([1.0])
-        p.add_inequality(np.array([1.0]), 1.0, np.inf)
-        p.add_inequality(np.array([1.0]), -np.inf, 0.5)
+        rows = BoxRows(np.zeros((2, 0)), [1.0, -np.inf], [np.inf, 0.5], [0, 0], [1.0, 1.0])
+        p = SdpProblem(psd_dim=0, n_slack=1, objective=[1.0], inequalities=rows)
         s = solve(p, 1e-8, max_iter=100_000)
         assert s.status is SolveStatus.INFEASIBLE
 
@@ -203,27 +219,14 @@ class TestSolver:
         assert np.isfinite(s.primal_residual) and np.isfinite(s.dual_residual)
 
     def test_empty_interval_rejected(self):
-        p = SdpProblem(psd_dim=0, n_slack=1)
-        with pytest.raises(ValueError):
-            p.add_inequality(np.array([1.0]), 2.0, 1.0)
+        with pytest.raises(ValueError, match="empty interval"):
+            BoxRows(np.zeros((1, 0)), [2.0], [1.0], [0], [1.0])
 
     def test_trace_stream(self):
         lines = []
         _, problem, _ = build_canned_problems()[0]
         solve(problem, 1e-8, trace=lines.append)
         assert lines and "primal=" in lines[0]
-
-    @pytest.mark.skipif(admm_loop_numba is None, reason="numba unavailable")
-    def test_backends_agree(self):
-        for name, problem, analytic in build_canned_problems()[:3]:
-            a = solve(problem, 1e-9, backend="numpy")
-            b = solve(problem, 1e-9, backend="numba")
-            assert abs(a.objective_value - b.objective_value) <= 1e-6, name
-            assert np.allclose(a.chi_block, b.chi_block, atol=1e-5), name
-            assert np.allclose(a.slacks, b.slacks, atol=1e-5), name
-
-    def test_default_backend_name(self):
-        assert default_backend() in ("numpy", "numba")
 
 
 def test_problem_json_roundtrip():
@@ -233,8 +236,25 @@ def test_problem_json_roundtrip():
     assert back.n_slack == problem.n_slack
     assert np.allclose(back.objective, problem.objective)
     assert len(back.inequalities) == len(problem.inequalities)
-    for (va, la, ha), (vb, lb, hb) in zip(back.inequalities, problem.inequalities):
-        assert np.allclose(va, vb) and la == lb and ha == hb
+    for field in ("psd", "lower", "upper", "slack_index", "slack_coeff"):
+        assert np.array_equal(
+            getattr(back.inequalities, field), getattr(problem.inequalities, field)
+        ), field
     s1 = solve(problem, 1e-8)
     s2 = solve(back, 1e-8)
     assert abs(s1.objective_value - s2.objective_value) <= 1e-8
+
+
+def test_problem_json_rejects_two_slacks_in_a_row():
+    _, problem, _ = build_canned_problems()[9]
+    doc = json.loads(problem_to_json(problem))
+    doc["n_slack"] = 2
+    doc["objective"] = doc["objective"] + [0.0]
+    doc["slack_caps"] = [None, None]
+    for entry in doc["inequalities"]:
+        entry["coeffs"] = entry["coeffs"] + [0.0]
+    doc["inequalities"][2]["coeffs"][-1] = 1.0  # the mixed row now holds both slacks
+    with pytest.raises(ValueError, match="at most one slack"):
+        problem_from_json(json.dumps(doc))
+    doc["inequalities"][2]["coeffs"][-1] = 0.0
+    assert len(problem_from_json(json.dumps(doc)).inequalities) == 3

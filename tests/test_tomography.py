@@ -4,6 +4,8 @@ import pytest
 from vartomo import linalg
 from vartomo.channels import (
     ProcessMatrix,
+    apply_map,
+    apply_map_ancilla,
     build_scaled_pauli_basis,
     check_trace_preserving,
     identity_channel,
@@ -17,9 +19,10 @@ from vartomo.probes import (
     RngSeed,
     Scheme,
     aapt_probe_state,
+    exact_probability,
     random_channel,
 )
-from vartomo.sdp import SolveStatus, assemble_expectation_row
+from vartomo.sdp import SolveStatus
 from vartomo.tomography import (
     InfeasibleDataError,
     ReconstructionOptions,
@@ -28,17 +31,23 @@ from vartomo.tomography import (
     build_sqpt_program,
     dataset_from_json,
     dataset_to_json,
+    default_setup,
     make_dataset,
+    measurement_rows,
     minimal_elements_sweep,
     reconstruct,
 )
+
+
+def expectation_row(rho, effect, basis, ancilla=False):
+    return measurement_rows(rho, effect[None], basis, ancilla)[0]
 
 
 def linear_inversion(data: TomographyDataset) -> np.ndarray:
     """Independent reconstruction oracle: least squares on the raw rows."""
     ancilla = data.scheme is Scheme.AAPT
     rows = [
-        assemble_expectation_row(
+        expectation_row(
             data.probes.states[r.probe_index].rho,
             data.effects.effects[r.effect_index],
             data.basis,
@@ -126,7 +135,7 @@ class TestAaptProgram:
             records=(MeasurementRecord(probe_index=0, effect_index=0, p=1.0),),
         )
         res = reconstruct(data)
-        row = assemble_expectation_row(bell, bell, basis, ancilla=True)
+        row = expectation_row(bell, bell, basis, ancilla=True)
         overlap = row @ linalg.vec_hermitian(res.chi_hat.chi)
         assert overlap == pytest.approx(1.0, abs=1e-5)
 
@@ -161,6 +170,70 @@ class TestAaptProgram:
         )
         with pytest.warns(UserWarning, match="Schmidt"):
             build_aapt_program(data)
+
+
+class TestProgramRows:
+    """The assembled rows against a direct apply-the-map oracle."""
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
+    @pytest.mark.parametrize("shots", [0, 10_000])
+    def test_envelope_rows_match_oracle(self, n_qubits, scheme, shots):
+        d = 2**n_qubits
+        basis = build_scaled_pauli_basis(n_qubits)
+        truth = kraus_to_chi(random_channel(d, 2, RngSeed(5000 + d)), basis)
+        rng = np.random.default_rng(5100 + d)
+        _, probes, effects = default_setup(scheme, n_qubits)
+        n_effects = len(effects)
+        selected = [
+            sorted(rng.choice(n_effects, n_effects // 3, replace=False).tolist())
+            for _ in probes.states
+        ]
+        data = make_dataset(
+            truth, scheme, n_qubits, selected=selected, shots=shots,
+            seed=RngSeed(5200 + d) if shots else None,
+        )
+        # p_min at the median splits the records between the relative and
+        # additive branches
+        p_min = float(np.median([r.p for r in data.records]))
+        options = ReconstructionOptions(p_min=p_min, tp_constraint=True)
+        builder = build_sqpt_program if scheme is Scheme.SQPT else build_aapt_program
+        problem, _ = builder(data, options)
+        ineq = problem.inequalities
+        n = len(data.records)
+        assert len(ineq) == 2 * n + data.k_t
+        assert len(problem.equalities) == d * d
+
+        chi_vec = linalg.vec_hermitian(truth.chi)
+        values = ineq.psd @ chi_vec
+        apply = apply_map_ancilla if scheme is Scheme.AAPT else apply_map
+        outputs = [apply(truth, state) for state in data.probes.states]
+        branches = set()
+        for i, r in enumerate(data.records):
+            lo, hi = 2 * i, 2 * i + 1
+            exact = exact_probability(data.effects.effects[r.effect_index], outputs[r.probe_index])
+            assert abs(values[lo] - exact) <= 1e-12
+            assert abs(values[hi] - exact) <= 1e-12
+            relative = r.p >= options.p_min
+            branches.add(relative)
+            scale = r.p if relative else (1.0 / shots if shots else 1e-3)
+            assert ineq.slack_index[lo] == ineq.slack_index[hi] >= 0
+            assert (ineq.slack_coeff[lo], ineq.slack_coeff[hi]) == (scale, -scale)
+            assert (ineq.lower[lo], ineq.upper[lo]) == (r.p, np.inf)
+            assert (ineq.lower[hi], ineq.upper[hi]) == (-np.inf, r.p)
+            cap = problem.slack_caps[ineq.slack_index[lo]]
+            assert cap == np.inf if relative else cap == options.additive_cap
+        assert branches == {True, False}
+
+        # then one Tr(out_k) <= 1 row per probe, without a slack
+        for k, out in enumerate(outputs):
+            row = 2 * n + k
+            assert abs(values[row] - np.trace(out.rho).real) <= 1e-12
+            assert (ineq.slack_index[row], ineq.lower[row], ineq.upper[row]) == (-1, -np.inf, 1.0)
+        # then the trace-preserving equalities, which a channel meets exactly
+        assert np.all(problem.equalities.slack_index == -1)
+        tp_values = problem.equalities.psd @ chi_vec
+        assert np.abs(tp_values - problem.equalities.lower).max() <= 1e-12
 
 
 class TestReconstruct:
@@ -229,6 +302,16 @@ class TestReconstruct:
             reconstruct(bad, options)
         worst_record = err.value.worst_records[0][0]
         assert (worst_record.probe_index, worst_record.effect_index) == (0, 4)
+
+    def test_max_iter_warns(self):
+        basis = build_scaled_pauli_basis(1)
+        chi = kraus_to_chi(random_channel(2, 2, RngSeed(3)), basis)
+        data = make_dataset(chi, Scheme.SQPT, 1, shots=10000, seed=RngSeed(4))
+        with pytest.warns(RuntimeWarning, match="max_iter after 50 iterations") as record:
+            res = reconstruct(data, ReconstructionOptions(max_iter=50))
+        assert res.solver.status is SolveStatus.MAX_ITER
+        message = str(record[0].message)
+        assert "primal residual" in message and "dual residual" in message
 
     def test_zero_probability_records_stay_feasible(self):
         basis = build_scaled_pauli_basis(1)
