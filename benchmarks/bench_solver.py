@@ -1,30 +1,37 @@
 """Time the solver on representative reconstruction problems.
 
-Run with ``PYTHONPATH=src python benchmarks/bench_solver.py``.  Prints the
-best of three wall times per problem, with the iteration count and the
-time per iteration.
+Run with ``PYTHONPATH=src python benchmarks/bench_solver.py``.  For each
+problem it prints the best of three solves: the whole solve, the set-up
+before the first iteration (row equilibration, row grouping and the
+x-step factor), the ADMM loop, the iteration count and the loop time
+per iteration.
 """
 
 import time
 
 import numpy as np
 
+from vartomo import sdp
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
 from vartomo.linalg import vec_hermitian
 from vartomo.probes import RngSeed, Scheme, random_channel
 from vartomo.sdp import BoxRows, SdpProblem, solve
-from vartomo.tomography import ReconstructionOptions, build_sqpt_program, make_dataset
+from vartomo.tomography import (
+    ReconstructionOptions,
+    build_aapt_program,
+    build_sqpt_program,
+    make_dataset,
+)
 
 
-def tomography_problem(n_qubits: int, rank: int, shots: int = 0) -> SdpProblem:
+def tomography_problem(n_qubits: int, rank: int, shots: int = 0, scheme=Scheme.SQPT) -> SdpProblem:
     seed = RngSeed(9000 + n_qubits)
     d = 2**n_qubits
     basis = build_scaled_pauli_basis(n_qubits)
     truth = kraus_to_chi(random_channel(d, rank, seed), basis)
-    data = make_dataset(
-        truth, Scheme.SQPT, n_qubits, shots=shots, seed=seed.derive("m") if shots else None
-    )
-    problem, _ = build_sqpt_program(data, ReconstructionOptions())
+    data = make_dataset(truth, scheme, n_qubits, shots=shots, seed=seed.derive("m") if shots else None)
+    build = build_sqpt_program if scheme is Scheme.SQPT else build_aapt_program
+    problem, _ = build(data, ReconstructionOptions())
     return problem
 
 
@@ -41,14 +48,36 @@ def random_diag_sdp(dim: int, n_rows: int) -> SdpProblem:
     return SdpProblem(psd_dim=dim, n_slack=0, objective=objective, inequalities=rows)
 
 
-def time_solve(problem, tol=1e-7, repeats=3):
-    best = np.inf
-    result = None
-    for _ in range(repeats):
+def timed_solve(problem, tol):
+    """(solve seconds, loop seconds, solution), timing the loop through the
+    ``sdp.get_loop`` hook that :func:`vartomo.sdp.solve` calls."""
+    get_loop = sdp.get_loop
+    loop_s = 0.0
+
+    def timed_get_loop(backend=None):
+        loop = get_loop(backend)
+
+        def timed_loop(*args):
+            nonlocal loop_s
+            start = time.perf_counter()
+            try:
+                return loop(*args)
+            finally:
+                loop_s += time.perf_counter() - start
+
+        return timed_loop
+
+    sdp.get_loop = timed_get_loop
+    try:
         start = time.perf_counter()
         result = solve(problem, tol)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        return time.perf_counter() - start, loop_s, result
+    finally:
+        sdp.get_loop = get_loop
+
+
+def time_solve(problem, tol=1e-7, repeats=3):
+    return min((timed_solve(problem, tol) for _ in range(repeats)), key=lambda run: run[0])
 
 
 def main():
@@ -56,15 +85,23 @@ def main():
         ("single-qubit SQPT, noiseless", tomography_problem(1, 2)),
         ("single-qubit SQPT, 1e4 shots", tomography_problem(1, 2, shots=10_000)),
         ("two-qubit SQPT, noiseless", tomography_problem(2, 8)),
+        ("two-qubit AAPT, noiseless", tomography_problem(2, 8, scheme=Scheme.AAPT)),
         ("random diagonal SDP (dim 8)", random_diag_sdp(8, 24)),
     ]
-    header = f"{'problem':34s} {'time':>10s} {'iters':>7s} {'us/iter':>8s}"
+    header = (
+        f"{'problem':30s} {'rows':>5s} {'time':>9s} {'prep':>9s} {'loop':>9s} "
+        f"{'iters':>6s} {'us/iter':>8s}"
+    )
     print(header)
     print("-" * len(header))
     for name, problem in cases:
-        t, result = time_solve(problem)
-        per_iter = t / result.iterations * 1e6
-        print(f"{name:34s} {t * 1e3:8.1f}ms {result.iterations:7d} {per_iter:8.1f}")
+        t, loop_s, result = time_solve(problem)
+        rows = len(problem.inequalities) + len(problem.equalities)
+        per_iter = loop_s / result.iterations * 1e6
+        print(
+            f"{name:30s} {rows:5d} {t * 1e3:7.1f}ms {(t - loop_s) * 1e3:7.1f}ms "
+            f"{loop_s * 1e3:7.1f}ms {result.iterations:6d} {per_iter:8.1f}"
+        )
 
 
 if __name__ == "__main__":

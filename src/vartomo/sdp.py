@@ -14,6 +14,13 @@ bulk, one array per field (:class:`BoxRows`); equalities are rows with
 ``lower == upper``.
 
 The solver is ADMM with PSD projection (see :mod:`vartomo._kernels`).
+It never forms the dense row matrix: :func:`row_operator` equilibrates
+the rows, keeps each distinct PSD row once with a per-row slack
+coefficient, and factors the x-step through one D^2 x D^2 inverse plus
+a diagonal.  :meth:`SdpProblem.stacked_rows` is the dense form, kept
+for the problem dump and as the oracle the structured one is tested
+against.
+
 Infeasibility is reported heuristically: the primal residual stalls far
 from the tolerance while the dual residual settles, which is how the
 alternating projections behave on an empty feasible set.
@@ -29,7 +36,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import linalg, tolerances as tol
-from ._kernels import get_loop
+from ._kernels import RowOperator, get_loop
 
 
 class SolveStatus(enum.Enum):
@@ -147,6 +154,20 @@ class SdpSolution:
 # --- solver -------------------------------------------------------------------
 
 
+def row_operator(problem: SdpProblem) -> RowOperator:
+    """The box rows (inequalities then equalities) as the loop's structured
+    operator: equilibrated, PSD rows grouped, with its x-step factor."""
+    groups = (problem.inequalities, problem.equalities)
+    return RowOperator(
+        problem.psd_dim,
+        problem.n_slack,
+        *(
+            np.concatenate([getattr(g, name) for g in groups])
+            for name in ("psd", "slack_index", "slack_coeff", "lower", "upper")
+        ),
+    )
+
+
 def solve(
     problem: SdpProblem,
     tol_: float = tol.SOLVER_TOL,
@@ -173,29 +194,12 @@ def solve(
         raise ValueError("tolerance must be positive")
     D = problem.psd_dim
     m = problem.n_vars
-    A, lower, upper = problem.stacked_rows()
-    p_rows = A.shape[0]
-
-    # Equilibrate: unit-norm rows keep the projections balanced.
-    if p_rows:
-        norms = np.linalg.norm(A, axis=1)
-        norms[norms == 0] = 1.0
-        A /= norms[:, None]
-        lower /= norms
-        upper /= norms
-    At = np.ascontiguousarray(A.T)
+    op = row_operator(problem)
+    p_rows = op.n_rows
 
     # Scale-invariant objective: the iterates depend only on c's direction.
     gamma = np.linalg.norm(problem.objective)
     c = problem.objective / gamma if gamma > 0 else problem.objective.copy()
-
-    Finv = np.linalg.inv(np.eye(m) + At @ A) if p_rows else np.eye(m)
-    Finv = np.ascontiguousarray(Finv)
-
-    idx_diag = np.arange(D) * (D + 1)
-    iu, ju = linalg.triu_indices(D)
-    idx_up = iu * D + ju
-    idx_lo = ju * D + iu
 
     x = np.zeros(m)
     z1 = np.zeros(m)
@@ -222,8 +226,7 @@ def solve(
     while iters < max_iter:
         n = min(chunk, max_iter - iters)
         done, converged, rho, r_prim, r_dual = loop(
-            A, At, Finv, c, lower, upper, D, caps,
-            idx_diag, idx_up, idx_lo,
+            op, c, D, caps,
             x, z1, z2, u1, u2,
             rho, alpha, tol_, n, check_every, adapt_every,
         )
@@ -332,6 +335,7 @@ __all__ = [
     "BoxRows",
     "SdpProblem",
     "SdpSolution",
+    "row_operator",
     "solve",
     "problem_to_json",
     "problem_from_json",

@@ -15,6 +15,7 @@ jointly.
 
 from __future__ import annotations
 
+import functools
 import statistics
 import warnings
 from dataclasses import dataclass
@@ -358,12 +359,22 @@ def reconstruct(
 # --- dataset construction helpers ----------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def default_setup(scheme: Scheme, n_qubits: int) -> tuple[OperatorBasis, ProbeSet, EffectSet]:
-    """Canonical basis, probes, and effects for a scheme at a given size."""
+    """Canonical basis, probes, and effects for a scheme at a given size.
+
+    Built and validated once per (scheme, n_qubits); every caller shares
+    the result, so its arrays are read-only.
+    """
     basis = build_scaled_pauli_basis(n_qubits)
     if scheme is Scheme.SQPT:
-        return basis, sqpt_probe_states(n_qubits), pauli_projector_effects(n_qubits)
-    return basis, aapt_probe_state(n_qubits), pauli_projector_effects(2 * n_qubits)
+        probes, effects = sqpt_probe_states(n_qubits), pauli_projector_effects(n_qubits)
+    else:
+        probes, effects = aapt_probe_state(n_qubits), pauli_projector_effects(2 * n_qubits)
+    shared = [basis.elements, basis.gram_diag, effects.effects] + [s.rho for s in probes.states]
+    for array in shared:
+        array.flags.writeable = False
+    return basis, probes, effects
 
 
 def complete_selection(probes: ProbeSet, effects: EffectSet) -> list[list[int]]:
@@ -551,6 +562,12 @@ def minimal_elements_sweep(
         )
     }
 
+    # Every pair's expectation row, for the rank tracker.
+    pair_rows = [
+        measurement_rows(state.rho, effect_set.effects, basis, ancilla)
+        for state in probe_set.states
+    ]
+
     trial_results = []
     for t in range(trials):
         order = seed.derive("order", t).generator().permutation(len(pairs))
@@ -567,10 +584,7 @@ def minimal_elements_sweep(
             for idx in take:
                 k, lam = pairs[idx]
                 records.append(all_records[(k, lam)])
-                row = measurement_rows(
-                    probe_set.states[k].rho, effect_set.effects[lam : lam + 1], basis, ancilla
-                )[0]
-                tracker.add(row)
+                tracker.add(pair_rows[k][lam])
             data = TomographyDataset(
                 scheme=scheme,
                 d=channel.d,

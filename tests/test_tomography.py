@@ -360,6 +360,23 @@ class TestSweep:
             minimal_elements_sweep(channel, Scheme.SQPT, 0.9, trials=0, seed=RngSeed(1))
 
 
+class TestDefaultSetup:
+    def test_cached_arrays_are_read_only(self):
+        basis, probes, effects = default_setup(Scheme.AAPT, 1)
+        assert default_setup(Scheme.AAPT, 1)[2] is effects
+        for array in (basis.elements, basis.gram_diag, effects.effects, probes.states[0].rho):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0.0
+
+    def test_make_dataset_is_repeatable(self):
+        basis = build_scaled_pauli_basis(1)
+        truth = kraus_to_chi(random_channel(2, 2, RngSeed(4003)), basis)
+        for shots, seed in ((0, None), (500, RngSeed(4004))):
+            a = make_dataset(truth, Scheme.SQPT, 1, shots=shots, seed=seed)
+            b = make_dataset(truth, Scheme.SQPT, 1, shots=shots, seed=seed)
+            assert a.records == b.records
+
+
 def test_dataset_json_roundtrip():
     basis = build_scaled_pauli_basis(1)
     truth_kraus = random_channel(2, 2, RngSeed(4001))
