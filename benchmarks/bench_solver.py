@@ -1,10 +1,12 @@
 """Time the solver on representative reconstruction problems.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_solver.py``.  For each
-problem it prints the best of three solves: the whole solve, the set-up
-before the first iteration (row equilibration, row grouping and the
-x-step factor), the ADMM loop, the iteration count and the loop time
-per iteration.
+problem it prints the best of three program builds (dataset to
+``build_*_program``; the setup's measurement table is cached by the
+first) and the best of three solves: the whole solve, the set-up before
+the first iteration (row equilibration, row grouping and the x-step
+factor), the ADMM loop, the iteration count and the loop time per
+iteration.
 """
 
 import time
@@ -24,15 +26,22 @@ from vartomo.tomography import (
 )
 
 
-def tomography_problem(n_qubits: int, rank: int, shots: int = 0, scheme=Scheme.SQPT) -> SdpProblem:
+def tomography_problem(
+    n_qubits: int, rank: int, shots: int = 0, scheme=Scheme.SQPT
+) -> tuple[SdpProblem, float]:
+    """The program of a seeded complete dataset and its best build time."""
     seed = RngSeed(9000 + n_qubits)
     d = 2**n_qubits
     basis = build_scaled_pauli_basis(n_qubits)
     truth = kraus_to_chi(random_channel(d, rank, seed), basis)
     data = make_dataset(truth, scheme, n_qubits, shots=shots, seed=seed.derive("m") if shots else None)
     build = build_sqpt_program if scheme is Scheme.SQPT else build_aapt_program
-    problem, _ = build(data, ReconstructionOptions())
-    return problem
+    build_s = np.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        problem, _ = build(data, ReconstructionOptions())
+        build_s = min(build_s, time.perf_counter() - start)
+    return problem, build_s
 
 
 def random_diag_sdp(dim: int, n_rows: int) -> SdpProblem:
@@ -86,20 +95,21 @@ def main():
         ("single-qubit SQPT, 1e4 shots", tomography_problem(1, 2, shots=10_000)),
         ("two-qubit SQPT, noiseless", tomography_problem(2, 8)),
         ("two-qubit AAPT, noiseless", tomography_problem(2, 8, scheme=Scheme.AAPT)),
-        ("random diagonal SDP (dim 8)", random_diag_sdp(8, 24)),
+        ("random diagonal SDP (dim 8)", (random_diag_sdp(8, 24), None)),
     ]
     header = (
-        f"{'problem':30s} {'rows':>5s} {'time':>9s} {'prep':>9s} {'loop':>9s} "
+        f"{'problem':30s} {'rows':>5s} {'build':>9s} {'time':>9s} {'prep':>9s} {'loop':>9s} "
         f"{'iters':>6s} {'us/iter':>8s}"
     )
     print(header)
     print("-" * len(header))
-    for name, problem in cases:
+    for name, (problem, build_s) in cases:
         t, loop_s, result = time_solve(problem)
         rows = len(problem.inequalities) + len(problem.equalities)
         per_iter = loop_s / result.iterations * 1e6
+        build = "-" if build_s is None else f"{build_s * 1e3:.1f}ms"
         print(
-            f"{name:30s} {rows:5d} {t * 1e3:7.1f}ms {(t - loop_s) * 1e3:7.1f}ms "
+            f"{name:30s} {rows:5d} {build:>9s} {t * 1e3:7.1f}ms {(t - loop_s) * 1e3:7.1f}ms "
             f"{loop_s * 1e3:7.1f}ms {result.iterations:6d} {per_iter:8.1f}"
         )
 

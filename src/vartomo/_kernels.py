@@ -18,16 +18,16 @@ u1/u2 accumulate the mismatch.  Residuals are normalized by iterate
 scale; the penalty rescales itself when they drift apart by more than a
 factor of ten.
 
-A is never formed.  Every row is a PSD part plus at most one slack, so
-after equilibration (unit-norm rows) :class:`RowOperator` keeps each
-distinct PSD row once (the lo and hi rows of an envelope share one)
-and one (slack, coefficient) pair per row.  I + A^T A then has a
-diagonal slack block, and its chi/slack cross block is U^T W, where W
-holds the per-(distinct row, slack) sums of slack coefficients.  For
-envelope pairs those sums cancel exactly, so the x-step is one D^2 x D^2
-inverse plus a diagonal; otherwise the inverse is taken of the Schur
-complement of the slack block and the slacks the cross block touches
-get a low-rank correction.
+A is never formed.  Every row is a stored PSD row, by index, plus at
+most one slack, so after equilibration (unit-norm rows)
+:class:`RowOperator` keeps each distinct (stored row, norm) once (the
+lo and hi rows of an envelope share one) and one (slack, coefficient)
+pair per row.  I + A^T A then has a diagonal slack block, and its
+chi/slack cross block is U^T W, where W holds the per-(distinct row,
+slack) sums of slack coefficients.  For envelope pairs those sums
+cancel exactly, so the x-step is one D^2 x D^2 inverse plus a diagonal;
+otherwise the inverse is taken of the Schur complement of the slack
+block and the slacks the cross block touches get a low-rank correction.
 """
 
 from __future__ import annotations
@@ -42,36 +42,38 @@ _SQRT2 = np.sqrt(2.0)
 class RowOperator:
     """Equilibrated box rows ``l <= A x <= u`` and the x-step solve.
 
-    Row i reads ``A_i x = psd[group[i]] . x[:D^2] + coeff[i] * x[D^2 + slack[i]]``
+    Built from :class:`vartomo.sdp.BoxRows`; row i then reads
+    ``A_i x = psd[group[i]] . x[:D^2] + coeff[i] * x[D^2 + slack[i]]``
     (``coeff[i] = 0`` for a row without a slack).  ``matvec``, ``rmatvec``
     and ``solve`` apply A, A^T and (I + A^T A)^{-1}.
     """
 
-    def __init__(self, D, n_slack, psd, slack_index, slack_coeff, lower, upper):
+    def __init__(self, D, n_slack, rows):
         DD = D * D
         self.DD = DD
         self.n_slack = n_slack
         self.n_vars = DD + n_slack
-        self.n_rows = len(psd)
+        self.n_rows = len(rows)
         # Equilibrate: unit-norm rows keep the projections balanced.
-        has = slack_index >= 0
-        coeff = np.where(has, slack_coeff, 0.0)
-        norms = np.sqrt(np.einsum("ij,ij->i", psd, psd) + coeff * coeff)
+        stored, psd_row = rows.psd, rows.psd_row
+        has = rows.slack_index >= 0
+        coeff = np.where(has, rows.slack_coeff, 0.0)
+        norms = np.sqrt(np.einsum("ij,ij->i", stored, stored)[psd_row] + coeff * coeff)
         norms[norms == 0] = 1.0
-        psd = psd / norms[:, None]
         self.coeff = coeff / norms
-        self.slack = np.where(has, slack_index, 0)
+        self.slack = np.where(has, rows.slack_index, 0)
         self.slack_col = DD + self.slack
-        self.lower = lower / norms
-        self.upper = upper / norms
+        self.lower = rows.lower / norms
+        self.upper = rows.upper / norms
 
-        # Distinct equilibrated PSD rows, numbered in order of appearance.
-        index: dict[bytes, int] = {}
-        self.group = np.array(
-            [index.setdefault(row.tobytes(), len(index)) for row in psd], dtype=np.intp
+        # Distinct equilibrated PSD rows: one per (stored row, norm), in
+        # (stored row, norm) order.
+        _, first, group = np.unique(
+            np.column_stack([psd_row, norms]), axis=0, return_index=True, return_inverse=True
         )
-        self.n_groups = len(index)
-        self.psd = psd[np.unique(self.group, return_index=True)[1]]
+        self.group = group.reshape(-1)
+        self.n_groups = len(first)
+        self.psd = stored[psd_row[first]] / norms[first, None]
 
         # Slack block: diagonal.  Cross block U^T W, W[u, j] = sum of coeff
         # over the rows of group u that use slack j.

@@ -30,13 +30,14 @@ PAULI = {
 _PAULI_LETTERS = "IXYZ"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorBasis:
     """d^2 expansion operators for the chi representation.
 
     Invariants (checked at construction): sum_i E_i^dag E_i = I,
     pairwise Hilbert-Schmidt orthogonality, and element 0 proportional
-    to the identity.
+    to the identity.  Bases, probe sets and effect sets compare by
+    identity, so they can key :func:`vartomo.tomography.measurement_table`.
     """
 
     d: int

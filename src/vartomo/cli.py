@@ -104,13 +104,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    try:
+        options = ReconstructionOptions(
+            tp_constraint=args.tp,
+            tol=args.tol,
+            p_min=args.p_min,
+            additive_scale=args.additive_scale,
+        )
+    except ValueError as exc:
+        print(f"vartomo: invalid option: {exc}", file=sys.stderr)
+        return 1
     data, truth = tomography.dataset_from_json(_read_file(args.dataset))
-    options = ReconstructionOptions(
-        tp_constraint=args.tp,
-        tol=args.tol,
-        p_min=args.p_min,
-        additive_scale=args.additive_scale,
-    )
     try:
         result = tomography.reconstruct(data, options)
     except InfeasibleDataError as exc:

@@ -63,6 +63,11 @@ class ExperimentConfig:
             raise ValueError("channels_per_rank must be >= 1")
         if self.sweep_trials < 1 or self.sweep_batch < 1:
             raise ValueError("sweep_trials and sweep_batch must be >= 1")
+        if not 0 <= self.fidelity_threshold < 1:
+            raise ValueError("fidelity_threshold must be in [0, 1)")
+        if self.shots < 0:
+            raise ValueError("shots must be >= 0")
+        self.reconstruction_options()  # validates solver_tol and solver_max_iter
 
     @property
     def d(self) -> int:

@@ -52,7 +52,7 @@ class RngSeed:
         return RngSeed(seed=int.from_bytes(h.digest(), "big"), generator_id=self.generator_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeSet:
     d: int
     states: tuple[DensityMatrix, ...]
@@ -74,7 +74,7 @@ class ProbeSet:
                 raise ValueError("AAPT probe must live on dimension d^2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectSet:
     """POVM effects: each PSD, summing to the identity."""
 

@@ -7,11 +7,11 @@ inequalities, and equalities.  The variable vector is
 
 Every box row carries its PSD-block coefficients and at most one slack:
 
-    lower <= <psd, svec(X)> + slack_coeff * slacks[slack_index] <= upper
+    lower <= <psd[psd_row], svec(X)> + slack_coeff * slacks[slack_index] <= upper
 
 with ``slack_index = -1`` for a row without a slack.  Rows are held in
-bulk, one array per field (:class:`BoxRows`); equalities are rows with
-``lower == upper``.
+bulk, one array per field, and rows may share a stored PSD row
+(:class:`BoxRows`); equalities are rows with ``lower == upper``.
 
 The solver is ADMM with PSD projection (see :mod:`vartomo._kernels`).
 It never forms the dense row matrix: :func:`row_operator` equilibrates
@@ -47,10 +47,12 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class BoxRows:
-    """Rows ``lower <= psd . svec(X) + slack_coeff * slacks[slack_index] <= upper``.
+    """Rows ``lower <= psd[psd_row] . svec(X) + slack_coeff * slacks[slack_index] <= upper``.
 
-    ``psd`` is (rows, D^2); the other fields hold one entry per row.
-    ``slack_index`` and ``slack_coeff`` default to "no slack" (-1, 0).
+    ``psd`` is (stored rows, D^2); the other fields hold one entry per
+    box row, ``psd_row`` being the row's index into ``psd`` (default:
+    one stored row per box row).  ``slack_index`` and ``slack_coeff``
+    default to "no slack" (-1, 0).  ``len()`` counts box rows.
     """
 
     psd: np.ndarray
@@ -58,29 +60,36 @@ class BoxRows:
     upper: np.ndarray
     slack_index: np.ndarray = field(default=None)  # type: ignore[assignment]
     slack_coeff: np.ndarray = field(default=None)  # type: ignore[assignment]
+    psd_row: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.psd = np.asarray(self.psd, dtype=float)
         if self.psd.ndim != 2:
             raise ValueError("psd coefficients must be a (rows, D^2) array")
-        n = len(self.psd)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
+        n = self.lower.size
+        if self.psd_row is None:
+            self.psd_row = np.arange(len(self.psd))
         if self.slack_index is None:
             self.slack_index = np.full(n, -1)
         if self.slack_coeff is None:
             self.slack_coeff = np.zeros(n)
+        self.psd_row = np.asarray(self.psd_row, dtype=np.intp)
         self.slack_index = np.asarray(self.slack_index, dtype=np.intp)
         self.slack_coeff = np.asarray(self.slack_coeff, dtype=float)
-        if any(a.shape != (n,) for a in (self.lower, self.upper, self.slack_index, self.slack_coeff)):
-            raise ValueError("need one bound pair, slack index and slack coefficient per row")
+        fields = (self.lower, self.upper, self.psd_row, self.slack_index, self.slack_coeff)
+        if any(a.shape != (n,) for a in fields):
+            raise ValueError("every per-row field needs one entry per box row")
+        if np.any((self.psd_row < 0) | (self.psd_row >= len(self.psd))):
+            raise ValueError("stored-row index out of range")
         bad = np.flatnonzero(self.lower > self.upper)
         if bad.size:
             i = bad[0]
             raise ValueError(f"empty interval [{self.lower[i]}, {self.upper[i]}] in row {i}")
 
     def __len__(self) -> int:
-        return self.psd.shape[0]
+        return len(self.lower)
 
 
 @dataclass
@@ -123,21 +132,27 @@ class SdpProblem:
     def n_vars(self) -> int:
         return self.psd_dim**2 + self.n_slack
 
+    def all_rows(self) -> BoxRows:
+        """The inequalities then the equalities, as one set of box rows."""
+        a, b = self.inequalities, self.equalities
+
+        def both(name):
+            return np.concatenate([getattr(a, name), getattr(b, name)])
+
+        return BoxRows(
+            *map(both, ("psd", "lower", "upper", "slack_index", "slack_coeff")),
+            psd_row=np.concatenate([a.psd_row, len(a.psd) + b.psd_row]),
+        )
+
     def stacked_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All box rows (inequalities then equalities) as dense (A, lower, upper)."""
-        groups = (self.inequalities, self.equalities)
+        rows = self.all_rows()
         DD = self.psd_dim**2
-        A = np.zeros((sum(len(g) for g in groups), self.n_vars))
-        start = 0
-        for g in groups:
-            block = A[start : start + len(g)]
-            block[:, :DD] = g.psd
-            has = np.flatnonzero(g.slack_index >= 0)
-            block[has, DD + g.slack_index[has]] = g.slack_coeff[has]
-            start += len(g)
-        lower = np.concatenate([g.lower for g in groups])
-        upper = np.concatenate([g.upper for g in groups])
-        return A, lower, upper
+        A = np.zeros((len(rows), self.n_vars))
+        A[:, :DD] = rows.psd[rows.psd_row]
+        has = np.flatnonzero(rows.slack_index >= 0)
+        A[has, DD + rows.slack_index[has]] = rows.slack_coeff[has]
+        return A, rows.lower, rows.upper
 
 
 @dataclass
@@ -157,15 +172,14 @@ class SdpSolution:
 def row_operator(problem: SdpProblem) -> RowOperator:
     """The box rows (inequalities then equalities) as the loop's structured
     operator: equilibrated, PSD rows grouped, with its x-step factor."""
-    groups = (problem.inequalities, problem.equalities)
-    return RowOperator(
-        problem.psd_dim,
-        problem.n_slack,
-        *(
-            np.concatenate([getattr(g, name) for g in groups])
-            for name in ("psd", "slack_index", "slack_coeff", "lower", "upper")
-        ),
-    )
+    return RowOperator(problem.psd_dim, problem.n_slack, problem.all_rows())
+
+
+RHO = 1.0  # initial penalty
+ALPHA = 1.6  # over-relaxation
+STALL_ITERS = 3000  # iterations without relative primal progress before INFEASIBLE
+CHECK_EVERY = 25  # residual-check period
+ADAPT_EVERY = 100  # penalty-adaptation period
 
 
 def solve(
@@ -173,22 +187,17 @@ def solve(
     tol_: float = tol.SOLVER_TOL,
     max_iter: int = 200_000,
     *,
-    rho: float = 1.0,
-    alpha: float = 1.6,
     trace: TextIO | Callable[[str], None] | None = None,
-    detect_infeasible: bool = True,
-    stall_iters: int = 3000,
-    check_every: int = 25,
-    adapt_every: int = 100,
 ) -> SdpSolution:
     """Run the splitting iteration until both residuals fall below tol_.
 
     Returns the best iterate seen, with diagnostics.  Status INFEASIBLE
     is heuristic: the primal residual plateaus orders of magnitude above
-    the tolerance (no relative improvement for ``stall_iters``
+    the tolerance (no relative improvement for ``STALL_ITERS``
     iterations), which is how the alternating projections behave between
-    two sets that do not intersect.  Genuinely slow-but-feasible
-    problems keep improving and instead exhaust ``max_iter``.
+    two sets that do not intersect.  Slow-but-feasible problems usually
+    keep improving and instead exhaust ``max_iter``, though not always
+    (a seeded one-qubit SQPT case is pinned in the tests).
     """
     if tol_ <= 0:
         raise ValueError("tolerance must be positive")
@@ -207,6 +216,7 @@ def solve(
     u1 = np.zeros(m)
     u2 = np.zeros(p_rows)
     caps = problem.slack_caps.copy()
+    rho = RHO
 
     # Looked up through this module's name on every call: the benchmark's
     # tracer (perfbench/spans.py) replaces sdp.get_loop to time the loop.
@@ -228,7 +238,7 @@ def solve(
         done, converged, rho, r_prim, r_dual = loop(
             op, c, D, caps,
             x, z1, z2, u1, u2,
-            rho, alpha, tol_, n, check_every, adapt_every,
+            rho, ALPHA, tol_, n, CHECK_EVERY, ADAPT_EVERY,
         )
         iters += done
         if write is not None:
@@ -243,11 +253,7 @@ def solve(
         if converged:
             best_x = x.copy()
             break
-        if (
-            detect_infeasible
-            and iters - best_iter >= stall_iters
-            and best_prim > max(1e3 * tol_, 1e-6)
-        ):
+        if iters - best_iter >= STALL_ITERS and best_prim > max(1e3 * tol_, 1e-6):
             stalled = True
             break
 

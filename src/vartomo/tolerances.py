@@ -4,22 +4,13 @@ Every module pulls its thresholds from here so that tuning happens in
 exactly one place.
 """
 
-# Hermitian construction: entrywise symmetry after (M + M^dag)/2.
-HERMITIAN_CONSTRUCT = 1e-12
 # Reject inputs whose anti-Hermitian part exceeds this in max-norm.
 HERMITIAN_REJECT = 1e-8
-
-# Eigendecomposition reconstruction error, scaled by matrix dimension.
-EIG_RECONSTRUCT = 1e-10
 
 # PSD checks: eigenvalues above this floor are clamped to zero ...
 PSD_CLAMP = -1e-10
 # ... below this the matrix is rejected as not PSD.
 PSD_REJECT = -1e-8
-
-# svec/smat roundtrip and Hilbert-Schmidt inner-product agreement.
-VEC_ROUNDTRIP = 1e-14
-VEC_HS_MATCH = 1e-12
 
 # Operator-basis completeness and orthogonality.
 BASIS_COMPLETENESS = 1e-10

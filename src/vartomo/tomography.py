@@ -10,7 +10,8 @@ envelope around every measured probability.  H_k is the sum of the
 effects NOT measured on probe k.  The standard scheme (SQPT) probes the
 channel with d^2 independent states; the ancilla-assisted scheme (AAPT)
 sends half of a maximally entangled pair through it and measures
-jointly.
+jointly.  Every row of both programs is a gather from one cached table
+per setup, :func:`measurement_table`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .probes import (
     pauli_projector_effects,
     simulate_measurements,
     sqpt_probe_states,
-    unknown_subspace_hamiltonian,
 )
 from .sdp import BoxRows, SdpProblem, SdpSolution, SolveStatus, solve
 
@@ -68,7 +68,7 @@ class TomographyDataset:
         return len(self.probes.states)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconstructionOptions:
     tp_constraint: bool = False
     tol: float = 1e-7
@@ -76,7 +76,16 @@ class ReconstructionOptions:
     p_min: float = 1e-6
     additive_scale: float | None = None
     additive_cap: float = 100.0
-    detect_infeasible: bool = True
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.additive_scale is not None and not self.additive_scale > 0:
+            raise ValueError(f"additive_scale must be positive, got {self.additive_scale}")
+        if not self.additive_cap > 0:
+            raise ValueError(f"additive_cap must be positive, got {self.additive_cap}")
 
 
 @dataclass(frozen=True)
@@ -133,8 +142,7 @@ def measurement_rows(
     One row per effect in the (n, dim, dim) stack ``effects``, all against
     one probe state.  B_i is the basis element, lifted to I (x) B_i when
     ``ancilla`` is set (rho and the effects then live on dimension d^2).
-    Every measurement row, probe-trace row and objective weight of the
-    programs comes from here.
+    The programs read these rows through :func:`measurement_table`.
     """
     B = basis.elements
     if ancilla:
@@ -148,6 +156,21 @@ def measurement_rows(
     return linalg.vec_hermitian_stack(K)
 
 
+@functools.lru_cache(maxsize=8)
+def measurement_table(basis: OperatorBasis, probes: ProbeSet, effects: EffectSet) -> np.ndarray:
+    """Every expectation row of a setup, as a read-only (k_t, m + 1, D^2) array.
+
+    ``table[k, lam]`` is the row of effect lam on probe k and ``table[k, m]``
+    the Tr(out_k) row (the identity effect).  Cached on the setup objects
+    themselves, compared by identity and treated as immutable.
+    """
+    ancilla = probes.scheme is Scheme.AAPT
+    stack = np.concatenate([effects.effects, np.eye(effects.dim, dtype=complex)[None]])
+    table = np.stack([measurement_rows(s.rho, stack, basis, ancilla) for s in probes.states])
+    table.flags.writeable = False
+    return table
+
+
 def noise_envelope(
     chi_rows: np.ndarray,
     record_slack: np.ndarray,
@@ -159,7 +182,8 @@ def noise_envelope(
 
     Record i has value <chi_rows[s], svec chi> with s = record_slack[i],
     and gets the rows  value + scale_i * D_s >= p_i  and
-    value - scale_i * D_s <= p_i, interleaved (lo, hi) per record.  For
+    value - scale_i * D_s <= p_i, interleaved (lo, hi) per record; both
+    rows index the stored row chi_rows[s].  For
     p >= p_min the scale is p itself, the relative form
     (1-D)p <= value <= (1+D)p.  Below p_min that would collapse to an
     equality, so the additive window |value - p| <= D * scale is used
@@ -184,11 +208,12 @@ def noise_envelope(
 
     slack = np.repeat(record_slack, 2)
     rows = BoxRows(
-        psd=chi_rows[slack],
+        psd=chi_rows,
         lower=np.column_stack([p, np.full(p.shape, -np.inf)]).ravel(),
         upper=np.column_stack([np.full(p.shape, np.inf), p]).ravel(),
         slack_index=slack,
         slack_coeff=np.column_stack([scale, -scale]).ravel(),
+        psd_row=slack,
     )
     return rows, scale, caps
 
@@ -197,16 +222,9 @@ def _trace_preserving_rows(basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray
     """Rows pinning sum_ij chi_ij E_j^dag E_i to the identity."""
     els = basis.elements
     G = np.einsum("jba,ibc->ijac", els.conj(), els)  # (i, j) -> E_j^dag E_i
-    D = basis.size
-    rows = np.empty((basis.d**2, D**2))
-    for q in range(D**2):
-        unit = np.zeros(D**2)
-        unit[q] = 1.0
-        chi_q = linalg.mat_hermitian(unit, D)
-        S_q = np.einsum("ij,ijac->ac", chi_q, G)
-        rows[:, q] = linalg.vec_hermitian(S_q)
-    targets = linalg.vec_hermitian(np.eye(basis.d))
-    return rows, targets
+    units = np.stack([linalg.mat_hermitian(e) for e in np.eye(basis.size**2)])
+    rows = linalg.vec_hermitian_stack(np.einsum("qij,ijac->qac", units, G)).T
+    return rows, linalg.vec_hermitian(np.eye(basis.d))
 
 
 def _build_program(
@@ -216,33 +234,18 @@ def _build_program(
     probe, then the trace-preserving equalities when requested."""
     if not data.records:
         raise ValueError("dataset has no measurement records: nothing to fit")
-    ancilla = data.scheme is Scheme.AAPT
-    psd_dim = data.d**2
+    table = measurement_table(data.basis, data.probes, data.effects)
 
-    def rows(k: int, effects: np.ndarray) -> np.ndarray:
-        return measurement_rows(data.probes.states[k].rho, effects, data.basis, ancilla)
-
-    # One slack, and one expectation row, per distinct (probe, effect).
+    # One slack, and one stored row, per distinct (probe, effect); one
+    # stored Tr(out_k) row per probe.
     slack_index: dict[tuple[int, int], int] = {}
-    for r in data.records:
-        slack_index.setdefault((r.probe_index, r.effect_index), len(slack_index))
+    pairs = [(r.probe_index, r.effect_index) for r in data.records]
+    record_slack = np.array([slack_index.setdefault(pair, len(slack_index)) for pair in pairs])
     n_slack = len(slack_index)
-    measured_by_probe: dict[int, list[int]] = {k: [] for k in range(data.k_t)}
-    for k, lam in slack_index:
-        measured_by_probe[k].append(lam)
-    chi_rows = np.empty((n_slack, psd_dim**2))
-    for k, lams in measured_by_probe.items():
-        if lams:
-            lams = sorted(lams)
-            chi_rows[[slack_index[(k, lam)] for lam in lams]] = rows(k, data.effects.effects[lams])
+    k, lam = np.array(list(slack_index), dtype=np.intp).T
+    stored = np.concatenate([table[k, lam], table[:, -1]])
+    chi_rows, trace_rows = stored[:n_slack], stored[n_slack:]
 
-    # Objective: unmeasured-subspace weight per probe plus the slack total.
-    chi_weight = np.zeros(psd_dim**2)
-    for k in range(data.k_t):
-        H = unknown_subspace_hamiltonian(data.effects, measured_by_probe[k])
-        chi_weight += rows(k, H[None])[0]
-
-    record_slack = np.array([slack_index[(r.probe_index, r.effect_index)] for r in data.records])
     envelope, scale, caps = noise_envelope(
         chi_rows,
         record_slack,
@@ -252,24 +255,24 @@ def _build_program(
     )
 
     # Tr(out_k) <= 1 for every probe, measured or not.
-    space_dim = data.d**2 if ancilla else data.d
-    eye = np.eye(space_dim, dtype=complex)[None]
-    trace_rows = np.stack([rows(k, eye)[0] for k in range(data.k_t)])
-    no_slack = np.full(data.k_t, -1)
     inequalities = BoxRows(
-        psd=np.concatenate([envelope.psd, trace_rows]),
+        psd=stored,
         lower=np.concatenate([envelope.lower, np.full(data.k_t, -np.inf)]),
         upper=np.concatenate([envelope.upper, np.ones(data.k_t)]),
-        slack_index=np.concatenate([envelope.slack_index, no_slack]),
+        slack_index=np.concatenate([envelope.slack_index, np.full(data.k_t, -1)]),
         slack_coeff=np.concatenate([envelope.slack_coeff, np.zeros(data.k_t)]),
+        psd_row=np.concatenate([envelope.psd_row, n_slack + np.arange(data.k_t)]),
     )
     equalities = None
     if options.tp_constraint:
         tp_rows, targets = _trace_preserving_rows(data.basis)
         equalities = BoxRows(tp_rows, targets, targets)
 
+    # Objective: per probe the weight on the unmeasured effects, I minus
+    # the measured ones, plus the slack total.
+    chi_weight = trace_rows.sum(axis=0) - chi_rows.sum(axis=0)
     problem = SdpProblem(
-        psd_dim=psd_dim,
+        psd_dim=data.d**2,
         n_slack=n_slack,
         objective=np.concatenate([chi_weight, np.ones(n_slack)]),
         inequalities=inequalities,
@@ -325,9 +328,7 @@ def reconstruct(
     options = options or ReconstructionOptions()
     builder = build_sqpt_program if data.scheme is Scheme.SQPT else build_aapt_program
     problem, layout = builder(data, options)
-    solution = solve(
-        problem, options.tol, options.max_iter, detect_infeasible=options.detect_infeasible
-    )
+    solution = solve(problem, options.tol, options.max_iter)
     if solution.status is SolveStatus.INFEASIBLE:
         violations = layout.violations(linalg.vec_hermitian(solution.chi_block), solution.slacks)
         ranked = np.argsort(-violations, kind="stable")
@@ -545,32 +546,21 @@ def minimal_elements_sweep(
     options = options or ReconstructionOptions()
     basis, probe_set, effect_set = default_setup(scheme, n_qubits)
     truth = kraus_to_chi(channel, basis)
-    ancilla = scheme is Scheme.AAPT
+    table = measurement_table(basis, probe_set, effect_set)
 
-    pairs = [
-        (k, lam) for k in range(len(probe_set.states)) for lam in range(len(effect_set))
-    ]
-    all_records = {
-        (r.probe_index, r.effect_index): r
-        for r in simulate_measurements(
-            truth,
-            probe_set,
-            effect_set,
-            complete_selection(probe_set, effect_set),
-            shots,
-            seed.derive("measure") if shots > 0 else None,
-        )
-    }
-
-    # Every pair's expectation row, for the rank tracker.
-    pair_rows = [
-        measurement_rows(state.rho, effect_set.effects, basis, ancilla)
-        for state in probe_set.states
-    ]
+    # Pair i is (probe, effect) = divmod(i, m), the records' order.
+    all_records = simulate_measurements(
+        truth,
+        probe_set,
+        effect_set,
+        complete_selection(probe_set, effect_set),
+        shots,
+        seed.derive("measure") if shots > 0 else None,
+    )
 
     trial_results = []
     for t in range(trials):
-        order = seed.derive("order", t).generator().permutation(len(pairs))
+        order = seed.derive("order", t).generator().permutation(len(all_records))
         tracker = _IncrementalRank()
         records: list[MeasurementRecord] = []
         trace: list[tuple[int, float]] = []
@@ -582,9 +572,8 @@ def minimal_elements_sweep(
             take = order[position : position + batch]
             position += len(take)
             for idx in take:
-                k, lam = pairs[idx]
-                records.append(all_records[(k, lam)])
-                tracker.add(pair_rows[k][lam])
+                records.append(all_records[idx])
+                tracker.add(table[divmod(idx, len(effect_set))])
             data = TomographyDataset(
                 scheme=scheme,
                 d=channel.d,

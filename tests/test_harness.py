@@ -59,6 +59,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(tmp_path, channels_per_rank=0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(fidelity_threshold=1.5),
+            dict(fidelity_threshold=-0.1),
+            dict(shots=-1),
+            dict(solver_tol=0.0),
+            dict(solver_max_iter=0),
+        ],
+    )
+    def test_invalid_values_rejected(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            tiny_config(tmp_path, **bad)
+
     def test_defaults_are_desk_scale(self):
         cfg = ExperimentConfig()
         assert cfg.n_qubits == 2
@@ -284,6 +298,34 @@ class TestCli:
         assert r.returncode == 0
         assert (tmp_path / "env_out" / "results.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+    @pytest.mark.parametrize("key,value", [("solver_tol", 0), ("fidelity_threshold", 1.5)])
+    def test_run_invalid_config_exits_one(self, tmp_path, key, value):
+        cfg = {
+            "n_qubits": 1,
+            "ranks": [1],
+            "channels_per_rank": 1,
+            "sweep_trials": 1,
+            "output_dir": str(tmp_path / "out"),
+            key: value,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        r = run_cli("run", "--config", str(cfg_path))
+        assert r.returncode == 1
+        assert "invalid config" in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--additive-scale", "-0.001"), ("--tol", "0"), ("--tol", "-0.5")]
+    )
+    def test_reconstruct_invalid_option_exits_one(self, tmp_path, flag, value):
+        basis = build_scaled_pauli_basis(1)
+        fixture = tmp_path / "dataset.json"
+        fixture.write_text(dataset_to_json(make_dataset(identity_channel(basis), Scheme.SQPT, 1)))
+        r = run_cli("reconstruct", "--dataset", str(fixture), flag, value)
+        assert r.returncode == 1
+        assert "invalid option" in r.stderr
 
     def test_malformed_config_line_numbered(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -213,7 +213,7 @@ class TestSolver:
 
     def test_max_iter_reports_residuals(self):
         _, problem, _ = build_canned_problems()[2]
-        s = solve(problem, 1e-12, max_iter=50, detect_infeasible=False)
+        s = solve(problem, 1e-12, max_iter=50)
         assert s.status is SolveStatus.MAX_ITER
         assert s.iterations == 50
         assert np.isfinite(s.primal_residual) and np.isfinite(s.dual_residual)
@@ -221,6 +221,11 @@ class TestSolver:
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError, match="empty interval"):
             BoxRows(np.zeros((1, 0)), [2.0], [1.0], [0], [1.0])
+
+    @pytest.mark.parametrize("psd_row", [[0, 2], [-1, 0]])
+    def test_stored_row_index_out_of_range_rejected(self, psd_row):
+        with pytest.raises(ValueError, match="stored-row index out of range"):
+            BoxRows(np.ones((2, 1)), [0.0, 0.0], [1.0, 1.0], psd_row=psd_row)
 
     def test_trace_stream(self):
         lines = []
@@ -236,7 +241,7 @@ def test_problem_json_roundtrip():
     assert back.n_slack == problem.n_slack
     assert np.allclose(back.objective, problem.objective)
     assert len(back.inequalities) == len(problem.inequalities)
-    for field in ("psd", "lower", "upper", "slack_index", "slack_coeff"):
+    for field in ("psd", "lower", "upper", "slack_index", "slack_coeff", "psd_row"):
         assert np.array_equal(
             getattr(back.inequalities, field), getattr(problem.inequalities, field)
         ), field

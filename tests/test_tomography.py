@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vartomo import linalg
+from vartomo import linalg, tomography
 from vartomo.channels import (
     ProcessMatrix,
     apply_map,
@@ -34,6 +34,7 @@ from vartomo.tomography import (
     default_setup,
     make_dataset,
     measurement_rows,
+    measurement_table,
     minimal_elements_sweep,
     reconstruct,
 )
@@ -203,9 +204,12 @@ class TestProgramRows:
         n = len(data.records)
         assert len(ineq) == 2 * n + data.k_t
         assert len(problem.equalities) == d * d
+        # one stored row per distinct (probe, effect) pair and one per probe
+        assert len(ineq.psd) == problem.n_slack + data.k_t
+        assert len(np.unique(ineq.psd, axis=0)) == len(ineq.psd)
 
         chi_vec = linalg.vec_hermitian(truth.chi)
-        values = ineq.psd @ chi_vec
+        values = (ineq.psd @ chi_vec)[ineq.psd_row]
         apply = apply_map_ancilla if scheme is Scheme.AAPT else apply_map
         outputs = [apply(truth, state) for state in data.probes.states]
         branches = set()
@@ -218,6 +222,7 @@ class TestProgramRows:
             branches.add(relative)
             scale = r.p if relative else (1.0 / shots if shots else 1e-3)
             assert ineq.slack_index[lo] == ineq.slack_index[hi] >= 0
+            assert ineq.psd_row[lo] == ineq.psd_row[hi]
             assert (ineq.slack_coeff[lo], ineq.slack_coeff[hi]) == (scale, -scale)
             assert (ineq.lower[lo], ineq.upper[lo]) == (r.p, np.inf)
             assert (ineq.lower[hi], ineq.upper[hi]) == (-np.inf, r.p)
@@ -234,6 +239,64 @@ class TestProgramRows:
         assert np.all(problem.equalities.slack_index == -1)
         tp_values = problem.equalities.psd @ chi_vec
         assert np.abs(tp_values - problem.equalities.lower).max() <= 1e-12
+
+
+class TestMeasurementTable:
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
+    def test_rows_match_measurement_rows(self, n_qubits, scheme):
+        basis, probes, effects = default_setup(scheme, n_qubits)
+        table = measurement_table(basis, probes, effects)
+        assert table.shape == (len(probes.states), len(effects) + 1, basis.size**2)
+        assert not table.flags.writeable
+        ancilla = scheme is Scheme.AAPT
+        eye = np.eye(effects.dim, dtype=complex)
+        for k, state in enumerate(probes.states):
+            for lam, effect in enumerate(effects.effects):
+                row = expectation_row(state.rho, effect, basis, ancilla)
+                assert np.abs(table[k, lam] - row).max() <= 1e-12
+            row = expectation_row(state.rho, eye, basis, ancilla)
+            assert np.abs(table[k, -1] - row).max() <= 1e-12
+
+    def test_cached_setup_makes_no_row_calls(self, monkeypatch):
+        basis = build_scaled_pauli_basis(1)
+        truth = kraus_to_chi(random_channel(2, 2, RngSeed(4100)), basis)
+        data = make_dataset(truth, Scheme.SQPT, 1, selected=[[0, 1], [2], [], [3, 4, 5]])
+        calls = []
+        rows = tomography.measurement_rows
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rows(*args, **kwargs)
+
+        measurement_table.cache_clear()
+        monkeypatch.setattr(tomography, "measurement_rows", counted)
+        build_sqpt_program(data)
+        assert len(calls) == data.k_t  # the table: one call per probe
+        build_sqpt_program(data)
+        channel = random_channel(2, 1, RngSeed(4101))
+        sweep = minimal_elements_sweep(channel, Scheme.SQPT, 0.99, trials=1, seed=RngSeed(4102))
+        assert len(sweep.trace) > 1
+        assert len(calls) == data.k_t
+
+
+class TestReconstructionOptions:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(tol=0.0),
+            dict(tol=-1e-7),
+            dict(tol=float("nan")),
+            dict(max_iter=0),
+            dict(additive_scale=0.0),
+            dict(additive_scale=-1e-3),
+            dict(additive_cap=0.0),
+            dict(additive_cap=-5.0),
+        ],
+    )
+    def test_invalid_values_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ReconstructionOptions(**bad)
 
 
 class TestReconstruct:
@@ -302,6 +365,23 @@ class TestReconstruct:
             reconstruct(bad, options)
         worst_record = err.value.worst_records[0][0]
         assert (worst_record.probe_index, worst_record.effect_index) == (0, 4)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InfeasibleDataError,
+        reason="the stall test flags this slow but feasible solve after 16,000 iterations",
+    )
+    def test_slow_feasible_problem_not_flagged(self):
+        basis = build_scaled_pauli_basis(1)
+        truth = kraus_to_chi(random_channel(2, 4, RngSeed(3)), basis)
+        data = make_dataset(truth, Scheme.SQPT, 1, shots=10000, seed=RngSeed(4))
+        options = ReconstructionOptions(p_min=1.1, additive_scale=1e-3)
+        # the truth fits every envelope with slack <= 10.8, under the cap of 100
+        _, layout = build_sqpt_program(data, options)
+        values = (layout.chi_rows @ linalg.vec_hermitian(truth.chi))[layout.record_slack]
+        p = np.array([r.p for r in data.records])
+        assert np.max(np.abs(values - p) / layout.scale) <= 10.8
+        reconstruct(data, options)
 
     def test_max_iter_warns(self):
         basis = build_scaled_pauli_basis(1)
