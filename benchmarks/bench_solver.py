@@ -1,4 +1,5 @@
-"""Time the solver on representative reconstruction problems.
+"""Time the solver on representative reconstruction problems and on one
+minimal-measurement sweep case.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_solver.py``.  For each
 problem it prints the best of three program builds (dataset to
@@ -6,14 +7,33 @@ problem it prints the best of three program builds (dataset to
 first) and the best of three solves: the whole solve, the set-up before
 the first iteration (row equilibration, row grouping and the x-step
 factor), the ADMM loop, the iteration count and the loop time per
-iteration.
+iteration.  Then it runs the sweep case: acceptance criterion 4's
+twenty rank-4 two-qubit channels, with its seeds, batch, tolerance and
+threshold, and prints the sweep steps, solver iterations, loop time and
+wall time per sweep and per step.
+
+    PYTHONPATH=src python benchmarks/bench_solver.py --baseline PARENT/src
+
+runs the sweep case in ten alternating pairs against the parent
+commit's source tree (each run in its own process with one BLAS thread)
+and writes both sides, with the machine and the numpy and BLAS versions,
+to ``BENCH_sweep.json`` at the repository root.  The sweep case uses
+only calls that both trees have.
 """
 
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from vartomo import sdp
+from vartomo import sdp, tomography
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
 from vartomo.linalg import vec_hermitian
 from vartomo.probes import RngSeed, Scheme, random_channel
@@ -89,7 +109,161 @@ def time_solve(problem, tol=1e-7, repeats=3):
     return min((timed_solve(problem, tol) for _ in range(repeats)), key=lambda run: run[0])
 
 
+SWEEP_RANK = 4
+SWEEP_CHANNELS = 20
+CRITERION_4 = RngSeed(20130214)  # the acceptance suite's master seed
+PAIRS = 10
+BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+
+
+def sweep_case():
+    """Criterion 4's rank-4 sweeps: per sweep the wall time, steps,
+    iterations and minimal count, plus the summed loop time."""
+    loop_s = 0.0
+    steps = 0
+    get_loop, reconstruct = sdp.get_loop, tomography.reconstruct
+
+    def timed_get_loop(backend=None):
+        loop = get_loop(backend)
+
+        def timed_loop(*args):
+            nonlocal loop_s
+            start = time.perf_counter()
+            try:
+                return loop(*args)
+            finally:
+                loop_s += time.perf_counter() - start
+
+        return timed_loop
+
+    def counted_reconstruct(*args, **kwargs):
+        nonlocal steps
+        steps += 1
+        return reconstruct(*args, **kwargs)
+
+    sdp.get_loop, tomography.reconstruct = timed_get_loop, counted_reconstruct
+    sweeps = []
+    try:
+        for i in range(SWEEP_CHANNELS):
+            channel = random_channel(4, SWEEP_RANK, CRITERION_4.derive("c4", SWEEP_RANK, i))
+            steps_before = steps
+            start = time.perf_counter()
+            sweep = tomography.minimal_elements_sweep(
+                channel,
+                Scheme.SQPT,
+                0.99,
+                trials=1,
+                seed=CRITERION_4.derive("c4s", SWEEP_RANK, i),
+                batch=16,
+                options=ReconstructionOptions(tol=1e-5),
+            )
+            sweeps.append(
+                {
+                    "wall_s": time.perf_counter() - start,
+                    "steps": steps - steps_before,
+                    "iterations": sweep.solver_iterations,
+                    "minimal_count": sweep.minimal_independent_count,
+                }
+            )
+    finally:
+        sdp.get_loop, tomography.reconstruct = get_loop, reconstruct
+    wall = [s["wall_s"] for s in sweeps]
+    return {
+        "sweep_p50_s": statistics.median(wall),
+        "wall_s": sum(wall),
+        "steps": steps,
+        "iterations": sum(s["iterations"] for s in sweeps),
+        "loop_s": loop_s,
+        "step_s": sum(wall) / steps,
+        "sweeps": sweeps,
+    }
+
+
+def print_sweep(result):
+    print(
+        f"\ncriterion-4 rank-{SWEEP_RANK} sweeps ({len(result['sweeps'])} channels): "
+        f"p50 {result['sweep_p50_s']:.3f}s per sweep, {result['steps']} steps, "
+        f"{result['iterations']} iterations, loop {result['loop_s']:.2f}s of "
+        f"{result['wall_s']:.2f}s, {result['step_s'] * 1e3:.1f}ms per step"
+    )
+
+
+def machine():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "platform": platform.platform(),
+        "processor": platform.processor() or platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": 1,
+    }
+
+
+def run_sweep_in(src):
+    """The sweep case in a fresh process importing vartomo from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, __file__, "--sweep-only"],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def compare(baseline):
+    """Alternating pairs of sweep-case runs, this tree against ``baseline``."""
+    trees = {
+        "parent": Path(baseline).resolve(),
+        "change": Path(__file__).resolve().parent.parent / "src",
+    }
+    runs = {label: [] for label in trees}
+    for pair in range(PAIRS):
+        order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
+        for label in order:
+            runs[label].append(run_sweep_in(trees[label]))
+            print_sweep(runs[label][-1])
+            print(f"  ({label}, pair {pair + 1})")
+
+    def summary(results):
+        return {
+            "sweep_p50_s": statistics.median(r["sweep_p50_s"] for r in results),
+            "step_s": statistics.median(r["step_s"] for r in results),
+            "loop_s": statistics.median(r["loop_s"] for r in results),
+            "steps": results[0]["steps"],
+            "iterations": results[0]["iterations"],
+            "minimal_counts": [s["minimal_count"] for s in results[0]["sweeps"]],
+        }
+
+    doc = {
+        "case": (
+            f"acceptance criterion 4, rank {SWEEP_RANK}: {SWEEP_CHANNELS} two-qubit SQPT "
+            "sweeps, batch 16, tol 1e-5, threshold 0.99, seeds of the acceptance suite"
+        ),
+        "machine": machine(),
+        "pairs": PAIRS,
+        "summary": {label: summary(results) for label, results in runs.items()},
+        "runs": runs,
+    }
+    BENCH_FILE.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {BENCH_FILE}")
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sweep-only", action="store_true", help="print the sweep case as JSON")
+    parser.add_argument("--baseline", help="src directory of the parent tree to compare against")
+    args = parser.parse_args()
+    if args.sweep_only:
+        print(json.dumps(sweep_case()))
+    elif args.baseline:
+        compare(args.baseline)
+    else:
+        solver_table()
+        print_sweep(sweep_case())
+
+
+def solver_table():
     cases = [
         ("single-qubit SQPT, noiseless", tomography_problem(1, 2)),
         ("single-qubit SQPT, 1e4 shots", tomography_problem(1, 2, shots=10_000)),

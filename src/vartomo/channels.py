@@ -209,8 +209,16 @@ def _apply_chi_ancilla(process: ProcessMatrix, joint_rho: np.ndarray) -> np.ndar
 
 
 def choi_matrix(process: ProcessMatrix) -> np.ndarray:
-    """Raw Choi matrix, without the unit-trace state validation."""
-    return _apply_chi_ancilla(process, maximally_entangled_state(process.d).rho)
+    """Raw Choi matrix (I (x) E)(|Phi+><Phi+|), without the unit-trace state
+    validation.
+
+    (I (x) E_i)|Phi+> is E_i^T.ravel() / sqrt(d), so the Choi matrix is
+    V chi V^dag with V[:, i] = E_i^T.ravel() / sqrt(d): one matrix product
+    on each side of chi, without the lifted d^2 x d^2 basis.
+    """
+    d = process.d
+    V = process.basis.elements.transpose(0, 2, 1).reshape(d * d, d * d).T / np.sqrt(d)
+    return V @ process.chi @ V.conj().T
 
 
 def chi_to_choi(process: ProcessMatrix) -> DensityMatrix:

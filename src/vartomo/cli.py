@@ -174,6 +174,11 @@ def _cmd_gen_channel(args) -> int:
 
 
 def _cmd_solve_sdp(args) -> int:
+    try:
+        ReconstructionOptions(tol=args.tol, max_iter=args.max_iter)
+    except ValueError as exc:
+        print(f"vartomo: invalid option: {exc}", file=sys.stderr)
+        return 1
     problem = sdp.problem_from_json(_read_file(args.problem))
     trace = sys.stderr if args.trace else None
     solution = sdp.solve(problem, args.tol, args.max_iter, trace=trace)

@@ -19,7 +19,9 @@ the rows, keeps each distinct PSD row once with a per-row slack
 coefficient, and factors the x-step through one D^2 x D^2 inverse plus
 a diagonal.  :meth:`SdpProblem.stacked_rows` is the dense form, kept
 for the problem dump and as the oracle the structured one is tested
-against.
+against.  A solve may start from a given loop state
+(:class:`SolverState`), such as the final state of a solve of a related
+program mapped onto this one's variables and rows.
 
 Infeasibility is reported heuristically: the primal residual stalls far
 from the tolerance while the dual residual settles, which is how the
@@ -156,6 +158,26 @@ class SdpProblem:
 
 
 @dataclass
+class SolverState:
+    """The loop's iterate: where a solve stopped, or where one starts.
+
+    ``x``, ``z1`` and ``u1`` span the variables ``[svec(X) || slacks]``;
+    ``z2`` and ``u2`` the box rows (inequalities then equalities) in the
+    loop's equilibrated units.  A row's equilibration depends on that row
+    alone, so a row carried unchanged into another program keeps its z2
+    and u2.  A NaN in ``z2`` marks a row without a carried value: the
+    solve starts it at the projection of its A x onto its interval.
+    """
+
+    x: np.ndarray
+    z1: np.ndarray
+    z2: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    rho: float
+
+
+@dataclass
 class SdpSolution:
     chi_block: np.ndarray
     slacks: np.ndarray
@@ -164,6 +186,7 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     status: SolveStatus
+    state: SolverState  # the loop's final iterate
 
 
 # --- solver -------------------------------------------------------------------
@@ -188,10 +211,15 @@ def solve(
     max_iter: int = 200_000,
     *,
     trace: TextIO | Callable[[str], None] | None = None,
+    start: SolverState | None = None,
 ) -> SdpSolution:
     """Run the splitting iteration until both residuals fall below tol_.
 
-    Returns the best iterate seen, with diagnostics.  Status INFEASIBLE
+    The loop starts from ``start`` when given (a warm start, typically the
+    ``state`` of a solve of a related program mapped onto this one's
+    variables and rows), else from zero with the initial penalty.
+    Returns the best iterate seen, with diagnostics, and the loop's final
+    state, from which a later solve can start.  Status INFEASIBLE
     is heuristic: the primal residual plateaus orders of magnitude above
     the tolerance (no relative improvement for ``STALL_ITERS``
     iterations), which is how the alternating projections behave between
@@ -210,13 +238,22 @@ def solve(
     gamma = np.linalg.norm(problem.objective)
     c = problem.objective / gamma if gamma > 0 else problem.objective.copy()
 
-    x = np.zeros(m)
-    z1 = np.zeros(m)
-    z2 = np.zeros(p_rows)
-    u1 = np.zeros(m)
-    u2 = np.zeros(p_rows)
+    if start is None:
+        start = SolverState(
+            np.zeros(m), np.zeros(m), np.zeros(p_rows), np.zeros(m), np.zeros(p_rows), RHO
+        )
+    x, z1, z2, u1, u2 = (
+        np.array(v, dtype=float) for v in (start.x, start.z1, start.z2, start.u1, start.u2)
+    )
+    if x.shape != (m,) or z1.shape != (m,) or u1.shape != (m,):
+        raise ValueError(f"start state needs {m} variables")
+    if z2.shape != (p_rows,) or u2.shape != (p_rows,):
+        raise ValueError(f"start state needs {p_rows} rows")
+    fresh = np.isnan(z2)
+    if fresh.any():
+        z2[fresh] = np.clip(op.matvec(x)[fresh], op.lower[fresh], op.upper[fresh])
+    rho = float(start.rho)
     caps = problem.slack_caps.copy()
-    rho = RHO
 
     # Looked up through this module's name on every call: the benchmark's
     # tracer (perfbench/spans.py) replaces sdp.get_loop to time the loop.
@@ -273,6 +310,7 @@ def solve(
         dual_residual=float(r_dual),
         iterations=iters,
         status=status,
+        state=SolverState(x, z1, z2, u1, u2, rho),
     )
 
 
@@ -280,7 +318,11 @@ def solve(
 
 
 def problem_to_json(problem: SdpProblem) -> str:
-    """Problem document with every row as a dense coefficient list."""
+    """Problem document with every row as a dense coefficient list.
+
+    :func:`problem_from_json` shares identical PSD rows again on load, so
+    a round trip keeps the solver's row grouping.
+    """
     A, lower, upper = problem.stacked_rows()
     n_ineq = len(problem.inequalities)
     return json.dumps(
@@ -315,7 +357,12 @@ def _rows_from_dense(coeffs: list, psd_dim: int, n_vars: int, lower, upper) -> B
     index[rows] = cols
     coeff = np.zeros(len(A))
     coeff[rows] = A[rows, DD + cols]
-    return BoxRows(A[:, :DD], lower, upper, index, coeff)
+    # Identical PSD rows share one stored row, kept in first-use order.
+    psd, first, inverse = np.unique(A[:, :DD], axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    return BoxRows(psd[order], lower, upper, index, coeff, psd_row=position[inverse.reshape(-1)])
 
 
 def problem_from_json(text: str) -> SdpProblem:
@@ -341,6 +388,7 @@ __all__ = [
     "BoxRows",
     "SdpProblem",
     "SdpSolution",
+    "SolverState",
     "row_operator",
     "solve",
     "problem_to_json",

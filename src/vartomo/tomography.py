@@ -43,7 +43,7 @@ from .probes import (
     simulate_measurements,
     sqpt_probe_states,
 )
-from .sdp import BoxRows, SdpProblem, SdpSolution, SolveStatus, solve
+from .sdp import BoxRows, SdpProblem, SdpSolution, SolverState, SolveStatus, solve
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,7 @@ class ReconstructionResult:
     per_probe_trace: tuple[float, ...]
     solver: SdpSolution
     max_envelope_violation: float
+    records: tuple[MeasurementRecord, ...]  # the records fitted
 
 
 class InfeasibleDataError(RuntimeError):
@@ -314,10 +315,58 @@ def build_aapt_program(
     return _build_program(data, options or ReconstructionOptions())
 
 
+def _carry_over(
+    previous: ReconstructionResult, problem: SdpProblem, records: tuple[MeasurementRecord, ...]
+) -> SolverState:
+    """The final state of ``previous``, a solve on a prefix of ``records``
+    under the same options, mapped onto this program (see
+    :func:`_build_program` for the row order).
+
+    Records are only appended, so the old slacks keep their indices and
+    the old envelope rows are a prefix of the new ones; the rows after
+    the envelopes (Tr(out_k) <= 1, then the TP equalities) move down by
+    two rows per added record.  New slacks start at 0, new rows unset.
+    """
+    state = previous.solver.state
+    n_old = len(previous.records)
+    if records[:n_old] != previous.records:
+        raise ValueError("start is not a solve of a prefix of these records")
+    old_slacks = len({(r.probe_index, r.effect_index) for r in previous.records})
+    new_slacks = problem.n_slack - old_slacks
+    new_rows = 2 * (len(records) - n_old)
+    end = 2 * n_old  # end of the old envelope rows
+    trailing = len(problem.inequalities) + len(problem.equalities) - 2 * len(records)
+    if len(state.x) != problem.n_vars - new_slacks or len(state.z2) != end + trailing:
+        raise ValueError("start is not a solve of this program's shape (same setup and options)")
+
+    def pad(v):
+        return np.concatenate([v, np.zeros(new_slacks)])
+
+    def insert(v, fill):
+        return np.concatenate([v[:end], np.full(new_rows, fill), v[end:]])
+
+    return SolverState(
+        x=pad(state.x),
+        z1=pad(state.z1),
+        z2=insert(state.z2, np.nan),
+        u1=pad(state.u1),
+        u2=insert(state.u2, 0.0),
+        rho=state.rho,
+    )
+
+
 def reconstruct(
-    data: TomographyDataset, options: ReconstructionOptions | None = None
+    data: TomographyDataset,
+    options: ReconstructionOptions | None = None,
+    *,
+    start: ReconstructionResult | None = None,
 ) -> ReconstructionResult:
     """Build the scheme's program, solve it, and package the result.
+
+    ``start`` warm-starts the solver from where another reconstruct
+    stopped: its result on a prefix of ``data.records`` (same setup,
+    same options).  Raises ValueError when the records or the program's
+    row blocks do not line up.
 
     Raises InfeasibleDataError when the solver certifies (heuristically)
     that the records are mutually inconsistent; the error carries the
@@ -328,7 +377,8 @@ def reconstruct(
     options = options or ReconstructionOptions()
     builder = build_sqpt_program if data.scheme is Scheme.SQPT else build_aapt_program
     problem, layout = builder(data, options)
-    solution = solve(problem, options.tol, options.max_iter)
+    state = None if start is None else _carry_over(start, problem, data.records)
+    solution = solve(problem, options.tol, options.max_iter, start=state)
     if solution.status is SolveStatus.INFEASIBLE:
         violations = layout.violations(linalg.vec_hermitian(solution.chi_block), solution.slacks)
         ranked = np.argsort(-violations, kind="stable")
@@ -354,6 +404,7 @@ def reconstruct(
         per_probe_trace=tuple(float(t) for t in traces),
         solver=solution,
         max_envelope_violation=float(layout.violations(chi_vec, solution.slacks).max()),
+        records=data.records,
     )
 
 
@@ -463,38 +514,49 @@ def dataset_from_json(text: str) -> tuple[TomographyDataset, KrausSet | None]:
 
 
 class _IncrementalRank:
-    """Rank of a growing set of vectors via Gram-Schmidt against a kept basis."""
+    """Rank of a growing set of length-``dim`` vectors.
 
-    def __init__(self, rel_tol: float = 1e-9):
-        self.basis: list[np.ndarray] = []
+    The orthonormal basis found so far is kept as the first ``rank`` rows
+    of one (dim, dim) array.  A new vector is orthogonalized against all
+    of it at once by two blocked Gram-Schmidt passes (the second restores
+    the orthogonality that cancellation costs near-dependent vectors),
+    and joins the basis if more than ``rel_tol`` of its norm remains.
+    """
+
+    def __init__(self, dim: int, rel_tol: float = 1e-9):
+        self.basis = np.zeros((dim, dim))
+        self.rank = 0
         self.rel_tol = rel_tol
 
     def add(self, v: np.ndarray) -> int:
         norm = np.linalg.norm(v)
-        if norm > 0:
-            r = v.astype(float)
-            for b in self.basis:
-                r = r - (b @ r) * b
-            # second pass stabilizes near-dependent vectors
-            for b in self.basis:
-                r = r - (b @ r) * b
+        if norm > 0 and self.rank < len(self.basis):
+            Q = self.basis[: self.rank]
+            r = v - (Q @ v) @ Q
+            r -= (Q @ r) @ Q
             res = np.linalg.norm(r)
             if res > self.rel_tol * norm:
-                self.basis.append(r / res)
-        return len(self.basis)
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
+                self.basis[self.rank] = r / res
+                self.rank += 1
+        return self.rank
 
 
 @dataclass(frozen=True)
 class SweepTrial:
+    """One trial of a sweep.  ``trace``, ``step_iterations`` and
+    ``step_status`` hold one entry per step: (independent count,
+    fidelity), the solver's iterations and its stop status."""
+
     minimal_count: int
     saturated: bool
     trace: tuple[tuple[int, float], ...]
-    solver_iterations: int
+    step_iterations: tuple[int, ...]
+    step_status: tuple[SolveStatus, ...]
     final_chi: ProcessMatrix
+
+    @property
+    def solver_iterations(self) -> int:
+        return sum(self.step_iterations)
 
 
 @dataclass(frozen=True)
@@ -532,11 +594,14 @@ def minimal_elements_sweep(
     Each trial reveals the (probe, effect) pairs in a fresh random
     order, ``batch`` at a time, reconstructing after every addition and
     tracking the number of independent elements (the rank of the
-    selected expectation rows, aggregated across probes).  The trial
-    stops at the first count whose fidelity reaches the threshold; a
-    trial that exhausts every pair without reaching it reports the
-    saturation count and is flagged.  The headline number is the median
-    over trials.
+    selected expectation rows, aggregated across probes).  Each step
+    after a trial's first appends records to the previous step's, so its
+    solve starts from where the previous one stopped (``reconstruct``'s
+    ``start``).  The trial stops at the first count whose fidelity
+    reaches the threshold; a trial that exhausts every pair without
+    reaching it reports the saturation count and is flagged.  Every
+    step's solver iterations and status are kept on the trial.  The
+    headline number is the median over trials.
     """
     if not 0 <= fidelity_threshold < 1:
         raise ValueError("fidelity threshold must be in [0, 1)")
@@ -561,10 +626,12 @@ def minimal_elements_sweep(
     trial_results = []
     for t in range(trials):
         order = seed.derive("order", t).generator().permutation(len(all_records))
-        tracker = _IncrementalRank()
+        tracker = _IncrementalRank(table.shape[-1])
         records: list[MeasurementRecord] = []
         trace: list[tuple[int, float]] = []
-        iterations = 0
+        iterations: list[int] = []
+        statuses: list[SolveStatus] = []
+        result = None
         minimal = None
         last_chi = None
         position = 0
@@ -582,8 +649,9 @@ def minimal_elements_sweep(
                 effects=effect_set,
                 records=tuple(records),
             )
-            result = reconstruct(data, options)
-            iterations += result.solver.iterations
+            result = reconstruct(data, options, start=result)
+            iterations.append(result.solver.iterations)
+            statuses.append(result.solver.status)
             last_chi = result.chi_hat
             # A near-zero chi is a valid optimum of a barely-constrained
             # program ("no channel seen"); it scores zero, not an error.
@@ -601,7 +669,8 @@ def minimal_elements_sweep(
                 minimal_count=tracker.rank if saturated else minimal,
                 saturated=saturated,
                 trace=tuple(trace),
-                solver_iterations=iterations,
+                step_iterations=tuple(iterations),
+                step_status=tuple(statuses),
                 final_chi=last_chi,
             )
         )

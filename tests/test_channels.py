@@ -189,6 +189,15 @@ class TestChoi:
             assert chi_to_choi(chi).trace == pytest.approx(1.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_choi_matches_lifted_basis_oracle(self, n_qubits):
+        d = 2**n_qubits
+        basis = build_scaled_pauli_basis(n_qubits)
+        chi = kraus_to_chi(random_channel(d, 3, RngSeed(7).derive(n_qubits)), basis)
+        oracle = channels._apply_chi_ancilla(chi, maximally_entangled_state(d).rho)
+        assert np.abs(channels.choi_matrix(chi) - oracle).max() <= 1e-12
+
+
 class TestProcessFidelity:
     def test_self_fidelity(self):
         basis = build_scaled_pauli_basis(1)

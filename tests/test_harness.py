@@ -356,6 +356,20 @@ class TestCli:
         assert doc["status"] == "optimal"
         assert abs(doc["objective"] - analytic) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "flag,value,message", [("--max-iter", "0", "max_iter"), ("--tol", "0", "tol")]
+    )
+    def test_solve_sdp_invalid_option_exits_one(self, tmp_path, flag, value, message):
+        from vartomo.sdp import problem_to_json
+        from canned_suite import build_canned_problems
+
+        path = tmp_path / "problem.json"
+        path.write_text(problem_to_json(build_canned_problems()[2][1]))
+        r = run_cli("solve-sdp", "--problem", str(path), "--json", flag, value)
+        assert r.returncode == 1
+        assert "invalid option" in r.stderr and message in r.stderr
+        assert r.stdout == ""
+
     def test_infeasible_dataset_reported(self, tmp_path):
         basis = build_scaled_pauli_basis(1)
         ident = identity_channel(basis)

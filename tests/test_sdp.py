@@ -9,11 +9,14 @@ from vartomo import linalg
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
 from vartomo.probes import RngSeed, Scheme, random_channel, unknown_subspace_hamiltonian
 from vartomo.sdp import (
+    RHO,
     BoxRows,
     SdpProblem,
+    SolverState,
     SolveStatus,
     problem_from_json,
     problem_to_json,
+    row_operator,
     solve,
 )
 from vartomo.tomography import (
@@ -234,6 +237,55 @@ class TestSolver:
         assert lines and "primal=" in lines[0]
 
 
+class TestWarmStart:
+    def test_zero_start_is_the_cold_solve(self):
+        """No start is an all-zero start at the initial penalty: both
+        give the same solve bit for bit."""
+        for name, problem, _ in build_canned_problems():
+            cold = solve(problem, 1e-8)
+            m, p = problem.n_vars, len(problem.inequalities) + len(problem.equalities)
+            zero = SolverState(np.zeros(m), np.zeros(m), np.zeros(p), np.zeros(m), np.zeros(p), RHO)
+            warm = solve(problem, 1e-8, start=zero)
+            assert (cold.status, cold.iterations) == (warm.status, warm.iterations), name
+            assert cold.objective_value == warm.objective_value, name
+            assert np.array_equal(cold.chi_block, warm.chi_block), name
+            assert np.array_equal(cold.slacks, warm.slacks), name
+            for field in ("x", "z1", "z2", "u1", "u2", "rho"):
+                assert np.array_equal(getattr(cold.state, field), getattr(warm.state, field)), name
+
+    def test_restart_from_final_state_stops_at_once(self):
+        for name, problem, analytic in build_canned_problems():
+            first = solve(problem, 1e-8)
+            again = solve(problem, 1e-8, start=first.state)
+            assert again.status is SolveStatus.OPTIMAL, name
+            assert again.iterations <= 25, name  # the first residual check
+            assert abs(again.objective_value - analytic) <= 1e-6, name
+
+    def test_unset_rows_start_at_their_projection(self):
+        _, problem, _ = build_canned_problems()[9]
+        first = solve(problem, 1e-8)
+        state = first.state
+        z2 = state.z2.copy()
+        z2[1] = np.nan
+        start = SolverState(state.x, state.z1, z2, state.u1, state.u2, state.rho)
+        again = solve(problem, 1e-8, start=start)
+        # At the optimum clip(A x) is where the row's z2 stopped, so the
+        # restart stops at its first residual check.
+        assert again.status is SolveStatus.OPTIMAL and again.iterations <= 25
+        assert not np.isnan(again.state.z2).any()
+        assert np.isnan(start.z2[1])  # the caller's arrays are not written
+
+    def test_mismatched_start_rejected(self):
+        _, problem, _ = build_canned_problems()[9]
+        state = solve(problem, 1e-8).state
+        short = SolverState(state.x[:-1], state.z1, state.z2, state.u1, state.u2, state.rho)
+        with pytest.raises(ValueError, match="variables"):
+            solve(problem, start=short)
+        short = SolverState(state.x, state.z1, state.z2[:-1], state.u1, state.u2, state.rho)
+        with pytest.raises(ValueError, match="rows"):
+            solve(problem, start=short)
+
+
 def test_problem_json_roundtrip():
     _, problem, _ = build_canned_problems()[9]
     back = problem_from_json(problem_to_json(problem))
@@ -241,10 +293,14 @@ def test_problem_json_roundtrip():
     assert back.n_slack == problem.n_slack
     assert np.allclose(back.objective, problem.objective)
     assert len(back.inequalities) == len(problem.inequalities)
-    for field in ("psd", "lower", "upper", "slack_index", "slack_coeff", "psd_row"):
+    for field in ("lower", "upper", "slack_index", "slack_coeff"):
         assert np.array_equal(
             getattr(back.inequalities, field), getattr(problem.inequalities, field)
         ), field
+    # the dense rows survive; the two identical trace rows now share one stored row
+    for a, b in zip(back.stacked_rows(), problem.stacked_rows()):
+        assert np.array_equal(a, b)
+    assert back.inequalities.psd_row.tolist() == [0, 1, 0]
     s1 = solve(problem, 1e-8)
     s2 = solve(back, 1e-8)
     assert abs(s1.objective_value - s2.objective_value) <= 1e-8
@@ -263,3 +319,18 @@ def test_problem_json_rejects_two_slacks_in_a_row():
         problem_from_json(json.dumps(doc))
     doc["inequalities"][2]["coeffs"][-1] = 0.0
     assert len(problem_from_json(json.dumps(doc)).inequalities) == 3
+
+
+def test_problem_json_roundtrip_keeps_row_sharing():
+    basis = build_scaled_pauli_basis(2)
+    truth = kraus_to_chi(random_channel(4, 4, RngSeed(7)), basis)
+    problem, _ = build_sqpt_program(make_dataset(truth, Scheme.SQPT, 2))
+    back = problem_from_json(problem_to_json(problem))
+    for p in (problem, back):
+        op = row_operator(p)
+        assert op.n_groups == 576 + 16  # one per (probe, effect) pair, one per probe
+        assert op.cross is None  # envelope pairs cancel: no cross-block path
+    a, b = solve(problem), solve(back)
+    assert a.status is b.status is SolveStatus.OPTIMAL
+    assert a.iterations == b.iterations
+    assert np.abs(a.chi_block - b.chi_block).max() <= 1e-12

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vartomo import linalg, tomography
 from vartomo.channels import (
@@ -22,7 +23,7 @@ from vartomo.probes import (
     exact_probability,
     random_channel,
 )
-from vartomo.sdp import SolveStatus
+from vartomo.sdp import SolveStatus, row_operator
 from vartomo.tomography import (
     InfeasibleDataError,
     ReconstructionOptions,
@@ -38,6 +39,7 @@ from vartomo.tomography import (
     minimal_elements_sweep,
     reconstruct,
 )
+from vartomo.tomography import _carry_over, _IncrementalRank
 
 
 def expectation_row(rho, effect, basis, ancilla=False):
@@ -438,6 +440,197 @@ class TestSweep:
             minimal_elements_sweep(channel, Scheme.SQPT, 1.0, trials=1, seed=RngSeed(1))
         with pytest.raises(ValueError):
             minimal_elements_sweep(channel, Scheme.SQPT, 0.9, trials=0, seed=RngSeed(1))
+
+
+class GramSchmidtRank:
+    """Oracle for the blocked rank tracker: modified Gram-Schmidt, one
+    basis vector at a time, two passes."""
+
+    def __init__(self, rel_tol=1e-9):
+        self.basis = []
+        self.rel_tol = rel_tol
+
+    def add(self, v):
+        norm = np.linalg.norm(v)
+        if norm > 0:
+            r = v.astype(float)
+            for _ in range(2):
+                for b in self.basis:
+                    r = r - (b @ r) * b
+            res = np.linalg.norm(r)
+            if res > self.rel_tol * norm:
+                self.basis.append(r / res)
+        return len(self.basis)
+
+
+# A step is a table row, or a combination of earlier vectors plus a
+# multiple of a table row: exact (0) or clearly off the 1e-9 rank cut.
+_row = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
+_step = st.one_of(
+    st.tuples(st.just("row"), _row),
+    st.tuples(
+        st.just("combo"),
+        st.lists(st.tuples(st.integers(0, 10**6), st.floats(-2, 2)), min_size=1, max_size=4),
+        st.sampled_from([0.0, 1e-4, 1e-2, 1.0]),
+        _row,
+    ),
+)
+
+
+class TestIncrementalRank:
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(_step, min_size=1, max_size=60))
+    def test_matches_gram_schmidt_oracle(self, n_qubits, steps):
+        table = measurement_table(*default_setup(Scheme.SQPT, n_qubits))
+        k_t, m, dim = table.shape
+
+        def row(pick):
+            return table[pick[0] % k_t, pick[1] % m]
+
+        blocked, oracle = _IncrementalRank(dim), GramSchmidtRank()
+        seen = []
+        for step in steps:
+            if step[0] == "row" or not seen:
+                v = row(step[-1])
+            else:
+                _, terms, eps, pick = step
+                v = sum(c * seen[i % len(seen)] for i, c in terms) + eps * row(pick)
+            seen.append(v)
+            assert blocked.add(v) == oracle.add(v)
+        assert blocked.rank == len(oracle.basis) <= dim
+
+    def test_complete_rows_reach_full_rank(self):
+        table = measurement_table(*default_setup(Scheme.SQPT, 2))
+        tracker = _IncrementalRank(table.shape[-1])
+        for v in table[:, :-1].reshape(-1, table.shape[-1]):
+            tracker.add(v)
+        assert tracker.rank == 256
+        Q = tracker.basis
+        assert np.abs(Q @ Q.T - np.eye(256)).max() <= 1e-10
+
+
+class TestWarmStartedSweep:
+    """Every step of a warm-started sweep against a cold reconstruct of
+    the same records.  Two-qubit cases use a 0.6 threshold so that a
+    sweep stops within a few dozen steps; the two-qubit AAPT sweep at
+    batch 1 (64 steps of about 0.3 s each, cold and warm) is left out."""
+
+    CASES = [
+        (1, scheme, batch, shots, 0.99)
+        for scheme in (Scheme.SQPT, Scheme.AAPT)
+        for batch in (1, 16)
+        for shots in (0, 1000)
+    ] + [
+        (2, Scheme.SQPT, 1, 0, 0.6),
+        (2, Scheme.SQPT, 1, 1000, 0.6),
+        (2, Scheme.SQPT, 16, 0, 0.6),
+        (2, Scheme.SQPT, 16, 1000, 0.6),
+        (2, Scheme.AAPT, 16, 0, 0.6),
+        (2, Scheme.AAPT, 16, 1000, 0.6),
+    ]
+
+    @pytest.mark.parametrize("n_qubits,scheme,batch,shots,threshold", CASES)
+    def test_steps_match_cold_oracle(self, monkeypatch, n_qubits, scheme, batch, shots, threshold):
+        d = 2**n_qubits
+        options = ReconstructionOptions()
+        steps = []
+
+        def recording(data, opts=None, *, start=None):
+            result = reconstruct(data, opts, start=start)
+            steps.append((data, start is not None, result))
+            return result
+
+        monkeypatch.setattr(tomography, "reconstruct", recording)
+        sweep = minimal_elements_sweep(
+            random_channel(d, 2, RngSeed(60 + n_qubits)),
+            scheme,
+            threshold,
+            trials=1,
+            seed=RngSeed(70 + n_qubits),
+            shots=shots,
+            batch=batch,
+            options=options,
+        )
+        monkeypatch.undo()
+        trial = sweep.trials[0]
+        assert len(steps) == len(trial.trace) == len(trial.step_iterations)
+        assert [warm for _, warm, _ in steps] == [False] + [True] * (len(steps) - 1)
+        assert trial.step_iterations == tuple(r.solver.iterations for _, _, r in steps)
+        assert trial.step_status == tuple(r.solver.status for _, _, r in steps)
+
+        table = measurement_table(*default_setup(scheme, n_qubits))
+        for (data, _, warm), (count, _) in zip(steps, trial.trace):
+            cold = reconstruct(data, options)
+            assert warm.solver.status is cold.solver.status is SolveStatus.OPTIMAL
+            rows = table[[r.probe_index for r in data.records], [r.effect_index for r in data.records]]
+            assert count == np.linalg.matrix_rank(rows)
+            # The stopping rule bounds the residuals, not the objective:
+            # both sides sit anywhere in a tol-sized ball around the
+            # optimum.  The largest gap on these cases is about 10 tol.
+            gap = abs(warm.solver.objective_value - cold.solver.objective_value)
+            assert gap <= 100 * options.tol * max(1.0, abs(cold.solver.objective_value))
+
+    @pytest.mark.parametrize("tp", [False, True])
+    def test_carry_over_maps_rows_by_record(self, tp):
+        """Old slacks and envelope rows keep their places, the probe-trace
+        and TP rows move down, and the new ones come in unset."""
+        data = make_dataset(
+            identity_channel(build_scaled_pauli_basis(1)), Scheme.SQPT, 1,
+            selected=[[0, 1], [2], [3], [4, 5]],
+        )
+        options = ReconstructionOptions(tp_constraint=tp)
+        short = TomographyDataset(
+            scheme=data.scheme, d=data.d, basis=data.basis, probes=data.probes,
+            effects=data.effects, records=data.records[:3],
+        )
+        previous = reconstruct(short, options)
+        state = previous.solver.state
+        problem, _ = build_sqpt_program(data, options)
+        carried = _carry_over(previous, problem, data.records)
+        n_old, n_new = 3, len(data.records)
+        assert np.array_equal(carried.x[: 16 + n_old], state.x)
+        assert np.all(carried.x[16 + n_old :] == 0) and len(carried.x) == problem.n_vars
+        assert np.array_equal(carried.z2[: 2 * n_old], state.z2[: 2 * n_old])
+        assert np.all(np.isnan(carried.z2[2 * n_old : 2 * n_new]))
+        assert np.all(carried.u2[2 * n_old : 2 * n_new] == 0)
+        assert np.array_equal(carried.z2[2 * n_new :], state.z2[2 * n_old :])
+        assert np.array_equal(carried.u2[2 * n_new :], state.u2[2 * n_old :])
+        # a carried row has the same equilibrated bounds in both programs
+        op_old = row_operator(build_sqpt_program(short, options)[0])
+        op_new = row_operator(problem)
+        keep = np.r_[0 : 2 * n_old, 2 * n_new : len(carried.z2)]
+        assert np.array_equal(op_new.lower[keep], op_old.lower)
+        assert np.array_equal(op_new.upper[keep], op_old.upper)
+        result = reconstruct(data, options, start=previous)
+        assert result.solver.status is SolveStatus.OPTIMAL
+        with pytest.raises(ValueError, match="prefix"):
+            reconstruct(short, options, start=result)
+
+    def test_start_from_another_program_rejected(self):
+        """A start must come from a prefix of the records, solved under
+        the same setup and options; anything else would map its rows
+        onto the wrong rows."""
+        truth = identity_channel(build_scaled_pauli_basis(1))
+        data = make_dataset(truth, Scheme.SQPT, 1, selected=[[0, 1], [2], [3], [4, 5]])
+        short = TomographyDataset(
+            scheme=data.scheme, d=data.d, basis=data.basis, probes=data.probes,
+            effects=data.effects, records=data.records[:3],
+        )
+        for tp in (False, True):
+            previous = reconstruct(short, ReconstructionOptions(tp_constraint=tp))
+            with pytest.raises(ValueError, match="shape"):
+                reconstruct(data, ReconstructionOptions(tp_constraint=not tp), start=previous)
+        previous = reconstruct(short)
+        reordered = TomographyDataset(
+            scheme=data.scheme, d=data.d, basis=data.basis, probes=data.probes,
+            effects=data.effects, records=data.records[1:] + data.records[:1],
+        )
+        with pytest.raises(ValueError, match="prefix"):
+            reconstruct(reordered, start=previous)
+        aapt = make_dataset(truth, Scheme.AAPT, 1)
+        with pytest.raises(ValueError, match="prefix"):
+            reconstruct(aapt, start=reconstruct(short))
 
 
 class TestDefaultSetup:
