@@ -22,6 +22,7 @@ only calls that both trees have.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -77,32 +78,43 @@ def random_diag_sdp(dim: int, n_rows: int) -> SdpProblem:
     return SdpProblem(psd_dim=dim, n_slack=0, objective=objective, inequalities=rows)
 
 
-def timed_solve(problem, tol):
-    """(solve seconds, loop seconds, solution), timing the loop through the
-    ``sdp.get_loop`` hook that :func:`vartomo.sdp.solve` calls."""
+@contextlib.contextmanager
+def loop_timer():
+    """Time every ADMM loop run inside the block.
+
+    Wraps the ``sdp.get_loop`` hook that :func:`vartomo.sdp.solve` calls
+    and restores it on exit.  Yields a one-entry list holding the summed
+    loop seconds, read after the block.
+    """
     get_loop = sdp.get_loop
-    loop_s = 0.0
+    loop_s = [0.0]
 
     def timed_get_loop(backend=None):
         loop = get_loop(backend)
 
         def timed_loop(*args):
-            nonlocal loop_s
             start = time.perf_counter()
             try:
                 return loop(*args)
             finally:
-                loop_s += time.perf_counter() - start
+                loop_s[0] += time.perf_counter() - start
 
         return timed_loop
 
     sdp.get_loop = timed_get_loop
     try:
-        start = time.perf_counter()
-        result = solve(problem, tol)
-        return time.perf_counter() - start, loop_s, result
+        yield loop_s
     finally:
         sdp.get_loop = get_loop
+
+
+def timed_solve(problem, tol):
+    """(solve seconds, loop seconds, solution)."""
+    with loop_timer() as loop_s:
+        start = time.perf_counter()
+        result = solve(problem, tol)
+        solve_s = time.perf_counter() - start
+    return solve_s, loop_s[0], result
 
 
 def time_solve(problem, tol=1e-7, repeats=3):
@@ -119,61 +131,48 @@ BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 def sweep_case():
     """Criterion 4's rank-4 sweeps: per sweep the wall time, steps,
     iterations and minimal count, plus the summed loop time."""
-    loop_s = 0.0
     steps = 0
-    get_loop, reconstruct = sdp.get_loop, tomography.reconstruct
-
-    def timed_get_loop(backend=None):
-        loop = get_loop(backend)
-
-        def timed_loop(*args):
-            nonlocal loop_s
-            start = time.perf_counter()
-            try:
-                return loop(*args)
-            finally:
-                loop_s += time.perf_counter() - start
-
-        return timed_loop
+    reconstruct = tomography.reconstruct
 
     def counted_reconstruct(*args, **kwargs):
         nonlocal steps
         steps += 1
         return reconstruct(*args, **kwargs)
 
-    sdp.get_loop, tomography.reconstruct = timed_get_loop, counted_reconstruct
+    tomography.reconstruct = counted_reconstruct
     sweeps = []
     try:
-        for i in range(SWEEP_CHANNELS):
-            channel = random_channel(4, SWEEP_RANK, CRITERION_4.derive("c4", SWEEP_RANK, i))
-            steps_before = steps
-            start = time.perf_counter()
-            sweep = tomography.minimal_elements_sweep(
-                channel,
-                Scheme.SQPT,
-                0.99,
-                trials=1,
-                seed=CRITERION_4.derive("c4s", SWEEP_RANK, i),
-                batch=16,
-                options=ReconstructionOptions(tol=1e-5),
-            )
-            sweeps.append(
-                {
-                    "wall_s": time.perf_counter() - start,
-                    "steps": steps - steps_before,
-                    "iterations": sweep.solver_iterations,
-                    "minimal_count": sweep.minimal_independent_count,
-                }
-            )
+        with loop_timer() as loop_s:
+            for i in range(SWEEP_CHANNELS):
+                channel = random_channel(4, SWEEP_RANK, CRITERION_4.derive("c4", SWEEP_RANK, i))
+                steps_before = steps
+                start = time.perf_counter()
+                sweep = tomography.minimal_elements_sweep(
+                    channel,
+                    Scheme.SQPT,
+                    0.99,
+                    trials=1,
+                    seed=CRITERION_4.derive("c4s", SWEEP_RANK, i),
+                    batch=16,
+                    options=ReconstructionOptions(tol=1e-5),
+                )
+                sweeps.append(
+                    {
+                        "wall_s": time.perf_counter() - start,
+                        "steps": steps - steps_before,
+                        "iterations": sweep.solver_iterations,
+                        "minimal_count": sweep.minimal_independent_count,
+                    }
+                )
     finally:
-        sdp.get_loop, tomography.reconstruct = get_loop, reconstruct
+        tomography.reconstruct = reconstruct
     wall = [s["wall_s"] for s in sweeps]
     return {
         "sweep_p50_s": statistics.median(wall),
         "wall_s": sum(wall),
         "steps": steps,
         "iterations": sum(s["iterations"] for s in sweeps),
-        "loop_s": loop_s,
+        "loop_s": loop_s[0],
         "step_s": sum(wall) / steps,
         "sweeps": sweeps,
     }

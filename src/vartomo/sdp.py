@@ -11,15 +11,14 @@ Every box row carries its PSD-block coefficients and at most one slack:
 
 with ``slack_index = -1`` for a row without a slack.  Rows are held in
 bulk, one array per field, and rows may share a stored PSD row
-(:class:`BoxRows`); equalities are rows with ``lower == upper``.
+(:class:`BoxRows`); equalities are rows with ``lower == upper``.  The
+debug dump (:func:`problem_to_json`) writes these arrays as they are.
 
 The solver is ADMM with PSD projection (see :mod:`vartomo._kernels`).
 It never forms the dense row matrix: :func:`row_operator` equilibrates
 the rows, keeps each distinct PSD row once with a per-row slack
 coefficient, and factors the x-step through one D^2 x D^2 inverse plus
-a diagonal.  :meth:`SdpProblem.stacked_rows` is the dense form, kept
-for the problem dump and as the oracle the structured one is tested
-against.  A solve may start from a given loop state
+a diagonal.  A solve may start from a given loop state
 (:class:`SolverState`), such as the final state of a solve of a related
 program mapped onto this one's variables and rows.
 
@@ -54,7 +53,9 @@ class BoxRows:
     ``psd`` is (stored rows, D^2); the other fields hold one entry per
     box row, ``psd_row`` being the row's index into ``psd`` (default:
     one stored row per box row).  ``slack_index`` and ``slack_coeff``
-    default to "no slack" (-1, 0).  ``len()`` counts box rows.
+    default to "no slack" (-1, 0).  Coefficients must be finite and
+    bounds not NaN; an infinite bound means an open side.  ``len()``
+    counts box rows.
     """
 
     psd: np.ndarray
@@ -77,18 +78,26 @@ class BoxRows:
             self.slack_index = np.full(n, -1)
         if self.slack_coeff is None:
             self.slack_coeff = np.zeros(n)
-        self.psd_row = np.asarray(self.psd_row, dtype=np.intp)
-        self.slack_index = np.asarray(self.slack_index, dtype=np.intp)
+        for name in ("psd_row", "slack_index"):
+            index = np.asarray(getattr(self, name))
+            if index.size and index.dtype.kind not in "iu":  # casting would truncate 1.5
+                raise ValueError(f"{name} must hold integers")
+            setattr(self, name, index.astype(np.intp, copy=False))
         self.slack_coeff = np.asarray(self.slack_coeff, dtype=float)
         fields = (self.lower, self.upper, self.psd_row, self.slack_index, self.slack_coeff)
         if any(a.shape != (n,) for a in fields):
             raise ValueError("every per-row field needs one entry per box row")
         if np.any((self.psd_row < 0) | (self.psd_row >= len(self.psd))):
             raise ValueError("stored-row index out of range")
-        bad = np.flatnonzero(self.lower > self.upper)
+        if not (np.isfinite(self.psd).all() and np.isfinite(self.slack_coeff).all()):
+            raise ValueError("psd and slack coefficients must be finite")
+        # lo <= hi is false on NaN; an infinite bound on the wrong side admits no value.
+        lo, hi = self.lower, self.upper
+        bad = np.flatnonzero(~(lo <= hi) | (lo == np.inf) | (hi == -np.inf))
         if bad.size:
             i = bad[0]
-            raise ValueError(f"empty interval [{self.lower[i]}, {self.upper[i]}] in row {i}")
+            what = "NaN bound" if np.isnan(lo[i]) or np.isnan(hi[i]) else "empty interval"
+            raise ValueError(f"{what} [{lo[i]}, {hi[i]}] in row {i}")
 
     def __len__(self) -> int:
         return len(self.lower)
@@ -96,7 +105,7 @@ class BoxRows:
 
 @dataclass
 class SdpProblem:
-    """Validated array record of one conic program."""
+    """Validated array record of one conic program (finite objective, caps >= 0)."""
 
     psd_dim: int
     n_slack: int
@@ -113,11 +122,15 @@ class SdpProblem:
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.shape != (self.n_vars,):
             raise ValueError(f"objective must have length {self.n_vars}")
+        if not np.isfinite(self.objective).all():
+            raise ValueError("objective must be finite")
         if self.slack_caps is None:
             self.slack_caps = np.full(self.n_slack, np.inf)
         self.slack_caps = np.asarray(self.slack_caps, dtype=float)
         if self.slack_caps.shape != (self.n_slack,):
             raise ValueError("one cap per slack")
+        if not np.all(self.slack_caps >= 0):  # also false on NaN
+            raise ValueError("slack caps must be >= 0")
         for name in ("inequalities", "equalities"):
             rows = getattr(self, name)
             if rows is None:
@@ -145,16 +158,6 @@ class SdpProblem:
             *map(both, ("psd", "lower", "upper", "slack_index", "slack_coeff")),
             psd_row=np.concatenate([a.psd_row, len(a.psd) + b.psd_row]),
         )
-
-    def stacked_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All box rows (inequalities then equalities) as dense (A, lower, upper)."""
-        rows = self.all_rows()
-        DD = self.psd_dim**2
-        A = np.zeros((len(rows), self.n_vars))
-        A[:, :DD] = rows.psd[rows.psd_row]
-        has = np.flatnonzero(rows.slack_index >= 0)
-        A[has, DD + rows.slack_index[has]] = rows.slack_coeff[has]
-        return A, rows.lower, rows.upper
 
 
 @dataclass
@@ -318,69 +321,56 @@ def solve(
 
 
 def problem_to_json(problem: SdpProblem) -> str:
-    """Problem document with every row as a dense coefficient list.
+    """Problem document holding the record's arrays as they are: the
+    :class:`BoxRows` fields of the inequalities and the equalities."""
 
-    :func:`problem_from_json` shares identical PSD rows again on load, so
-    a round trip keeps the solver's row grouping.
-    """
-    A, lower, upper = problem.stacked_rows()
-    n_ineq = len(problem.inequalities)
+    def listed(values: np.ndarray) -> list:  # an open bound or uncapped slack as null
+        return np.where(np.isinf(values), None, values).tolist()
+
+    def rows(r: BoxRows) -> dict:
+        fields = ("psd", "psd_row", "lower", "upper", "slack_index", "slack_coeff")
+        return {name: listed(getattr(r, name)) for name in fields}
+
     return json.dumps(
         {
             "psd_dim": problem.psd_dim,
             "n_slack": problem.n_slack,
             "objective": problem.objective.tolist(),
-            "slack_caps": [None if np.isinf(c) else float(c) for c in problem.slack_caps],
-            "inequalities": [
-                {
-                    "coeffs": A[i].tolist(),
-                    "lower": None if np.isneginf(lower[i]) else float(lower[i]),
-                    "upper": None if np.isposinf(upper[i]) else float(upper[i]),
-                }
-                for i in range(n_ineq)
-            ],
-            "equalities": [
-                {"coeffs": A[i].tolist(), "value": float(lower[i])}
-                for i in range(n_ineq, A.shape[0])
-            ],
+            "slack_caps": listed(problem.slack_caps),
+            "inequalities": rows(problem.inequalities),
+            "equalities": rows(problem.equalities),
         }
     )
 
 
-def _rows_from_dense(coeffs: list, psd_dim: int, n_vars: int, lower, upper) -> BoxRows:
-    A = np.asarray(coeffs, dtype=float).reshape(len(coeffs), n_vars)
-    DD = psd_dim**2
-    rows, cols = np.nonzero(A[:, DD:])
-    if np.any(np.bincount(rows, minlength=len(A)) > 1):
-        raise ValueError("a row may carry at most one slack coefficient")
-    index = np.full(len(A), -1)
-    index[rows] = cols
-    coeff = np.zeros(len(A))
-    coeff[rows] = A[rows, DD + cols]
-    # Identical PSD rows share one stored row, kept in first-use order.
-    psd, first, inverse = np.unique(A[:, :DD], axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    return BoxRows(psd[order], lower, upper, index, coeff, psd_row=position[inverse.reshape(-1)])
-
-
 def problem_from_json(text: str) -> SdpProblem:
+    """The problem of a :func:`problem_to_json` document, validated by
+    construction: a malformed document raises ValueError."""
     doc = json.loads(text)
-    psd_dim, n_slack = int(doc["psd_dim"]), int(doc["n_slack"])
-    n_vars = psd_dim**2 + n_slack
-    ineq, eq = doc["inequalities"], doc["equalities"]
-    lo = [-np.inf if e["lower"] is None else float(e["lower"]) for e in ineq]
-    hi = [np.inf if e["upper"] is None else float(e["upper"]) for e in ineq]
-    values = [float(e["value"]) for e in eq]
-    return SdpProblem(
-        psd_dim=psd_dim,
-        n_slack=n_slack,
-        objective=doc["objective"],
-        inequalities=_rows_from_dense([e["coeffs"] for e in ineq], psd_dim, n_vars, lo, hi),
-        equalities=_rows_from_dense([e["coeffs"] for e in eq], psd_dim, n_vars, values, values),
-        slack_caps=[np.inf if c is None else float(c) for c in doc["slack_caps"]],
-    )
+
+    def rows(r: dict, psd_dim: int) -> BoxRows:
+        return BoxRows(
+            # (rows, D^2) even when there are no rows; a ragged list raises
+            psd=np.asarray(r["psd"], dtype=float).reshape(len(r["psd"]), psd_dim**2),
+            lower=[-np.inf if v is None else v for v in r["lower"]],
+            upper=[np.inf if v is None else v for v in r["upper"]],
+            slack_index=r["slack_index"],
+            slack_coeff=r["slack_coeff"],
+            psd_row=r["psd_row"],
+        )
+
+    try:
+        psd_dim = int(doc["psd_dim"])
+        return SdpProblem(
+            psd_dim=psd_dim,
+            n_slack=int(doc["n_slack"]),
+            objective=doc["objective"],
+            inequalities=rows(doc["inequalities"], psd_dim),
+            equalities=rows(doc["equalities"], psd_dim),
+            slack_caps=[np.inf if c is None else c for c in doc["slack_caps"]],
+        )
+    except (KeyError, TypeError) as exc:  # a missing field, or one of the wrong kind
+        raise ValueError(f"malformed problem document: {exc!r}") from exc
 
 
 __all__ = [

@@ -1,7 +1,8 @@
-"""Central table of numerical tolerances.
+"""Named numerical tolerances shared across modules.
 
-Every module pulls its thresholds from here so that tuning happens in
-exactly one place.
+The validation thresholds below are tuned here.  Some local checks in
+:mod:`vartomo.channels` and :mod:`vartomo.probes` (trace and probability
+bounds, identity and rank checks) still use a literal ``1e-10``.
 """
 
 # Reject inputs whose anti-Hermitian part exceeds this in max-norm.

@@ -119,6 +119,7 @@ class ReconstructionResult:
     solver: SdpSolution
     max_envelope_violation: float
     records: tuple[MeasurementRecord, ...]  # the records fitted
+    options: ReconstructionOptions  # the options they were fitted under
 
 
 class InfeasibleDataError(RuntimeError):
@@ -316,28 +317,31 @@ def build_aapt_program(
 
 
 def _carry_over(
-    previous: ReconstructionResult, problem: SdpProblem, records: tuple[MeasurementRecord, ...]
+    previous: ReconstructionResult,
+    problem: SdpProblem,
+    records: tuple[MeasurementRecord, ...],
+    options: ReconstructionOptions,
 ) -> SolverState:
     """The final state of ``previous``, a solve on a prefix of ``records``
-    under the same options, mapped onto this program (see
+    under ``options``, mapped onto this program (see
     :func:`_build_program` for the row order).
 
     Records are only appended, so the old slacks keep their indices and
     the old envelope rows are a prefix of the new ones; the rows after
     the envelopes (Tr(out_k) <= 1, then the TP equalities) move down by
     two rows per added record.  New slacks start at 0, new rows unset.
+    A start from another setup leaves the state the wrong size, which
+    :func:`~vartomo.sdp.solve` rejects.
     """
+    if previous.options != options:
+        raise ValueError("start was solved under other options")
     state = previous.solver.state
     n_old = len(previous.records)
     if records[:n_old] != previous.records:
         raise ValueError("start is not a solve of a prefix of these records")
-    old_slacks = len({(r.probe_index, r.effect_index) for r in previous.records})
-    new_slacks = problem.n_slack - old_slacks
+    new_slacks = problem.n_slack - len(previous.solver.slacks)
     new_rows = 2 * (len(records) - n_old)
     end = 2 * n_old  # end of the old envelope rows
-    trailing = len(problem.inequalities) + len(problem.equalities) - 2 * len(records)
-    if len(state.x) != problem.n_vars - new_slacks or len(state.z2) != end + trailing:
-        raise ValueError("start is not a solve of this program's shape (same setup and options)")
 
     def pad(v):
         return np.concatenate([v, np.zeros(new_slacks)])
@@ -365,8 +369,8 @@ def reconstruct(
 
     ``start`` warm-starts the solver from where another reconstruct
     stopped: its result on a prefix of ``data.records`` (same setup,
-    same options).  Raises ValueError when the records or the program's
-    row blocks do not line up.
+    same options).  Raises ValueError when the options differ or the
+    records do not line up.
 
     Raises InfeasibleDataError when the solver certifies (heuristically)
     that the records are mutually inconsistent; the error carries the
@@ -377,7 +381,7 @@ def reconstruct(
     options = options or ReconstructionOptions()
     builder = build_sqpt_program if data.scheme is Scheme.SQPT else build_aapt_program
     problem, layout = builder(data, options)
-    state = None if start is None else _carry_over(start, problem, data.records)
+    state = None if start is None else _carry_over(start, problem, data.records, options)
     solution = solve(problem, options.tol, options.max_iter, start=state)
     if solution.status is SolveStatus.INFEASIBLE:
         violations = layout.violations(linalg.vec_hermitian(solution.chi_block), solution.slacks)
@@ -405,6 +409,7 @@ def reconstruct(
         solver=solution,
         max_envelope_violation=float(layout.violations(chi_vec, solution.slacks).max()),
         records=data.records,
+        options=options,
     )
 
 

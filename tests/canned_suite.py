@@ -1,5 +1,5 @@
 """Ten small conic problems with analytic optima, shared by the solver
-unit tests and the acceptance suite.
+unit tests and the acceptance suite, and the dense row oracle.
 
 Each entry is (name, problem, analytic_objective).  The analytic values
 are computed constructively (never by the solver under test).
@@ -90,3 +90,15 @@ def build_canned_problems():
 
     assert len(problems) == 10
     return problems
+
+
+def dense_rows(problem):
+    """All box rows (inequalities then equalities) as dense (A, lower, upper):
+    the oracle the solver's structured row operator is tested against."""
+    rows = problem.all_rows()
+    DD = problem.psd_dim**2
+    A = np.zeros((len(rows), problem.n_vars))
+    A[:, :DD] = rows.psd[rows.psd_row]
+    has = np.flatnonzero(rows.slack_index >= 0)
+    A[has, DD + rows.slack_index[has]] = rows.slack_coeff[has]
+    return A, rows.lower, rows.upper

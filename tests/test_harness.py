@@ -370,6 +370,28 @@ class TestCli:
         assert "invalid option" in r.stderr and message in r.stderr
         assert r.stdout == ""
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("objective", [float("nan"), 0.0, 0.0, 0.0], "objective must be finite"),
+            # the dense-row format of earlier versions: one dict per row
+            ("equalities", [{"coeffs": [1.0, 1.0, 0.0, 0.0], "value": 1.0}], "malformed"),
+        ],
+    )
+    def test_solve_sdp_invalid_problem_exits_two(self, tmp_path, field, value, message):
+        from vartomo.sdp import problem_to_json
+        from canned_suite import build_canned_problems
+
+        doc = json.loads(problem_to_json(build_canned_problems()[2][1]))
+        doc[field] = value
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        r = run_cli("solve-sdp", "--problem", str(path), "--json")
+        assert r.returncode == 2
+        assert message in r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stdout == ""
+
     def test_infeasible_dataset_reported(self, tmp_path):
         basis = build_scaled_pauli_basis(1)
         ident = identity_channel(basis)

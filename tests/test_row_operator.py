@@ -2,14 +2,14 @@
 
 ``sdp.row_operator`` keeps each distinct equilibrated PSD row once and
 solves the x-step through a D^2 x D^2 factor plus a diagonal;
-``SdpProblem.stacked_rows`` is the dense oracle.
+``canned_suite.dense_rows`` is the dense oracle.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from canned_suite import build_canned_problems
+from canned_suite import build_canned_problems, dense_rows
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
 from vartomo.probes import MeasurementRecord, RngSeed, Scheme, random_channel
 from vartomo.sdp import row_operator
@@ -26,7 +26,7 @@ CANNED = build_canned_problems()
 
 def equilibrated_rows(problem):
     """Dense (A, lower, upper) with unit-norm rows."""
-    A, lower, upper = problem.stacked_rows()
+    A, lower, upper = dense_rows(problem)
     norms = np.linalg.norm(A, axis=1)
     norms[norms == 0] = 1.0
     return A / norms[:, None], lower / norms, upper / norms

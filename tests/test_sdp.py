@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from canned_suite import build_canned_problems
+from canned_suite import build_canned_problems, dense_rows
 from vartomo import linalg
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
 from vartomo.probes import RngSeed, Scheme, random_channel, unknown_subspace_hamiltonian
@@ -21,6 +21,7 @@ from vartomo.sdp import (
 )
 from vartomo.tomography import (
     ReconstructionOptions,
+    build_aapt_program,
     build_sqpt_program,
     make_dataset,
     measurement_rows,
@@ -195,7 +196,7 @@ class TestSolver:
         for name, problem, _ in build_canned_problems():
             s = solve(problem, 1e-8)
             x = np.concatenate([linalg.vec_hermitian(s.chi_block), s.slacks])
-            A, lower, upper = problem.stacked_rows()
+            A, lower, upper = dense_rows(problem)
             v = A @ x
             assert np.all(v >= lower - 1e-7) and np.all(v <= upper + 1e-7), name
             if problem.psd_dim:
@@ -286,39 +287,48 @@ class TestWarmStart:
             solve(problem, start=short)
 
 
+ROW_FIELDS = ("psd", "psd_row", "lower", "upper", "slack_index", "slack_coeff")
+
+
+def assert_same_problem(a, b):
+    assert (a.psd_dim, a.n_slack) == (b.psd_dim, b.n_slack)
+    assert np.array_equal(a.objective, b.objective)
+    assert np.array_equal(a.slack_caps, b.slack_caps)
+    for block in ("inequalities", "equalities"):
+        for field in ROW_FIELDS:
+            got, want = getattr(getattr(a, block), field), getattr(getattr(b, block), field)
+            assert got.shape == want.shape and np.array_equal(got, want), (block, field)
+
+
+def assert_same_solve(a, b, tol_):
+    sa, sb = solve(a, tol_), solve(b, tol_)
+    assert (sa.status, sa.iterations) == (sb.status, sb.iterations)
+    assert np.array_equal(sa.chi_block, sb.chi_block)
+    assert np.array_equal(sa.slacks, sb.slacks)
+
+
 def test_problem_json_roundtrip():
-    _, problem, _ = build_canned_problems()[9]
+    """The dump holds the arrays as they are: a reload is array-equal,
+    keeps the stored rows and their sharing, and solves bit for bit."""
+    for _, problem, _ in build_canned_problems():
+        back = problem_from_json(problem_to_json(problem))
+        assert_same_problem(back, problem)
+        assert_same_solve(back, problem, 1e-8)
+
+
+@pytest.mark.parametrize("tp", [False, True])
+@pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_problem_json_roundtrip_tomography(n_qubits, scheme, tp):
+    d = 2**n_qubits
+    basis = build_scaled_pauli_basis(n_qubits)
+    truth = kraus_to_chi(random_channel(d, 2, RngSeed(7200 + n_qubits)), basis)
+    data = make_dataset(truth, scheme, n_qubits)
+    builder = build_sqpt_program if scheme is Scheme.SQPT else build_aapt_program
+    problem, _ = builder(data, ReconstructionOptions(tp_constraint=tp))
     back = problem_from_json(problem_to_json(problem))
-    assert back.psd_dim == problem.psd_dim
-    assert back.n_slack == problem.n_slack
-    assert np.allclose(back.objective, problem.objective)
-    assert len(back.inequalities) == len(problem.inequalities)
-    for field in ("lower", "upper", "slack_index", "slack_coeff"):
-        assert np.array_equal(
-            getattr(back.inequalities, field), getattr(problem.inequalities, field)
-        ), field
-    # the dense rows survive; the two identical trace rows now share one stored row
-    for a, b in zip(back.stacked_rows(), problem.stacked_rows()):
-        assert np.array_equal(a, b)
-    assert back.inequalities.psd_row.tolist() == [0, 1, 0]
-    s1 = solve(problem, 1e-8)
-    s2 = solve(back, 1e-8)
-    assert abs(s1.objective_value - s2.objective_value) <= 1e-8
-
-
-def test_problem_json_rejects_two_slacks_in_a_row():
-    _, problem, _ = build_canned_problems()[9]
-    doc = json.loads(problem_to_json(problem))
-    doc["n_slack"] = 2
-    doc["objective"] = doc["objective"] + [0.0]
-    doc["slack_caps"] = [None, None]
-    for entry in doc["inequalities"]:
-        entry["coeffs"] = entry["coeffs"] + [0.0]
-    doc["inequalities"][2]["coeffs"][-1] = 1.0  # the mixed row now holds both slacks
-    with pytest.raises(ValueError, match="at most one slack"):
-        problem_from_json(json.dumps(doc))
-    doc["inequalities"][2]["coeffs"][-1] = 0.0
-    assert len(problem_from_json(json.dumps(doc)).inequalities) == 3
+    assert_same_problem(back, problem)
+    assert_same_solve(back, problem, 1e-7)
 
 
 def test_problem_json_roundtrip_keeps_row_sharing():
@@ -330,7 +340,61 @@ def test_problem_json_roundtrip_keeps_row_sharing():
         op = row_operator(p)
         assert op.n_groups == 576 + 16  # one per (probe, effect) pair, one per probe
         assert op.cross is None  # envelope pairs cancel: no cross-block path
-    a, b = solve(problem), solve(back)
-    assert a.status is b.status is SolveStatus.OPTIMAL
-    assert a.iterations == b.iterations
-    assert np.abs(a.chi_block - b.chi_block).max() <= 1e-12
+
+
+NAN, INF, POP = float("nan"), float("inf"), "pop"
+
+MALFORMED = [
+    # (path to a document entry, its new value or POP to drop a list's
+    # last entry, the expected message)
+    (("inequalities", "psd_row", 0), 3, "stored-row index out of range"),
+    (("inequalities", "psd_row", 0), -1, "stored-row index out of range"),
+    (("inequalities", "slack_index", 1), 1, "slack index out of range"),
+    (("inequalities", "slack_index", 1), -2, "slack index out of range"),
+    (("inequalities", "psd_row", 1), 0.5, "psd_row must hold integers"),
+    (("equalities", "slack_index", 0), -1.0, "slack_index must hold integers"),
+    (("inequalities", "slack_coeff"), POP, "one entry per box row"),
+    (("inequalities", "upper"), POP, "one entry per box row"),
+    (("equalities", "psd_row"), POP, "one entry per box row"),
+    (("inequalities", "psd", 1), [0.0], "inhomogeneous"),
+    (("inequalities", "psd", 1), [0.0] * 5, "inhomogeneous"),
+    (("equalities", "psd", 0), [1.0] * 5, "reshape"),
+    (("inequalities", "lower", 0), NAN, "NaN bound"),
+    (("equalities", "upper", 0), NAN, "NaN bound"),
+    (("inequalities", "lower", 0), INF, "empty interval"),
+    (("equalities", "lower", 0), 0.5, "lower == upper"),
+    (("objective", 0), NAN, "objective must be finite"),
+    (("objective", 4), INF, "objective must be finite"),
+    (("inequalities", "psd", 0, 2), INF, "coefficients must be finite"),
+    (("inequalities", "slack_coeff", 1), NAN, "coefficients must be finite"),
+    (("slack_caps", 0), -2.0, "slack caps must be >= 0"),
+    (("slack_caps", 0), NAN, "slack caps must be >= 0"),
+    (("equalities",), {}, "malformed problem document: KeyError"),
+    (("inequalities",), [], "malformed problem document: TypeError"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    MALFORMED,
+    ids=[".".join(map(str, path)) + f"={value}" for path, value, _ in MALFORMED],
+)
+def test_problem_json_rejects_malformed(path, value, message):
+    """Loading is construction: every malformed or out-of-cone document
+    raises ValueError.  The base document is the mixed-blocks problem
+    plus the eigenvalue-LP equality, so both row blocks are present."""
+    _, problem, _ = build_canned_problems()[9]
+    problem.equalities = BoxRows([linalg.vec_hermitian(np.eye(2))], [1.0], [1.0])
+    doc = json.loads(problem_to_json(problem))
+    problem_from_json(json.dumps(doc))  # the unchanged document loads
+    *parents, last = path
+    entry = doc
+    for key in parents:
+        entry = entry[key]
+    if value == POP:
+        entry[last].pop()
+    else:
+        entry[last] = value
+    with pytest.raises(ValueError, match=message):
+        problem_from_json(json.dumps(doc))
+

@@ -587,7 +587,7 @@ class TestWarmStartedSweep:
         previous = reconstruct(short, options)
         state = previous.solver.state
         problem, _ = build_sqpt_program(data, options)
-        carried = _carry_over(previous, problem, data.records)
+        carried = _carry_over(previous, problem, data.records, options)
         n_old, n_new = 3, len(data.records)
         assert np.array_equal(carried.x[: 16 + n_old], state.x)
         assert np.all(carried.x[16 + n_old :] == 0) and len(carried.x) == problem.n_vars
@@ -610,7 +610,8 @@ class TestWarmStartedSweep:
     def test_start_from_another_program_rejected(self):
         """A start must come from a prefix of the records, solved under
         the same setup and options; anything else would map its rows
-        onto the wrong rows."""
+        onto the wrong rows, or start the solve from another program's
+        optimum."""
         truth = identity_channel(build_scaled_pauli_basis(1))
         data = make_dataset(truth, Scheme.SQPT, 1, selected=[[0, 1], [2], [3], [4, 5]])
         short = TomographyDataset(
@@ -619,8 +620,21 @@ class TestWarmStartedSweep:
         )
         for tp in (False, True):
             previous = reconstruct(short, ReconstructionOptions(tp_constraint=tp))
-            with pytest.raises(ValueError, match="shape"):
+            with pytest.raises(ValueError, match="other options"):
                 reconstruct(data, ReconstructionOptions(tp_constraint=not tp), start=previous)
+        # Same program shape, other envelopes: only the options tell.
+        basis = build_scaled_pauli_basis(1)
+        noisy = make_dataset(
+            kraus_to_chi(random_channel(2, 2, RngSeed(3)), basis), Scheme.SQPT, 1,
+            shots=1000, seed=RngSeed(4),
+        )
+        first = TomographyDataset(
+            scheme=noisy.scheme, d=noisy.d, basis=noisy.basis, probes=noisy.probes,
+            effects=noisy.effects, records=noisy.records[:10],
+        )
+        previous = reconstruct(first, ReconstructionOptions(p_min=1e-6))
+        with pytest.raises(ValueError, match="other options"):
+            reconstruct(noisy, ReconstructionOptions(p_min=0.5), start=previous)
         previous = reconstruct(short)
         reordered = TomographyDataset(
             scheme=data.scheme, d=data.d, basis=data.basis, probes=data.probes,
