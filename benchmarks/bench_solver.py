@@ -19,10 +19,22 @@ commit's source tree (each run in its own process with one BLAS thread)
 and writes both sides, with the machine and the numpy and BLAS versions,
 to ``BENCH_sweep.json`` at the repository root.  The sweep case uses
 only calls that both trees have.
+
+    PYTHONPATH=src python benchmarks/bench_solver.py --corpus [--baseline PARENT/src]
+
+runs the iteration corpus: seeded one- and two-qubit reconstructs
+(SQPT and AAPT, complete and half data, exact and 1e4 shots, ranks from
+1 to full, ``max_iter`` 20,000), the below-full-rank and shot-noise
+inputs included.  Alone it prints the iteration p50/p95/max, statuses
+and wall time of this tree.  With ``--baseline`` it runs the corpus in
+parts, each part in its own process per tree, the trees alternating,
+and writes per-case statuses, iterations, objectives, fidelities and
+wall times of both, with their agreement, to ``BENCH_anderson.json``.
 """
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import platform
@@ -30,20 +42,23 @@ import statistics
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from vartomo import sdp, tomography
-from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
+from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi, process_fidelity
 from vartomo.linalg import vec_hermitian
 from vartomo.probes import RngSeed, Scheme, random_channel
 from vartomo.sdp import BoxRows, SdpProblem, solve
 from vartomo.tomography import (
+    InfeasibleDataError,
     ReconstructionOptions,
     build_aapt_program,
     build_sqpt_program,
     make_dataset,
+    reconstruct,
 )
 
 
@@ -248,13 +263,214 @@ def compare(baseline):
     print(f"wrote {BENCH_FILE}")
 
 
+CORPUS_SEED = RngSeed(8008)
+CORPUS_MAX_ITER = 20_000
+CORPUS_PARTS = 8
+CORPUS_FILE = BENCH_FILE.with_name("BENCH_anderson.json")
+# Where the two trees' objectives differ by more than REFERENCE_GAP, this
+# tree solves the case again to REFERENCE_TOL, and each side's distance
+# from that solve is reported.
+REFERENCE_GAP = 1e-5
+REFERENCE_TOL = 1e-10
+REFERENCE_MAX_ITER = 200_000
+
+
+def corpus_cases():
+    """(label, n_qubits, scheme, complete, shots, rank, seed index): six
+    seeds of every one-qubit combination, three of every two-qubit one."""
+    cases = []
+    for n_qubits, ranks, seeds in ((1, (1, 2, 3, 4), 6), (2, (1, 2, 4, 16), 3)):
+        for scheme, complete, shots, rank, i in itertools.product(
+            ("sqpt", "aapt"), (True, False), (0, 10_000), ranks, range(seeds)
+        ):
+            data = "complete" if complete else "half"
+            noise = f"{shots}shots" if shots else "exact"
+            label = f"{n_qubits}q/{scheme}/{data}/{noise}/r{rank}/s{i}"
+            cases.append((label, n_qubits, scheme, complete, shots, rank, i))
+    return cases
+
+
+def corpus_dataset(n_qubits, scheme, complete, shots, rank, i):
+    d = 2**n_qubits
+    seed = CORPUS_SEED.derive(n_qubits, scheme, complete, shots, rank, i)
+    basis = build_scaled_pauli_basis(n_qubits)
+    truth = kraus_to_chi(random_channel(d, rank, seed.derive("channel")), basis)
+    scheme = Scheme(scheme)
+    selected = None
+    if not complete:
+        rng = seed.derive("select").generator()
+        n_probes = d * d if scheme is Scheme.SQPT else 1
+        n_effects = 6 ** (n_qubits if scheme is Scheme.SQPT else 2 * n_qubits)
+        selected = [
+            sorted(rng.choice(n_effects, n_effects // 2, replace=False).tolist())
+            for _ in range(n_probes)
+        ]
+    data = make_dataset(
+        truth, scheme, n_qubits, selected, shots, seed.derive("shots") if shots else None
+    )
+    return truth, data
+
+
+def corpus_part(part, labels=None):
+    """Every ``CORPUS_PARTS``-th case from ``part`` on, reconstructed here;
+    or the cases named in ``labels``, solved to ``REFERENCE_TOL``."""
+    options = ReconstructionOptions(max_iter=CORPUS_MAX_ITER)
+    cases = corpus_cases()[part::CORPUS_PARTS]
+    if labels is not None:
+        options = ReconstructionOptions(tol=REFERENCE_TOL, max_iter=REFERENCE_MAX_ITER)
+        cases = [case for case in corpus_cases() if case[0] in labels]
+    results = {}
+    for label, *case in cases:
+        truth, data = corpus_dataset(*case)
+        start = time.perf_counter()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # MAX_ITER is recorded
+                result = reconstruct(data, options)
+            solution = result.solver
+            fidelity = process_fidelity(result.chi_hat, truth)
+        except InfeasibleDataError as err:
+            solution, fidelity = err.solution, None
+        results[label] = {
+            "status": solution.status.value,
+            "iterations": solution.iterations,
+            "objective": solution.objective_value,
+            "fidelity": fidelity,
+            "wall_s": time.perf_counter() - start,
+        }
+    return results
+
+
+def run_part_in(src, part, labels=None):
+    """``corpus_part`` in a fresh process importing vartomo from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    extra = ["--labels", *labels] if labels else []
+    out = subprocess.run(
+        [sys.executable, __file__, "--corpus-part", str(part), *extra],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def corpus_summary(results):
+    iterations = [r["iterations"] for r in results.values()]
+    statuses = [r["status"] for r in results.values()]
+    wall = {status: 0.0 for status in statuses}
+    for r in results.values():
+        wall[r["status"]] += r["wall_s"]
+    return {
+        "cases": len(results),
+        "iterations_p50": float(np.percentile(iterations, 50)),
+        "iterations_p95": float(np.percentile(iterations, 95)),
+        "iterations_max": max(iterations),
+        "iterations_total": sum(iterations),
+        "wall_s": sum(r["wall_s"] for r in results.values()),
+        "wall_s_by_status": wall,
+        "statuses": {status: statuses.count(status) for status in sorted(set(statuses))},
+    }
+
+
+def print_corpus(label, summary):
+    print(
+        f"{label}: {summary['cases']} cases, iterations p50 {summary['iterations_p50']:.0f} "
+        f"p95 {summary['iterations_p95']:.0f} max {summary['iterations_max']}, "
+        f"{summary['wall_s']:.1f}s, statuses {summary['statuses']}"
+    )
+
+
+def corpus(baseline):
+    """The corpus on this tree; with ``baseline``, on both trees, compared."""
+    here = Path(__file__).resolve().parent.parent / "src"
+    if baseline is None:
+        results = {}
+        for part in range(CORPUS_PARTS):
+            results.update(run_part_in(here, part))
+        print_corpus("change", corpus_summary(results))
+        return
+    trees = {"parent": Path(baseline).resolve(), "change": here}
+    runs = {label: {} for label in trees}
+    for part in range(CORPUS_PARTS):
+        order = list(trees) if part % 2 == 0 else list(trees)[::-1]
+        for label in order:
+            runs[label].update(run_part_in(trees[label], part))
+        print(f"part {part + 1}/{CORPUS_PARTS} done", flush=True)
+
+    parent, change = runs["parent"], runs["change"]
+    regressed = [
+        label for label in parent
+        if parent[label]["status"] == "optimal" and change[label]["status"] != "optimal"
+    ]
+    both = [
+        label for label in parent
+        if parent[label]["status"] == change[label]["status"] == "optimal"
+    ]
+
+    def gap(a, b):  # relative; a zero optimum (complete exact data) is measured against 1e-2
+        return abs(a - b) / max(abs(a), abs(b), 1e-2)
+
+    objective = {
+        label: gap(parent[label]["objective"], change[label]["objective"]) for label in both
+    }
+    unique = [label for label in both if "/complete/exact/" in label]
+    fidelity = {
+        label: abs(parent[label]["fidelity"] - change[label]["fidelity"]) for label in unique
+    }
+    apart = sorted(label for label in both if objective[label] > REFERENCE_GAP)
+    tight = run_part_in(here, 0, apart) if apart else {}
+    reference = {
+        label: {
+            "status": tight[label]["status"],
+            **{
+                side: gap(runs[side][label]["objective"], tight[label]["objective"])
+                for side in trees
+            },
+        }
+        for label in apart
+    }
+    agreement = {
+        "optimal_regressed": regressed,
+        "both_optimal": len(both),
+        "objective_gap_max": max(objective.values()),
+        "objective_gap_worst": max(objective, key=objective.get),
+        f"objective_gap_to_tol_{REFERENCE_TOL:g}_solve": reference,
+        "change_closer_to_tight_solve": sum(
+            r["change"] <= r["parent"] for r in reference.values()
+        ),
+        "complete_exact_fidelity_abs_max": max(fidelity.values()),
+    }
+    doc = {
+        "case": (
+            f"iteration corpus: {len(parent)} seeded reconstructs (one qubit: SQPT and AAPT, "
+            "complete and half data, exact and 1e4 shots, ranks 1-4, six seeds; two qubits: "
+            f"the same at ranks 1, 2, 4 and 16, three seeds), max_iter {CORPUS_MAX_ITER}, "
+            f"default options otherwise; {CORPUS_PARTS} parts, trees alternating per part"
+        ),
+        "machine": machine(),
+        "summary": {label: corpus_summary(results) for label, results in runs.items()},
+        "agreement": agreement,
+        "runs": runs,
+    }
+    for label, summary in doc["summary"].items():
+        print_corpus(label, summary)
+    print(json.dumps(agreement, indent=1))
+    CORPUS_FILE.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {CORPUS_FILE}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sweep-only", action="store_true", help="print the sweep case as JSON")
     parser.add_argument("--baseline", help="src directory of the parent tree to compare against")
+    parser.add_argument("--corpus", action="store_true", help="run the iteration corpus")
+    parser.add_argument("--corpus-part", type=int, help="print one part of the corpus as JSON")
+    parser.add_argument("--labels", nargs="*", help="with --corpus-part: these cases, tightly")
     args = parser.parse_args()
     if args.sweep_only:
         print(json.dumps(sweep_case()))
+    elif args.corpus_part is not None:
+        print(json.dumps(corpus_part(args.corpus_part, args.labels)))
+    elif args.corpus:
+        corpus(args.baseline)
     elif args.baseline:
         compare(args.baseline)
     else:

@@ -1,8 +1,8 @@
 """Hot solver kernel: the structured box-row operator and the ADMM loop.
 
 Plain numpy: each iteration is a few small matvecs, two ``bincount``
-scatters and one small Hermitian eigendecomposition;
-``benchmarks/bench_solver.py`` times it.
+scatters, one small Hermitian eigendecomposition and an m x m solve (m
+the Anderson memory); ``benchmarks/bench_solver.py`` times it.
 
 The loop solves
 
@@ -11,12 +11,35 @@ The loop solves
                 0 <= x[D^2 + i] <= caps[i]          (slack block)
                 l <= A x <= u                       (box rows)
 
-by consensus splitting: z = [x; A x] is kept in the product cone via
-projection (PSD eigenvalue clamp + interval clips), x solves the
-regularized least-squares step (I + A^T A) x = r, and scaled duals
-u1/u2 accumulate the mismatch.  Residuals are normalized by iterate
-scale; the penalty rescales itself when they drift apart by more than a
-factor of ten.
+by consensus splitting (ADMM with over-relaxation alpha), written as
+the relaxed Douglas-Rachford iteration it is, on one vector w = z + u
+over the variables and the rows (z the cone copy of [x; A x], u its
+scaled dual).  One step is the map
+
+    z = P(w)                          PSD eigenvalue clamp on the chi
+                                      block, one clip of slacks and rows
+                                      against [0, caps] and [l, u]
+    x = (I + A^T A)^{-1} (v_x + A^T v_rows - c/rho),   v = 2 z - w
+    G(w) = w + alpha ([x; A x] - z)
+
+and ADMM is w <- G(w).  The loop accelerates it with type-II Anderson
+acceleration (Walker and Ni, SIAM J. Numer. Anal. 2011): from the last
+``memory`` changes dG, dF of G and of the residual f = G(w) - w between
+accepted iterates it takes w <- G(w) - dG gamma, where gamma solves the
+Tikhonov-regularized normal equations (dF^T dF + lambda I) gamma =
+dF^T f.  A safeguard (as in Zhang, O'Donoghue and Boyd, SIAM J. Optim.
+2020) keeps an extrapolated w only if its residual |G(w) - w| is no
+larger than the last accepted one; otherwise the loop takes the stored
+plain step G of that iterate and clears the memory, as it does on every
+penalty change and at the start of every call.
+
+Convergence is read from the plain step of the current w, as plain ADMM
+reads it: the primal residual of x against z+ = P(G(w)) and the dual
+residual rho [I A^T](z+ - z), both normalized by iterate scale.  The
+step into a check is never extrapolated, so the checks, the penalty
+adaptation and the state a call returns all rest on accepted iterates.
+The penalty rescales itself (and the scaled dual w - z) when the
+residuals drift apart by more than a factor of ten.
 
 A is never formed.  Every row is a stored PSD row, by index, plus at
 most one slack, so after equilibration (unit-norm rows)
@@ -37,34 +60,45 @@ import functools
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
+# Tikhonov weight of the Anderson normal equations, relative to their trace.
+REGULARIZATION = 1e-10
 
 
 class RowOperator:
     """Equilibrated box rows ``l <= A x <= u`` and the x-step solve.
 
-    Built from :class:`vartomo.sdp.BoxRows`; row i then reads
+    Built from blocks of :class:`vartomo.sdp.BoxRows`, taken in order as
+    one set of rows (their fields are read as they are: the blocks were
+    validated when they were made); row i then reads
     ``A_i x = psd[group[i]] . x[:D^2] + coeff[i] * x[D^2 + slack[i]]``
     (``coeff[i] = 0`` for a row without a slack).  ``matvec``, ``rmatvec``
     and ``solve`` apply A, A^T and (I + A^T A)^{-1}.
     """
 
-    def __init__(self, D, n_slack, rows):
+    def __init__(self, D, n_slack, blocks):
         DD = D * D
         self.DD = DD
         self.n_slack = n_slack
         self.n_vars = DD + n_slack
-        self.n_rows = len(rows)
+
+        def joined(name):
+            return np.concatenate([getattr(rows, name) for rows in blocks])
+
+        stored = np.concatenate([rows.psd for rows in blocks])
+        offsets = np.cumsum([0] + [len(rows.psd) for rows in blocks[:-1]])
+        psd_row = np.concatenate([rows.psd_row + off for rows, off in zip(blocks, offsets)])
+        slack_index = joined("slack_index")
+        self.n_rows = len(slack_index)
         # Equilibrate: unit-norm rows keep the projections balanced.
-        stored, psd_row = rows.psd, rows.psd_row
-        has = rows.slack_index >= 0
-        coeff = np.where(has, rows.slack_coeff, 0.0)
+        has = slack_index >= 0
+        coeff = np.where(has, joined("slack_coeff"), 0.0)
         norms = np.sqrt(np.einsum("ij,ij->i", stored, stored)[psd_row] + coeff * coeff)
         norms[norms == 0] = 1.0
         self.coeff = coeff / norms
-        self.slack = np.where(has, rows.slack_index, 0)
+        self.slack = np.where(has, slack_index, 0)
         self.slack_col = DD + self.slack
-        self.lower = rows.lower / norms
-        self.upper = rows.upper / norms
+        self.lower = joined("lower") / norms
+        self.upper = joined("upper") / norms
 
         # Distinct equilibrated PSD rows: one per (stored row, norm), in
         # (stored row, norm) order.
@@ -158,102 +192,163 @@ def admm_loop(
     D,
     caps,
     x,
-    z1,
-    z2,
-    u1,
-    u2,
+    w,
+    z,
     rho,
     alpha,
     tol,
     n_iters,
     check_every,
     adapt_every,
+    memory,
 ):
-    p = z2.shape[0]
+    """Run up to ``n_iters`` steps of the accelerated iteration on ``w``.
+
+    ``x`` (the variables) and ``w`` (variables then rows) are updated in
+    place; on return ``z`` holds the projection of ``w``.  Returns
+    (iterations, converged, rho, primal residual, dual residual).
+    """
+    n = x.shape[0]
+    N = w.shape[0]
+    p = N - n
     DD = D * D
-    l, u = op.lower, op.upper
     into, into_coeff, back, back_coeff = svec_gathers(D)
-    beta = 1.0 - alpha
-    z1_chi, z1_slack = z1[:DD], z1[DD:]
-    has_slack = z1_slack.shape[0] > 0
+    # Slacks then rows, clipped in one pass: [0, caps] and [l, u].
+    lo = np.concatenate([np.zeros(n - DD), op.lower])
+    hi = np.concatenate([caps, op.upper])
+
+    def project(v, out):
+        if D > 0:
+            vals, V = np.linalg.eigh((v[into] * into_coeff).view(np.complex128).reshape(D, D))
+            P = (V * np.maximum(vals, 0.0)) @ V.conj().T
+            np.multiply(P.view(np.float64).ravel()[back], back_coeff, out=out[:DD])
+        np.maximum(v[DD:], lo, out=out[DD:])
+        np.minimum(out[DD:], hi, out=out[DD:])
+
+    def adjoint(v):  # [I A^T] v
+        out = v[:n].copy()
+        if p > 0:
+            out += op.rmatvec(v[n:])
+        return out
+
+    mx = np.empty(N)  # [x; A x]
+    v = np.empty(N)
+    fd = np.empty((2, N))  # f = G(w) - w, and its change since the last accepted w
+    f, df = fd
+    g = np.empty(N)  # G(w)
+    z_next = np.empty(N)
+    # Anderson memory: ring buffers of the changes in f and in G between
+    # consecutive accepted iterates, and the Gram matrix of the f changes.
+    dF = np.empty((memory, N))
+    dG = np.empty((memory, N))
+    gram = np.empty((memory, memory))
+    tikhonov = REGULARIZATION * np.eye(memory)
+    g_prev = np.empty(N)
+    f_prev = np.empty(N)
 
     converged = False
     r_prim = np.inf
     r_dual = np.inf
     c_norm = np.sqrt(np.sum(c * c))
     c_rho = c / rho
-    z1_prev = z1.copy()
-    z2_prev = z2.copy()
+    cols = 0  # changes stored since the memory was last cleared
+    have_prev = False  # g_prev and f_prev hold the last accepted iterate
+    pending = False  # w is extrapolated and awaits the safeguard
+    f_last = np.inf  # squared residual norm of the last accepted iterate
+    project(w, z)
     it = 0
     for it in range(1, n_iters + 1):
-        check = it % check_every == 0 or it == n_iters
-        if check:
-            z1_prev = z1.copy()
-            z2_prev = z2.copy()
-
-        # x-step: (I + A^T A) x = (z1 - u1) + A^T (z2 - u2) - c/rho
-        rhs = z1 - u1
-        rhs -= c_rho
+        # x-step on 2z - w: (I + A^T A) x = v_x + A^T v_rows - c/rho
+        np.multiply(z, 2.0, out=v)
+        v -= w
+        rhs = v[:n] - c_rho
         if p > 0:
-            rhs += op.rmatvec(z2 - u2)
-            op.solve(rhs, out=x)
-            Ax = op.matvec(x)
+            rhs += op.rmatvec(v[n:])
+            op.solve(rhs, out=mx[:n])
+            mx[n:] = op.matvec(mx[:n])
         else:
-            x[:] = rhs
+            mx[:] = rhs
+        np.subtract(mx, z, out=f)
+        f *= alpha
+        np.add(w, f, out=g)
+        f_sq = f @ f
 
-        # over-relaxed cone projection of the x copy
-        h1 = alpha * x + beta * z1
-        t1 = h1 + u1
-        if D > 0:
-            w, V = np.linalg.eigh((t1[into] * into_coeff).view(np.complex128).reshape(D, D))
-            P = (V * np.maximum(w, 0.0)) @ V.conj().T
-            np.multiply(P.view(np.float64).ravel()[back], back_coeff, out=z1_chi)
-        if has_slack:
-            np.minimum(np.maximum(t1[DD:], 0.0), caps, out=z1_slack)
-        u1 += h1 - z1
+        if it % check_every == 0 or it == n_iters:
+            # The residuals of the plain step from w: x against the
+            # projection z+ of G(w), and the dual residual of the z move.
+            project(g, z_next)
+            np.subtract(mx, z_next, out=v)
+            scale_p = max(1.0, np.sqrt(mx @ mx), np.sqrt(z_next @ z_next))
+            r_prim = np.sqrt(v @ v) / scale_p
+            y_vec = adjoint(g - z_next)
+            dvec = adjoint(z_next - z)
+            scale_d = max(1.0, c_norm, rho * np.sqrt(y_vec @ y_vec))
+            r_dual = rho * np.sqrt(dvec @ dvec) / scale_d
 
-        # box projection of the A x copy
-        if p > 0:
-            h2 = alpha * Ax + beta * z2
-            np.maximum(h2 + u2, l, out=z2)
-            np.minimum(z2, u, out=z2)
-            u2 += h2 - z2
-
-        if check:
-            pr = np.sum((x - z1) ** 2)
-            ax_sq = np.sum(x * x)
-            z_sq = np.sum(z1 * z1)
-            if p > 0:
-                pr += np.sum((Ax - z2) ** 2)
-                ax_sq += np.sum(Ax * Ax)
-                z_sq += np.sum(z2 * z2)
-            scale_p = max(1.0, max(np.sqrt(ax_sq), np.sqrt(z_sq)))
-            r_prim = np.sqrt(pr) / scale_p
-
-            dvec = z1 - z1_prev
-            y_vec = u1.copy()
-            if p > 0:
-                dvec = dvec + op.rmatvec(z2 - z2_prev)
-                y_vec = y_vec + op.rmatvec(u2)
-            scale_d = max(1.0, max(c_norm, rho * np.sqrt(np.sum(y_vec * y_vec))))
-            r_dual = rho * np.sqrt(np.sum(dvec * dvec)) / scale_d
-
-            if r_prim <= tol and r_dual <= tol:
-                converged = True
+            converged = r_prim <= tol and r_dual <= tol
+            if converged or it == n_iters:
+                w[:] = g
+                z[:] = z_next
                 break
 
-            if it % adapt_every == 0 and it < n_iters:
+            factor = 1.0
+            if it % adapt_every == 0:
                 if r_prim > 10.0 * r_dual and rho < 1e6:
-                    rho *= 2.0
-                    u1 *= 0.5
-                    u2 *= 0.5
-                    c_rho = c / rho
+                    factor = 2.0
                 elif r_dual > 10.0 * r_prim and rho > 1e-6:
-                    rho *= 0.5
-                    u1 *= 2.0
-                    u2 *= 2.0
-                    c_rho = c / rho
+                    factor = 0.5
+            if factor != 1.0:
+                # New penalty, new map: rescale the scaled dual w - z
+                # of the plain step and go on as a fresh call would,
+                # with an empty memory.
+                rho *= factor
+                c_rho = c / rho
+                np.subtract(g, z_next, out=w)
+                w /= factor
+                w += z_next
+                project(w, z)
+                cols, have_prev, pending, f_last = 0, False, False, np.inf
+                continue
 
+        if pending and not f_sq <= f_last:
+            # Safeguard: the extrapolated w did worse than the last
+            # accepted iterate; take that iterate's plain step instead.
+            w[:] = g_prev
+            cols, have_prev, pending = 0, False, False
+            project(w, z)
+            continue
+
+        # Accept w: store its changes, then extrapolate (type II):
+        # w = G(w) - dG gamma, gamma the regularized least-squares fit
+        # of f by the columns of dF.  The step into a check is plain, so
+        # every check reads an accepted iterate.
+        f_last = f_sq
+        pending = False
+        if have_prev:
+            j = cols % memory
+            np.subtract(f, f_prev, out=df)
+            dF[j] = df
+            np.subtract(g, g_prev, out=dG[j])
+            cols += 1
+            k = min(cols, memory)
+            fit, row = fd @ dF[:k].T
+            gram[j, :k] = row
+            gram[:k, j] = row
+            H = gram[:k, :k]
+            trace = H.trace()
+            if trace > 0 and (it + 1) % check_every and it + 1 < n_iters:
+                gamma = np.linalg.solve(H + trace * tikhonov[:k, :k], fit)
+                pending = gamma @ gamma < np.inf
+        g_prev, g = g, g_prev
+        f_prev[:] = f
+        have_prev = True
+        if pending:
+            np.subtract(g_prev, gamma @ dG[:k], out=w)
+        else:
+            w[:] = g_prev
+        project(w, z)
+
+    x[:] = mx[:n]
     return it, converged, rho, r_prim, r_dual
 
 

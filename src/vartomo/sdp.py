@@ -14,11 +14,14 @@ bulk, one array per field, and rows may share a stored PSD row
 (:class:`BoxRows`); equalities are rows with ``lower == upper``.  The
 debug dump (:func:`problem_to_json`) writes these arrays as they are.
 
-The solver is ADMM with PSD projection (see :mod:`vartomo._kernels`).
-It never forms the dense row matrix: :func:`row_operator` equilibrates
-the rows, keeps each distinct PSD row once with a per-row slack
-coefficient, and factors the x-step through one D^2 x D^2 inverse plus
-a diagonal.  A solve may start from a given loop state
+The solver is ADMM with PSD projection, run as the relaxed
+Douglas-Rachford iteration on one vector w = z + u and sped up by
+safeguarded type-II Anderson acceleration (see :mod:`vartomo._kernels`;
+``MEMORY`` differences, cleared on every penalty change and at every
+loop call).  It never forms the dense row matrix: :func:`row_operator`
+equilibrates the rows, keeps each distinct PSD row once with a per-row
+slack coefficient, and factors the x-step through one D^2 x D^2 inverse
+plus a diagonal.  A solve may start from a given loop state
 (:class:`SolverState`), such as the final state of a solve of a related
 program mapped onto this one's variables and rows.
 
@@ -147,18 +150,6 @@ class SdpProblem:
     def n_vars(self) -> int:
         return self.psd_dim**2 + self.n_slack
 
-    def all_rows(self) -> BoxRows:
-        """The inequalities then the equalities, as one set of box rows."""
-        a, b = self.inequalities, self.equalities
-
-        def both(name):
-            return np.concatenate([getattr(a, name), getattr(b, name)])
-
-        return BoxRows(
-            *map(both, ("psd", "lower", "upper", "slack_index", "slack_coeff")),
-            psd_row=np.concatenate([a.psd_row, len(a.psd) + b.psd_row]),
-        )
-
 
 @dataclass
 class SolverState:
@@ -166,10 +157,12 @@ class SolverState:
 
     ``x``, ``z1`` and ``u1`` span the variables ``[svec(X) || slacks]``;
     ``z2`` and ``u2`` the box rows (inequalities then equalities) in the
-    loop's equilibrated units.  A row's equilibration depends on that row
-    alone, so a row carried unchanged into another program keeps its z2
-    and u2.  A NaN in ``z2`` marks a row without a carried value: the
-    solve starts it at the projection of its A x onto its interval.
+    loop's equilibrated units.  The loop iterates w = z + u; a final
+    state has z the projection of w onto the cone and u = w - z.  A
+    row's equilibration depends on that row alone, so a row carried
+    unchanged into another program keeps its z2 and u2.  A NaN in
+    ``z2`` marks a row without a carried value: the solve starts it at
+    the projection of its A x onto its interval.
     """
 
     x: np.ndarray
@@ -198,7 +191,8 @@ class SdpSolution:
 def row_operator(problem: SdpProblem) -> RowOperator:
     """The box rows (inequalities then equalities) as the loop's structured
     operator: equilibrated, PSD rows grouped, with its x-step factor."""
-    return RowOperator(problem.psd_dim, problem.n_slack, problem.all_rows())
+    blocks = (problem.inequalities, problem.equalities)
+    return RowOperator(problem.psd_dim, problem.n_slack, blocks)
 
 
 RHO = 1.0  # initial penalty
@@ -206,6 +200,7 @@ ALPHA = 1.6  # over-relaxation
 STALL_ITERS = 3000  # iterations without relative primal progress before INFEASIBLE
 CHECK_EVERY = 25  # residual-check period
 ADAPT_EVERY = 100  # penalty-adaptation period
+MEMORY = 10  # Anderson memory: differences kept for the extrapolation
 
 
 def solve(
@@ -227,8 +222,7 @@ def solve(
     the tolerance (no relative improvement for ``STALL_ITERS``
     iterations), which is how the alternating projections behave between
     two sets that do not intersect.  Slow-but-feasible problems usually
-    keep improving and instead exhaust ``max_iter``, though not always
-    (a seeded one-qubit SQPT case is pinned in the tests).
+    keep improving and instead exhaust ``max_iter``.
     """
     if tol_ <= 0:
         raise ValueError("tolerance must be positive")
@@ -255,6 +249,8 @@ def solve(
     fresh = np.isnan(z2)
     if fresh.any():
         z2[fresh] = np.clip(op.matvec(x)[fresh], op.lower[fresh], op.upper[fresh])
+    w = np.concatenate([z1 + u1, z2 + u2])
+    z = np.empty_like(w)
     rho = float(start.rho)
     caps = problem.slack_caps.copy()
 
@@ -276,9 +272,8 @@ def solve(
     while iters < max_iter:
         n = min(chunk, max_iter - iters)
         done, converged, rho, r_prim, r_dual = loop(
-            op, c, D, caps,
-            x, z1, z2, u1, u2,
-            rho, ALPHA, tol_, n, CHECK_EVERY, ADAPT_EVERY,
+            op, c, D, caps, x, w, z,
+            rho, ALPHA, tol_, n, CHECK_EVERY, ADAPT_EVERY, MEMORY,
         )
         iters += done
         if write is not None:
@@ -304,6 +299,7 @@ def solve(
     else:
         status = SolveStatus.MAX_ITER
 
+    u = w - z
     chi_block = linalg.mat_hermitian(best_x[: D * D], D) if D else np.zeros((0, 0), dtype=complex)
     return SdpSolution(
         chi_block=chi_block,
@@ -313,7 +309,7 @@ def solve(
         dual_residual=float(r_dual),
         iterations=iters,
         status=status,
-        state=SolverState(x, z1, z2, u1, u2, rho),
+        state=SolverState(x, z[:m], z[m:], u[:m], u[m:], rho),
     )
 
 

@@ -174,26 +174,27 @@ def measurement_table(basis: OperatorBasis, probes: ProbeSet, effects: EffectSet
 
 
 def noise_envelope(
-    chi_rows: np.ndarray,
+    n_slack: int,
     record_slack: np.ndarray,
     p: np.ndarray,
     shots: np.ndarray,
     options: ReconstructionOptions,
-) -> tuple[BoxRows, np.ndarray, np.ndarray]:
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """Two-sided noise envelopes, two rows per measured probability.
 
-    Record i has value <chi_rows[s], svec chi> with s = record_slack[i],
-    and gets the rows  value + scale_i * D_s >= p_i  and
-    value - scale_i * D_s <= p_i, interleaved (lo, hi) per record; both
-    rows index the stored row chi_rows[s].  For
-    p >= p_min the scale is p itself, the relative form
+    Record i has value <chi_rows[s], svec chi> with s = record_slack[i]
+    (one stored row and one slack per s < n_slack), and gets the rows
+    value + scale_i * D_s >= p_i  and  value - scale_i * D_s <= p_i,
+    interleaved (lo, hi) per record; both rows index the stored row s.
+    For p >= p_min the scale is p itself, the relative form
     (1-D)p <= value <= (1+D)p.  Below p_min that would collapse to an
     equality, so the additive window |value - p| <= D * scale is used
     with scale = additive_scale (default 1/shots, or 1e-3 for exact
     data) and the slack capped at additive_cap: a near-zero record
     should absorb sampling noise, not an arbitrary contradiction.
 
-    Returns the rows, the per-record scale, and the slack caps.
+    Returns the rows' per-row :class:`~vartomo.sdp.BoxRows` fields (all
+    but ``psd``), the per-record scale, and the slack caps.
     """
     p = np.asarray(p, dtype=float)
     shots = np.asarray(shots)
@@ -205,28 +206,33 @@ def noise_envelope(
         additive_scale = np.where(shots > 0, 1.0 / np.maximum(shots, 1), 1e-3)
     relative = p >= options.p_min
     scale = np.where(relative, p, additive_scale)
-    caps = np.full(len(chi_rows), np.inf)
+    caps = np.full(n_slack, np.inf)
     np.minimum.at(caps, record_slack[~relative], options.additive_cap)
 
     slack = np.repeat(record_slack, 2)
-    rows = BoxRows(
-        psd=chi_rows,
-        lower=np.column_stack([p, np.full(p.shape, -np.inf)]).ravel(),
-        upper=np.column_stack([np.full(p.shape, np.inf), p]).ravel(),
-        slack_index=slack,
-        slack_coeff=np.column_stack([scale, -scale]).ravel(),
-        psd_row=slack,
-    )
+    rows = {
+        "lower": np.column_stack([p, np.full(p.shape, -np.inf)]).ravel(),
+        "upper": np.column_stack([np.full(p.shape, np.inf), p]).ravel(),
+        "slack_index": slack,
+        "slack_coeff": np.column_stack([scale, -scale]).ravel(),
+        "psd_row": slack,
+    }
     return rows, scale, caps
 
 
-def _trace_preserving_rows(basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Rows pinning sum_ij chi_ij E_j^dag E_i to the identity."""
+@functools.lru_cache(maxsize=8)
+def trace_preserving_rows(basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Rows pinning sum_ij chi_ij E_j^dag E_i to the identity, and their
+    targets, as read-only arrays.  Cached per basis (compared by
+    identity), as :func:`measurement_table` is."""
     els = basis.elements
     G = np.einsum("jba,ibc->ijac", els.conj(), els)  # (i, j) -> E_j^dag E_i
     units = np.stack([linalg.mat_hermitian(e) for e in np.eye(basis.size**2)])
     rows = linalg.vec_hermitian_stack(np.einsum("qij,ijac->qac", units, G)).T
-    return rows, linalg.vec_hermitian(np.eye(basis.d))
+    targets = linalg.vec_hermitian(np.eye(basis.d))
+    for array in (rows, targets):
+        array.flags.writeable = False
+    return rows, targets
 
 
 def _build_program(
@@ -249,7 +255,7 @@ def _build_program(
     chi_rows, trace_rows = stored[:n_slack], stored[n_slack:]
 
     envelope, scale, caps = noise_envelope(
-        chi_rows,
+        n_slack,
         record_slack,
         np.array([r.p for r in data.records]),
         np.array([r.shots for r in data.records]),
@@ -259,15 +265,15 @@ def _build_program(
     # Tr(out_k) <= 1 for every probe, measured or not.
     inequalities = BoxRows(
         psd=stored,
-        lower=np.concatenate([envelope.lower, np.full(data.k_t, -np.inf)]),
-        upper=np.concatenate([envelope.upper, np.ones(data.k_t)]),
-        slack_index=np.concatenate([envelope.slack_index, np.full(data.k_t, -1)]),
-        slack_coeff=np.concatenate([envelope.slack_coeff, np.zeros(data.k_t)]),
-        psd_row=np.concatenate([envelope.psd_row, n_slack + np.arange(data.k_t)]),
+        lower=np.concatenate([envelope["lower"], np.full(data.k_t, -np.inf)]),
+        upper=np.concatenate([envelope["upper"], np.ones(data.k_t)]),
+        slack_index=np.concatenate([envelope["slack_index"], np.full(data.k_t, -1)]),
+        slack_coeff=np.concatenate([envelope["slack_coeff"], np.zeros(data.k_t)]),
+        psd_row=np.concatenate([envelope["psd_row"], n_slack + np.arange(data.k_t)]),
     )
     equalities = None
     if options.tp_constraint:
-        tp_rows, targets = _trace_preserving_rows(data.basis)
+        tp_rows, targets = trace_preserving_rows(data.basis)
         equalities = BoxRows(tp_rows, targets, targets)
 
     # Objective: per probe the weight on the unmeasured effects, I minus

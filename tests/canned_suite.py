@@ -92,10 +92,23 @@ def build_canned_problems():
     return problems
 
 
+def all_rows(problem):
+    """The inequalities then the equalities, as one set of box rows."""
+    a, b = problem.inequalities, problem.equalities
+
+    def both(name):
+        return np.concatenate([getattr(a, name), getattr(b, name)])
+
+    return BoxRows(
+        *map(both, ("psd", "lower", "upper", "slack_index", "slack_coeff")),
+        psd_row=np.concatenate([a.psd_row, len(a.psd) + b.psd_row]),
+    )
+
+
 def dense_rows(problem):
     """All box rows (inequalities then equalities) as dense (A, lower, upper):
     the oracle the solver's structured row operator is tested against."""
-    rows = problem.all_rows()
+    rows = all_rows(problem)
     DD = problem.psd_dim**2
     A = np.zeros((len(rows), problem.n_vars))
     A[:, :DD] = rows.psd[rows.psd_row]
