@@ -11,20 +11,20 @@ The loop solves
                 0 <= x[D^2 + i] <= caps[i]          (slack block)
                 l <= A x <= u                       (box rows)
 
-by consensus splitting (ADMM with over-relaxation alpha), written as
-the relaxed Douglas-Rachford iteration it is, on one vector w = z + u
+by consensus splitting (ADMM with over-relaxation ``ALPHA``), written
+as the relaxed Douglas-Rachford iteration it is, on one vector w = z + u
 over the variables and the rows (z the cone copy of [x; A x], u its
-scaled dual).  One step is the map
+scaled dual); w and rho are the loop's whole state.  One step is the map
 
     z = P(w)                          PSD eigenvalue clamp on the chi
                                       block, one clip of slacks and rows
                                       against [0, caps] and [l, u]
     x = (I + A^T A)^{-1} (v_x + A^T v_rows - c/rho),   v = 2 z - w
-    G(w) = w + alpha ([x; A x] - z)
+    G(w) = w + ALPHA ([x; A x] - z)
 
 and ADMM is w <- G(w).  The loop accelerates it with type-II Anderson
 acceleration (Walker and Ni, SIAM J. Numer. Anal. 2011): from the last
-``memory`` changes dG, dF of G and of the residual f = G(w) - w between
+``MEMORY`` changes dG, dF of G and of the residual f = G(w) - w between
 accepted iterates it takes w <- G(w) - dG gamma, where gamma solves the
 Tikhonov-regularized normal equations (dF^T dF + lambda I) gamma =
 dF^T f.  A safeguard (as in Zhang, O'Donoghue and Boyd, SIAM J. Optim.
@@ -60,6 +60,10 @@ import functools
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
+ALPHA = 1.6  # over-relaxation
+CHECK_EVERY = 25  # residual-check period
+ADAPT_EVERY = 100  # penalty-adaptation period
+MEMORY = 10  # Anderson memory: differences kept for the extrapolation
 # Tikhonov weight of the Anderson normal equations, relative to their trace.
 REGULARIZATION = 1e-10
 
@@ -77,6 +81,7 @@ class RowOperator:
 
     def __init__(self, D, n_slack, blocks):
         DD = D * D
+        self.D = D
         self.DD = DD
         self.n_slack = n_slack
         self.n_vars = DD + n_slack
@@ -186,35 +191,11 @@ def svec_gathers(D):
     return into, into_coeff, back, back_coeff
 
 
-def admm_loop(
-    op,
-    c,
-    D,
-    caps,
-    x,
-    w,
-    z,
-    rho,
-    alpha,
-    tol,
-    n_iters,
-    check_every,
-    adapt_every,
-    memory,
-):
-    """Run up to ``n_iters`` steps of the accelerated iteration on ``w``.
-
-    ``x`` (the variables) and ``w`` (variables then rows) are updated in
-    place; on return ``z`` holds the projection of ``w``.  Returns
-    (iterations, converged, rho, primal residual, dual residual).
-    """
-    n = x.shape[0]
-    N = w.shape[0]
-    p = N - n
-    DD = D * D
+def cone_projection(op, caps):
+    """``project(v, out)``: out = P(v), v over the variables then the rows."""
+    D, DD = op.D, op.DD
     into, into_coeff, back, back_coeff = svec_gathers(D)
-    # Slacks then rows, clipped in one pass: [0, caps] and [l, u].
-    lo = np.concatenate([np.zeros(n - DD), op.lower])
+    lo = np.concatenate([np.zeros(op.n_slack), op.lower])
     hi = np.concatenate([caps, op.upper])
 
     def project(v, out):
@@ -224,6 +205,21 @@ def admm_loop(
             np.multiply(P.view(np.float64).ravel()[back], back_coeff, out=out[:DD])
         np.maximum(v[DD:], lo, out=out[DD:])
         np.minimum(out[DD:], hi, out=out[DD:])
+
+    return project
+
+
+def admm_loop(op, c, caps, x, w, rho, tol, n_iters):
+    """Run up to ``n_iters`` steps of the accelerated iteration on ``w``.
+
+    ``x`` (the variables) and ``w`` (variables then rows) are updated in
+    place.  Returns (iterations, converged, rho, primal residual, dual
+    residual).
+    """
+    n = x.shape[0]
+    N = w.shape[0]
+    p = N - n
+    project = cone_projection(op, caps)
 
     def adjoint(v):  # [I A^T] v
         out = v[:n].copy()
@@ -236,13 +232,14 @@ def admm_loop(
     fd = np.empty((2, N))  # f = G(w) - w, and its change since the last accepted w
     f, df = fd
     g = np.empty(N)  # G(w)
-    z_next = np.empty(N)
+    z = np.empty(N)  # P(w)
+    z_next = np.empty(N)  # P(G(w)), at the checks
     # Anderson memory: ring buffers of the changes in f and in G between
     # consecutive accepted iterates, and the Gram matrix of the f changes.
-    dF = np.empty((memory, N))
-    dG = np.empty((memory, N))
-    gram = np.empty((memory, memory))
-    tikhonov = REGULARIZATION * np.eye(memory)
+    dF = np.empty((MEMORY, N))
+    dG = np.empty((MEMORY, N))
+    gram = np.empty((MEMORY, MEMORY))
+    tikhonov = REGULARIZATION * np.eye(MEMORY)
     g_prev = np.empty(N)
     f_prev = np.empty(N)
 
@@ -269,11 +266,11 @@ def admm_loop(
         else:
             mx[:] = rhs
         np.subtract(mx, z, out=f)
-        f *= alpha
+        f *= ALPHA
         np.add(w, f, out=g)
         f_sq = f @ f
 
-        if it % check_every == 0 or it == n_iters:
+        if it % CHECK_EVERY == 0 or it == n_iters:
             # The residuals of the plain step from w: x against the
             # projection z+ of G(w), and the dual residual of the z move.
             project(g, z_next)
@@ -288,11 +285,10 @@ def admm_loop(
             converged = r_prim <= tol and r_dual <= tol
             if converged or it == n_iters:
                 w[:] = g
-                z[:] = z_next
                 break
 
             factor = 1.0
-            if it % adapt_every == 0:
+            if it % ADAPT_EVERY == 0:
                 if r_prim > 10.0 * r_dual and rho < 1e6:
                     factor = 2.0
                 elif r_dual > 10.0 * r_prim and rho > 1e-6:
@@ -325,18 +321,18 @@ def admm_loop(
         f_last = f_sq
         pending = False
         if have_prev:
-            j = cols % memory
+            j = cols % MEMORY
             np.subtract(f, f_prev, out=df)
             dF[j] = df
             np.subtract(g, g_prev, out=dG[j])
             cols += 1
-            k = min(cols, memory)
+            k = min(cols, MEMORY)
             fit, row = fd @ dF[:k].T
             gram[j, :k] = row
             gram[:k, j] = row
             H = gram[:k, :k]
             trace = H.trace()
-            if trace > 0 and (it + 1) % check_every and it + 1 < n_iters:
+            if trace > 0 and (it + 1) % CHECK_EVERY and it + 1 < n_iters:
                 gamma = np.linalg.solve(H + trace * tikhonov[:k, :k], fit)
                 pending = gamma @ gamma < np.inf
         g_prev, g = g, g_prev

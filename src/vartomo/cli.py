@@ -20,6 +20,7 @@ import numpy as np
 from . import harness, sdp, tomography
 from .channels import kraus_to_chi, kraus_to_json, process_fidelity, process_to_json
 from .probes import RngSeed
+from .tolerances import SOLVER_MAX_ITER, SOLVER_TOL
 from .tomography import InfeasibleDataError, ReconstructionOptions
 
 
@@ -44,7 +45,7 @@ def _build_parser() -> _Parser:
     p_rec = sub.add_parser("reconstruct", help="reconstruct a process from a dataset file")
     p_rec.add_argument("--dataset", required=True, help="dataset JSON file")
     p_rec.add_argument("--tp", action="store_true", help="enforce trace preservation")
-    p_rec.add_argument("--tol", type=float, default=1e-7, help="solver tolerance")
+    p_rec.add_argument("--tol", type=float, default=SOLVER_TOL, help="solver tolerance")
     p_rec.add_argument(
         "--p-min", type=float, default=1e-6,
         help="probabilities below this use the capped additive envelope",
@@ -64,8 +65,8 @@ def _build_parser() -> _Parser:
 
     p_sdp = sub.add_parser("solve-sdp", help="solve a dumped problem (debugging)")
     p_sdp.add_argument("--problem", required=True, help="problem JSON file")
-    p_sdp.add_argument("--tol", type=float, default=1e-7)
-    p_sdp.add_argument("--max-iter", type=int, default=200_000)
+    p_sdp.add_argument("--tol", type=float, default=SOLVER_TOL)
+    p_sdp.add_argument("--max-iter", type=int, default=SOLVER_MAX_ITER)
     p_sdp.add_argument("--trace", action="store_true", help="log residuals to stderr")
     p_sdp.add_argument("--json", action="store_true")
 
@@ -180,7 +181,7 @@ def _cmd_solve_sdp(args) -> int:
         print(f"vartomo: invalid option: {exc}", file=sys.stderr)
         return 1
     problem = sdp.problem_from_json(_read_file(args.problem))
-    trace = sys.stderr if args.trace else None
+    trace = sys.stderr.write if args.trace else None
     solution = sdp.solve(problem, args.tol, args.max_iter, trace=trace)
     payload = {
         "status": solution.status.value,

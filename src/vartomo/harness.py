@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .channels import KrausSet, kraus_to_json, process_to_json
-from .probes import RngSeed, Scheme, random_channel
+from .probes import RngSeed, Scheme, random_channel, require_integer
+from .tolerances import SOLVER_MAX_ITER, SOLVER_TOL
 from .tomography import ReconstructionOptions, SweepResult, minimal_elements_sweep
 
 
@@ -47,17 +48,22 @@ class ExperimentConfig:
     sweep_trials: int = 5
     sweep_batch: int = 1
     tp_constraint: bool = False
-    solver_tol: float = 1e-7
-    solver_max_iter: int = 200_000
+    solver_tol: float = SOLVER_TOL
+    solver_max_iter: int = SOLVER_MAX_ITER
     master_seed: RngSeed = RngSeed(0)
     output_dir: str = "runs/experiment"
 
     def __post_init__(self):
+        for name in ("n_qubits", "channels_per_rank", "shots", "sweep_trials", "sweep_batch"):
+            require_integer(getattr(self, name), name)
+        require_integer(self.master_seed.seed, "master_seed")
+        if not isinstance(self.tp_constraint, bool):
+            raise ValueError(f"tp_constraint must be true or false, got {self.tp_constraint!r}")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         d = 2**self.n_qubits
         for r in self.ranks:
-            if not 1 <= r <= d * d:
+            if not 1 <= require_integer(r, "rank") <= d * d:
                 raise ValueError(f"rank {r} outside [1, {d * d}]")
         if self.channels_per_rank < 1:
             raise ValueError("channels_per_rank must be >= 1")
@@ -103,32 +109,23 @@ def config_to_json(cfg: ExperimentConfig) -> str:
 
 
 def config_from_json(text: str) -> ExperimentConfig:
+    """The config of a :func:`config_to_json` document.  A missing field
+    takes its default; a value of the wrong kind raises ValueError."""
     doc = json.loads(text)
     seed_doc = doc.get("master_seed", {"seed": 0})
-    kwargs = dict(
-        master_seed=RngSeed(
-            seed=int(seed_doc["seed"]), generator_id=seed_doc.get("generator_id", "pcg64")
-        )
+    as_is = ("n_qubits", "channels_per_rank", "shots", "sweep_trials", "sweep_batch",
+             "solver_max_iter", "tp_constraint")  # checked by ExperimentConfig
+    kwargs = {key: doc[key] for key in as_is if key in doc}
+    kwargs["master_seed"] = RngSeed(
+        seed=seed_doc["seed"], generator_id=seed_doc.get("generator_id", "pcg64")
     )
     if "scheme" in doc:
         kwargs["scheme"] = Scheme(doc["scheme"])
     if "ranks" in doc:
-        kwargs["ranks"] = tuple(int(r) for r in doc["ranks"])
-    for key in (
-        "n_qubits",
-        "channels_per_rank",
-        "shots",
-        "sweep_trials",
-        "sweep_batch",
-        "solver_max_iter",
-    ):
-        if key in doc:
-            kwargs[key] = int(doc[key])
+        kwargs["ranks"] = tuple(doc["ranks"])
     for key in ("fidelity_threshold", "solver_tol"):
         if key in doc:
             kwargs[key] = float(doc[key])
-    if "tp_constraint" in doc:
-        kwargs["tp_constraint"] = bool(doc["tp_constraint"])
     if "output_dir" in doc:
         kwargs["output_dir"] = str(doc["output_dir"])
     return ExperimentConfig(**kwargs)

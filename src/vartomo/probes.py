@@ -12,6 +12,7 @@ import enum
 import hashlib
 import io
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,14 @@ from .channels import (
     apply_map_ancilla,
     maximally_entangled_state,
 )
+
+
+def require_integer(value, name: str) -> int:
+    """``value`` if it is an integer (a bool is not), else ValueError:
+    outside input is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class Scheme(str, enum.Enum):
@@ -115,6 +124,8 @@ class MeasurementRecord:
     shots: int = 0
 
     def __post_init__(self):
+        for name in ("probe_index", "effect_index", "shots"):
+            require_integer(getattr(self, name), name)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"probability {self.p} outside [0, 1]")
         if self.shots < 0:

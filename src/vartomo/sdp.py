@@ -16,14 +16,15 @@ debug dump (:func:`problem_to_json`) writes these arrays as they are.
 
 The solver is ADMM with PSD projection, run as the relaxed
 Douglas-Rachford iteration on one vector w = z + u and sped up by
-safeguarded type-II Anderson acceleration (see :mod:`vartomo._kernels`;
-``MEMORY`` differences, cleared on every penalty change and at every
-loop call).  It never forms the dense row matrix: :func:`row_operator`
-equilibrates the rows, keeps each distinct PSD row once with a per-row
-slack coefficient, and factors the x-step through one D^2 x D^2 inverse
-plus a diagonal.  A solve may start from a given loop state
-(:class:`SolverState`), such as the final state of a solve of a related
-program mapped onto this one's variables and rows.
+safeguarded type-II Anderson acceleration (see :mod:`vartomo._kernels`,
+which also holds the loop's constants).  It never forms the dense row
+matrix: :func:`row_operator` equilibrates the rows, keeps each distinct
+PSD row once with a per-row slack coefficient, and factors the x-step
+through one D^2 x D^2 inverse plus a diagonal.  A solve may start from
+a given loop state (:class:`SolverState`: x, w and the penalty), such
+as the final state of a solve of a related program mapped onto this
+one's variables and rows; from its own final state it goes on exactly
+as one longer solve would.
 
 Infeasibility is reported heuristically: the primal residual stalls far
 from the tolerance while the dual residual settles, which is how the
@@ -35,7 +36,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
@@ -155,21 +156,19 @@ class SdpProblem:
 class SolverState:
     """The loop's iterate: where a solve stopped, or where one starts.
 
-    ``x``, ``z1`` and ``u1`` span the variables ``[svec(X) || slacks]``;
-    ``z2`` and ``u2`` the box rows (inequalities then equalities) in the
-    loop's equilibrated units.  The loop iterates w = z + u; a final
-    state has z the projection of w onto the cone and u = w - z.  A
-    row's equilibration depends on that row alone, so a row carried
-    unchanged into another program keeps its z2 and u2.  A NaN in
-    ``z2`` marks a row without a carried value: the solve starts it at
-    the projection of its A x onto its interval.
+    ``x`` spans the variables ``[svec(X) || slacks]``; ``w`` the
+    variables then the box rows (inequalities then equalities), the
+    rows in the loop's equilibrated units; ``rho`` is the penalty.  w is
+    the one vector the loop iterates (see :mod:`vartomo._kernels`), so a
+    solve started from a final state goes on exactly where that solve
+    stopped.  A row's equilibration depends on that row alone, so a row
+    carried unchanged into another program keeps its entry of w.  A NaN
+    row entry marks a row without a carried value: the solve starts it
+    at the projection of its A x onto its interval.
     """
 
     x: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
+    w: np.ndarray
     rho: float
 
 
@@ -196,19 +195,15 @@ def row_operator(problem: SdpProblem) -> RowOperator:
 
 
 RHO = 1.0  # initial penalty
-ALPHA = 1.6  # over-relaxation
 STALL_ITERS = 3000  # iterations without relative primal progress before INFEASIBLE
-CHECK_EVERY = 25  # residual-check period
-ADAPT_EVERY = 100  # penalty-adaptation period
-MEMORY = 10  # Anderson memory: differences kept for the extrapolation
 
 
 def solve(
     problem: SdpProblem,
     tol_: float = tol.SOLVER_TOL,
-    max_iter: int = 200_000,
+    max_iter: int = tol.SOLVER_MAX_ITER,
     *,
-    trace: TextIO | Callable[[str], None] | None = None,
+    trace: Callable[[str], None] | None = None,
     start: SolverState | None = None,
 ) -> SdpSolution:
     """Run the splitting iteration until both residuals fall below tol_.
@@ -216,48 +211,47 @@ def solve(
     The loop starts from ``start`` when given (a warm start, typically the
     ``state`` of a solve of a related program mapped onto this one's
     variables and rows), else from zero with the initial penalty.
-    Returns the best iterate seen, with diagnostics, and the loop's final
-    state, from which a later solve can start.  Status INFEASIBLE
-    is heuristic: the primal residual plateaus orders of magnitude above
-    the tolerance (no relative improvement for ``STALL_ITERS``
-    iterations), which is how the alternating projections behave between
-    two sets that do not intersect.  Slow-but-feasible problems usually
-    keep improving and instead exhaust ``max_iter``.
+    ``trace``, when given, is called with one progress line per chunk
+    of iterations.  Returns the best iterate seen, with diagnostics, and
+    the loop's final state, from which a later solve goes on as this one
+    would have.  Status INFEASIBLE is heuristic: the primal residual
+    plateaus orders of magnitude above the tolerance (no relative
+    improvement for ``STALL_ITERS`` iterations), which is how the
+    alternating projections behave between two sets that do not
+    intersect.  Slow-but-feasible problems usually keep improving and
+    instead exhaust ``max_iter``.
     """
     if tol_ <= 0:
         raise ValueError("tolerance must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     D = problem.psd_dim
     m = problem.n_vars
     op = row_operator(problem)
-    p_rows = op.n_rows
+    n = m + op.n_rows
 
     # Scale-invariant objective: the iterates depend only on c's direction.
     gamma = np.linalg.norm(problem.objective)
     c = problem.objective / gamma if gamma > 0 else problem.objective.copy()
 
     if start is None:
-        start = SolverState(
-            np.zeros(m), np.zeros(m), np.zeros(p_rows), np.zeros(m), np.zeros(p_rows), RHO
-        )
-    x, z1, z2, u1, u2 = (
-        np.array(v, dtype=float) for v in (start.x, start.z1, start.z2, start.u1, start.u2)
-    )
-    if x.shape != (m,) or z1.shape != (m,) or u1.shape != (m,):
+        start = SolverState(np.zeros(m), np.zeros(n), RHO)
+    x = np.array(start.x, dtype=float)
+    w = np.array(start.w, dtype=float)
+    if x.shape != (m,):
         raise ValueError(f"start state needs {m} variables")
-    if z2.shape != (p_rows,) or u2.shape != (p_rows,):
-        raise ValueError(f"start state needs {p_rows} rows")
-    fresh = np.isnan(z2)
+    if w.shape != (n,):
+        raise ValueError(f"start state needs w over {m} variables and {op.n_rows} rows")
+    rows = w[m:]
+    fresh = np.isnan(rows)
     if fresh.any():
-        z2[fresh] = np.clip(op.matvec(x)[fresh], op.lower[fresh], op.upper[fresh])
-    w = np.concatenate([z1 + u1, z2 + u2])
-    z = np.empty_like(w)
+        rows[fresh] = np.clip(op.matvec(x)[fresh], op.lower[fresh], op.upper[fresh])
     rho = float(start.rho)
     caps = problem.slack_caps.copy()
 
     # Looked up through this module's name on every call: the benchmark's
     # tracer (perfbench/spans.py) replaces sdp.get_loop to time the loop.
     loop = get_loop()
-    write = trace.write if hasattr(trace, "write") else trace
 
     iters = 0
     converged = False
@@ -270,14 +264,12 @@ def solve(
     stalled = False
     chunk = 500
     while iters < max_iter:
-        n = min(chunk, max_iter - iters)
         done, converged, rho, r_prim, r_dual = loop(
-            op, c, D, caps, x, w, z,
-            rho, ALPHA, tol_, n, CHECK_EVERY, ADAPT_EVERY, MEMORY,
+            op, c, caps, x, w, rho, tol_, min(chunk, max_iter - iters)
         )
         iters += done
-        if write is not None:
-            write(f"iter={iters} primal={r_prim:.3e} dual={r_dual:.3e} rho={rho:.3e}\n")
+        if trace is not None:
+            trace(f"iter={iters} primal={r_prim:.3e} dual={r_dual:.3e} rho={rho:.3e}\n")
         score = max(r_prim, r_dual)
         if score < best_score:
             best_score = score
@@ -299,7 +291,6 @@ def solve(
     else:
         status = SolveStatus.MAX_ITER
 
-    u = w - z
     chi_block = linalg.mat_hermitian(best_x[: D * D], D) if D else np.zeros((0, 0), dtype=complex)
     return SdpSolution(
         chi_block=chi_block,
@@ -309,7 +300,7 @@ def solve(
         dual_residual=float(r_dual),
         iterations=iters,
         status=status,
-        state=SolverState(x, z[:m], z[m:], u[:m], u[m:], rho),
+        state=SolverState(x, w, rho),
     )
 
 

@@ -1,4 +1,4 @@
-"""Named numerical tolerances shared across modules.
+"""Named numerical tolerances and solver defaults shared across modules.
 
 The validation thresholds below are tuned here.  Some local checks in
 :mod:`vartomo.channels` and :mod:`vartomo.probes` (trace and probability
@@ -26,5 +26,7 @@ TRACE_PRESERVING = 1e-8
 # Relative eigenvalue cutoff when counting the rank of a process matrix.
 CHI_RANK_REL = 1e-7
 
-# Default solver tolerance (normalized primal/dual residuals).
+# Default solver tolerance (normalized primal/dual residuals) ...
 SOLVER_TOL = 1e-7
+# ... and iteration cap.
+SOLVER_MAX_ITER = 200_000

@@ -17,6 +17,7 @@ per setup, :func:`measurement_table`.
 from __future__ import annotations
 
 import functools
+import math
 import statistics
 import warnings
 from dataclasses import dataclass
@@ -40,10 +41,12 @@ from .probes import (
     Scheme,
     aapt_probe_state,
     pauli_projector_effects,
+    require_integer,
     simulate_measurements,
     sqpt_probe_states,
 )
 from .sdp import BoxRows, SdpProblem, SdpSolution, SolverState, SolveStatus, solve
+from .tolerances import SOLVER_MAX_ITER, SOLVER_TOL
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,8 @@ class TomographyDataset:
 @dataclass(frozen=True)
 class ReconstructionOptions:
     tp_constraint: bool = False
-    tol: float = 1e-7
-    max_iter: int = 200_000
+    tol: float = SOLVER_TOL
+    max_iter: int = SOLVER_MAX_ITER
     p_min: float = 1e-6
     additive_scale: float | None = None
     additive_cap: float = 100.0
@@ -80,8 +83,10 @@ class ReconstructionOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
+        if require_integer(self.max_iter, "max_iter") < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if math.isnan(self.p_min):
+            raise ValueError("p_min must not be NaN")
         if self.additive_scale is not None and not self.additive_scale > 0:
             raise ValueError(f"additive_scale must be positive, got {self.additive_scale}")
         if not self.additive_cap > 0:
@@ -335,9 +340,9 @@ def _carry_over(
     Records are only appended, so the old slacks keep their indices and
     the old envelope rows are a prefix of the new ones; the rows after
     the envelopes (Tr(out_k) <= 1, then the TP equalities) move down by
-    two rows per added record.  New slacks start at 0, new rows unset.
-    A start from another setup leaves the state the wrong size, which
-    :func:`~vartomo.sdp.solve` rejects.
+    two rows per added record.  New slacks start at 0 in x and w, new
+    rows unset (NaN in w).  A start from another setup leaves the state
+    the wrong size, which :func:`~vartomo.sdp.solve` rejects.
     """
     if previous.options != options:
         raise ValueError("start was solved under other options")
@@ -345,24 +350,12 @@ def _carry_over(
     n_old = len(previous.records)
     if records[:n_old] != previous.records:
         raise ValueError("start is not a solve of a prefix of these records")
-    new_slacks = problem.n_slack - len(previous.solver.slacks)
-    new_rows = 2 * (len(records) - n_old)
-    end = 2 * n_old  # end of the old envelope rows
-
-    def pad(v):
-        return np.concatenate([v, np.zeros(new_slacks)])
-
-    def insert(v, fill):
-        return np.concatenate([v[:end], np.full(new_rows, fill), v[end:]])
-
-    return SolverState(
-        x=pad(state.x),
-        z1=pad(state.z1),
-        z2=insert(state.z2, np.nan),
-        u1=pad(state.u1),
-        u2=insert(state.u2, 0.0),
-        rho=state.rho,
-    )
+    m = state.x.size
+    new_slacks = np.zeros(problem.n_slack - len(previous.solver.slacks))
+    end = m + 2 * n_old  # end of the old envelope rows in w
+    new_rows = np.full(2 * (len(records) - n_old), np.nan)
+    w = np.concatenate([state.w[:m], new_slacks, state.w[m:end], new_rows, state.w[end:]])
+    return SolverState(np.concatenate([state.x, new_slacks]), w, state.rho)
 
 
 def reconstruct(
@@ -498,14 +491,14 @@ def dataset_from_json(text: str) -> tuple[TomographyDataset, KrausSet | None]:
 
     doc = json.loads(text)
     scheme = Scheme(doc["scheme"])
-    n_qubits = int(doc["n_qubits"])
+    n_qubits = require_integer(doc["n_qubits"], "n_qubits")
     basis, probe_set, effect_set = default_setup(scheme, n_qubits)
     records = tuple(
         MeasurementRecord(
-            probe_index=int(r["k"]),
-            effect_index=int(r["lambda"]),
+            probe_index=r["k"],
+            effect_index=r["lambda"],
             p=float(r["p"]),
-            shots=int(r.get("shots", 0)),
+            shots=r.get("shots", 0),
         )
         for r in doc["records"]
     )

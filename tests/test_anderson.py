@@ -11,9 +11,10 @@ import pytest
 
 from canned_suite import build_canned_problems
 from vartomo import sdp
+from vartomo._kernels import ADAPT_EVERY, CHECK_EVERY, cone_projection
 from vartomo.channels import build_scaled_pauli_basis, identity_channel, kraus_to_chi
 from vartomo.probes import MeasurementRecord, RngSeed, Scheme, random_channel
-from vartomo.sdp import ADAPT_EVERY, ALPHA, CHECK_EVERY, MEMORY, SolveStatus, row_operator, solve
+from vartomo.sdp import SolveStatus, row_operator, solve
 from vartomo.tomography import (
     InfeasibleDataError,
     ReconstructionOptions,
@@ -31,10 +32,8 @@ def shot_noise_program():
     return build_sqpt_program(data)[0]
 
 
-def run_loop(op, c, D, caps, x, w, z, rho, n_iters):
-    return sdp.get_loop()(
-        op, c, D, caps, x, w, z, rho, ALPHA, 1e-14, n_iters, CHECK_EVERY, ADAPT_EVERY, MEMORY
-    )
+def run_loop(op, c, caps, x, w, rho, n_iters):
+    return sdp.get_loop()(op, c, caps, x, w, rho, 1e-14, n_iters)
 
 
 @pytest.mark.parametrize("rho0,factor", [(0.1, 2.0), (10.0, 0.5)])
@@ -44,24 +43,25 @@ def test_rho_change_clears_memory(rho0, factor):
     problem = shot_noise_program()
     op = row_operator(problem)
     c = problem.objective / np.linalg.norm(problem.objective)
-    D, caps, m, p = problem.psd_dim, problem.slack_caps, problem.n_vars, op.n_rows
+    caps, m, p = problem.slack_caps, problem.n_vars, op.n_rows
     assert ADAPT_EVERY % CHECK_EVERY == 0
 
-    x, w, z = np.zeros(m), np.zeros(m + p), np.empty(m + p)
-    done, _, rho, r_prim, r_dual = run_loop(op, c, D, caps, x, w, z, rho0, ADAPT_EVERY + 50)
+    x, w = np.zeros(m), np.zeros(m + p)
+    done, _, rho, r_prim, r_dual = run_loop(op, c, caps, x, w, rho0, ADAPT_EVERY + 50)
     assert done == ADAPT_EVERY + 50
     assert rho == factor * rho0  # one change, at the first adaptation check
 
     # The same iterations in two calls: stop at the adaptation check,
     # rescale the scaled dual w - z as the loop does, and go on.
-    x2, w2, z2 = np.zeros(m), np.zeros(m + p), np.empty(m + p)
-    done, _, rho2, *_ = run_loop(op, c, D, caps, x2, w2, z2, rho0, ADAPT_EVERY)
+    x2, w2 = np.zeros(m), np.zeros(m + p)
+    done, _, rho2, *_ = run_loop(op, c, caps, x2, w2, rho0, ADAPT_EVERY)
     assert done == ADAPT_EVERY and rho2 == rho0
+    z2 = np.empty(m + p)
+    cone_projection(op, caps)(w2, z2)
     w2[:] = (w2 - z2) / factor + z2
-    done, _, rho2, r_prim2, r_dual2 = run_loop(op, c, D, caps, x2, w2, z2, rho, 50)
+    done, _, rho2, r_prim2, r_dual2 = run_loop(op, c, caps, x2, w2, rho, 50)
     assert done == 50 and rho2 == rho
-    for a, b in ((x, x2), (w, w2), (z, z2)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(x, x2) and np.array_equal(w, w2)
     assert (r_prim, r_dual) == (r_prim2, r_dual2)
 
 

@@ -73,6 +73,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(tmp_path, **bad)
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("tp_constraint", "false", "tp_constraint"),
+            ("sweep_batch", 2.5, "sweep_batch"),
+            ("channels_per_rank", True, "channels_per_rank"),
+            ("ranks", [1.7], "rank"),
+            ("solver_max_iter", 1.5, "max_iter"),
+            ("master_seed", {"seed": 1.5}, "master_seed"),
+        ],
+    )
+    def test_json_values_of_wrong_kind_rejected(self, tmp_path, key, value, message):
+        """Outside input is rejected, not truncated: "false" is not
+        False and 2.5 is not 2."""
+        doc = json.loads(config_to_json(tiny_config(tmp_path)))
+        doc[key] = value
+        with pytest.raises(ValueError, match=message):
+            config_from_json(json.dumps(doc))
+
     def test_defaults_are_desk_scale(self):
         cfg = ExperimentConfig()
         assert cfg.n_qubits == 2
@@ -299,7 +318,17 @@ class TestCli:
         assert (tmp_path / "env_out" / "results.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
-    @pytest.mark.parametrize("key,value", [("solver_tol", 0), ("fidelity_threshold", 1.5)])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("solver_tol", 0),
+            ("fidelity_threshold", 1.5),
+            ("tp_constraint", "false"),
+            ("sweep_batch", 2.5),
+            ("channels_per_rank", True),
+            ("ranks", [1.7]),
+        ],
+    )
     def test_run_invalid_config_exits_one(self, tmp_path, key, value):
         cfg = {
             "n_qubits": 1,
@@ -317,7 +346,8 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "flag,value", [("--additive-scale", "-0.001"), ("--tol", "0"), ("--tol", "-0.5")]
+        "flag,value",
+        [("--additive-scale", "-0.001"), ("--tol", "0"), ("--tol", "-0.5"), ("--p-min", "nan")],
     )
     def test_reconstruct_invalid_option_exits_one(self, tmp_path, flag, value):
         basis = build_scaled_pauli_basis(1)
@@ -326,6 +356,21 @@ class TestCli:
         r = run_cli("reconstruct", "--dataset", str(fixture), flag, value)
         assert r.returncode == 1
         assert "invalid option" in r.stderr
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("k", 0.5, "probe_index"), ("lambda", 1.9, "effect_index"), ("shots", 100.5, "shots")],
+    )
+    def test_reconstruct_non_integral_record_exits_two(self, tmp_path, field, value, message):
+        basis = build_scaled_pauli_basis(1)
+        doc = json.loads(dataset_to_json(make_dataset(identity_channel(basis), Scheme.SQPT, 1)))
+        doc["records"][0][field] = value
+        fixture = tmp_path / "dataset.json"
+        fixture.write_text(json.dumps(doc))
+        r = run_cli("reconstruct", "--dataset", str(fixture))
+        assert r.returncode == 2
+        assert f"{message} must be an integer" in r.stderr
+        assert r.stdout == ""
 
     def test_malformed_config_line_numbered(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -355,6 +400,17 @@ class TestCli:
         doc = json.loads(r.stdout)
         assert doc["status"] == "optimal"
         assert abs(doc["objective"] - analytic) <= 1e-6
+
+    def test_solve_sdp_trace_goes_to_stderr(self, tmp_path):
+        from vartomo.sdp import problem_to_json
+        from canned_suite import build_canned_problems
+
+        path = tmp_path / "problem.json"
+        path.write_text(problem_to_json(build_canned_problems()[2][1]))
+        r = run_cli("solve-sdp", "--problem", str(path), "--json", "--trace")
+        assert r.returncode == 0
+        assert r.stderr.startswith("iter=") and "primal=" in r.stderr
+        assert json.loads(r.stdout)["status"] == "optimal"
 
     @pytest.mark.parametrize(
         "flag,value,message", [("--max-iter", "0", "max_iter"), ("--tol", "0", "tol")]

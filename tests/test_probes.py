@@ -182,6 +182,10 @@ class TestSimulation:
             MeasurementRecord(probe_index=0, effect_index=0, p=1.2)
         with pytest.raises(ValueError):
             MeasurementRecord(probe_index=0, effect_index=0, p=0.5, shots=-1)
+        # an index or shot count that is not an integer is rejected, not truncated
+        for bad in (dict(probe_index=0.5), dict(effect_index=True), dict(shots=100.5)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                MeasurementRecord(**dict(dict(probe_index=0, effect_index=0, p=0.5), **bad))
 
 
 class TestUnknownSubspaceHamiltonian:

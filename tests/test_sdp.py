@@ -247,13 +247,13 @@ class TestWarmStart:
         for name, problem, _ in build_canned_problems():
             cold = solve(problem, 1e-8)
             m, p = problem.n_vars, len(problem.inequalities) + len(problem.equalities)
-            zero = SolverState(np.zeros(m), np.zeros(m), np.zeros(p), np.zeros(m), np.zeros(p), RHO)
+            zero = SolverState(np.zeros(m), np.zeros(m + p), RHO)
             warm = solve(problem, 1e-8, start=zero)
             assert (cold.status, cold.iterations) == (warm.status, warm.iterations), name
             assert cold.objective_value == warm.objective_value, name
             assert np.array_equal(cold.chi_block, warm.chi_block), name
             assert np.array_equal(cold.slacks, warm.slacks), name
-            for field in ("x", "z1", "z2", "u1", "u2", "rho"):
+            for field in ("x", "w", "rho"):
                 assert np.array_equal(getattr(cold.state, field), getattr(warm.state, field)), name
 
     def test_restart_from_final_state_stops_at_once(self):
@@ -264,29 +264,56 @@ class TestWarmStart:
             assert again.iterations <= 25, name  # the first residual check
             assert abs(again.objective_value - analytic) <= 1e-6, name
 
+    @pytest.mark.parametrize(
+        "n_qubits,scheme", [(1, Scheme.SQPT), (1, Scheme.AAPT), (2, Scheme.SQPT), (2, Scheme.AAPT)]
+    )
+    def test_resume_continues_the_solve(self, n_qubits, scheme):
+        """A solve stopped at its cap and resumed from its state reaches,
+        bit for bit, the state of one solve run as long."""
+        d = 2**n_qubits
+        truth = kraus_to_chi(
+            random_channel(d, 1, RngSeed(3)), build_scaled_pauli_basis(n_qubits)
+        )
+        data = make_dataset(truth, scheme, n_qubits, shots=10_000, seed=RngSeed(103))
+        build = build_sqpt_program if scheme is Scheme.SQPT else build_aapt_program
+        problem, _ = build(data)
+        whole = solve(problem, max_iter=1000)
+        half = solve(problem, max_iter=500)
+        resumed = solve(problem, max_iter=500, start=half.state)
+        assert whole.status is half.status is resumed.status is SolveStatus.MAX_ITER
+        assert np.array_equal(whole.state.x, resumed.state.x)
+        assert np.array_equal(whole.state.w, resumed.state.w)
+        assert whole.state.rho == resumed.state.rho
+
     def test_unset_rows_start_at_their_projection(self):
         _, problem, _ = build_canned_problems()[9]
         first = solve(problem, 1e-8)
         state = first.state
-        z2 = state.z2.copy()
-        z2[1] = np.nan
-        start = SolverState(state.x, state.z1, z2, state.u1, state.u2, state.rho)
+        w = state.w.copy()
+        w[problem.n_vars + 1] = np.nan
+        start = SolverState(state.x, w, state.rho)
         again = solve(problem, 1e-8, start=start)
-        # At the optimum clip(A x) is where the row's z2 stopped, so the
-        # restart stops at its first residual check.
+        # At the optimum clip(A x) is where the row's projection stopped,
+        # so the restart stops at its first residual check.
         assert again.status is SolveStatus.OPTIMAL and again.iterations <= 25
-        assert not np.isnan(again.state.z2).any()
-        assert np.isnan(start.z2[1])  # the caller's arrays are not written
+        assert not np.isnan(again.state.w).any()
+        assert np.isnan(start.w[problem.n_vars + 1])  # the caller's arrays are not written
 
     def test_mismatched_start_rejected(self):
         _, problem, _ = build_canned_problems()[9]
         state = solve(problem, 1e-8).state
-        short = SolverState(state.x[:-1], state.z1, state.z2, state.u1, state.u2, state.rho)
+        short = SolverState(state.x[:-1], state.w, state.rho)
         with pytest.raises(ValueError, match="variables"):
             solve(problem, start=short)
-        short = SolverState(state.x, state.z1, state.z2[:-1], state.u1, state.u2, state.rho)
+        short = SolverState(state.x, state.w[:-1], state.rho)
         with pytest.raises(ValueError, match="rows"):
             solve(problem, start=short)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        _, problem, _ = build_canned_problems()[0]
+        with pytest.raises(ValueError, match="max_iter"):
+            solve(problem, max_iter=max_iter)
 
 
 ROW_FIELDS = ("psd", "psd_row", "lower", "upper", "slack_index", "slack_coeff")

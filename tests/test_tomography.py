@@ -291,6 +291,9 @@ class TestReconstructionOptions:
             dict(tol=-1e-7),
             dict(tol=float("nan")),
             dict(max_iter=0),
+            dict(max_iter=1.5),
+            dict(max_iter=True),
+            dict(p_min=float("nan")),
             dict(additive_scale=0.0),
             dict(additive_scale=-1e-3),
             dict(additive_cap=0.0),
@@ -590,15 +593,18 @@ class TestWarmStartedSweep:
         n_old, n_new = 3, len(data.records)
         assert np.array_equal(carried.x[: 16 + n_old], state.x)
         assert np.all(carried.x[16 + n_old :] == 0) and len(carried.x) == problem.n_vars
-        assert np.array_equal(carried.z2[: 2 * n_old], state.z2[: 2 * n_old])
-        assert np.all(np.isnan(carried.z2[2 * n_old : 2 * n_new]))
-        assert np.all(carried.u2[2 * n_old : 2 * n_new] == 0)
-        assert np.array_equal(carried.z2[2 * n_new :], state.z2[2 * n_old :])
-        assert np.array_equal(carried.u2[2 * n_new :], state.u2[2 * n_old :])
+        m_old, m_new = len(state.x), problem.n_vars
+        assert np.array_equal(carried.w[:m_old], state.w[:m_old])
+        assert np.all(carried.w[m_old:m_new] == 0)
+        rows, old_rows = carried.w[m_new:], state.w[m_old:]
+        assert np.array_equal(rows[: 2 * n_old], old_rows[: 2 * n_old])
+        assert np.all(np.isnan(rows[2 * n_old : 2 * n_new]))
+        assert np.array_equal(rows[2 * n_new :], old_rows[2 * n_old :])
+        assert carried.rho == state.rho
         # a carried row has the same equilibrated bounds in both programs
         op_old = row_operator(build_sqpt_program(short, options)[0])
         op_new = row_operator(problem)
-        keep = np.r_[0 : 2 * n_old, 2 * n_new : len(carried.z2)]
+        keep = np.r_[0 : 2 * n_old, 2 * n_new : len(rows)]
         assert np.array_equal(op_new.lower[keep], op_old.lower)
         assert np.array_equal(op_new.upper[keep], op_old.upper)
         result = reconstruct(data, options, start=previous)
