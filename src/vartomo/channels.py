@@ -37,7 +37,7 @@ class OperatorBasis:
     Invariants (checked at construction): sum_i E_i^dag E_i = I,
     pairwise Hilbert-Schmidt orthogonality, and element 0 proportional
     to the identity.  Bases, probe sets and effect sets compare by
-    identity, so they can key :func:`vartomo.tomography.measurement_table`.
+    identity, because field-wise ``==`` on numpy fields is ambiguous.
     """
 
     d: int
@@ -204,7 +204,7 @@ def apply_map_ancilla(process: ProcessMatrix, joint: DensityMatrix) -> DensityMa
 
 def _apply_chi_ancilla(process: ProcessMatrix, joint_rho: np.ndarray) -> np.ndarray:
     d = process.d
-    lifted = np.stack([linalg.kron(np.eye(d), E) for E in process.basis.elements])
+    lifted = np.stack([np.kron(np.eye(d), E) for E in process.basis.elements])
     return _apply_chi(process.chi, lifted, joint_rho)
 
 

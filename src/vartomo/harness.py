@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import KrausSet, kraus_to_json, process_to_json
-from .probes import RngSeed, Scheme, random_channel, require_integer
+from .probes import RngSeed, Scheme, random_channel, require_integer, require_real
 from .tolerances import SOLVER_MAX_ITER, SOLVER_TOL
 from .tomography import ReconstructionOptions, SweepResult, minimal_elements_sweep
 
@@ -57,6 +57,8 @@ class ExperimentConfig:
         for name in ("n_qubits", "channels_per_rank", "shots", "sweep_trials", "sweep_batch"):
             require_integer(getattr(self, name), name)
         require_integer(self.master_seed.seed, "master_seed")
+        for name in ("fidelity_threshold", "solver_tol"):
+            require_real(getattr(self, name), name)
         if not isinstance(self.tp_constraint, bool):
             raise ValueError(f"tp_constraint must be true or false, got {self.tp_constraint!r}")
         if self.n_qubits < 1:
@@ -114,7 +116,8 @@ def config_from_json(text: str) -> ExperimentConfig:
     doc = json.loads(text)
     seed_doc = doc.get("master_seed", {"seed": 0})
     as_is = ("n_qubits", "channels_per_rank", "shots", "sweep_trials", "sweep_batch",
-             "solver_max_iter", "tp_constraint")  # checked by ExperimentConfig
+             "solver_max_iter", "tp_constraint", "fidelity_threshold",
+             "solver_tol")  # checked by ExperimentConfig
     kwargs = {key: doc[key] for key in as_is if key in doc}
     kwargs["master_seed"] = RngSeed(
         seed=seed_doc["seed"], generator_id=seed_doc.get("generator_id", "pcg64")
@@ -123,9 +126,6 @@ def config_from_json(text: str) -> ExperimentConfig:
         kwargs["scheme"] = Scheme(doc["scheme"])
     if "ranks" in doc:
         kwargs["ranks"] = tuple(doc["ranks"])
-    for key in ("fidelity_threshold", "solver_tol"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
     if "output_dir" in doc:
         kwargs["output_dir"] = str(doc["output_dir"])
     return ExperimentConfig(**kwargs)

@@ -88,11 +88,6 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     return hermitian_part((V * w) @ V.conj().T)
 
 
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product A (x) B."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
-
-
 def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product Tr(A^dag B)."""
     A = np.asarray(A)

@@ -7,10 +7,8 @@ reproducible byte-for-byte from (seed, generator_id).
 
 from __future__ import annotations
 
-import csv
 import enum
 import hashlib
-import io
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -33,6 +31,14 @@ def require_integer(value, name: str) -> int:
     outside input is rejected, not truncated."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def require_real(value, name: str):
+    """``value`` if it is a real number (a bool is not), else ValueError:
+    outside input is checked, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     return value
 
 
@@ -109,10 +115,6 @@ class EffectSet:
     def __len__(self) -> int:
         return self.effects.shape[0]
 
-    def span_dimension(self) -> int:
-        rows = np.stack([linalg.vec_hermitian(E) for E in self.effects])
-        return int(np.linalg.matrix_rank(rows, tol=1e-10))
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -126,7 +128,7 @@ class MeasurementRecord:
     def __post_init__(self):
         for name in ("probe_index", "effect_index", "shots"):
             require_integer(getattr(self, name), name)
-        if not 0.0 <= self.p <= 1.0:
+        if not 0.0 <= require_real(self.p, "p") <= 1.0:
             raise ValueError(f"probability {self.p} outside [0, 1]")
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
@@ -263,27 +265,3 @@ def unknown_subspace_hamiltonian(effects: EffectSet, measured: list[int]) -> np.
         H = H - effects.effects[lam]
     return linalg.hermitian_part(H)
 
-
-# --- record serialization ----------------------------------------------------
-
-
-def records_to_csv(records: list[MeasurementRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "lambda", "p", "shots"])
-    for r in records:
-        writer.writerow([r.probe_index, r.effect_index, repr(r.p), r.shots])
-    return buf.getvalue()
-
-
-def records_from_csv(text: str) -> list[MeasurementRecord]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["k", "lambda", "p", "shots"]:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    return [
-        MeasurementRecord(
-            probe_index=int(k), effect_index=int(lam), p=float(p), shots=int(shots)
-        )
-        for k, lam, p, shots in reader
-    ]

@@ -10,8 +10,10 @@ envelope around every measured probability.  H_k is the sum of the
 effects NOT measured on probe k.  The standard scheme (SQPT) probes the
 channel with d^2 independent states; the ancilla-assisted scheme (AAPT)
 sends half of a maximally entangled pair through it and measures
-jointly.  Every row of both programs is a gather from one cached table
-per setup, :func:`measurement_table`.
+jointly.  A :class:`Setup` (scheme, basis, probes, effects) owns every
+fact of one measurement setup: its expectation-row table and its
+trace-preserving rows are computed on first use and live exactly as long
+as the setup.  Every row of both programs is a gather from that table.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import functools
 import math
 import statistics
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,16 +52,91 @@ from .tolerances import SOLVER_MAX_ITER, SOLVER_TOL
 
 
 @dataclass(frozen=True)
+class Setup:
+    """One measurement setup: the chi basis, the probe states and the
+    measured effects of a scheme.
+
+    ``table`` and ``tp_rows`` are computed on first use and are freed with
+    the setup.  The canonical setups of :func:`default_setup` live for
+    the life of the process, and so do their tables.
+    """
+
+    scheme: Scheme
+    basis: OperatorBasis
+    probes: ProbeSet
+    effects: EffectSet
+
+    def __post_init__(self):
+        if not isinstance(self.scheme, Scheme) or self.probes.scheme is not self.scheme:
+            raise ValueError(f"probes of scheme {self.probes.scheme!r} in a {self.scheme!r} setup")
+        if self.basis.d != self.probes.d:
+            raise ValueError(f"basis acts on d={self.basis.d}, probes on d={self.probes.d}")
+        dim = self.d if self.scheme is Scheme.SQPT else self.d**2
+        if self.effects.dim != dim:
+            raise ValueError(f"effects act on dim {self.effects.dim}, expected {dim}")
+
+    @property
+    def d(self) -> int:
+        return self.basis.d
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Every expectation row, as a read-only (k_t, m + 1, D^2) array.
+
+        ``table[k, lam]`` is the row of effect lam on probe k and
+        ``table[k, m]`` the Tr(out_k) row (the identity effect).
+        """
+        ancilla = self.scheme is Scheme.AAPT
+        stack = np.concatenate([self.effects.effects, np.eye(self.effects.dim, dtype=complex)[None]])
+        table = np.stack(
+            [measurement_rows(s.rho, stack, self.basis, ancilla) for s in self.probes.states]
+        )
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
+    def tp_rows(self) -> np.ndarray:
+        """Read-only rows of sum_ij chi_ij E_j^dag E_i, one per svec entry;
+        pinning them to svec(I) makes chi trace preserving."""
+        els = self.basis.elements
+        G = np.einsum("jba,ibc->ijac", els.conj(), els)  # (i, j) -> E_j^dag E_i
+        units = np.stack([linalg.mat_hermitian(e) for e in np.eye(self.basis.size**2)])
+        rows = linalg.vec_hermitian_stack(np.einsum("qij,ijac->qac", units, G)).T
+        rows.flags.writeable = False
+        return rows
+
+    def dataset(self, records) -> TomographyDataset:
+        """A dataset of ``records`` measured with this setup."""
+        data = TomographyDataset(self.scheme, self.d, self.basis, self.probes, self.effects, records)
+        object.__setattr__(data, "setup", self)
+        return data
+
+
+@dataclass(frozen=True)
 class TomographyDataset:
+    """Records of one setup.  ``setup`` is derived: the canonical setup
+    when basis, probes and effects are its objects, the maker's setup
+    for :meth:`Setup.dataset`, else a setup of the dataset's own."""
+
     scheme: Scheme
     d: int
     basis: OperatorBasis
     probes: ProbeSet
     effects: EffectSet
     records: tuple[MeasurementRecord, ...]
+    setup: Setup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
+        setup = Setup(self.scheme, self.basis, self.probes, self.effects)
+        n_qubits = setup.d.bit_length() - 1
+        if n_qubits >= 1 and setup.d == 2**n_qubits:
+            canonical = default_setup(self.scheme, n_qubits)
+            if canonical == setup:  # the same objects: they compare by identity
+                setup = canonical
+        object.__setattr__(self, "setup", setup)
+        if self.d != self.setup.d:
+            raise ValueError(f"dataset d={self.d} does not match its setup's d={self.setup.d}")
         for r in self.records:
             if not 0 <= r.probe_index < len(self.probes.states):
                 raise ValueError(f"record references unknown probe {r.probe_index}")
@@ -149,7 +226,7 @@ def measurement_rows(
     One row per effect in the (n, dim, dim) stack ``effects``, all against
     one probe state.  B_i is the basis element, lifted to I (x) B_i when
     ``ancilla`` is set (rho and the effects then live on dimension d^2).
-    The programs read these rows through :func:`measurement_table`.
+    The programs read these rows through :attr:`Setup.table`.
     """
     B = basis.elements
     if ancilla:
@@ -161,21 +238,6 @@ def measurement_rows(
     K = M.conj()
     K = 0.5 * (K + K.conj().transpose(0, 2, 1))
     return linalg.vec_hermitian_stack(K)
-
-
-@functools.lru_cache(maxsize=8)
-def measurement_table(basis: OperatorBasis, probes: ProbeSet, effects: EffectSet) -> np.ndarray:
-    """Every expectation row of a setup, as a read-only (k_t, m + 1, D^2) array.
-
-    ``table[k, lam]`` is the row of effect lam on probe k and ``table[k, m]``
-    the Tr(out_k) row (the identity effect).  Cached on the setup objects
-    themselves, compared by identity and treated as immutable.
-    """
-    ancilla = probes.scheme is Scheme.AAPT
-    stack = np.concatenate([effects.effects, np.eye(effects.dim, dtype=complex)[None]])
-    table = np.stack([measurement_rows(s.rho, stack, basis, ancilla) for s in probes.states])
-    table.flags.writeable = False
-    return table
 
 
 def noise_envelope(
@@ -225,21 +287,6 @@ def noise_envelope(
     return rows, scale, caps
 
 
-@functools.lru_cache(maxsize=8)
-def trace_preserving_rows(basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Rows pinning sum_ij chi_ij E_j^dag E_i to the identity, and their
-    targets, as read-only arrays.  Cached per basis (compared by
-    identity), as :func:`measurement_table` is."""
-    els = basis.elements
-    G = np.einsum("jba,ibc->ijac", els.conj(), els)  # (i, j) -> E_j^dag E_i
-    units = np.stack([linalg.mat_hermitian(e) for e in np.eye(basis.size**2)])
-    rows = linalg.vec_hermitian_stack(np.einsum("qij,ijac->qac", units, G)).T
-    targets = linalg.vec_hermitian(np.eye(basis.d))
-    for array in (rows, targets):
-        array.flags.writeable = False
-    return rows, targets
-
-
 def _build_program(
     data: TomographyDataset, options: ReconstructionOptions
 ) -> tuple[SdpProblem, ProgramLayout]:
@@ -247,7 +294,7 @@ def _build_program(
     probe, then the trace-preserving equalities when requested."""
     if not data.records:
         raise ValueError("dataset has no measurement records: nothing to fit")
-    table = measurement_table(data.basis, data.probes, data.effects)
+    table = data.setup.table
 
     # One slack, and one stored row, per distinct (probe, effect); one
     # stored Tr(out_k) row per probe.
@@ -278,8 +325,8 @@ def _build_program(
     )
     equalities = None
     if options.tp_constraint:
-        tp_rows, targets = trace_preserving_rows(data.basis)
-        equalities = BoxRows(tp_rows, targets, targets)
+        targets = linalg.vec_hermitian(np.eye(data.d))
+        equalities = BoxRows(data.setup.tp_rows, targets, targets)
 
     # Objective: per probe the weight on the unmeasured effects, I minus
     # the measured ones, plus the slack total.
@@ -416,11 +463,11 @@ def reconstruct(
 
 
 @functools.lru_cache(maxsize=None)
-def default_setup(scheme: Scheme, n_qubits: int) -> tuple[OperatorBasis, ProbeSet, EffectSet]:
-    """Canonical basis, probes, and effects for a scheme at a given size.
+def default_setup(scheme: Scheme, n_qubits: int) -> Setup:
+    """The canonical setup of a scheme at a given size.
 
     Built and validated once per (scheme, n_qubits); every caller shares
-    the result, so its arrays are read-only.
+    it, so its arrays are read-only.
     """
     basis = build_scaled_pauli_basis(n_qubits)
     if scheme is Scheme.SQPT:
@@ -430,7 +477,7 @@ def default_setup(scheme: Scheme, n_qubits: int) -> tuple[OperatorBasis, ProbeSe
     shared = [basis.elements, basis.gram_diag, effects.effects] + [s.rho for s in probes.states]
     for array in shared:
         array.flags.writeable = False
-    return basis, probes, effects
+    return Setup(scheme, basis, probes, effects)
 
 
 def complete_selection(probes: ProbeSet, effects: EffectSet) -> list[list[int]]:
@@ -446,18 +493,11 @@ def make_dataset(
     seed: RngSeed | None = None,
 ) -> TomographyDataset:
     """Simulate a dataset for a known process with the canonical setup."""
-    basis, probe_set, effect_set = default_setup(scheme, n_qubits)
+    setup = default_setup(scheme, n_qubits)
     if selected is None:
-        selected = complete_selection(probe_set, effect_set)
-    records = simulate_measurements(process, probe_set, effect_set, selected, shots, seed)
-    return TomographyDataset(
-        scheme=scheme,
-        d=process.d,
-        basis=basis,
-        probes=probe_set,
-        effects=effect_set,
-        records=tuple(records),
-    )
+        selected = complete_selection(setup.probes, setup.effects)
+    records = simulate_measurements(process, setup.probes, setup.effects, selected, shots, seed)
+    return setup.dataset(records)
 
 
 def dataset_to_json(data: TomographyDataset, truth: KrausSet | None = None) -> str:
@@ -492,24 +532,13 @@ def dataset_from_json(text: str) -> tuple[TomographyDataset, KrausSet | None]:
     doc = json.loads(text)
     scheme = Scheme(doc["scheme"])
     n_qubits = require_integer(doc["n_qubits"], "n_qubits")
-    basis, probe_set, effect_set = default_setup(scheme, n_qubits)
     records = tuple(
         MeasurementRecord(
-            probe_index=r["k"],
-            effect_index=r["lambda"],
-            p=float(r["p"]),
-            shots=r.get("shots", 0),
+            probe_index=r["k"], effect_index=r["lambda"], p=r["p"], shots=r.get("shots", 0)
         )
         for r in doc["records"]
     )
-    data = TomographyDataset(
-        scheme=scheme,
-        d=2**n_qubits,
-        basis=basis,
-        probes=probe_set,
-        effects=effect_set,
-        records=records,
-    )
+    data = default_setup(scheme, n_qubits).dataset(records)
     truth = kraus_from_json(json.dumps(doc["truth"])) if "truth" in doc else None
     return data, truth
 
@@ -613,16 +642,16 @@ def minimal_elements_sweep(
         raise ValueError("need at least one trial")
     n_qubits = channel.d.bit_length() - 1
     options = options or ReconstructionOptions()
-    basis, probe_set, effect_set = default_setup(scheme, n_qubits)
-    truth = kraus_to_chi(channel, basis)
-    table = measurement_table(basis, probe_set, effect_set)
+    setup = default_setup(scheme, n_qubits)
+    truth = kraus_to_chi(channel, setup.basis)
+    table = setup.table
 
     # Pair i is (probe, effect) = divmod(i, m), the records' order.
     all_records = simulate_measurements(
         truth,
-        probe_set,
-        effect_set,
-        complete_selection(probe_set, effect_set),
+        setup.probes,
+        setup.effects,
+        complete_selection(setup.probes, setup.effects),
         shots,
         seed.derive("measure") if shots > 0 else None,
     )
@@ -644,16 +673,8 @@ def minimal_elements_sweep(
             position += len(take)
             for idx in take:
                 records.append(all_records[idx])
-                tracker.add(table[divmod(idx, len(effect_set))])
-            data = TomographyDataset(
-                scheme=scheme,
-                d=channel.d,
-                basis=basis,
-                probes=probe_set,
-                effects=effect_set,
-                records=tuple(records),
-            )
-            result = reconstruct(data, options, start=result)
+                tracker.add(table[divmod(idx, len(setup.effects))])
+            result = reconstruct(setup.dataset(records), options, start=result)
             iterations.append(result.solver.iterations)
             statuses.append(result.solver.status)
             last_chi = result.chi_hat

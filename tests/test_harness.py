@@ -82,11 +82,13 @@ class TestConfig:
             ("ranks", [1.7], "rank"),
             ("solver_max_iter", 1.5, "max_iter"),
             ("master_seed", {"seed": 1.5}, "master_seed"),
+            ("solver_tol", True, "solver_tol"),
+            ("fidelity_threshold", "0.9", "fidelity_threshold"),
         ],
     )
     def test_json_values_of_wrong_kind_rejected(self, tmp_path, key, value, message):
-        """Outside input is rejected, not truncated: "false" is not
-        False and 2.5 is not 2."""
+        """Outside input is rejected, not truncated or coerced: "false"
+        is not False, 2.5 is not 2 and true is not 1.0."""
         doc = json.loads(config_to_json(tiny_config(tmp_path)))
         doc[key] = value
         with pytest.raises(ValueError, match=message):
@@ -327,6 +329,8 @@ class TestCli:
             ("sweep_batch", 2.5),
             ("channels_per_rank", True),
             ("ranks", [1.7]),
+            ("solver_tol", True),
+            ("fidelity_threshold", "0.9"),
         ],
     )
     def test_run_invalid_config_exits_one(self, tmp_path, key, value):
@@ -370,6 +374,18 @@ class TestCli:
         r = run_cli("reconstruct", "--dataset", str(fixture))
         assert r.returncode == 2
         assert f"{message} must be an integer" in r.stderr
+        assert r.stdout == ""
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_reconstruct_non_real_probability_exits_two(self, tmp_path, value):
+        basis = build_scaled_pauli_basis(1)
+        doc = json.loads(dataset_to_json(make_dataset(identity_channel(basis), Scheme.SQPT, 1)))
+        doc["records"][0]["p"] = value
+        fixture = tmp_path / "dataset.json"
+        fixture.write_text(json.dumps(doc))
+        r = run_cli("reconstruct", "--dataset", str(fixture))
+        assert r.returncode == 2
+        assert "p must be a real number" in r.stderr
         assert r.stdout == ""
 
     def test_malformed_config_line_numbered(self, tmp_path):

@@ -79,28 +79,6 @@ class TestPsdProject:
                 assert np.linalg.norm(M - P) <= np.linalg.norm(M - Y) + 1e-12
 
 
-class TestKron:
-    def test_identity_times_diag(self):
-        out = linalg.kron(np.eye(2), np.diag([1.0, -1.0]))
-        assert np.abs(out - np.diag([1.0, -1.0, 1.0, -1.0])).max() == 0
-
-    def test_identity_one(self):
-        A = np.arange(4.0).reshape(2, 2)
-        assert np.abs(linalg.kron(A, np.eye(1)) - A).max() == 0
-
-    def test_diag_product(self):
-        out = linalg.kron(np.diag([2.0, 3.0]), np.diag([5.0, 7.0]))
-        assert np.abs(out - np.diag([10.0, 14.0, 15.0, 21.0])).max() == 0
-
-    def test_associativity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            A, B, C = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-            left = linalg.kron(linalg.kron(A, B), C)
-            right = linalg.kron(A, linalg.kron(B, C))
-            assert np.abs(left - right).max() <= 1e-12
-
-
 class TestHsInner:
     def test_pauli_norm(self):
         assert linalg.hs_inner(SX, SX) == pytest.approx(2.0)

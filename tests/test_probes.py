@@ -11,8 +11,6 @@ from vartomo.probes import (
     aapt_probe_state,
     pauli_projector_effects,
     random_channel,
-    records_from_csv,
-    records_to_csv,
     simulate_measurements,
     sqpt_probe_states,
     unknown_subspace_hamiltonian,
@@ -118,13 +116,15 @@ class TestEffects:
         effects = pauli_projector_effects(1)
         assert len(effects) == 6
         assert np.abs(effects.effects.sum(axis=0) - np.eye(2)).max() <= 1e-9
-        assert effects.span_dimension() == 4
+        rows = np.stack([linalg.vec_hermitian(E) for E in effects.effects])
+        assert np.linalg.matrix_rank(rows, tol=1e-10) == 4
 
     def test_two_qubit_effects(self):
         effects = pauli_projector_effects(2)
         assert len(effects) == 36
         assert np.abs(effects.effects.sum(axis=0) - np.eye(4)).max() <= 1e-9
-        assert effects.span_dimension() == 16
+        rows = np.stack([linalg.vec_hermitian(E) for E in effects.effects])
+        assert np.linalg.matrix_rank(rows, tol=1e-10) == 16
 
     def test_all_psd(self):
         effects = pauli_projector_effects(2)
@@ -186,6 +186,12 @@ class TestSimulation:
         for bad in (dict(probe_index=0.5), dict(effect_index=True), dict(shots=100.5)):
             with pytest.raises(ValueError, match="must be an integer"):
                 MeasurementRecord(**dict(dict(probe_index=0, effect_index=0, p=0.5), **bad))
+        # a probability that is not a real number is rejected, not coerced
+        for bad in (True, "0.5", 0.5j, None):
+            with pytest.raises(ValueError, match="must be a real number"):
+                MeasurementRecord(probe_index=0, effect_index=0, p=bad)
+        for p in (0, 1, np.float64(0.25)):
+            assert MeasurementRecord(probe_index=0, effect_index=0, p=p).p == p
 
 
 class TestUnknownSubspaceHamiltonian:
@@ -220,13 +226,3 @@ class TestUnknownSubspaceHamiltonian:
         with pytest.raises(ValueError, match="duplicate"):
             unknown_subspace_hamiltonian(self.effects, [1, 1])
 
-
-def test_records_csv_roundtrip():
-    recs = [
-        MeasurementRecord(probe_index=0, effect_index=3, p=1 / 3, shots=0),
-        MeasurementRecord(probe_index=2, effect_index=5, p=0.25, shots=1000),
-    ]
-    text = records_to_csv(recs)
-    assert text.splitlines()[0] == "k,lambda,p,shots"
-    back = records_from_csv(text)
-    assert back == recs

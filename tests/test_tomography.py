@@ -1,3 +1,7 @@
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +31,7 @@ from vartomo.sdp import SolveStatus, row_operator
 from vartomo.tomography import (
     InfeasibleDataError,
     ReconstructionOptions,
+    Setup,
     TomographyDataset,
     build_aapt_program,
     build_sqpt_program,
@@ -35,10 +40,8 @@ from vartomo.tomography import (
     default_setup,
     make_dataset,
     measurement_rows,
-    measurement_table,
     minimal_elements_sweep,
     reconstruct,
-    trace_preserving_rows,
 )
 from vartomo.tomography import _carry_over, _IncrementalRank
 
@@ -187,11 +190,11 @@ class TestProgramRows:
         basis = build_scaled_pauli_basis(n_qubits)
         truth = kraus_to_chi(random_channel(d, 2, RngSeed(5000 + d)), basis)
         rng = np.random.default_rng(5100 + d)
-        _, probes, effects = default_setup(scheme, n_qubits)
-        n_effects = len(effects)
+        setup = default_setup(scheme, n_qubits)
+        n_effects = len(setup.effects)
         selected = [
             sorted(rng.choice(n_effects, n_effects // 3, replace=False).tolist())
-            for _ in probes.states
+            for _ in setup.probes.states
         ]
         data = make_dataset(
             truth, scheme, n_qubits, selected=selected, shots=shots,
@@ -248,8 +251,10 @@ class TestMeasurementTable:
     @pytest.mark.parametrize("n_qubits", [1, 2])
     @pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
     def test_rows_match_measurement_rows(self, n_qubits, scheme):
-        basis, probes, effects = default_setup(scheme, n_qubits)
-        table = measurement_table(basis, probes, effects)
+        setup = default_setup(scheme, n_qubits)
+        basis, probes, effects = setup.basis, setup.probes, setup.effects
+        table = setup.table
+        assert setup.table is table  # computed once per setup
         assert table.shape == (len(probes.states), len(effects) + 1, basis.size**2)
         assert not table.flags.writeable
         ancilla = scheme is Scheme.AAPT
@@ -262,9 +267,6 @@ class TestMeasurementTable:
             assert np.abs(table[k, -1] - row).max() <= 1e-12
 
     def test_cached_setup_makes_no_row_calls(self, monkeypatch):
-        basis = build_scaled_pauli_basis(1)
-        truth = kraus_to_chi(random_channel(2, 2, RngSeed(4100)), basis)
-        data = make_dataset(truth, Scheme.SQPT, 1, selected=[[0, 1], [2], [], [3, 4, 5]])
         calls = []
         rows = tomography.measurement_rows
 
@@ -272,7 +274,11 @@ class TestMeasurementTable:
             calls.append(args)
             return rows(*args, **kwargs)
 
-        measurement_table.cache_clear()
+        default_setup.cache_clear()  # a canonical setup whose table is not yet built
+        basis = build_scaled_pauli_basis(1)
+        truth = kraus_to_chi(random_channel(2, 2, RngSeed(4100)), basis)
+        data = make_dataset(truth, Scheme.SQPT, 1, selected=[[0, 1], [2], [], [3, 4, 5]])
+        assert data.setup is default_setup(Scheme.SQPT, 1)
         monkeypatch.setattr(tomography, "measurement_rows", counted)
         build_sqpt_program(data)
         assert len(calls) == data.k_t  # the table: one call per probe
@@ -280,7 +286,66 @@ class TestMeasurementTable:
         channel = random_channel(2, 1, RngSeed(4101))
         sweep = minimal_elements_sweep(channel, Scheme.SQPT, 0.99, trials=1, seed=RngSeed(4102))
         assert len(sweep.trace) > 1
+        # rebuilt by keyword from another dataset's fields, as a caller
+        # appending a record does: the same setup, and its table
+        rebuilt = TomographyDataset(
+            scheme=data.scheme, d=data.d, basis=data.basis, probes=data.probes,
+            effects=data.effects, records=data.records + data.records[:1],
+        )
+        assert rebuilt.setup is data.setup
+        build_sqpt_program(rebuilt)
         assert len(calls) == data.k_t
+
+    def test_own_setup_is_freed_with_its_dataset(self):
+        canonical = default_setup(Scheme.SQPT, 1)
+        basis = build_scaled_pauli_basis(1)  # equal to the canonical basis, not the same
+        records = make_dataset(identity_channel(basis), Scheme.SQPT, 1).records
+        data = TomographyDataset(
+            scheme=Scheme.SQPT, d=2, basis=basis, probes=canonical.probes,
+            effects=canonical.effects, records=records,
+        )
+        assert data.setup is not canonical and data.setup.basis is basis
+        table = weakref.ref(data.setup.table)
+        reconstruct(data)
+        assert table() is not None
+        del data
+        gc.collect()
+        assert table() is None
+
+    def test_setup_dataset_shares_its_setup(self):
+        canonical = default_setup(Scheme.SQPT, 1)
+        setup = Setup(Scheme.SQPT, build_scaled_pauli_basis(1), canonical.probes, canonical.effects)
+        records = make_dataset(identity_channel(setup.basis), Scheme.SQPT, 1).records
+        assert setup.dataset(records).setup is setup
+        assert setup.dataset(records[:3]).setup is setup
+        assert canonical.dataset(records).setup is canonical
+
+    def test_inconsistent_setup_rejected(self):
+        sqpt, aapt = default_setup(Scheme.SQPT, 1), default_setup(Scheme.AAPT, 1)
+        two = default_setup(Scheme.SQPT, 2)
+        with pytest.raises(ValueError, match="scheme"):
+            Setup(Scheme.SQPT, aapt.basis, aapt.probes, aapt.effects)
+        with pytest.raises(ValueError, match="scheme"):
+            Setup("sqpt", sqpt.basis, sqpt.probes, sqpt.effects)
+        with pytest.raises(ValueError, match="basis acts on d=4"):
+            Setup(Scheme.SQPT, two.basis, sqpt.probes, sqpt.effects)
+        with pytest.raises(ValueError, match="effects act on dim 2, expected 4"):
+            Setup(Scheme.AAPT, aapt.basis, aapt.probes, sqpt.effects)
+        with pytest.raises(ValueError, match="effects act on dim 4, expected 2"):
+            Setup(Scheme.SQPT, sqpt.basis, sqpt.probes, aapt.effects)
+
+    def test_dataset_with_another_schemes_setup_rejected(self):
+        """AAPT objects labelled SQPT used to solve as AAPT data and be
+        written out as an SQPT document."""
+        aapt = make_dataset(identity_channel(build_scaled_pauli_basis(1)), Scheme.AAPT, 1)
+        with pytest.raises(ValueError, match="scheme"):
+            TomographyDataset(
+                Scheme.SQPT, aapt.d, aapt.basis, aapt.probes, aapt.effects, aapt.records
+            )
+        with pytest.raises(ValueError, match="d=4 does not match"):
+            TomographyDataset(
+                Scheme.AAPT, 4, aapt.basis, aapt.probes, aapt.effects, aapt.records
+            )
 
 
 class TestReconstructionOptions:
@@ -484,7 +549,7 @@ class TestIncrementalRank:
     @settings(max_examples=40, deadline=None)
     @given(steps=st.lists(_step, min_size=1, max_size=60))
     def test_matches_gram_schmidt_oracle(self, n_qubits, steps):
-        table = measurement_table(*default_setup(Scheme.SQPT, n_qubits))
+        table = default_setup(Scheme.SQPT, n_qubits).table
         k_t, m, dim = table.shape
 
         def row(pick):
@@ -503,7 +568,7 @@ class TestIncrementalRank:
         assert blocked.rank == len(oracle.basis) <= dim
 
     def test_complete_rows_reach_full_rank(self):
-        table = measurement_table(*default_setup(Scheme.SQPT, 2))
+        table = default_setup(Scheme.SQPT, 2).table
         tracker = _IncrementalRank(table.shape[-1])
         for v in table[:, :-1].reshape(-1, table.shape[-1]):
             tracker.add(v)
@@ -561,8 +626,9 @@ class TestWarmStartedSweep:
         assert trial.step_iterations == tuple(r.solver.iterations for _, _, r in steps)
         assert trial.step_status == tuple(r.solver.status for _, _, r in steps)
 
-        table = measurement_table(*default_setup(scheme, n_qubits))
+        table = default_setup(scheme, n_qubits).table
         for (data, _, warm), (count, _) in zip(steps, trial.trace):
+            assert data.setup is default_setup(scheme, n_qubits)
             cold = reconstruct(data, options)
             assert warm.solver.status is cold.solver.status is SolveStatus.OPTIMAL
             rows = table[[r.probe_index for r in data.records], [r.effect_index for r in data.records]]
@@ -654,21 +720,21 @@ class TestWarmStartedSweep:
 
 class TestDefaultSetup:
     def test_cached_arrays_are_read_only(self):
-        basis, probes, effects = default_setup(Scheme.AAPT, 1)
-        assert default_setup(Scheme.AAPT, 1)[2] is effects
+        setup = default_setup(Scheme.AAPT, 1)
+        assert default_setup(Scheme.AAPT, 1) is setup
+        basis, probes, effects = setup.basis, setup.probes, setup.effects
         for array in (basis.elements, basis.gram_diag, effects.effects, probes.states[0].rho):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0.0
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
     def test_trace_preserving_rows_cached_read_only(self, n_qubits):
-        basis = default_setup(Scheme.SQPT, n_qubits)[0]
-        rows, targets = trace_preserving_rows(basis)
-        assert trace_preserving_rows(basis)[0] is rows  # one computation per basis
-        fresh_rows, fresh_targets = trace_preserving_rows.__wrapped__(basis)
-        assert np.array_equal(rows, fresh_rows) and np.array_equal(targets, fresh_targets)
-        for array in (rows, targets):
-            assert not array.flags.writeable
+        setup = default_setup(Scheme.SQPT, n_qubits)
+        rows = setup.tp_rows
+        assert setup.tp_rows is rows  # one computation per setup
+        fresh = Setup(setup.scheme, setup.basis, setup.probes, setup.effects).tp_rows
+        assert fresh is not rows and np.array_equal(rows, fresh)
+        assert not rows.flags.writeable
 
     def test_make_dataset_is_repeatable(self):
         basis = build_scaled_pauli_basis(1)
@@ -689,3 +755,14 @@ def test_dataset_json_roundtrip():
     assert back.scheme is Scheme.SQPT
     assert back.records == data.records
     assert np.abs(back_truth.operators - truth_kraus.operators).max() <= 1e-12
+    assert back.setup is data.setup is default_setup(Scheme.SQPT, 1)
+
+
+def test_dataset_json_probability_is_checked_not_coerced():
+    doc = {"scheme": "sqpt", "n_qubits": 1, "records": [{"k": 0, "lambda": 0, "p": 1}]}
+    data, _ = dataset_from_json(json.dumps(doc))
+    assert data.records[0].p == 1  # a JSON integer 0 or 1 is a probability
+    for bad in (True, "0.5", None):
+        doc["records"][0]["p"] = bad
+        with pytest.raises(ValueError, match="p must be a real number"):
+            dataset_from_json(json.dumps(doc))
