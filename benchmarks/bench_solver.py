@@ -30,6 +30,8 @@ and wall time of this tree.  With ``--baseline`` it runs the corpus in
 parts, each part in its own process per tree, the trees alternating,
 and writes per-case statuses, iterations, objectives, fidelities and
 wall times of both, with their agreement, to ``BENCH_anderson.json``.
+Every corpus case is feasible by construction, so either way it prints
+how many cases this tree reported infeasible and exits 1 if any were.
 """
 
 import argparse
@@ -378,15 +380,23 @@ def print_corpus(label, summary):
     )
 
 
-def corpus(baseline):
-    """The corpus on this tree; with ``baseline``, on both trees, compared."""
+def count_infeasible(results) -> int:
+    """Print and return the number of cases reported infeasible."""
+    infeasible = sorted(label for label, r in results.items() if r["status"] == "infeasible")
+    print(f"infeasible cases (all are feasible by construction): {len(infeasible)} {infeasible}")
+    return len(infeasible)
+
+
+def corpus(baseline) -> int:
+    """The corpus on this tree; with ``baseline``, on both trees, compared.
+    Returns the number of cases this tree reported infeasible."""
     here = Path(__file__).resolve().parent.parent / "src"
     if baseline is None:
         results = {}
         for part in range(CORPUS_PARTS):
             results.update(run_part_in(here, part))
         print_corpus("change", corpus_summary(results))
-        return
+        return count_infeasible(results)
     trees = {"parent": Path(baseline).resolve(), "change": here}
     runs = {label: {} for label in trees}
     for part in range(CORPUS_PARTS):
@@ -455,6 +465,7 @@ def corpus(baseline):
     print(json.dumps(agreement, indent=1))
     CORPUS_FILE.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {CORPUS_FILE}")
+    return count_infeasible(change)
 
 
 def main():
@@ -470,7 +481,7 @@ def main():
     elif args.corpus_part is not None:
         print(json.dumps(corpus_part(args.corpus_part, args.labels)))
     elif args.corpus:
-        corpus(args.baseline)
+        sys.exit(1 if corpus(args.baseline) else 0)
     elif args.baseline:
         compare(args.baseline)
     else:

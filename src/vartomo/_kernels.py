@@ -41,6 +41,18 @@ adaptation and the state a call returns all rest on accepted iterates.
 The penalty rescales itself (and the scaled dual w - z) when the
 residuals drift apart by more than a factor of ten.
 
+Infeasibility is read at the same checks, from the dual of the plain
+step, y = rho (G(w) - P(G(w))).  On an empty feasible set y diverges
+along a certificate (Banjac, Goulart, Stellato and Boyd, J. Optim.
+Theory Appl. 2019): a dy with [I A^T] dy = 0, whose chi part is
+negative semidefinite and whose support over the slack and row bounds
+is negative, which no point [x; A x] of the cone can meet.  The loop
+takes dy = y - y_first, y_first the dual at its first check, with the
+slack and row entries projected onto the polar of the bounds' recession
+cone (dy <= 0 where the upper bound is open, >= 0 where the lower is),
+and stops when the three conditions hold to ``INFEASIBLE_TOL`` relative
+to the largest entry of dy.
+
 A is never formed.  Every row is a stored PSD row, by index, plus at
 most one slack, so after equilibration (unit-norm rows)
 :class:`RowOperator` keeps each distinct (stored row, norm) once (the
@@ -55,13 +67,22 @@ block and the slacks the cross block touches get a low-rank correction.
 
 from __future__ import annotations
 
+import enum
 import functools
 
 import numpy as np
 
+
+class SolveStatus(enum.Enum):
+    OPTIMAL = "optimal"
+    MAX_ITER = "max_iter"
+    INFEASIBLE = "infeasible"
+
+
 _SQRT2 = np.sqrt(2.0)
 ALPHA = 1.6  # over-relaxation
 CHECK_EVERY = 25  # residual-check period
+INFEASIBLE_TOL = 1e-3  # certificate tolerance, relative to the largest entry of dy
 ADAPT_EVERY = 100  # penalty-adaptation period
 MEMORY = 10  # Anderson memory: differences kept for the extrapolation
 # Tikhonov weight of the Anderson normal equations, relative to their trace.
@@ -191,12 +212,16 @@ def svec_gathers(D):
     return into, into_coeff, back, back_coeff
 
 
+def box_bounds(op, caps):
+    """The bounds [lo, hi] of the slacks then the rows."""
+    return np.concatenate([np.zeros(op.n_slack), op.lower]), np.concatenate([caps, op.upper])
+
+
 def cone_projection(op, caps):
     """``project(v, out)``: out = P(v), v over the variables then the rows."""
     D, DD = op.D, op.DD
     into, into_coeff, back, back_coeff = svec_gathers(D)
-    lo = np.concatenate([np.zeros(op.n_slack), op.lower])
-    hi = np.concatenate([caps, op.upper])
+    lo, hi = box_bounds(op, caps)
 
     def project(v, out):
         if D > 0:
@@ -209,12 +234,44 @@ def cone_projection(op, caps):
     return project
 
 
+def infeasibility_test(op, caps, adjoint):
+    """``certifies(dy)``: whether dy, over the variables then the rows,
+    is a certificate of infeasibility to ``INFEASIBLE_TOL``.  Projects
+    the slack and row entries of dy in place first; ``adjoint`` applies
+    [I A^T]."""
+    D, DD = op.D, op.DD
+    into, into_coeff, _, _ = svec_gathers(D)
+    lo, hi = box_bounds(op, caps)
+    # The polar of the recession cone of [lo, hi], as bounds on dy.
+    floor = np.where(lo == -np.inf, 0.0, -np.inf)
+    ceiling = np.where(hi == np.inf, 0.0, np.inf)
+    # Open bounds meet only zero entries of the projected dy.
+    lo = np.where(np.isfinite(lo), lo, 0.0)
+    hi = np.where(np.isfinite(hi), hi, 0.0)
+
+    def certifies(dy):
+        box = dy[DD:]
+        np.clip(box, floor, ceiling, out=box)
+        margin = INFEASIBLE_TOL * np.abs(dy).max()
+        if not margin > 0 or hi @ np.maximum(box, 0.0) + lo @ np.minimum(box, 0.0) >= -margin:
+            return False
+        if np.abs(adjoint(dy)).max() > margin:
+            return False
+        if D == 0:
+            return True
+        chi = (dy[into] * into_coeff).view(np.complex128).reshape(D, D)
+        return np.linalg.eigvalsh(chi)[-1] <= margin
+
+    return certifies
+
+
 def admm_loop(op, c, caps, x, w, rho, tol, n_iters):
     """Run up to ``n_iters`` steps of the accelerated iteration on ``w``.
 
     ``x`` (the variables) and ``w`` (variables then rows) are updated in
-    place.  Returns (iterations, converged, rho, primal residual, dual
-    residual).
+    place.  Returns (iterations, status, rho, primal residual, dual
+    residual): ``SolveStatus.MAX_ITER`` when the call ran out of
+    iterations.
     """
     n = x.shape[0]
     N = w.shape[0]
@@ -227,6 +284,8 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters):
             out += op.rmatvec(v[n:])
         return out
 
+    certifies = infeasibility_test(op, caps, adjoint)
+
     mx = np.empty(N)  # [x; A x]
     v = np.empty(N)
     fd = np.empty((2, N))  # f = G(w) - w, and its change since the last accepted w
@@ -234,6 +293,8 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters):
     g = np.empty(N)  # G(w)
     z = np.empty(N)  # P(w)
     z_next = np.empty(N)  # P(G(w)), at the checks
+    u = np.empty(N)  # G(w) - z_next, the scaled dual of the plain step
+    y_first = None  # the dual rho u at the first check
     # Anderson memory: ring buffers of the changes in f and in G between
     # consecutive accepted iterates, and the Gram matrix of the f changes.
     dF = np.empty((MEMORY, N))
@@ -243,7 +304,7 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters):
     g_prev = np.empty(N)
     f_prev = np.empty(N)
 
-    converged = False
+    status = SolveStatus.MAX_ITER
     r_prim = np.inf
     r_dual = np.inf
     c_norm = np.sqrt(np.sum(c * c))
@@ -277,13 +338,19 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters):
             np.subtract(mx, z_next, out=v)
             scale_p = max(1.0, np.sqrt(mx @ mx), np.sqrt(z_next @ z_next))
             r_prim = np.sqrt(v @ v) / scale_p
-            y_vec = adjoint(g - z_next)
+            np.subtract(g, z_next, out=u)
+            y_vec = adjoint(u)
             dvec = adjoint(z_next - z)
             scale_d = max(1.0, c_norm, rho * np.sqrt(y_vec @ y_vec))
             r_dual = rho * np.sqrt(dvec @ dvec) / scale_d
 
-            converged = r_prim <= tol and r_dual <= tol
-            if converged or it == n_iters:
+            if r_prim <= tol and r_dual <= tol:
+                status = SolveStatus.OPTIMAL
+            elif y_first is None:
+                y_first = rho * u
+            elif certifies(rho * u - y_first):
+                status = SolveStatus.INFEASIBLE
+            if status is not SolveStatus.MAX_ITER or it == n_iters:
                 w[:] = g
                 break
 
@@ -345,7 +412,7 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters):
         project(w, z)
 
     x[:] = mx[:n]
-    return it, converged, rho, r_prim, r_dual
+    return it, status, rho, r_prim, r_dual
 
 
 def get_loop(_backend=None):

@@ -141,6 +141,7 @@ class ChannelRow:
     saturated: bool
     solver_iterations: int
     wall_time: float
+    unconverged_steps: int = 0  # sweep steps whose solve was not OPTIMAL
     failed: bool = False
     error: str = ""
 
@@ -160,9 +161,6 @@ class ExperimentResult:
     config: ExperimentConfig
     rows: tuple[ChannelRow, ...]
     aggregates: tuple[RankAggregate, ...]
-
-    def rows_for_rank(self, rank: int) -> list[ChannelRow]:
-        return [r for r in self.rows if r.rank == rank]
 
 
 def _aggregate(rows: list[ChannelRow]) -> list[RankAggregate]:
@@ -204,6 +202,7 @@ def _run_channel(
             saturated=sweep.saturated,
             solver_iterations=sweep.solver_iterations,
             wall_time=time.perf_counter() - start,
+            unconverged_steps=sweep.unconverged_steps,
         )
         return row, channel, sweep
     except Exception as exc:  # noqa: BLE001 - a failed trial must not abort the batch
@@ -247,6 +246,7 @@ def results_csv(result: ExperimentResult) -> str:
             "final_fidelity",
             "saturated",
             "solver_iterations",
+            "unconverged_steps",
             "failed",
             "error",
         ]
@@ -261,6 +261,7 @@ def results_csv(result: ExperimentResult) -> str:
                 "" if r.final_fidelity is None else repr(r.final_fidelity),
                 int(r.saturated),
                 r.solver_iterations,
+                r.unconverged_steps,
                 int(r.failed),
                 r.error,
             ]
@@ -338,7 +339,8 @@ def _write_bundle(result, ordered, elapsed: float, started: float) -> None:
             continue
         log_lines.append(
             f"{tag}: min_elements={row.min_elements} fidelity={row.final_fidelity:.6f} "
-            f"saturated={int(row.saturated)} iters={row.solver_iterations}"
+            f"saturated={int(row.saturated)} iters={row.solver_iterations} "
+            f"unconverged={row.unconverged_steps}"
         )
         _atomic_write(out / "channels" / f"{tag}.json", kraus_to_json(channel))
         final = sweep.trials[-1].final_chi

@@ -74,6 +74,8 @@ class ProbeSet:
     scheme: Scheme
 
     def __post_init__(self):
+        if not isinstance(self.scheme, Scheme):
+            raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
         if self.scheme is Scheme.SQPT:
             if len(self.states) != self.d**2:
                 raise ValueError("SQPT needs d^2 probe states")

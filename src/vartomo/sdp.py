@@ -26,14 +26,13 @@ as the final state of a solve of a related program mapped onto this
 one's variables and rows; from its own final state it goes on exactly
 as one longer solve would.
 
-Infeasibility is reported heuristically: the primal residual stalls far
-from the tolerance while the dual residual settles, which is how the
-alternating projections behave on an empty feasible set.
+A solve stops on one of the loop's checks: both residuals below the
+tolerance (OPTIMAL), a certificate of primal infeasibility read from
+the loop's duals (INFEASIBLE), or the iteration cap (MAX_ITER).
 """
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field
 from typing import Callable
@@ -41,13 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg, tolerances as tol
-from ._kernels import RowOperator, get_loop
-
-
-class SolveStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    MAX_ITER = "max_iter"
-    INFEASIBLE = "infeasible"
+from ._kernels import RowOperator, SolveStatus, get_loop
 
 
 @dataclass
@@ -195,7 +188,6 @@ def row_operator(problem: SdpProblem) -> RowOperator:
 
 
 RHO = 1.0  # initial penalty
-STALL_ITERS = 3000  # iterations without relative primal progress before INFEASIBLE
 
 
 def solve(
@@ -206,20 +198,18 @@ def solve(
     trace: Callable[[str], None] | None = None,
     start: SolverState | None = None,
 ) -> SdpSolution:
-    """Run the splitting iteration until both residuals fall below tol_.
+    """Run the splitting iteration until both residuals fall below tol_,
+    the loop certifies the problem infeasible, or max_iter is spent.
 
     The loop starts from ``start`` when given (a warm start, typically the
     ``state`` of a solve of a related program mapped onto this one's
     variables and rows), else from zero with the initial penalty.
     ``trace``, when given, is called with one progress line per chunk
-    of iterations.  Returns the best iterate seen, with diagnostics, and
-    the loop's final state, from which a later solve goes on as this one
-    would have.  Status INFEASIBLE is heuristic: the primal residual
-    plateaus orders of magnitude above the tolerance (no relative
-    improvement for ``STALL_ITERS`` iterations), which is how the
-    alternating projections behave between two sets that do not
-    intersect.  Slow-but-feasible problems usually keep improving and
-    instead exhaust ``max_iter``.
+    of iterations.  Returns the loop's final iterate, with diagnostics,
+    and its state, from which a later solve goes on as this one would
+    have.  The status is the loop's: INFEASIBLE rests on a certificate
+    of primal infeasibility (see :mod:`vartomo._kernels`), and a
+    slow-but-feasible problem exhausts ``max_iter`` instead.
     """
     if tol_ <= 0:
         raise ValueError("tolerance must be positive")
@@ -254,48 +244,21 @@ def solve(
     loop = get_loop()
 
     iters = 0
-    converged = False
-    r_prim = np.inf
-    r_dual = np.inf
-    best_prim = np.inf
-    best_iter = 0
-    best_score = np.inf
-    best_x = x.copy()
-    stalled = False
+    status = SolveStatus.MAX_ITER
     chunk = 500
-    while iters < max_iter:
-        done, converged, rho, r_prim, r_dual = loop(
+    while status is SolveStatus.MAX_ITER and iters < max_iter:
+        done, status, rho, r_prim, r_dual = loop(
             op, c, caps, x, w, rho, tol_, min(chunk, max_iter - iters)
         )
         iters += done
         if trace is not None:
             trace(f"iter={iters} primal={r_prim:.3e} dual={r_dual:.3e} rho={rho:.3e}\n")
-        score = max(r_prim, r_dual)
-        if score < best_score:
-            best_score = score
-            best_x = x.copy()
-        if r_prim < best_prim * (1 - 3e-3):
-            best_prim = r_prim
-            best_iter = iters
-        if converged:
-            best_x = x.copy()
-            break
-        if iters - best_iter >= STALL_ITERS and best_prim > max(1e3 * tol_, 1e-6):
-            stalled = True
-            break
 
-    if converged:
-        status = SolveStatus.OPTIMAL
-    elif stalled:
-        status = SolveStatus.INFEASIBLE
-    else:
-        status = SolveStatus.MAX_ITER
-
-    chi_block = linalg.mat_hermitian(best_x[: D * D], D) if D else np.zeros((0, 0), dtype=complex)
+    chi_block = linalg.mat_hermitian(x[: D * D], D) if D else np.zeros((0, 0), dtype=complex)
     return SdpSolution(
         chi_block=chi_block,
-        slacks=best_x[D * D :].copy(),
-        objective_value=float(problem.objective @ best_x),
+        slacks=x[D * D :].copy(),
+        objective_value=float(problem.objective @ x),
         primal_residual=float(r_prim),
         dual_residual=float(r_dual),
         iterations=iters,

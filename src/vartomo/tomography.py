@@ -44,6 +44,7 @@ from .probes import (
     aapt_probe_state,
     pauli_projector_effects,
     require_integer,
+    require_real,
     simulate_measurements,
     sqpt_probe_states,
 )
@@ -67,7 +68,7 @@ class Setup:
     effects: EffectSet
 
     def __post_init__(self):
-        if not isinstance(self.scheme, Scheme) or self.probes.scheme is not self.scheme:
+        if self.probes.scheme is not self.scheme:
             raise ValueError(f"probes of scheme {self.probes.scheme!r} in a {self.scheme!r} setup")
         if self.basis.d != self.probes.d:
             raise ValueError(f"basis acts on d={self.basis.d}, probes on d={self.probes.d}")
@@ -158,21 +159,22 @@ class ReconstructionOptions:
     additive_cap: float = 100.0
 
     def __post_init__(self):
-        if not self.tol > 0:
+        if not require_real(self.tol, "tol") > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if require_integer(self.max_iter, "max_iter") < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if math.isnan(self.p_min):
+        if math.isnan(require_real(self.p_min, "p_min")):
             raise ValueError("p_min must not be NaN")
-        if self.additive_scale is not None and not self.additive_scale > 0:
-            raise ValueError(f"additive_scale must be positive, got {self.additive_scale}")
-        if not self.additive_cap > 0:
+        scale = self.additive_scale
+        if scale is not None and not require_real(scale, "additive_scale") > 0:
+            raise ValueError(f"additive_scale must be positive, got {scale}")
+        if not require_real(self.additive_cap, "additive_cap") > 0:
             raise ValueError(f"additive_cap must be positive, got {self.additive_cap}")
 
 
 @dataclass(frozen=True)
 class ProgramLayout:
-    """What the program installed, for post-hoc re-verification.
+    """What the program holds, for post-hoc re-verification.
 
     Slack s belongs to one distinct (probe, effect) pair; ``chi_rows[s]``
     is that pair's expectation row.  Record i uses slack
@@ -207,8 +209,9 @@ class ReconstructionResult:
 class InfeasibleDataError(RuntimeError):
     """The measurement records admit no process matrix.
 
-    Carries the records ranked by how badly the best iterate violates
-    their envelopes.
+    Raised when the solver certifies the program infeasible.  Carries the
+    records ranked by how badly the solver's final iterate violates their
+    envelopes.
     """
 
     def __init__(self, solution: SdpSolution, worst: list[tuple[MeasurementRecord, float]]):
@@ -418,11 +421,11 @@ def reconstruct(
     same options).  Raises ValueError when the options differ or the
     records do not line up.
 
-    Raises InfeasibleDataError when the solver certifies (heuristically)
-    that the records are mutually inconsistent; the error carries the
-    records ranked by envelope violation.  Warns (RuntimeWarning) when
-    the solver stopped at its iteration cap: the estimate is then the
-    best iterate seen, not a converged optimum.
+    Raises InfeasibleDataError when the solver certifies that the records
+    are mutually inconsistent; the error carries the records ranked by
+    envelope violation.  Warns (RuntimeWarning) when the solver stopped
+    at its iteration cap: the estimate is then its final iterate, not a
+    converged optimum.
     """
     options = options or ReconstructionOptions()
     builder = build_sqpt_program if data.scheme is Scheme.SQPT else build_aapt_program
@@ -609,6 +612,11 @@ class SweepResult:
     @property
     def solver_iterations(self) -> int:
         return sum(t.solver_iterations for t in self.trials)
+
+    @property
+    def unconverged_steps(self) -> int:
+        """Steps, over all trials, whose solve stopped short of OPTIMAL."""
+        return sum(s is not SolveStatus.OPTIMAL for t in self.trials for s in t.step_status)
 
 
 def minimal_elements_sweep(

@@ -6,6 +6,7 @@ from vartomo.channels import build_scaled_pauli_basis, identity_channel, kraus_t
 from vartomo.probes import (
     EffectSet,
     MeasurementRecord,
+    ProbeSet,
     RngSeed,
     Scheme,
     aapt_probe_state,
@@ -109,6 +110,13 @@ class TestProbeStates:
         # full Schmidt rank
         psi = np.eye(2).reshape(4) / np.sqrt(2)
         assert np.linalg.matrix_rank(psi.reshape(2, 2)) == 2
+
+    @pytest.mark.parametrize("scheme", ["sqpt", "aapt", None])
+    def test_scheme_must_be_a_scheme(self, scheme):
+        # "sqpt" == Scheme.SQPT (a str enum), yet it must not pass for one
+        one_state = sqpt_probe_states(1).states[:1]
+        with pytest.raises(ValueError, match="scheme must be a Scheme"):
+            ProbeSet(d=2, states=one_state, scheme=scheme)
 
 
 class TestEffects:

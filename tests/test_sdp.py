@@ -214,6 +214,20 @@ class TestSolver:
         p = SdpProblem(psd_dim=0, n_slack=1, objective=[1.0], inequalities=rows)
         s = solve(p, 1e-8, max_iter=100_000)
         assert s.status is SolveStatus.INFEASIBLE
+        assert s.iterations <= 500  # the certificate holds within the loop's first call
+
+    def test_infeasible_through_the_psd_cone(self):
+        """Re X_01 >= 1 with X_00, X_11 <= 0.1: each row alone is
+        feasible, but no PSD X meets all three, so the certificate's chi
+        part carries the proof."""
+        entries = (np.array([[0.0, 0.5], [0.5, 0.0]]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        psd = np.stack([linalg.vec_hermitian(m) for m in entries])
+        rows = BoxRows(psd, [1.0, -np.inf, -np.inf], [np.inf, 0.1, 0.1])
+        objective = linalg.vec_hermitian(np.eye(2))
+        p = SdpProblem(psd_dim=2, n_slack=0, objective=objective, inequalities=rows)
+        s = solve(p, 1e-8, max_iter=100_000)
+        assert s.status is SolveStatus.INFEASIBLE
+        assert s.iterations <= 500
 
     def test_max_iter_reports_residuals(self):
         # The accelerated loop solves this problem exactly within 25
@@ -223,6 +237,20 @@ class TestSolver:
         assert s.status is SolveStatus.MAX_ITER
         assert s.iterations == 5
         assert np.isfinite(s.primal_residual) and np.isfinite(s.dual_residual)
+
+    def test_max_iter_returns_the_final_iterate(self):
+        """A solve stopped at its cap over several loop calls reports the
+        iterate of its final state, not an earlier one."""
+        basis = build_scaled_pauli_basis(1)
+        truth = kraus_to_chi(random_channel(2, 1, RngSeed(8100)), basis)
+        data = make_dataset(truth, Scheme.SQPT, 1, shots=10_000, seed=RngSeed(8101))
+        problem, _ = build_sqpt_program(data)
+        s = solve(problem, 1e-15, max_iter=1500)
+        assert s.status is SolveStatus.MAX_ITER and s.iterations == 1500
+        x, DD = s.state.x, problem.psd_dim**2
+        assert np.array_equal(s.chi_block, linalg.mat_hermitian(x[:DD], problem.psd_dim))
+        assert np.array_equal(s.slacks, x[DD:])
+        assert s.objective_value == float(problem.objective @ x)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError, match="empty interval"):

@@ -363,6 +363,12 @@ class TestReconstructionOptions:
             dict(additive_scale=-1e-3),
             dict(additive_cap=0.0),
             dict(additive_cap=-5.0),
+            # a bool or a string is not a real number
+            dict(tol=True),
+            dict(tol="1e-7"),
+            dict(p_min="0.1"),
+            dict(additive_scale=True),
+            dict(additive_cap=True),
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -417,10 +423,11 @@ class TestReconstruct:
         res_a = reconstruct(make_dataset(truth, Scheme.AAPT, 1))
         assert process_fidelity(res_s.chi_hat, res_a.chi_hat) >= 0.999
 
-    def test_contradictory_records_infeasible(self):
-        basis = build_scaled_pauli_basis(1)
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_contradictory_records_infeasible(self, n_qubits):
+        basis = build_scaled_pauli_basis(n_qubits)
         ident = identity_channel(basis)
-        data = make_dataset(ident, Scheme.SQPT, 1)
+        data = make_dataset(ident, Scheme.SQPT, n_qubits)
         contradiction = MeasurementRecord(probe_index=0, effect_index=4, p=1.0)
         bad = TomographyDataset(
             scheme=data.scheme,
@@ -438,8 +445,8 @@ class TestReconstruct:
         assert (worst_record.probe_index, worst_record.effect_index) == (0, 4)
 
     def test_slow_feasible_problem_not_flagged(self):
-        # Plain ADMM crawled here until the stall test flagged it after
-        # 16,000 iterations; the accelerated loop converges.
+        # Plain ADMM crawled here past 16,000 iterations; the accelerated
+        # loop converges.
         basis = build_scaled_pauli_basis(1)
         truth = kraus_to_chi(random_channel(2, 4, RngSeed(3)), basis)
         data = make_dataset(truth, Scheme.SQPT, 1, shots=10000, seed=RngSeed(4))
