@@ -31,7 +31,9 @@ dF^T f.  A safeguard (as in Zhang, O'Donoghue and Boyd, SIAM J. Optim.
 2020) keeps an extrapolated w only if its residual |G(w) - w| is no
 larger than the last accepted one; otherwise the loop takes the stored
 plain step G of that iterate and clears the memory, as it does on every
-penalty change and at the start of every call.
+penalty change and every ``RESTART_EVERY`` iterations.  A restart takes
+the plain step, clears the memory and starts a new certificate window
+(below), as a new solve from the same w and rho would.
 
 Convergence is read from the plain step of the current w, as plain ADMM
 reads it: the primal residual of x against z+ = P(G(w)) and the dual
@@ -47,11 +49,12 @@ along a certificate (Banjac, Goulart, Stellato and Boyd, J. Optim.
 Theory Appl. 2019): a dy with [I A^T] dy = 0, whose chi part is
 negative semidefinite and whose support over the slack and row bounds
 is negative, which no point [x; A x] of the cone can meet.  The loop
-takes dy = y - y_first, y_first the dual at its first check, with the
-slack and row entries projected onto the polar of the bounds' recession
-cone (dy <= 0 where the upper bound is open, >= 0 where the lower is),
-and stops when the three conditions hold to ``INFEASIBLE_TOL`` relative
-to the largest entry of dy.
+tests dy = y - y_0 for two baselines y_0: the dual at the solve's first
+check, and the dual at the first check since the latest restart.  It
+projects the slack and row entries of dy onto the polar of the bounds'
+recession cone (dy <= 0 where the upper bound is open, >= 0 where the
+lower is), and stops when the three conditions hold to
+``INFEASIBLE_TOL`` relative to the largest entry of dy, for either dy.
 
 A is never formed.  Every row is a stored PSD row, by index, plus at
 most one slack, so after equilibration (unit-norm rows)
@@ -84,6 +87,7 @@ ALPHA = 1.6  # over-relaxation
 CHECK_EVERY = 25  # residual-check period
 INFEASIBLE_TOL = 1e-3  # certificate tolerance, relative to the largest entry of dy
 ADAPT_EVERY = 100  # penalty-adaptation period
+RESTART_EVERY = 500  # restart period; a multiple of ADAPT_EVERY and CHECK_EVERY
 MEMORY = 10  # Anderson memory: differences kept for the extrapolation
 # Tikhonov weight of the Anderson normal equations, relative to their trace.
 REGULARIZATION = 1e-10
@@ -265,13 +269,14 @@ def infeasibility_test(op, caps, adjoint):
     return certifies
 
 
-def admm_loop(op, c, caps, x, w, rho, tol, n_iters):
+def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
     """Run up to ``n_iters`` steps of the accelerated iteration on ``w``.
 
     ``x`` (the variables) and ``w`` (variables then rows) are updated in
     place.  Returns (iterations, status, rho, primal residual, dual
     residual): ``SolveStatus.MAX_ITER`` when the call ran out of
-    iterations.
+    iterations.  ``trace``, when given, is called with one progress line
+    at each restart and one at exit.
     """
     n = x.shape[0]
     N = w.shape[0]
@@ -294,7 +299,8 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters):
     z = np.empty(N)  # P(w)
     z_next = np.empty(N)  # P(G(w)), at the checks
     u = np.empty(N)  # G(w) - z_next, the scaled dual of the plain step
-    y_first = None  # the dual rho u at the first check
+    y_solve = None  # the dual rho u at the solve's first check
+    y_window = None  # ... and at the first check since the latest restart
     # Anderson memory: ring buffers of the changes in f and in G between
     # consecutive accepted iterates, and the Gram matrix of the f changes.
     dF = np.empty((MEMORY, N))
@@ -313,6 +319,11 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters):
     have_prev = False  # g_prev and f_prev hold the last accepted iterate
     pending = False  # w is extrapolated and awaits the safeguard
     f_last = np.inf  # squared residual norm of the last accepted iterate
+
+    def report(it, r_prim, r_dual, rho):
+        if trace is not None:
+            trace(f"iter={it} primal={r_prim:.3e} dual={r_dual:.3e} rho={rho:.3e}\n")
+
     project(w, z)
     it = 0
     for it in range(1, n_iters + 1):
@@ -346,29 +357,44 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters):
 
             if r_prim <= tol and r_dual <= tol:
                 status = SolveStatus.OPTIMAL
-            elif y_first is None:
-                y_first = rho * u
-            elif certifies(rho * u - y_first):
-                status = SolveStatus.INFEASIBLE
+            else:
+                y = rho * u
+                if y_solve is None:
+                    y_solve = y
+                if y_window is None:
+                    y_window = y
+                # (one baseline until the first restart)
+                if certifies(y - y_window) or (
+                    y_solve is not y_window and certifies(y - y_solve)
+                ):
+                    status = SolveStatus.INFEASIBLE
             if status is not SolveStatus.MAX_ITER or it == n_iters:
                 w[:] = g
                 break
 
+            restart = it % RESTART_EVERY == 0
             factor = 1.0
-            if it % ADAPT_EVERY == 0:
+            if it % ADAPT_EVERY == 0 and not restart:
                 if r_prim > 10.0 * r_dual and rho < 1e6:
                     factor = 2.0
                 elif r_dual > 10.0 * r_prim and rho > 1e-6:
                     factor = 0.5
-            if factor != 1.0:
-                # New penalty, new map: rescale the scaled dual w - z
-                # of the plain step and go on as a fresh call would,
-                # with an empty memory.
-                rho *= factor
-                c_rho = c / rho
-                np.subtract(g, z_next, out=w)
-                w /= factor
-                w += z_next
+            if restart or factor != 1.0:
+                if restart:
+                    # The plain step, and a new certificate window.
+                    w[:] = g
+                    y_window = None
+                    report(it, r_prim, r_dual, rho)
+                else:
+                    # New penalty, new map: rescale the scaled dual w - z
+                    # of the plain step.
+                    rho *= factor
+                    c_rho = c / rho
+                    np.subtract(g, z_next, out=w)
+                    w /= factor
+                    w += z_next
+                # Either way go on with an empty memory, as a new solve
+                # from w would.
                 project(w, z)
                 cols, have_prev, pending, f_last = 0, False, False, np.inf
                 continue
@@ -398,9 +424,9 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters):
             gram[j, :k] = row
             gram[:k, j] = row
             H = gram[:k, :k]
-            trace = H.trace()
-            if trace > 0 and (it + 1) % CHECK_EVERY and it + 1 < n_iters:
-                gamma = np.linalg.solve(H + trace * tikhonov[:k, :k], fit)
+            h_trace = H.trace()
+            if h_trace > 0 and (it + 1) % CHECK_EVERY and it + 1 < n_iters:
+                gamma = np.linalg.solve(H + h_trace * tikhonov[:k, :k], fit)
                 pending = gamma @ gamma < np.inf
         g_prev, g = g, g_prev
         f_prev[:] = f
@@ -412,6 +438,7 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters):
         project(w, z)
 
     x[:] = mx[:n]
+    report(it, r_prim, r_dual, rho)
     return it, status, rho, r_prim, r_dual
 
 

@@ -26,7 +26,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +61,8 @@ class ExperimentConfig:
             require_real(getattr(self, name), name)
         if not isinstance(self.tp_constraint, bool):
             raise ValueError(f"tp_constraint must be true or false, got {self.tp_constraint!r}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         d = 2**self.n_qubits
@@ -90,44 +92,21 @@ class ExperimentConfig:
 
 
 def config_to_json(cfg: ExperimentConfig) -> str:
-    return json.dumps(
-        {
-            "n_qubits": cfg.n_qubits,
-            "scheme": cfg.scheme.value,
-            "ranks": list(cfg.ranks),
-            "channels_per_rank": cfg.channels_per_rank,
-            "shots": cfg.shots,
-            "fidelity_threshold": cfg.fidelity_threshold,
-            "sweep_trials": cfg.sweep_trials,
-            "sweep_batch": cfg.sweep_batch,
-            "tp_constraint": cfg.tp_constraint,
-            "solver_tol": cfg.solver_tol,
-            "solver_max_iter": cfg.solver_max_iter,
-            "master_seed": {"seed": cfg.master_seed.seed, "generator_id": cfg.master_seed.generator_id},
-            "output_dir": cfg.output_dir,
-        },
-        indent=2,
-    )
+    return json.dumps(asdict(cfg), indent=2)
 
 
 def config_from_json(text: str) -> ExperimentConfig:
     """The config of a :func:`config_to_json` document.  A missing field
-    takes its default; a value of the wrong kind raises ValueError."""
+    takes its default, an unknown one is ignored, and a value of the
+    wrong kind raises ValueError (ExperimentConfig checks the values)."""
     doc = json.loads(text)
-    seed_doc = doc.get("master_seed", {"seed": 0})
-    as_is = ("n_qubits", "channels_per_rank", "shots", "sweep_trials", "sweep_batch",
-             "solver_max_iter", "tp_constraint", "fidelity_threshold",
-             "solver_tol")  # checked by ExperimentConfig
-    kwargs = {key: doc[key] for key in as_is if key in doc}
-    kwargs["master_seed"] = RngSeed(
-        seed=seed_doc["seed"], generator_id=seed_doc.get("generator_id", "pcg64")
-    )
-    if "scheme" in doc:
-        kwargs["scheme"] = Scheme(doc["scheme"])
-    if "ranks" in doc:
-        kwargs["ranks"] = tuple(doc["ranks"])
-    if "output_dir" in doc:
-        kwargs["output_dir"] = str(doc["output_dir"])
+    kwargs = {f.name: doc[f.name] for f in fields(ExperimentConfig) if f.name in doc}
+    if "scheme" in kwargs:
+        kwargs["scheme"] = Scheme(kwargs["scheme"])
+    if "ranks" in kwargs:
+        kwargs["ranks"] = tuple(kwargs["ranks"])
+    if "master_seed" in kwargs:
+        kwargs["master_seed"] = RngSeed(**kwargs["master_seed"])
     return ExperimentConfig(**kwargs)
 
 

@@ -97,16 +97,11 @@ def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
     return complex(np.sum(A.conj() * B))
 
 
-def triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major strict upper-triangle index pairs, the documented svec order."""
-    return np.triu_indices(n, k=1)
-
-
 def vec_hermitian(M: np.ndarray) -> np.ndarray:
     """Real isometric vectorization of a Hermitian matrix (see module docstring)."""
     H = hermitian_part(M)
     n = H.shape[0]
-    iu, ju = triu_indices(n)
+    iu, ju = np.triu_indices(n, k=1)
     off = H[iu, ju]
     return np.concatenate([H.diagonal().real, _SQRT2 * off.real, _SQRT2 * off.imag])
 
@@ -115,7 +110,7 @@ def vec_hermitian_stack(Ms: np.ndarray) -> np.ndarray:
     """Vectorize a stack of Hermitian matrices, one svec row each."""
     Ms = np.asarray(Ms, dtype=complex)
     n = Ms.shape[-1]
-    iu, ju = triu_indices(n)
+    iu, ju = np.triu_indices(n, k=1)
     diag = np.diagonal(Ms, axis1=-2, axis2=-1).real
     off = Ms[..., iu, ju]
     return np.concatenate([diag, _SQRT2 * off.real, _SQRT2 * off.imag], axis=-1)
@@ -131,7 +126,7 @@ def mat_hermitian(v: np.ndarray, dim: int | None = None) -> np.ndarray:
     n_off = dim * (dim - 1) // 2
     M = np.zeros((dim, dim), dtype=complex)
     M[np.diag_indices(dim)] = v[:dim]
-    iu, ju = triu_indices(dim)
+    iu, ju = np.triu_indices(dim, k=1)
     off = (v[dim : dim + n_off] + 1j * v[dim + n_off :]) / _SQRT2
     M[iu, ju] = off
     M[ju, iu] = off.conj()

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import linalg, tolerances as tol
 from .channels import (
+    PAULI,
     DensityMatrix,
     KrausSet,
     ProcessMatrix,
@@ -190,13 +191,11 @@ def pauli_projector_effects(n_qubits: int) -> EffectSet:
     over a in {x, y, z}, scaled by 3^-n so the set resolves the identity."""
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
-    single = []
-    for axis in "xyz":
-        P = {"x": linalg.hermitian_part(np.array([[0, 1], [1, 0]], dtype=complex)),
-             "y": linalg.hermitian_part(np.array([[0, -1j], [1j, 0]], dtype=complex)),
-             "z": np.diag([1.0, -1.0]).astype(complex)}[axis]
-        for sign, tag in ((1.0, "+"), (-1.0, "-")):
-            single.append((f"{axis}{tag}", (np.eye(2) + sign * P) / 2))
+    single = [
+        (f"{axis.lower()}{tag}", (np.eye(2) + sign * PAULI[axis]) / 2)
+        for axis in "XYZ"
+        for sign, tag in ((1.0, "+"), (-1.0, "-"))
+    ]
     effects = []
     labels = []
     for combo in itertools.product(single, repeat=n_qubits):

@@ -23,8 +23,11 @@ PSD row once with a per-row slack coefficient, and factors the x-step
 through one D^2 x D^2 inverse plus a diagonal.  A solve may start from
 a given loop state (:class:`SolverState`: x, w and the penalty), such
 as the final state of a solve of a related program mapped onto this
-one's variables and rows; from its own final state it goes on exactly
-as one longer solve would.
+one's variables and rows.  A solve starts with an empty Anderson memory
+and a new certificate window, as the loop does at each restart (every
+``_kernels.RESTART_EVERY`` iterations), so a solve resumed from its own
+final state goes on bit for bit as one longer solve would only if the
+first stopped at a multiple of ``RESTART_EVERY`` iterations.
 
 A solve stops on one of the loop's checks: both residuals below the
 tolerance (OPTIMAL), a certificate of primal infeasibility read from
@@ -153,11 +156,12 @@ class SolverState:
     variables then the box rows (inequalities then equalities), the
     rows in the loop's equilibrated units; ``rho`` is the penalty.  w is
     the one vector the loop iterates (see :mod:`vartomo._kernels`), so a
-    solve started from a final state goes on exactly where that solve
-    stopped.  A row's equilibration depends on that row alone, so a row
-    carried unchanged into another program keeps its entry of w.  A NaN
-    row entry marks a row without a carried value: the solve starts it
-    at the projection of its A x onto its interval.
+    solve started from a final state goes on from the iterate where that
+    solve stopped (see the module docstring for when it continues that
+    solve bit for bit).  A row's equilibration depends on that row
+    alone, so a row carried unchanged into another program keeps its
+    entry of w.  A NaN row entry marks a row without a carried value:
+    the solve starts it at the projection of its A x onto its interval.
     """
 
     x: np.ndarray
@@ -204,12 +208,14 @@ def solve(
     The loop starts from ``start`` when given (a warm start, typically the
     ``state`` of a solve of a related program mapped onto this one's
     variables and rows), else from zero with the initial penalty.
-    ``trace``, when given, is called with one progress line per chunk
-    of iterations.  Returns the loop's final iterate, with diagnostics,
-    and its state, from which a later solve goes on as this one would
-    have.  The status is the loop's: INFEASIBLE rests on a certificate
-    of primal infeasibility (see :mod:`vartomo._kernels`), and a
-    slow-but-feasible problem exhausts ``max_iter`` instead.
+    One loop call runs the whole ``max_iter`` budget.  ``trace``, when
+    given, is called with one progress line at each of the loop's
+    restarts (every ``RESTART_EVERY`` iterations) and one at the end.
+    Returns the loop's final iterate, with diagnostics, and its state,
+    from which a later solve goes on.  The status is the loop's:
+    INFEASIBLE rests on a certificate of primal infeasibility (see
+    :mod:`vartomo._kernels`), and a slow-but-feasible problem exhausts
+    ``max_iter`` instead.
     """
     if tol_ <= 0:
         raise ValueError("tolerance must be positive")
@@ -236,23 +242,14 @@ def solve(
     fresh = np.isnan(rows)
     if fresh.any():
         rows[fresh] = np.clip(op.matvec(x)[fresh], op.lower[fresh], op.upper[fresh])
-    rho = float(start.rho)
-    caps = problem.slack_caps.copy()
 
     # Looked up through this module's name on every call: the benchmark's
-    # tracer (perfbench/spans.py) replaces sdp.get_loop to time the loop.
+    # tracer (perfbench/spans.py) replaces sdp.get_loop to time the loop,
+    # and passes its arguments on by position.
     loop = get_loop()
-
-    iters = 0
-    status = SolveStatus.MAX_ITER
-    chunk = 500
-    while status is SolveStatus.MAX_ITER and iters < max_iter:
-        done, status, rho, r_prim, r_dual = loop(
-            op, c, caps, x, w, rho, tol_, min(chunk, max_iter - iters)
-        )
-        iters += done
-        if trace is not None:
-            trace(f"iter={iters} primal={r_prim:.3e} dual={r_dual:.3e} rho={rho:.3e}\n")
+    iters, status, rho, r_prim, r_dual = loop(
+        op, c, problem.slack_caps, x, w, float(start.rho), tol_, max_iter, trace
+    )
 
     chi_block = linalg.mat_hermitian(x[: D * D], D) if D else np.zeros((0, 0), dtype=complex)
     return SdpSolution(

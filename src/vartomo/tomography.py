@@ -556,13 +556,14 @@ class _IncrementalRank:
     of one (dim, dim) array.  A new vector is orthogonalized against all
     of it at once by two blocked Gram-Schmidt passes (the second restores
     the orthogonality that cancellation costs near-dependent vectors),
-    and joins the basis if more than ``rel_tol`` of its norm remains.
+    and joins the basis if more than ``REL_TOL`` of its norm remains.
     """
 
-    def __init__(self, dim: int, rel_tol: float = 1e-9):
+    REL_TOL = 1e-9
+
+    def __init__(self, dim: int):
         self.basis = np.zeros((dim, dim))
         self.rank = 0
-        self.rel_tol = rel_tol
 
     def add(self, v: np.ndarray) -> int:
         norm = np.linalg.norm(v)
@@ -571,7 +572,7 @@ class _IncrementalRank:
             r = v - (Q @ v) @ Q
             r -= (Q @ r) @ Q
             res = np.linalg.norm(r)
-            if res > self.rel_tol * norm:
+            if res > self.REL_TOL * norm:
                 self.basis[self.rank] = r / res
                 self.rank += 1
         return self.rank

@@ -1,5 +1,6 @@
 """Ten small conic problems with analytic optima, shared by the solver
-unit tests and the acceptance suite, and the dense row oracle.
+unit tests and the acceptance suite, the dense row oracle, and a seeded
+one-qubit reconstruction program that converges slowly.
 
 Each entry is (name, problem, analytic_objective).  The analytic values
 are computed constructively (never by the solver under test).
@@ -8,7 +9,10 @@ are computed constructively (never by the solver under test).
 import numpy as np
 
 from vartomo import linalg
+from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
+from vartomo.probes import RngSeed, Scheme, random_channel
 from vartomo.sdp import BoxRows, SdpProblem
+from vartomo.tomography import build_sqpt_program, make_dataset
 
 
 def build_canned_problems():
@@ -115,3 +119,12 @@ def dense_rows(problem):
     has = np.flatnonzero(rows.slack_index >= 0)
     A[has, DD + rows.slack_index[has]] = rows.slack_coeff[has]
     return A, rows.lower, rows.upper
+
+
+def shot_noise_program(rank):
+    """Complete one-qubit SQPT data of a seeded rank-``rank`` channel
+    under 1e4 shots: a program the solver needs thousands of iterations
+    for, so a tight tolerance keeps it at its cap."""
+    truth = kraus_to_chi(random_channel(2, rank, RngSeed(8100)), build_scaled_pauli_basis(1))
+    data = make_dataset(truth, Scheme.SQPT, 1, shots=10_000, seed=RngSeed(8101))
+    return build_sqpt_program(data)[0]

@@ -1,17 +1,17 @@
 """The accelerated solver loop: its memory, its safeguard and its answers.
 
 ``_kernels.admm_loop`` iterates w = z + u and extrapolates it with
-type-II Anderson acceleration.  A penalty change must start the memory
-afresh, a bad extrapolation must be thrown away by the safeguard, and
-the answers must be those of a tightly converged solve.
+type-II Anderson acceleration.  A penalty change and a restart must
+start the memory afresh, a bad extrapolation must be thrown away by the
+safeguard, and the answers must be those of a tightly converged solve.
 """
 
 import numpy as np
 import pytest
 
-from canned_suite import build_canned_problems
+from canned_suite import build_canned_problems, shot_noise_program
 from vartomo import sdp
-from vartomo._kernels import ADAPT_EVERY, CHECK_EVERY, cone_projection
+from vartomo._kernels import ADAPT_EVERY, CHECK_EVERY, RESTART_EVERY, cone_projection
 from vartomo.channels import build_scaled_pauli_basis, identity_channel, kraus_to_chi
 from vartomo.probes import MeasurementRecord, RngSeed, Scheme, random_channel
 from vartomo.sdp import SolveStatus, row_operator, solve
@@ -19,17 +19,9 @@ from vartomo.tomography import (
     InfeasibleDataError,
     ReconstructionOptions,
     TomographyDataset,
-    build_sqpt_program,
     make_dataset,
     reconstruct,
 )
-
-
-def shot_noise_program():
-    basis = build_scaled_pauli_basis(1)
-    truth = kraus_to_chi(random_channel(2, 2, RngSeed(8100)), basis)
-    data = make_dataset(truth, Scheme.SQPT, 1, shots=10_000, seed=RngSeed(8101))
-    return build_sqpt_program(data)[0]
 
 
 def run_loop(op, c, caps, x, w, rho, n_iters):
@@ -40,7 +32,7 @@ def run_loop(op, c, caps, x, w, rho, n_iters):
 def test_rho_change_clears_memory(rho0, factor):
     """Across a penalty change the loop goes on exactly as a fresh call
     from the rescaled state, which starts with an empty memory."""
-    problem = shot_noise_program()
+    problem = shot_noise_program(2)
     op = row_operator(problem)
     c = problem.objective / np.linalg.norm(problem.objective)
     caps, m, p = problem.slack_caps, problem.n_vars, op.n_rows
@@ -65,6 +57,33 @@ def test_rho_change_clears_memory(rho0, factor):
     assert (r_prim, r_dual) == (r_prim2, r_dual2)
 
 
+def test_restart_period_keeps_the_check_and_adaptation_phases():
+    assert RESTART_EVERY % ADAPT_EVERY == 0
+    assert RESTART_EVERY % CHECK_EVERY == 0
+
+
+@pytest.mark.parametrize("rho0", [0.01, 1.0, 100.0])
+def test_restart_is_a_fresh_call(rho0):
+    """A restart goes on exactly as a new loop call from the state
+    there: the plain step, no penalty adaptation at that check, an empty
+    memory.  Starts far from the balanced penalty make an adaptation at
+    the restart check likely, so a loop that adapts there fails."""
+    problem = shot_noise_program(2)
+    op = row_operator(problem)
+    c = problem.objective / np.linalg.norm(problem.objective)
+    caps, m, p = problem.slack_caps, problem.n_vars, op.n_rows
+
+    x, w = np.zeros(m), np.zeros(m + p)
+    done, status, rho, *_ = run_loop(op, c, caps, x, w, rho0, 2 * RESTART_EVERY)
+    assert (done, status) == (2 * RESTART_EVERY, SolveStatus.MAX_ITER)
+
+    x2, w2, rho2 = np.zeros(m), np.zeros(m + p), rho0
+    for _ in range(2):
+        done, _, rho2, *_ = run_loop(op, c, caps, x2, w2, rho2, RESTART_EVERY)
+        assert done == RESTART_EVERY
+    assert np.array_equal(x, x2) and np.array_equal(w, w2) and rho == rho2
+
+
 def contradiction():
     """Acceptance criterion 8: identity-channel data plus a record
     claiming p = 1 at (probe 0, effect 4), under strict envelopes."""
@@ -84,7 +103,10 @@ def contradiction():
 def test_safeguard_keeps_contradiction_infeasible(monkeypatch, overshoot):
     """The contradiction is flagged with its record ranked first, also
     when every extrapolation overshoots a thousandfold: the safeguard
-    then rejects the extrapolated iterates and the plain steps remain."""
+    then rejects the extrapolated iterates and the plain steps remain.
+    The certificate's solve-wide baseline flags the plain steps within a
+    few restarts; a baseline reset at every restart alone needed
+    158,000 iterations."""
     solve_normal_equations = np.linalg.solve
     monkeypatch.setattr(
         np.linalg, "solve", lambda H, b: overshoot * solve_normal_equations(H, b)
@@ -93,6 +115,7 @@ def test_safeguard_keeps_contradiction_infeasible(monkeypatch, overshoot):
     with pytest.raises(InfeasibleDataError) as err:
         reconstruct(data, options)
     assert err.value.solution.status is SolveStatus.INFEASIBLE
+    assert err.value.solution.iterations <= 5_000
     top = err.value.worst_records[0][0]
     assert (top.probe_index, top.effect_index) == (0, 4)
 

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from canned_suite import shot_noise_program
+from vartomo import sdp
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -42,3 +45,20 @@ def test_traced_call_points_exist(perfbench):
         spans.instrument(tracer)
     finally:
         tracer.restore()
+
+
+def test_one_loop_span_per_solve(perfbench):
+    """The per-layer counters read one ``kernels.loop`` span per solve,
+    whose iteration count is the solve's, also past two restarts."""
+    _, spans = perfbench
+    problem = shot_noise_program(1)
+    tracer = spans.Tracer()
+    spans.instrument(tracer)
+    try:
+        solution = sdp.solve(problem, 1e-15, max_iter=1510)
+    finally:
+        tracer.restore()
+    loops = [s for s in tracer.spans if s[spans.NAME] == "kernels.loop"]
+    assert solution.iterations == 1510
+    assert len(loops) == 1
+    assert loops[0][spans.COUNTS]["iterations"] == solution.iterations

@@ -84,6 +84,7 @@ class TestConfig:
             ("master_seed", {"seed": 1.5}, "master_seed"),
             ("solver_tol", True, "solver_tol"),
             ("fidelity_threshold", "0.9", "fidelity_threshold"),
+            ("output_dir", 7, "output_dir"),
         ],
     )
     def test_json_values_of_wrong_kind_rejected(self, tmp_path, key, value, message):

@@ -4,8 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from canned_suite import build_canned_problems, dense_rows
+from canned_suite import build_canned_problems, dense_rows, shot_noise_program
 from vartomo import linalg
+from vartomo._kernels import RESTART_EVERY
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
 from vartomo.probes import RngSeed, Scheme, random_channel, unknown_subspace_hamiltonian
 from vartomo.sdp import (
@@ -214,7 +215,7 @@ class TestSolver:
         p = SdpProblem(psd_dim=0, n_slack=1, objective=[1.0], inequalities=rows)
         s = solve(p, 1e-8, max_iter=100_000)
         assert s.status is SolveStatus.INFEASIBLE
-        assert s.iterations <= 500  # the certificate holds within the loop's first call
+        assert s.iterations <= 500  # the certificate holds before the loop's first restart
 
     def test_infeasible_through_the_psd_cone(self):
         """Re X_01 >= 1 with X_00, X_11 <= 0.1: each row alone is
@@ -239,12 +240,9 @@ class TestSolver:
         assert np.isfinite(s.primal_residual) and np.isfinite(s.dual_residual)
 
     def test_max_iter_returns_the_final_iterate(self):
-        """A solve stopped at its cap over several loop calls reports the
+        """A solve stopped at its cap past two restarts reports the
         iterate of its final state, not an earlier one."""
-        basis = build_scaled_pauli_basis(1)
-        truth = kraus_to_chi(random_channel(2, 1, RngSeed(8100)), basis)
-        data = make_dataset(truth, Scheme.SQPT, 1, shots=10_000, seed=RngSeed(8101))
-        problem, _ = build_sqpt_program(data)
+        problem = shot_noise_program(1)
         s = solve(problem, 1e-15, max_iter=1500)
         assert s.status is SolveStatus.MAX_ITER and s.iterations == 1500
         x, DD = s.state.x, problem.psd_dim**2
@@ -266,6 +264,13 @@ class TestSolver:
         _, problem, _ = build_canned_problems()[0]
         solve(problem, 1e-8, trace=lines.append)
         assert lines and "primal=" in lines[0]
+
+    def test_trace_line_at_each_restart_and_at_exit(self):
+        lines = []
+        s = solve(shot_noise_program(1), 1e-15, max_iter=2037, trace=lines.append)
+        assert s.iterations == 2037
+        at = [int(line.split()[0].removeprefix("iter=")) for line in lines]
+        assert at == list(range(RESTART_EVERY, 2037, RESTART_EVERY)) + [2037]
 
 
 class TestWarmStart:
@@ -296,8 +301,9 @@ class TestWarmStart:
         "n_qubits,scheme", [(1, Scheme.SQPT), (1, Scheme.AAPT), (2, Scheme.SQPT), (2, Scheme.AAPT)]
     )
     def test_resume_continues_the_solve(self, n_qubits, scheme):
-        """A solve stopped at its cap and resumed from its state reaches,
-        bit for bit, the state of one solve run as long."""
+        """A solve stopped at its cap, a restart point, and resumed from
+        its state reaches, bit for bit, the state of one solve run as
+        long."""
         d = 2**n_qubits
         truth = kraus_to_chi(
             random_channel(d, 1, RngSeed(3)), build_scaled_pauli_basis(n_qubits)
@@ -305,9 +311,9 @@ class TestWarmStart:
         data = make_dataset(truth, scheme, n_qubits, shots=10_000, seed=RngSeed(103))
         build = build_sqpt_program if scheme is Scheme.SQPT else build_aapt_program
         problem, _ = build(data)
-        whole = solve(problem, max_iter=1000)
-        half = solve(problem, max_iter=500)
-        resumed = solve(problem, max_iter=500, start=half.state)
+        whole = solve(problem, max_iter=2 * RESTART_EVERY)
+        half = solve(problem, max_iter=RESTART_EVERY)
+        resumed = solve(problem, max_iter=RESTART_EVERY, start=half.state)
         assert whole.status is half.status is resumed.status is SolveStatus.MAX_ITER
         assert np.array_equal(whole.state.x, resumed.state.x)
         assert np.array_equal(whole.state.w, resumed.state.w)
