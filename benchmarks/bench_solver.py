@@ -32,6 +32,15 @@ and writes per-case statuses, iterations, objectives, fidelities and
 wall times of both, with their agreement, to ``BENCH_anderson.json``.
 Every corpus case is feasible by construction, so either way it prints
 how many cases this tree reported infeasible and exits 1 if any were.
+
+    PYTHONPATH=src python benchmarks/bench_solver.py --simulate [--baseline PARENT/src]
+
+times dataset simulation: ``make_dataset`` on complete one-, two- and
+three-qubit SQPT and one- and two-qubit AAPT data, exact and at 1e4
+shots, the median of several calls after a warm-up call.  Alone it
+prints this tree's times.  With ``--baseline`` it runs every case in
+ten alternating pairs of processes, one per tree, and writes both sides
+with the machine to ``BENCH_simulate.json``.
 """
 
 import argparse
@@ -217,18 +226,20 @@ def machine():
     }
 
 
-def run_sweep_in(src):
-    """The sweep case in a fresh process importing vartomo from ``src``."""
+def run_in(src, *args):
+    """This script with ``args`` in a fresh process importing vartomo from
+    ``src`` (one BLAS thread); its last output line, read as JSON."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     out = subprocess.run(
-        [sys.executable, __file__, "--sweep-only"],
-        env=env, check=True, capture_output=True, text=True,
+        [sys.executable, __file__, *args], env=env, check=True, capture_output=True, text=True
     )
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def compare(baseline):
-    """Alternating pairs of sweep-case runs, this tree against ``baseline``."""
+def alternate(baseline, *args):
+    """``PAIRS`` pairs of ``run_in`` processes with ``args``, on ``baseline``
+    and on this tree, the order flipping every pair; each tree's results
+    in run order, keyed "parent" and "change"."""
     trees = {
         "parent": Path(baseline).resolve(),
         "change": Path(__file__).resolve().parent.parent / "src",
@@ -237,9 +248,18 @@ def compare(baseline):
     for pair in range(PAIRS):
         order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
         for label in order:
-            runs[label].append(run_sweep_in(trees[label]))
-            print_sweep(runs[label][-1])
-            print(f"  ({label}, pair {pair + 1})")
+            runs[label].append(run_in(trees[label], *args))
+        print(f"pair {pair + 1}/{PAIRS} done", flush=True)
+    return runs
+
+
+def compare(baseline):
+    """Alternating pairs of sweep-case runs, this tree against ``baseline``."""
+    runs = alternate(baseline, "--sweep-only")
+    for label, results in runs.items():
+        for result in results:
+            print_sweep(result)
+            print(f"  ({label})")
 
     def summary(results):
         return {
@@ -345,13 +365,7 @@ def corpus_part(part, labels=None):
 
 def run_part_in(src, part, labels=None):
     """``corpus_part`` in a fresh process importing vartomo from ``src``."""
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    extra = ["--labels", *labels] if labels else []
-    out = subprocess.run(
-        [sys.executable, __file__, "--corpus-part", str(part), *extra],
-        env=env, check=True, capture_output=True, text=True,
-    )
-    return json.loads(out.stdout.splitlines()[-1])
+    return run_in(src, "--corpus-part", str(part), *(["--labels", *labels] if labels else []))
 
 
 def corpus_summary(results):
@@ -468,6 +482,95 @@ def corpus(baseline) -> int:
     return count_infeasible(change)
 
 
+SIMULATE_FILE = BENCH_FILE.with_name("BENCH_simulate.json")
+SIMULATE_CASES = [
+    (n_qubits, scheme, shots)
+    for n_qubits, scheme in ((1, "sqpt"), (2, "sqpt"), (3, "sqpt"), (1, "aapt"), (2, "aapt"))
+    for shots in (0, 10_000)
+]
+SIMULATE_CALLS = 7
+
+
+def simulate_case():
+    """Per case: the median and best of ``SIMULATE_CALLS`` ``make_dataset``
+    calls on a seeded rank-2 channel, after one untimed call that makes
+    the canonical setup, and the record count."""
+    results = {}
+    for n_qubits, scheme, shots in SIMULATE_CASES:
+        d = 2**n_qubits
+        seed = RngSeed(9100).derive(n_qubits, scheme, shots)
+        truth = kraus_to_chi(random_channel(d, 2, seed), build_scaled_pauli_basis(n_qubits))
+
+        def simulate():
+            return make_dataset(
+                truth, Scheme(scheme), n_qubits, shots=shots,
+                seed=seed.derive("shots") if shots else None,
+            )
+
+        records = len(simulate().records)
+        times = []
+        for _ in range(SIMULATE_CALLS):
+            start = time.perf_counter()
+            simulate()
+            times.append(time.perf_counter() - start)
+        label = f"{n_qubits}q/{scheme}/" + (f"{shots}shots" if shots else "exact")
+        results[label] = {
+            "median_s": statistics.median(times), "min_s": min(times), "records": records
+        }
+    return results
+
+
+def print_simulate(results):
+    for label, r in results.items():
+        print(
+            f"{label:22s} {r['records']:6d} records  median {r['median_s'] * 1e3:8.2f}ms  "
+            f"best {r['min_s'] * 1e3:8.2f}ms"
+        )
+
+
+def simulate(baseline):
+    """Dataset simulation on this tree; with ``baseline``, alternating
+    pairs of processes on both trees, written to ``BENCH_simulate.json``."""
+    if baseline is None:
+        print_simulate(run_in(Path(__file__).resolve().parent.parent / "src", "--simulate-only"))
+        return
+    runs = alternate(baseline, "--simulate-only")
+    summary = {
+        label: {
+            case: statistics.median(run[case]["median_s"] for run in results)
+            for case in results[0]
+        }
+        for label, results in runs.items()
+    }
+    ratio = {case: summary["parent"][case] / summary["change"][case] for case in summary["change"]}
+    faster = {
+        case: sum(p[case]["median_s"] > c[case]["median_s"] for p, c in zip(*runs.values()))
+        for case in summary["change"]
+    }
+    doc = {
+        "case": (
+            "make_dataset on complete data of a seeded rank-2 channel: SQPT at 1-3 qubits, "
+            f"AAPT at 1-2 qubits, exact and 1e4 shots; per process the median of "
+            f"{SIMULATE_CALLS} calls after a warm-up call; {PAIRS} alternating pairs of processes"
+        ),
+        "machine": machine(),
+        "pairs": PAIRS,
+        "records": {case: r["records"] for case, r in runs["change"][0].items()},
+        "summary_median_s": summary,
+        "speedup": ratio,
+        "change_faster_in_pairs": faster,
+        "runs": runs,
+    }
+    for case in summary["change"]:
+        print(
+            f"{case:22s} parent {summary['parent'][case] * 1e3:8.2f}ms  "
+            f"change {summary['change'][case] * 1e3:8.2f}ms  x{ratio[case]:.1f}  "
+            f"faster in {faster[case]}/{PAIRS} pairs"
+        )
+    SIMULATE_FILE.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {SIMULATE_FILE}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sweep-only", action="store_true", help="print the sweep case as JSON")
@@ -475,9 +578,17 @@ def main():
     parser.add_argument("--corpus", action="store_true", help="run the iteration corpus")
     parser.add_argument("--corpus-part", type=int, help="print one part of the corpus as JSON")
     parser.add_argument("--labels", nargs="*", help="with --corpus-part: these cases, tightly")
+    parser.add_argument("--simulate", action="store_true", help="time dataset simulation")
+    parser.add_argument(
+        "--simulate-only", action="store_true", help="print the simulation times as JSON"
+    )
     args = parser.parse_args()
     if args.sweep_only:
         print(json.dumps(sweep_case()))
+    elif args.simulate_only:
+        print(json.dumps(simulate_case()))
+    elif args.simulate:
+        simulate(args.baseline)
     elif args.corpus_part is not None:
         print(json.dumps(corpus_part(args.corpus_part, args.labels)))
     elif args.corpus:

@@ -1,6 +1,15 @@
 """Test-data factory: random channels, probe states, measurement effects,
 and noisy probability simulation.
 
+A dataset is simulated in bulk.  The channel's superoperator
+S[a, e, b, c] = sum_ij chi_ij E_i[a, b] conj(E_j[e, c]), d times a
+reshuffle of its Choi matrix, maps every probe to its output in one
+contraction (for AAPT it acts on the system factor of the ancilla (x)
+system state), and one matrix product gives the Born probability of
+every (probe, effect) pair.  ``apply_map``,
+``apply_map_ancilla`` and :func:`exact_probability` remain the per-state
+oracles the bulk path is tested against.
+
 All randomness flows through :class:`RngSeed` so that every artifact is
 reproducible byte-for-byte from (seed, generator_id).
 """
@@ -21,16 +30,22 @@ from .channels import (
     DensityMatrix,
     KrausSet,
     ProcessMatrix,
-    apply_map,
-    apply_map_ancilla,
+    choi_matrix,
     maximally_entangled_state,
 )
+
+
+def _is_integer(value) -> bool:
+    """An exact ``int`` passes at once; a bool is not an integer here."""
+    return type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    )
 
 
 def require_integer(value, name: str) -> int:
     """``value`` if it is an integer (a bool is not), else ValueError:
     outside input is rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
@@ -38,6 +53,8 @@ def require_integer(value, name: str) -> int:
 def require_real(value, name: str):
     """``value`` if it is a real number (a bool is not), else ValueError:
     outside input is checked, not coerced."""
+    if type(value) is float or type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return value
@@ -210,10 +227,22 @@ def pauli_projector_effects(n_qubits: int) -> EffectSet:
 
 
 def output_states(process: ProcessMatrix, probes: ProbeSet) -> list[DensityMatrix]:
-    """Channel outputs per probe; AAPT probes pass through (I (x) E)."""
+    """Channel outputs per probe, all from one contraction with the channel's
+    superoperator; AAPT probes pass through (I (x) E)."""
+    d = process.d
+    if probes.d != d:
+        raise ValueError("probe dimension does not match the process")
+    # S[(a, e), (b, c)] = sum_ij chi_ij E_i[a, b] conj(E_j[e, c]) = d choi[(b, a), (c, e)],
+    # so that out[a, e] = sum_bc S[(a, e), (b, c)] rho[b, c]
+    S = d * choi_matrix(process).reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    rhos = np.stack([state.rho for state in probes.states])
     if probes.scheme is Scheme.AAPT:
-        return [apply_map_ancilla(process, probes.states[0])]
-    return [apply_map(process, rho) for rho in probes.states]
+        # joint[(x, b), (y, c)] -> out[(x, a), (y, e)], x and y on the ancilla
+        joint = rhos[0].reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        out = (joint @ S.T).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(1, d * d, d * d)
+    else:
+        out = (rhos.reshape(len(rhos), d * d) @ S.T).reshape(len(rhos), d, d)
+    return [DensityMatrix(d=rho.shape[0], rho=rho) for rho in out]
 
 
 def exact_probability(effect: np.ndarray, state: DensityMatrix) -> float:
@@ -235,26 +264,48 @@ def simulate_measurements(
     """Exact or binomially sampled probabilities for the selected effects.
 
     ``selected[k]`` lists effect indices measured on the output of probe
-    k.  With shots > 0 each probability is replaced by a binomial
-    frequency drawn with that shot count (requires a seed).
+    k; a probe may have none and an index may repeat.  Records come in
+    that order, probe by probe.  Every index is checked before anything
+    is computed.  The outputs of :func:`output_states` and one
+    (probes, dim^2) x (dim^2, effects) product give every Born
+    probability; the selected ones are range-checked as
+    :func:`exact_probability` does and clamped to [0, 1].  With shots > 0
+    (requires a seed) each is replaced by a binomial frequency drawn with
+    that shot count.  The draws are one ``rng.binomial(shots, p)`` over
+    the selected probabilities in record order, so they are the stream
+    of one ``rng.binomial(shots, p)`` call per record.
     """
-    if len(selected) != len(probes.states):
+    n_probes, m = len(probes.states), len(effects)
+    if len(selected) != n_probes:
         raise ValueError("need one effect-index list per probe")
+    for k, idxs in enumerate(selected):
+        for lam in idxs:
+            if not (_is_integer(lam) and 0 <= lam < m):
+                raise ValueError(f"probe {k}: effect index {lam!r} is not an integer in [0, {m})")
+    if require_integer(shots, "shots") < 0:
+        raise ValueError("shots must be >= 0")
     if shots > 0 and seed is None:
         raise ValueError("sampled measurements need a seed")
-    outs = output_states(process, probes)
     expected_dim = probes.d**2 if probes.scheme is Scheme.AAPT else probes.d
     if effects.dim != expected_dim:
         raise ValueError(f"effects act on dim {effects.dim}, expected {expected_dim}")
-    rng = seed.generator() if shots > 0 else None
-    records = []
-    for k, idxs in enumerate(selected):
-        for lam in idxs:
-            p = exact_probability(effects.effects[lam], outs[k])
-            if shots > 0:
-                p = rng.binomial(shots, p) / shots
-            records.append(MeasurementRecord(probe_index=k, effect_index=lam, p=p, shots=shots))
-    return records
+    outs = np.stack([out.rho for out in output_states(process, probes)])
+    # Tr(E rho) = sum_ab rho^T[a, b] E[a, b], one row per probe and column per effect
+    born = (outs.transpose(0, 2, 1).reshape(n_probes, -1) @ effects.effects.reshape(m, -1).T).real
+    probe = np.repeat(np.arange(n_probes), [len(idxs) for idxs in selected])
+    effect = np.fromiter((lam for idxs in selected for lam in idxs), dtype=int, count=len(probe))
+    p = born[probe, effect]
+    outside = (p < -1e-10) | (p > 1 + 1e-10)
+    if outside.any():
+        bad = p[outside.argmax()]
+        raise ValueError(f"probability {bad} outside [0,1]: inconsistent chi or effects")
+    p = np.clip(p, 0.0, 1.0)
+    if shots > 0:
+        p = seed.generator().binomial(shots, p) / shots
+    return [
+        MeasurementRecord(probe_index=k, effect_index=lam, p=x, shots=shots)
+        for k, lam, x in zip(probe.tolist(), effect.tolist(), p.tolist())
+    ]
 
 
 def unknown_subspace_hamiltonian(effects: EffectSet, measured: list[int]) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vartomo import linalg
 
@@ -142,6 +143,19 @@ class TestVectorization:
             B = rand_hermitian(rng, 5)
             dot = linalg.vec_hermitian(A) @ linalg.vec_hermitian(B)
             assert abs(dot - np.trace(A.conj().T @ B).real) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+    def test_isometry_property(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        A = scale * rand_hermitian(rng, n)
+        B = rand_hermitian(rng, n)
+        a, b = linalg.vec_hermitian(A), linalg.vec_hermitian(B)
+        assert a.shape == (n * n,)
+        assert abs(a @ b - np.trace(A.conj().T @ B).real) <= 1e-12 * scale
+        assert abs(np.linalg.norm(a) - np.linalg.norm(A)) <= 1e-12 * scale
+        assert np.abs(linalg.mat_hermitian(a) - A).max() <= 1e-14 * scale
+        assert np.array_equal(linalg.vec_hermitian_stack(np.stack([A, B])), np.stack([a, b]))
 
     def test_stack_matches_single(self):
         rng = np.random.default_rng(7)

@@ -1,8 +1,18 @@
+import fractions
+import numbers
+
 import numpy as np
 import pytest
 
-from vartomo import linalg
-from vartomo.channels import build_scaled_pauli_basis, identity_channel, kraus_to_chi
+from vartomo import linalg, tomography
+from vartomo.channels import (
+    apply_map,
+    apply_map_ancilla,
+    build_scaled_pauli_basis,
+    chi_rank,
+    identity_channel,
+    kraus_to_chi,
+)
 from vartomo.probes import (
     EffectSet,
     MeasurementRecord,
@@ -10,13 +20,15 @@ from vartomo.probes import (
     RngSeed,
     Scheme,
     aapt_probe_state,
+    exact_probability,
     pauli_projector_effects,
     random_channel,
+    require_integer,
+    require_real,
     simulate_measurements,
     sqpt_probe_states,
     unknown_subspace_hamiltonian,
 )
-from vartomo.channels import chi_rank
 
 
 class TestRngSeed:
@@ -200,6 +212,127 @@ class TestSimulation:
                 MeasurementRecord(probe_index=0, effect_index=0, p=bad)
         for p in (0, 1, np.float64(0.25)):
             assert MeasurementRecord(probe_index=0, effect_index=0, p=p).p == p
+
+    @pytest.mark.parametrize(
+        "selected, probe, index",
+        [
+            ([[-1], [], [], []], 0, "-1"),  # would wrap to the last effect
+            ([[0], [1], [2, 6], []], 2, "6"),
+            ([[], [], [], [1.0]], 3, "1.0"),
+            ([[True], [], [], []], 0, "True"),
+            ([[np.int64(3), "2"], [], [], []], 0, "'2'"),
+        ],
+    )
+    def test_effect_indices_checked(self, monkeypatch, selected, probe, index):
+        # rejected before anything is computed: no output state is made
+        monkeypatch.setattr("vartomo.probes.output_states", None)
+        with pytest.raises(ValueError, match=f"probe {probe}: effect index {index} "):
+            simulate_measurements(self.ident, self.probes, self.effects, selected)
+
+    def test_numpy_indices_accepted(self):
+        recs = simulate_measurements(
+            self.ident, self.probes, self.effects, [[np.int64(5)], [], [], [np.uint8(0)]]
+        )
+        assert [(r.probe_index, r.effect_index) for r in recs] == [(0, 5), (3, 0)]
+        assert all(type(r.effect_index) is int for r in recs)
+
+
+def _oracle_records(process, probes, effects, selected, shots, seed):
+    """One ``exact_probability`` of one ``apply_map``/``apply_map_ancilla``
+    output per record and, with shots, one ``rng.binomial`` call per
+    record in record order."""
+    apply = apply_map_ancilla if probes.scheme is Scheme.AAPT else apply_map
+    outs = [apply(process, state) for state in probes.states]
+    rng = seed.generator() if shots else None
+    records = []
+    for k, idxs in enumerate(selected):
+        for lam in idxs:
+            p = exact_probability(effects.effects[lam], outs[k])
+            if shots:
+                p = rng.binomial(shots, p) / shots
+            records.append((k, lam, p, shots))
+    return records
+
+
+class TestBulkSimulation:
+    """The bulk simulator against the per-record oracle."""
+
+    @staticmethod
+    def selection(n_probes, m, rng):
+        """Per probe: no effect, or a random draw with repeats."""
+        selected = []
+        for k in range(n_probes):
+            size = 0 if k % 3 == 1 else int(rng.integers(1, 2 * m))
+            selected.append(rng.integers(0, m, size=size).tolist())
+        return selected
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
+    @pytest.mark.parametrize("full_rank", [False, True])
+    @pytest.mark.parametrize("shots", [0, 10_000])
+    def test_matches_per_record_oracle(self, n_qubits, scheme, full_rank, shots):
+        d = 2**n_qubits
+        setup = tomography.default_setup(scheme, n_qubits)
+        probes, effects = setup.probes, setup.effects
+        case = RngSeed(7100).derive(n_qubits, scheme.value, full_rank, shots)
+        kraus = random_channel(d, d * d if full_rank else 1, case.derive("channel"))
+        truth = kraus_to_chi(kraus, setup.basis)
+        rng = case.derive("select").generator()
+        seed = case.derive("shots") if shots else None
+        for selected in (
+            tomography.complete_selection(probes, effects),
+            self.selection(len(probes.states), len(effects), rng),
+        ):
+            got = simulate_measurements(truth, probes, effects, selected, shots, seed)
+            want = _oracle_records(truth, probes, effects, selected, shots, seed)
+            assert [(r.probe_index, r.effect_index, r.shots) for r in got] == [
+                (k, lam, n) for k, lam, _, n in want
+            ]
+            dp = [abs(r.p - p) for r, (_, _, p, _) in zip(got, want)]
+            if shots:
+                assert max(dp) == 0.0  # identical draws
+            else:
+                assert max(dp) <= 1e-15
+
+    def test_empty_selection(self):
+        setup = tomography.default_setup(Scheme.AAPT, 1)
+        truth = identity_channel(setup.basis)
+        for shots, seed in ((0, None), (100, RngSeed(1))):
+            assert simulate_measurements(truth, setup.probes, setup.effects, [[]], shots, seed) == []
+
+    def test_outputs_checked_as_states(self):
+        # twice a trace-preserving chi makes every output's trace 2
+        setup = tomography.default_setup(Scheme.SQPT, 1)
+        truth = identity_channel(setup.basis)
+        doubled = type(truth)(d=truth.d, basis=truth.basis, chi=2 * truth.chi)
+        with pytest.raises(ValueError, match="trace"):
+            simulate_measurements(doubled, setup.probes, setup.effects, [[0]] * 4)
+
+
+def _abc_integer(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def _abc_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0, -7, 2**70, True, False, 1.0, -0.5, float("nan"), float("inf"), np.int64(3),
+     np.uint8(2), np.bool_(True), np.float64(0.25), np.float32(0.5), fractions.Fraction(1, 2),
+     1j, np.complex128(1), "1", None, [1], np.array(1)],
+    ids=repr,
+)
+def test_fast_paths_keep_the_abc_rules(value):
+    """The exact int/float fast paths accept and reject what the
+    ``numbers`` checks alone would."""
+    for check, rule in ((require_integer, _abc_integer), (require_real, _abc_real)):
+        if rule(value):
+            assert check(value, "x") is value
+        else:
+            with pytest.raises(ValueError, match="x must be"):
+                check(value, "x")
 
 
 class TestUnknownSubspaceHamiltonian:

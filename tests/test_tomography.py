@@ -26,6 +26,7 @@ from vartomo.probes import (
     aapt_probe_state,
     exact_probability,
     random_channel,
+    simulate_measurements,
 )
 from vartomo.sdp import SolveStatus, row_operator
 from vartomo.tomography import (
@@ -35,6 +36,7 @@ from vartomo.tomography import (
     TomographyDataset,
     build_aapt_program,
     build_sqpt_program,
+    complete_selection,
     dataset_from_json,
     dataset_to_json,
     default_setup,
@@ -723,6 +725,76 @@ class TestWarmStartedSweep:
         aapt = make_dataset(truth, Scheme.AAPT, 1)
         with pytest.raises(ValueError, match="prefix"):
             reconstruct(aapt, start=reconstruct(short))
+
+
+def _random_chi(size: int, rank: int, scale: float, seed: int) -> np.ndarray:
+    """A PSD chi of the given rank with largest eigenvalue ``scale`` <= 1.
+
+    Sum_ij chi_ij E_j^dag E_i <= lambda_max(chi) sum_i E_i^dag E_i = I, so
+    the map does not increase trace and every probability is in [0, 1].
+    """
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((size, rank)) + 1j * rng.standard_normal((size, rank))
+    chi = G @ G.conj().T
+    return chi * (scale / np.linalg.eigvalsh(chi).max())
+
+
+_chi_draw = dict(
+    seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 16), scale=st.floats(0.05, 1.0)
+)
+
+
+class TestTableAgainstSimulator:
+    """Property tests: the setup's table rows and trace-preserving rows
+    against the simulator and a direct sum over the basis."""
+
+    @staticmethod
+    def check_rows(scheme, n_qubits, seed, rank, scale):
+        setup = default_setup(scheme, n_qubits)
+        size = setup.basis.size
+        chi = _random_chi(size, min(rank, size), scale, seed)
+        truth = ProcessMatrix(d=setup.d, basis=setup.basis, chi=chi)
+        selected = complete_selection(setup.probes, setup.effects)
+        records = simulate_measurements(truth, setup.probes, setup.effects, selected)
+        p = np.array([r.p for r in records]).reshape(len(setup.probes.states), -1)
+        values = setup.table @ linalg.vec_hermitian(truth.chi)
+        assert np.abs(values[:, :-1] - p).max() <= 1e-12
+        # the last row of each probe is Tr(out_k), the sum over a POVM
+        assert np.abs(values[:, -1] - p.sum(axis=1)).max() <= 1e-12
+
+    @pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
+    @settings(max_examples=30, deadline=None)
+    @given(**_chi_draw)
+    def test_one_qubit_rows_give_simulated_p(self, scheme, seed, rank, scale):
+        self.check_rows(scheme, 1, seed, rank, scale)
+
+    @pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
+    @settings(max_examples=4, deadline=None)
+    @given(**_chi_draw)
+    def test_two_qubit_rows_give_simulated_p(self, scheme, seed, rank, scale):
+        self.check_rows(scheme, 2, seed, rank, scale)
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_tp_rows_match_basis_sum(self, n_qubits, seed):
+        setup = default_setup(Scheme.SQPT, n_qubits)
+        els = setup.basis.elements
+        rng = np.random.default_rng(seed)
+        size = setup.basis.size
+        G = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        H = (G + G.conj().T) / 2  # any Hermitian chi, PSD or not
+        total = sum(
+            H[i, j] * els[j].conj().T @ els[i]
+            for i in range(len(els))
+            for j in range(len(els))
+        )
+        got = setup.tp_rows @ linalg.vec_hermitian(H)
+        assert np.abs(got - linalg.vec_hermitian(total)).max() <= 1e-12 * np.abs(H).max()
+        # a trace-preserving channel meets the rows at svec(I)
+        channel = kraus_to_chi(random_channel(setup.d, 2, RngSeed(seed)), setup.basis)
+        got = setup.tp_rows @ linalg.vec_hermitian(channel.chi)
+        assert np.abs(got - linalg.vec_hermitian(np.eye(setup.d))).max() <= 1e-12
 
 
 class TestDefaultSetup:
