@@ -6,9 +6,10 @@ S[a, e, b, c] = sum_ij chi_ij E_i[a, b] conj(E_j[e, c]), d times a
 reshuffle of its Choi matrix, maps every probe to its output in one
 contraction (for AAPT it acts on the system factor of the ancilla (x)
 system state), and one matrix product gives the Born probability of
-every (probe, effect) pair.  ``apply_map``,
-``apply_map_ancilla`` and :func:`exact_probability` remain the per-state
-oracles the bulk path is tested against.
+every (probe, effect) pair.  ``apply_map``, ``apply_map_ancilla`` and
+:func:`exact_probability` remain the per-state oracles the bulk path is
+tested against.  A :class:`MeasurementRecord` is a plain tuple, checked
+by column in the dataset that holds it.
 
 All randomness flows through :class:`RngSeed` so that every artifact is
 reproducible byte-for-byte from (seed, generator_id).
@@ -21,6 +22,7 @@ import hashlib
 import itertools
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +38,8 @@ from .channels import (
 
 
 def _is_integer(value) -> bool:
-    """An exact ``int`` passes at once; a bool is not an integer here."""
-    return type(value) is int or (
-        not isinstance(value, bool) and isinstance(value, numbers.Integral)
-    )
+    """A bool is not an integer here."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
 
 
 def require_integer(value, name: str) -> int:
@@ -53,11 +53,16 @@ def require_integer(value, name: str) -> int:
 def require_real(value, name: str):
     """``value`` if it is a real number (a bool is not), else ValueError:
     outside input is checked, not coerced."""
-    if type(value) is float or type(value) is int:
-        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return value
+
+
+def first_of_each_type(values: list | tuple) -> list[int]:
+    """Where the first value of each type in ``values`` sits, in order: the
+    integer and real rules read only the type, so these values stand for all."""
+    types = list(map(type, values))
+    return sorted(map(types.index, set(types)))
 
 
 class Scheme(str, enum.Enum):
@@ -136,22 +141,13 @@ class EffectSet:
         return self.effects.shape[0]
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One simulated (probe, effect) probability; shots = 0 means exact."""
+class MeasurementRecord(NamedTuple):
+    """One (probe, effect) probability, exact if shots = 0; its dataset checks it."""
 
     probe_index: int
     effect_index: int
     p: float
     shots: int = 0
-
-    def __post_init__(self):
-        for name in ("probe_index", "effect_index", "shots"):
-            require_integer(getattr(self, name), name)
-        if not 0.0 <= require_real(self.p, "p") <= 1.0:
-            raise ValueError(f"probability {self.p} outside [0, 1]")
-        if self.shots < 0:
-            raise ValueError("shots must be >= 0")
 
 
 def random_channel(d: int, rank: int, seed: RngSeed) -> KrausSet:
@@ -248,7 +244,7 @@ def output_states(process: ProcessMatrix, probes: ProbeSet) -> list[DensityMatri
 def exact_probability(effect: np.ndarray, state: DensityMatrix) -> float:
     """Born probability Tr(E rho) with a bug-trap on out-of-range values."""
     p = float(np.einsum("ab,ba->", effect, state.rho).real)
-    if p < -1e-10 or p > 1 + 1e-10:
+    if p < -tol.PROBABILITY_RANGE or p > 1 + tol.PROBABILITY_RANGE:
         raise ValueError(f"probability {p} outside [0,1]: inconsistent chi or effects")
     return float(min(max(p, 0.0), 1.0))
 
@@ -278,10 +274,14 @@ def simulate_measurements(
     n_probes, m = len(probes.states), len(effects)
     if len(selected) != n_probes:
         raise ValueError("need one effect-index list per probe")
-    for k, idxs in enumerate(selected):
-        for lam in idxs:
-            if not (_is_integer(lam) and 0 <= lam < m):
-                raise ValueError(f"probe {k}: effect index {lam!r} is not an integer in [0, {m})")
+    flat = [lam for idxs in selected for lam in idxs]
+    probe = np.repeat(np.arange(n_probes), [len(idxs) for idxs in selected])
+    bad = [i for i in first_of_each_type(flat) if not _is_integer(flat[i])]
+    effect = np.array([] if bad else flat)  # Python ints beyond int64 make an object array
+    bad = bad or np.flatnonzero((effect < 0) | (effect >= m)).tolist()
+    if bad:
+        k, lam = probe[bad[0]], flat[bad[0]]
+        raise ValueError(f"probe {k}: effect index {lam!r} is not an integer in [0, {m})")
     if require_integer(shots, "shots") < 0:
         raise ValueError("shots must be >= 0")
     if shots > 0 and seed is None:
@@ -292,20 +292,16 @@ def simulate_measurements(
     outs = np.stack([out.rho for out in output_states(process, probes)])
     # Tr(E rho) = sum_ab rho^T[a, b] E[a, b], one row per probe and column per effect
     born = (outs.transpose(0, 2, 1).reshape(n_probes, -1) @ effects.effects.reshape(m, -1).T).real
-    probe = np.repeat(np.arange(n_probes), [len(idxs) for idxs in selected])
-    effect = np.fromiter((lam for idxs in selected for lam in idxs), dtype=int, count=len(probe))
+    effect = effect.astype(np.intp)
     p = born[probe, effect]
-    outside = (p < -1e-10) | (p > 1 + 1e-10)
+    outside = (p < -tol.PROBABILITY_RANGE) | (p > 1 + tol.PROBABILITY_RANGE)
     if outside.any():
         bad = p[outside.argmax()]
         raise ValueError(f"probability {bad} outside [0,1]: inconsistent chi or effects")
     p = np.clip(p, 0.0, 1.0)
     if shots > 0:
         p = seed.generator().binomial(shots, p) / shots
-    return [
-        MeasurementRecord(probe_index=k, effect_index=lam, p=x, shots=shots)
-        for k, lam, x in zip(probe.tolist(), effect.tolist(), p.tolist())
-    ]
+    return list(map(MeasurementRecord, probe.tolist(), effect.tolist(), p.tolist(), [shots] * len(p)))
 
 
 def unknown_subspace_hamiltonian(effects: EffectSet, measured: list[int]) -> np.ndarray:

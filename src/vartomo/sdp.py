@@ -217,7 +217,7 @@ def solve(
     :mod:`vartomo._kernels`), and a slow-but-feasible problem exhausts
     ``max_iter`` instead.
     """
-    if tol_ <= 0:
+    if not tol_ > 0:  # NaN too
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")

@@ -1,8 +1,8 @@
 """Named numerical tolerances and solver defaults shared across modules.
 
 The validation thresholds below are tuned here.  Some local checks in
-:mod:`vartomo.channels` and :mod:`vartomo.probes` (trace and probability
-bounds, identity and rank checks) still use a literal ``1e-10``.
+:mod:`vartomo.channels` and :mod:`vartomo.probes` (trace bounds, identity
+and rank checks) still use a literal ``1e-10``.
 """
 
 # Reject inputs whose anti-Hermitian part exceeds this in max-norm.
@@ -19,6 +19,9 @@ BASIS_ORTHOGONALITY = 1e-10
 
 # Effect sets: resolution of identity.
 EFFECT_RESOLUTION = 1e-9
+
+# A simulated Born probability outside [-this, 1 + this] is a bug.
+PROBABILITY_RANGE = 1e-10
 
 # Trace-preservation defect threshold.
 TRACE_PRESERVING = 1e-8

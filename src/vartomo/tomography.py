@@ -19,6 +19,7 @@ as the setup.  Every row of both programs is a gather from that table.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import statistics
 import warnings
@@ -32,7 +33,9 @@ from .channels import (
     OperatorBasis,
     ProcessMatrix,
     build_scaled_pauli_basis,
+    kraus_from_json,
     kraus_to_chi,
+    kraus_to_json,
     process_fidelity,
 )
 from .probes import (
@@ -42,6 +45,7 @@ from .probes import (
     RngSeed,
     Scheme,
     aapt_probe_state,
+    first_of_each_type,
     pauli_projector_effects,
     require_integer,
     require_real,
@@ -117,7 +121,10 @@ class Setup:
 class TomographyDataset:
     """Records of one setup.  ``setup`` is derived: the canonical setup
     when basis, probes and effects are its objects, the maker's setup
-    for :meth:`Setup.dataset`, else a setup of the dataset's own."""
+    for :meth:`Setup.dataset`, else a setup of the dataset's own.  Only
+    here are records checked, each column by one pass over its types and
+    one numpy range test; the columns are kept as read-only arrays named
+    as the record fields (``p`` as floats)."""
 
     scheme: Scheme
     d: int
@@ -126,6 +133,10 @@ class TomographyDataset:
     effects: EffectSet
     records: tuple[MeasurementRecord, ...]
     setup: Setup = field(init=False, repr=False, compare=False)
+    probe_index: np.ndarray = field(init=False, repr=False, compare=False)
+    effect_index: np.ndarray = field(init=False, repr=False, compare=False)
+    p: np.ndarray = field(init=False, repr=False, compare=False)
+    shots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
@@ -138,11 +149,18 @@ class TomographyDataset:
         object.__setattr__(self, "setup", setup)
         if self.d != self.setup.d:
             raise ValueError(f"dataset d={self.d} does not match its setup's d={self.setup.d}")
-        for r in self.records:
-            if not 0 <= r.probe_index < len(self.probes.states):
-                raise ValueError(f"record references unknown probe {r.probe_index}")
-            if not 0 <= r.effect_index < len(self.effects):
-                raise ValueError(f"record references unknown effect {r.effect_index}")
+        columns = tuple(zip(*self.records)) or ((),) * 4
+        highs = (self.k_t - 1, len(self.effects) - 1, 1, np.iinfo(np.intp).max)
+        for name, values, high in zip(MeasurementRecord._fields, columns, highs):
+            for i in first_of_each_type(values):
+                (require_real if name == "p" else require_integer)(values[i], name)
+            column = np.array(values)  # Python ints beyond int64 give an object array
+            inside = (column >= 0) & (column <= high)  # NaN is outside
+            if not inside.all():
+                raise ValueError(f"record {name} {values[inside.argmin()]!r} outside [0, {high}]")
+            column = column.astype(float if name == "p" else np.intp)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def k_t(self) -> int:
@@ -177,11 +195,11 @@ class ProgramLayout:
     """What the program holds, for post-hoc re-verification.
 
     Slack s belongs to one distinct (probe, effect) pair; ``chi_rows[s]``
-    is that pair's expectation row.  Record i uses slack
-    ``record_slack[i]`` with envelope scale ``scale[i]``.
+    is that pair's expectation row.  Record i, of probability ``p[i]``,
+    uses slack ``record_slack[i]`` with envelope scale ``scale[i]``.
     """
 
-    records: tuple[MeasurementRecord, ...]
+    p: np.ndarray  # (n_records,)
     record_slack: np.ndarray  # (n_records,)
     scale: np.ndarray  # (n_records,)
     chi_rows: np.ndarray  # (n_slack, psd_dim^2)
@@ -189,10 +207,9 @@ class ProgramLayout:
 
     def violations(self, chi_vec: np.ndarray, slacks: np.ndarray) -> np.ndarray:
         """How far each record's value lies outside its envelope (0 inside)."""
-        p = np.array([r.p for r in self.records])
         value = (self.chi_rows @ chi_vec)[self.record_slack]
         width = slacks[self.record_slack] * self.scale
-        return np.maximum(0.0, np.maximum(p - width - value, value - p - width))
+        return np.maximum(0.0, np.maximum(self.p - width - value, value - self.p - width))
 
 
 @dataclass(frozen=True)
@@ -299,23 +316,17 @@ def _build_program(
         raise ValueError("dataset has no measurement records: nothing to fit")
     table = data.setup.table
 
-    # One slack, and one stored row, per distinct (probe, effect); one
-    # stored Tr(out_k) row per probe.
-    slack_index: dict[tuple[int, int], int] = {}
-    pairs = [(r.probe_index, r.effect_index) for r in data.records]
-    record_slack = np.array([slack_index.setdefault(pair, len(slack_index)) for pair in pairs])
-    n_slack = len(slack_index)
-    k, lam = np.array(list(slack_index), dtype=np.intp).T
-    stored = np.concatenate([table[k, lam], table[:, -1]])
+    # One slack, and one stored row, per distinct (probe, effect), numbered
+    # by first appearance; one stored Tr(out_k) row per probe.
+    pair = data.probe_index * len(data.effects) + data.effect_index
+    _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
+    head = np.sort(first)  # each slack's first record
+    record_slack = np.searchsorted(head, first)[inverse]
+    n_slack = len(head)
+    stored = np.concatenate([table[data.probe_index[head], data.effect_index[head]], table[:, -1]])
     chi_rows, trace_rows = stored[:n_slack], stored[n_slack:]
 
-    envelope, scale, caps = noise_envelope(
-        n_slack,
-        record_slack,
-        np.array([r.p for r in data.records]),
-        np.array([r.shots for r in data.records]),
-        options,
-    )
+    envelope, scale, caps = noise_envelope(n_slack, record_slack, data.p, data.shots, options)
 
     # Tr(out_k) <= 1 for every probe, measured or not.
     inequalities = BoxRows(
@@ -343,7 +354,7 @@ def _build_program(
         slack_caps=caps,
     )
     layout = ProgramLayout(
-        records=data.records,
+        p=data.p,
         record_slack=record_slack,
         scale=scale,
         chi_rows=chi_rows,
@@ -436,7 +447,7 @@ def reconstruct(
         violations = layout.violations(linalg.vec_hermitian(solution.chi_block), solution.slacks)
         ranked = np.argsort(-violations, kind="stable")
         raise InfeasibleDataError(
-            solution, [(layout.records[i], float(violations[i])) for i in ranked]
+            solution, [(data.records[i], float(violations[i])) for i in ranked]
         )
     if solution.status is SolveStatus.MAX_ITER:
         warnings.warn(
@@ -510,17 +521,11 @@ def dataset_to_json(data: TomographyDataset, truth: KrausSet | None = None) -> s
     "records": [{"k", "lambda", "p", "shots"}, ...], "truth": optional
     channel document as written by the gen-channel command}.
     """
-    import json
-
-    from .channels import kraus_to_json
-
+    columns = [getattr(data, name).tolist() for name in MeasurementRecord._fields]
     doc = {
         "scheme": data.scheme.value,
         "n_qubits": data.d.bit_length() - 1,
-        "records": [
-            {"k": r.probe_index, "lambda": r.effect_index, "p": r.p, "shots": r.shots}
-            for r in data.records
-        ],
+        "records": [dict(zip(("k", "lambda", "p", "shots"), row)) for row in zip(*columns)],
     }
     if truth is not None:
         doc["truth"] = json.loads(kraus_to_json(truth))
@@ -528,22 +533,18 @@ def dataset_to_json(data: TomographyDataset, truth: KrausSet | None = None) -> s
 
 
 def dataset_from_json(text: str) -> tuple[TomographyDataset, KrausSet | None]:
-    import json
-
-    from .channels import kraus_from_json
-
     doc = json.loads(text)
-    scheme = Scheme(doc["scheme"])
-    n_qubits = require_integer(doc["n_qubits"], "n_qubits")
-    records = tuple(
-        MeasurementRecord(
-            probe_index=r["k"], effect_index=r["lambda"], p=r["p"], shots=r.get("shots", 0)
+    try:
+        scheme = Scheme(doc["scheme"])
+        n_qubits = require_integer(doc["n_qubits"], "n_qubits")
+        records = tuple(
+            MeasurementRecord(r["k"], r["lambda"], r["p"], r.get("shots", 0))
+            for r in doc["records"]
         )
-        for r in doc["records"]
-    )
-    data = default_setup(scheme, n_qubits).dataset(records)
-    truth = kraus_from_json(json.dumps(doc["truth"])) if "truth" in doc else None
-    return data, truth
+        truth = kraus_from_json(json.dumps(doc["truth"])) if "truth" in doc else None
+    except (KeyError, TypeError) as exc:  # a missing field, or one of the wrong kind
+        raise ValueError(f"malformed dataset document: {exc!r}") from exc
+    return default_setup(scheme, n_qubits).dataset(records), truth
 
 
 # --- minimal-measurement sweep ---------------------------------------------------

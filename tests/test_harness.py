@@ -389,6 +389,23 @@ class TestCli:
         assert "p must be a real number" in r.stderr
         assert r.stdout == ""
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"scheme": "sqpt", "n_qubits": 1, "records": [5]},
+            {"scheme": "sqpt", "n_qubits": 1, "records": {"k": 0}},
+            ["x"],
+        ],
+        ids=["record-not-an-object", "records-not-a-list", "document-not-an-object"],
+    )
+    def test_reconstruct_malformed_dataset_exits_two(self, tmp_path, doc):
+        fixture = tmp_path / "dataset.json"
+        fixture.write_text(json.dumps(doc))
+        r = run_cli("reconstruct", "--dataset", str(fixture))
+        assert r.returncode == 2
+        assert "malformed dataset document" in r.stderr
+        assert r.stdout == ""
+
     def test_malformed_config_line_numbered(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n_qubits": 1,\n "scheme": }')

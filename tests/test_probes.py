@@ -15,7 +15,6 @@ from vartomo.channels import (
 )
 from vartomo.probes import (
     EffectSet,
-    MeasurementRecord,
     ProbeSet,
     RngSeed,
     Scheme,
@@ -197,22 +196,6 @@ class TestSimulation:
         with pytest.raises(ValueError, match="seed"):
             simulate_measurements(self.ident, self.probes, self.effects, [[0]] * 4, shots=10)
 
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            MeasurementRecord(probe_index=0, effect_index=0, p=1.2)
-        with pytest.raises(ValueError):
-            MeasurementRecord(probe_index=0, effect_index=0, p=0.5, shots=-1)
-        # an index or shot count that is not an integer is rejected, not truncated
-        for bad in (dict(probe_index=0.5), dict(effect_index=True), dict(shots=100.5)):
-            with pytest.raises(ValueError, match="must be an integer"):
-                MeasurementRecord(**dict(dict(probe_index=0, effect_index=0, p=0.5), **bad))
-        # a probability that is not a real number is rejected, not coerced
-        for bad in (True, "0.5", 0.5j, None):
-            with pytest.raises(ValueError, match="must be a real number"):
-                MeasurementRecord(probe_index=0, effect_index=0, p=bad)
-        for p in (0, 1, np.float64(0.25)):
-            assert MeasurementRecord(probe_index=0, effect_index=0, p=p).p == p
-
     @pytest.mark.parametrize(
         "selected, probe, index",
         [
@@ -325,8 +308,8 @@ def _abc_real(value) -> bool:
     ids=repr,
 )
 def test_fast_paths_keep_the_abc_rules(value):
-    """The exact int/float fast paths accept and reject what the
-    ``numbers`` checks alone would."""
+    """The integer and real checks accept and reject what the ``numbers``
+    checks alone would; a dataset column applies them by type."""
     for check, rule in ((require_integer, _abc_integer), (require_real, _abc_real)):
         if rule(value):
             assert check(value, "x") is value

@@ -349,6 +349,12 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="max_iter"):
             solve(problem, max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol_", [0.0, -1e-7, float("nan")])
+    def test_tolerance_not_positive_rejected(self, tol_):
+        # a NaN tolerance would never be met: the solve would spend max_iter
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            solve(shot_noise_program(1), tol_, max_iter=3000)
+
 
 ROW_FIELDS = ("psd", "psd_row", "lower", "upper", "slack_index", "slack_coeff")
 

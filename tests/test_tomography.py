@@ -350,6 +350,77 @@ class TestMeasurementTable:
             )
 
 
+class TestDataset:
+    """The dataset is where records are checked, once and by column."""
+
+    @staticmethod
+    def dataset(*records):
+        return default_setup(Scheme.SQPT, 1).dataset(records)
+
+    @staticmethod
+    def record(**fields):
+        return MeasurementRecord(**dict(dict(probe_index=0, effect_index=0, p=0.5), **fields))
+
+    def test_record_validation(self):
+        with pytest.raises(ValueError, match=r"record p 1.2 outside \[0, 1\]"):
+            self.dataset(self.record(p=1.2))
+        with pytest.raises(ValueError, match="record shots -1 outside"):
+            self.dataset(self.record(shots=-1))
+        # an index or shot count that is not an integer is rejected, not truncated
+        for bad in (dict(probe_index=0.5), dict(effect_index=True), dict(shots=100.5)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                self.dataset(self.record(**bad))
+        # a probability that is not a real number is rejected, not coerced
+        for bad in (True, "0.5", 0.5j, None):
+            with pytest.raises(ValueError, match="must be a real number"):
+                self.dataset(self.record(p=bad))
+        for p in (0, 1, np.float64(0.25)):
+            data = self.dataset(self.record(p=p))
+            assert data.records[0].p == p and data.p.tolist() == [p]
+        for bad, message in (
+            (dict(probe_index=4), r"record probe_index 4 outside \[0, 3\]"),
+            (dict(effect_index=-1), r"record effect_index -1 outside \[0, 5\]"),
+            (dict(p=float("nan")), "record p nan outside"),
+            (dict(shots=2**70), "record shots 1180591620717411303424 outside"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                self.dataset(self.record(), self.record(**bad))
+
+    def test_bool_in_an_integer_column_rejected(self):
+        # np.asarray([0, True]) is an int64 array; the type pass still sees the bool
+        with pytest.raises(ValueError, match="probe_index must be an integer, got True"):
+            self.dataset(self.record(probe_index=0), self.record(probe_index=True))
+        with pytest.raises(ValueError, match="p must be a real number, got True"):
+            self.dataset(self.record(p=0.5), self.record(p=True))
+
+    def test_numpy_integer_indices_accepted(self):
+        data = self.dataset(
+            self.record(probe_index=np.int64(3), effect_index=np.uint8(5), shots=np.int32(100)),
+            self.record(probe_index=1),
+        )
+        assert data.probe_index.tolist() == [3, 1] and data.effect_index.tolist() == [5, 0]
+        assert data.shots.tolist() == [100, 0]
+        for column in (data.probe_index, data.effect_index, data.p, data.shots):
+            assert not column.flags.writeable
+
+    def test_slacks_numbered_by_first_appearance(self):
+        setup = default_setup(Scheme.SQPT, 1)
+        truth = kraus_to_chi(random_channel(2, 2, RngSeed(4005)), setup.basis)
+        records = make_dataset(truth, Scheme.SQPT, 1, shots=1000, seed=RngSeed(4006)).records
+        order = np.random.default_rng(4007).permutation(len(records))
+        shuffled = [records[i] for i in order] + [records[i] for i in order[::4]]
+        shuffled += [records[order[5]]] * 2
+        problem, layout = build_sqpt_program(setup.dataset(shuffled))
+        # the reference: a dict numbers each (probe, effect) pair when first seen
+        slack_of = {}
+        want = [slack_of.setdefault((r.probe_index, r.effect_index), len(slack_of)) for r in shuffled]
+        assert layout.record_slack.tolist() == want
+        assert problem.n_slack == len(slack_of) < len(shuffled)
+        k, lam = np.array(list(slack_of)).T
+        assert np.array_equal(layout.chi_rows, setup.table[k, lam])
+        assert layout.p.tolist() == [r.p for r in shuffled]
+
+
 class TestReconstructionOptions:
     @pytest.mark.parametrize(
         "bad",
