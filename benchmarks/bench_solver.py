@@ -41,6 +41,17 @@ shots, the median of several calls after a warm-up call.  Alone it
 prints this tree's times.  With ``--baseline`` it runs every case in
 ten alternating pairs of processes, one per tree, and writes both sides
 with the machine to ``BENCH_simulate.json``.
+
+    PYTHONPATH=src python benchmarks/bench_solver.py --operator [--baseline PARENT/src]
+
+splits the loop's time per iteration on representative two-qubit
+problems (SQPT and AAPT, complete and half data, exact, rank 4): A x
+(``matvec``), A^T y (``rmatvec``), the x-step solve, the cone projection
+and the rest (Anderson and the vector updates), from one solve to tol
+1e-7 with each part timed, next to the loop's time per iteration
+without the timers.  Alone it prints this tree's split.  With
+``--baseline`` it runs ten alternating pairs of processes, one per tree,
+and writes both sides with the machine to ``BENCH_operator.json``.
 """
 
 import argparse
@@ -571,6 +582,146 @@ def simulate(baseline):
     print(f"wrote {SIMULATE_FILE}")
 
 
+OPERATOR_FILE = BENCH_FILE.with_name("BENCH_operator.json")
+OPERATOR_CASES = [(scheme, complete) for scheme in ("sqpt", "aapt") for complete in (True, False)]
+OPERATOR_PARTS = ("matvec", "rmatvec", "solve", "projection")
+
+
+def operator_problem(scheme, complete):
+    """A seeded rank-4 two-qubit program of exact data, half of each
+    probe's effects at random when not ``complete``."""
+    seed = RngSeed(9200).derive(scheme, complete)
+    truth = kraus_to_chi(random_channel(4, 4, seed), build_scaled_pauli_basis(2))
+    selected = None
+    if not complete:
+        rng = seed.derive("select").generator()
+        n_probes, n_effects = (16, 36) if scheme == "sqpt" else (1, 1296)
+        selected = [
+            sorted(rng.choice(n_effects, n_effects // 2, replace=False).tolist())
+            for _ in range(n_probes)
+        ]
+    data = make_dataset(truth, Scheme(scheme), 2, selected)
+    build = build_sqpt_program if scheme == "sqpt" else build_aapt_program
+    return build(data, ReconstructionOptions())[0]
+
+
+@contextlib.contextmanager
+def split_timer(problem):
+    """Time the loop's parts inside the block: the operator's ``matvec``,
+    ``rmatvec`` and ``solve`` and every cone projection, wrapped in
+    timers.  Yields the per-part seconds and call counts."""
+    from vartomo import _kernels
+
+    seconds = {part: 0.0 for part in OPERATOR_PARTS}
+    calls = {part: 0 for part in OPERATOR_PARTS}
+
+    def timed(part, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[part] += time.perf_counter() - start
+                calls[part] += 1
+
+        return wrapper
+
+    op = sdp.row_operator(problem)
+    for part in ("matvec", "rmatvec", "solve"):
+        setattr(op, part, timed(part, getattr(op, part)))
+    row_operator, cone_projection = sdp.row_operator, _kernels.cone_projection
+    sdp.row_operator = lambda _: op
+    _kernels.cone_projection = lambda *args: timed("projection", cone_projection(*args))
+    try:
+        yield seconds, calls
+    finally:
+        sdp.row_operator, _kernels.cone_projection = row_operator, cone_projection
+
+
+def operator_case():
+    """Per case: the loop's microseconds per iteration, untimed (best of
+    three solves) and split by part (one solve with the timers)."""
+    results = {}
+    for scheme, complete in OPERATOR_CASES:
+        problem = operator_problem(scheme, complete)
+        _, loop_s, solution = time_solve(problem)
+        iters = solution.iterations
+        with split_timer(problem) as (seconds, calls):
+            _, split_loop_s, _ = timed_solve(problem, 1e-7)
+        per_iter = {part: seconds[part] / iters * 1e6 for part in OPERATOR_PARTS}
+        per_iter["other"] = split_loop_s / iters * 1e6 - sum(per_iter.values())
+        label = f"2q/{scheme}/{'complete' if complete else 'half'}/exact/r4"
+        results[label] = {
+            "iterations": iters,
+            "loop_us_per_iter": loop_s / iters * 1e6,
+            "split_us_per_iter": per_iter,
+            "calls": calls,
+        }
+    return results
+
+
+def print_operator(results):
+    header = f"{'case':26s} {'iters':>6s} {'loop':>7s}" + "".join(
+        f" {part:>10s}" for part in (*OPERATOR_PARTS, "other")
+    )
+    print(header + "   (us per iteration)")
+    for label, r in results.items():
+        split = r["split_us_per_iter"]
+        print(
+            f"{label:26s} {r['iterations']:6d} {r['loop_us_per_iter']:7.1f}"
+            + "".join(f" {split[part]:10.1f}" for part in (*OPERATOR_PARTS, "other"))
+        )
+
+
+def operator(baseline):
+    """The loop split on this tree; with ``baseline``, alternating pairs
+    of processes on both trees, written to ``BENCH_operator.json``."""
+    if baseline is None:
+        print_operator(run_in(Path(__file__).resolve().parent.parent / "src", "--operator-only"))
+        return
+    runs = alternate(baseline, "--operator-only")
+
+    def median_split(results, case):
+        return {
+            "iterations": results[0][case]["iterations"],
+            "loop_us_per_iter": statistics.median(r[case]["loop_us_per_iter"] for r in results),
+            "split_us_per_iter": {
+                part: statistics.median(r[case]["split_us_per_iter"][part] for r in results)
+                for part in (*OPERATOR_PARTS, "other")
+            },
+        }
+
+    summary = {
+        label: {case: median_split(results, case) for case in results[0]}
+        for label, results in runs.items()
+    }
+    faster = {
+        case: sum(
+            p[case]["loop_us_per_iter"] > c[case]["loop_us_per_iter"] for p, c in zip(*runs.values())
+        )
+        for case in summary["change"]
+    }
+    doc = {
+        "case": (
+            "the ADMM loop's time per iteration on seeded rank-4 two-qubit programs of exact "
+            "data (SQPT and AAPT, complete and half), untimed (best of three solves to tol "
+            "1e-7) and split by part (one solve with each part wrapped in a timer; 'other' is "
+            f"the rest of the loop); {PAIRS} alternating pairs of processes, medians"
+        ),
+        "machine": machine(),
+        "pairs": PAIRS,
+        "summary": summary,
+        "change_faster_in_pairs": faster,
+        "runs": runs,
+    }
+    for label, results in summary.items():
+        print(f"{label}:")
+        print_operator(results)
+    print(f"change faster (loop per iteration) in pairs: {faster}")
+    OPERATOR_FILE.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {OPERATOR_FILE}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sweep-only", action="store_true", help="print the sweep case as JSON")
@@ -582,9 +733,17 @@ def main():
     parser.add_argument(
         "--simulate-only", action="store_true", help="print the simulation times as JSON"
     )
+    parser.add_argument("--operator", action="store_true", help="split the loop's time by part")
+    parser.add_argument(
+        "--operator-only", action="store_true", help="print the loop split as JSON"
+    )
     args = parser.parse_args()
     if args.sweep_only:
         print(json.dumps(sweep_case()))
+    elif args.operator_only:
+        print(json.dumps(operator_case()))
+    elif args.operator:
+        operator(args.baseline)
     elif args.simulate_only:
         print(json.dumps(simulate_case()))
     elif args.simulate:

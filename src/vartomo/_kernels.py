@@ -1,8 +1,9 @@
 """Hot solver kernel: the structured box-row operator and the ADMM loop.
 
-Plain numpy: each iteration is a few small matvecs, two ``bincount``
-scatters, one small Hermitian eigendecomposition and an m x m solve (m
-the Anderson memory); ``benchmarks/bench_solver.py`` times it.
+Plain numpy: each iteration is a few small matvecs or mode products,
+two ``bincount`` scatters, one small Hermitian eigendecomposition and an
+m x m solve (m the Anderson memory); ``benchmarks/bench_solver.py``
+times it, and its ``--operator`` mode splits the time by part.
 
 The loop solves
 
@@ -27,10 +28,14 @@ acceleration (Walker and Ni, SIAM J. Numer. Anal. 2011): from the last
 ``MEMORY`` changes dG, dF of G and of the residual f = G(w) - w between
 accepted iterates it takes w <- G(w) - dG gamma, where gamma solves the
 Tikhonov-regularized normal equations (dF^T dF + lambda I) gamma =
-dF^T f.  A safeguard (as in Zhang, O'Donoghue and Boyd, SIAM J. Optim.
-2020) keeps an extrapolated w only if its residual |G(w) - w| is no
-larger than the last accepted one; otherwise the loop takes the stored
-plain step G of that iterate and clears the memory, as it does on every
+dF^T f.  An extrapolation longer than ``STEP_BOUND`` |f| is skipped: the
+loop takes the plain step G(w) and starts a new memory from w.  (A far
+jump can land where the plain map moves at a steady speed, so |f| stays
+small, the safeguard below keeps accepting and the iterate drifts off.)
+The safeguard (as in Zhang, O'Donoghue and Boyd, SIAM J. Optim. 2020)
+keeps an extrapolated w only if its residual |G(w) - w| is no larger
+than the last accepted one; otherwise the loop takes the stored plain
+step G of that iterate and clears the memory, as it does on every
 penalty change and every ``RESTART_EVERY`` iterations.  A restart takes
 the plain step, clears the memory and starts a new certificate window
 (below), as a new solve from the same w and rho would.
@@ -66,12 +71,23 @@ slack) sums of slack coefficients.  For envelope pairs those sums
 cancel exactly, so the x-step is one D^2 x D^2 inverse plus a diagonal;
 otherwise the inverse is taken of the Schur complement of the slack
 block and the slacks the cross block touches get a low-rank correction.
+
+The loop's A x and A^T y read the distinct rows block by block.  A block
+whose stored rows come in Kronecker-factored form (one Hermitian table
+per factor, ``BoxRows.factor_tables``) is applied by
+:class:`KroneckerRows`: mode products of the permuted chi with the
+tables give the value of every table combination at once, and each
+distinct row gathers its entry of that grid.  The dense distinct rows
+then serve only to form I + A^T A.  The operator takes that path for a
+block with at least D^2 distinct rows, where it was measured to be the
+cheaper one; other blocks keep the dense rows.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 
 import numpy as np
 
@@ -89,8 +105,99 @@ INFEASIBLE_TOL = 1e-3  # certificate tolerance, relative to the largest entry of
 ADAPT_EVERY = 100  # penalty-adaptation period
 RESTART_EVERY = 500  # restart period; a multiple of ADAPT_EVERY and CHECK_EVERY
 MEMORY = 10  # Anderson memory: differences kept for the extrapolation
+# An extrapolation longer than STEP_BOUND times the residual |f| is skipped.
+STEP_BOUND = 1000.0
 # Tikhonov weight of the Anderson normal equations, relative to their trace.
 REGULARIZATION = 1e-10
+
+
+class DenseRows:
+    """Rows ``rows[group[i]]``: distinct rows as a dense (n, D^2) array."""
+
+    def __init__(self, rows, group):
+        self.rows = rows
+        self.group = group
+
+    def values(self, chi):
+        return (self.rows @ chi)[self.group]
+
+    def adjoint(self, v):
+        return np.bincount(self.group, v, len(self.rows)) @ self.rows
+
+
+class KroneckerRows:
+    """Rows ``scale[i] * svec(T_1[t_1] (x) ... (x) T_n[t_n])``, (t_1, ..., t_n)
+    = ``index[i]``, applied by mode products.
+
+    ``tables`` holds one (R_q, d_q, d_q) Hermitian table per factor, in
+    ``np.kron`` order.  Permuted so that each factor's index pair
+    (i_q, j_q) is one mode, chi becomes X'; the value of every table
+    combination is then Re(conj(T_1) X' conj(T_2)^T) at two factors, one
+    (R_q x d_q^2) product per factor in general, and each row gathers
+    its cell of that grid.  The adjoint scatters onto the grid and runs
+    the products back with the tables themselves.
+    """
+
+    def __init__(self, tables, index, scale):
+        n = len(tables)
+        dims = [T.shape[1] for T in tables]
+        D = math.prod(dims)
+        self.flat = [T.reshape(len(T), -1) for T in tables]  # (i, j) -> i d_q + j
+        self.conj = [F.conj() for F in self.flat]
+        self.conj_last = np.ascontiguousarray(self.conj[-1].T)
+        self.scale = scale
+        # values() contracts the last mode from the right, then the others
+        # from the left, moving each result axis to the back but the last
+        # one's.  So the grid's axes are the factors in the order
+        # grid_axes, and the adjoint (right product on the grid's last
+        # axis, then left products) leaves chi's modes in the order
+        # out_modes; at two factors both are (1, 2), with no transposes.
+        grid_axes = [(q + n - 2) % n for q in range(n)]
+        out_modes = grid_axes[-2:] + grid_axes[:-2]
+        self.grid_axes = grid_axes
+        self.n_cells = math.prod(len(T) for T in tables)
+        self.cell = np.ravel_multi_index(
+            tuple(index[:, grid_axes].T), [len(tables[q]) for q in grid_axes]
+        )
+        self.cell2 = 2 * self.cell  # the real parts in the complex grid's float view
+
+        # Gathers between svec and the permuted chi, as real views.
+        into, into_coeff, back, back_coeff = svec_gathers(D)
+        entries = np.arange(D * D).reshape(dims + dims)  # chi's flat entry at (i_1.., j_1..)
+
+        def layout(modes):
+            return entries.transpose([a for q in modes for a in (q, n + q)]).ravel()
+
+        x_entries = layout(range(n))
+        self.into = into.reshape(-1, 2)[x_entries].ravel()
+        self.into_coeff = into_coeff.reshape(-1, 2)[x_entries].ravel()
+        position = np.empty(D * D, dtype=np.intp)
+        position[layout(out_modes)] = np.arange(D * D)
+        self.back = 2 * position[back // 2] + back % 2
+        self.back_coeff = back_coeff
+
+    def values(self, chi):
+        X = (chi[self.into] * self.into_coeff).view(np.complex128)
+        X = X.reshape(-1, len(self.conj_last)) @ self.conj_last
+        last = len(self.conj) - 2
+        for q, T in enumerate(self.conj[:-1]):
+            X = T @ X.reshape(T.shape[1], -1)
+            if q < last:
+                X = X.T
+        return X.view(np.float64).ravel()[self.cell2] * self.scale
+
+    def adjoint(self, v):
+        B = np.bincount(self.cell, v * self.scale, self.n_cells)
+        axes = self.grid_axes
+        F = self.flat[axes[-1]]
+        # real B times a complex table, on the table's float view
+        Z = (B.reshape(-1, len(F)) @ F.view(np.float64)).view(np.complex128)
+        for q in axes[:-1]:
+            F = self.flat[q]
+            Z = F.T @ Z.reshape(len(F), -1)
+            if q != axes[-2]:
+                Z = Z.T
+        return Z.view(np.float64).ravel()[self.back] * self.back_coeff
 
 
 class RowOperator:
@@ -101,7 +208,9 @@ class RowOperator:
     validated when they were made); row i then reads
     ``A_i x = psd[group[i]] . x[:D^2] + coeff[i] * x[D^2 + slack[i]]``
     (``coeff[i] = 0`` for a row without a slack).  ``matvec``, ``rmatvec``
-    and ``solve`` apply A, A^T and (I + A^T A)^{-1}.
+    and ``solve`` apply A, A^T and (I + A^T A)^{-1}.  ``parts`` applies
+    the PSD coefficients in the loop, one :class:`DenseRows` or
+    :class:`KroneckerRows` per run of rows (``row_splits`` between them).
     """
 
     def __init__(self, D, n_slack, blocks):
@@ -115,7 +224,7 @@ class RowOperator:
             return np.concatenate([getattr(rows, name) for rows in blocks])
 
         stored = np.concatenate([rows.psd for rows in blocks])
-        offsets = np.cumsum([0] + [len(rows.psd) for rows in blocks[:-1]])
+        offsets = np.cumsum([0] + [len(rows.psd) for rows in blocks])
         psd_row = np.concatenate([rows.psd_row + off for rows, off in zip(blocks, offsets)])
         slack_index = joined("slack_index")
         self.n_rows = len(slack_index)
@@ -131,13 +240,41 @@ class RowOperator:
         self.upper = joined("upper") / norms
 
         # Distinct equilibrated PSD rows: one per (stored row, norm), in
-        # (stored row, norm) order.
+        # (stored row, norm) order, so each block's groups are one run.
         _, first, group = np.unique(
             np.column_stack([psd_row, norms]), axis=0, return_index=True, return_inverse=True
         )
         self.group = group.reshape(-1)
         self.n_groups = len(first)
-        self.psd = stored[psd_row[first]] / norms[first, None]
+        psd = stored[psd_row[first]] / norms[first, None]
+
+        # The loop's parts: a factored block on its own once it has D^2
+        # distinct rows, runs of other blocks as dense rows.  The dense
+        # rows cost a pass over (distinct rows x D^2) entries per product,
+        # the mode products a fixed few small complex products; on 2q
+        # SQPT and AAPT programs (one BLAS thread) the loop's time per
+        # iteration crosses over near D^2 distinct rows for both schemes.
+        row_bounds = np.cumsum([0] + [len(rows) for rows in blocks])
+        group_bounds = np.searchsorted(psd_row[first], offsets)
+        runs = []  # (first row, first group, KroneckerRows or None for dense)
+        for k, rows in enumerate(blocks):
+            (r0, r1), (g0, g1) = row_bounds[k : k + 2], group_bounds[k : k + 2]
+            if r1 == r0:
+                continue
+            if rows.factor_tables is not None and g1 - g0 >= DD:
+                index = rows.factor_index[psd_row[r0:r1] - offsets[k]]
+                runs.append((r0, g0, KroneckerRows(rows.factor_tables, index, 1.0 / norms[r0:r1])))
+            elif not runs or runs[-1][2] is not None:
+                runs.append((r0, g0, None))
+        runs = runs or [(0, 0, None)]  # no rows at all: one empty dense part
+        runs.append((self.n_rows, self.n_groups, None))
+        # A dense part of several keeps a copy, so the whole row matrix
+        # is freed after set-up.
+        self.parts = [
+            kron or DenseRows(psd if len(runs) == 2 else psd[g0:g1].copy(), self.group[r0:r1] - g0)
+            for (r0, g0, kron), (r1, g1, _) in zip(runs[:-1], runs[1:])
+        ]
+        self.row_splits = [r0 for r0, _, _ in runs[1:-1]]
 
         # Slack block: diagonal.  Cross block U^T W, W[u, j] = sum of coeff
         # over the rows of group u that use slack j.
@@ -152,24 +289,32 @@ class RowOperator:
         self.cross_slots = np.unique(j)
         W = np.zeros((self.n_groups, len(self.cross_slots)))
         W[u, np.searchsorted(self.cross_slots, j)] = sums[nonzero]
-        self.cross = self.psd.T @ W if len(self.cross_slots) else None
+        self.cross = psd.T @ W if len(self.cross_slots) else None
 
         counts = np.bincount(self.group, minlength=self.n_groups).astype(float)
-        weighted = self.psd * np.sqrt(counts)[:, None]
+        weighted = psd * np.sqrt(counts)[:, None]
         chi_block = np.eye(DD) + weighted.T @ weighted
         if self.cross is not None:
             chi_block -= (self.cross * self.slack_scale[self.cross_slots]) @ self.cross.T
         self.factor = np.linalg.inv(chi_block)
 
     def matvec(self, x):
-        Ax = (self.psd @ x[: self.DD])[self.group]
+        chi = x[: self.DD]
+        if len(self.parts) == 1:
+            Ax = self.parts[0].values(chi)
+        else:
+            Ax = np.concatenate([part.values(chi) for part in self.parts])
         if self.n_slack:
             Ax += self.coeff * x[self.slack_col]
         return Ax
 
     def rmatvec(self, v):
         out = np.empty(self.n_vars)
-        out[: self.DD] = np.bincount(self.group, v, self.n_groups) @ self.psd
+        if len(self.parts) == 1:
+            out[: self.DD] = self.parts[0].adjoint(v)
+        else:
+            pieces = np.split(v, self.row_splits)
+            out[: self.DD] = sum(part.adjoint(p) for part, p in zip(self.parts, pieces))
         if self.n_slack:
             out[self.DD :] = np.bincount(self.slack, self.coeff * v, self.n_slack)
         return out
@@ -307,6 +452,7 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
     dG = np.empty((MEMORY, N))
     gram = np.empty((MEMORY, MEMORY))
     tikhonov = REGULARIZATION * np.eye(MEMORY)
+    bound_sq = STEP_BOUND**2
     g_prev = np.empty(N)
     f_prev = np.empty(N)
 
@@ -427,12 +573,17 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
             h_trace = H.trace()
             if h_trace > 0 and (it + 1) % CHECK_EVERY and it + 1 < n_iters:
                 gamma = np.linalg.solve(H + h_trace * tikhonov[:k, :k], fit)
-                pending = gamma @ gamma < np.inf
+                step = gamma @ dG[:k]
+                # Bound the step (false on a NaN or infinite one too); a
+                # skipped step takes the plain step and a new memory.
+                pending = step @ step <= bound_sq * f_sq
+                if not pending:
+                    cols = 0
         g_prev, g = g, g_prev
         f_prev[:] = f
         have_prev = True
         if pending:
-            np.subtract(g_prev, gamma @ dG[:k], out=w)
+            np.subtract(g_prev, step, out=w)
         else:
             w[:] = g_prev
         project(w, z)

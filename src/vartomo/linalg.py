@@ -1,8 +1,8 @@
 """Dense complex matrix kernel.
 
-Hermitian eigendecomposition, PSD projection and square root, Kronecker
-products, Hilbert-Schmidt inner products, and a real vectorization of
-Hermitian matrices (svec).  Everything is a plain ``numpy.ndarray``;
+Hermitian eigendecomposition, PSD projection and square root,
+Hilbert-Schmidt inner products, and a real vectorization of Hermitian
+matrices (svec).  Everything is a plain ``numpy.ndarray``;
 helpers validate rather than wrap.
 
 svec layout for an n x n Hermitian matrix M (n^2 real coordinates):

@@ -20,7 +20,10 @@ safeguarded type-II Anderson acceleration (see :mod:`vartomo._kernels`,
 which also holds the loop's constants).  It never forms the dense row
 matrix: :func:`row_operator` equilibrates the rows, keeps each distinct
 PSD row once with a per-row slack coefficient, and factors the x-step
-through one D^2 x D^2 inverse plus a diagonal.  A solve may start from
+through one D^2 x D^2 inverse plus a diagonal.  Stored rows given in
+Kronecker-factored form (``BoxRows.factor_tables``) are applied in the
+loop by mode products once a block has D^2 distinct rows; the dense
+rows then only form that inverse.  A solve may start from
 a given loop state (:class:`SolverState`: x, w and the penalty), such
 as the final state of a solve of a related program mapped onto this
 one's variables and rows.  A solve starts with an empty Anderson memory
@@ -37,6 +40,7 @@ the loop's duals (INFEASIBLE), or the iteration cap (MAX_ITER).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,6 +60,15 @@ class BoxRows:
     default to "no slack" (-1, 0).  Coefficients must be finite and
     bounds not NaN; an infinite bound means an open side.  ``len()``
     counts box rows.
+
+    The stored rows may also come in Kronecker-factored form:
+    ``factor_tables`` holds one (R_q, d_q, d_q) Hermitian table per
+    factor, with prod d_q = D, and ``factor_index`` one row of table
+    indices per stored row, so that ``psd[s] = svec(T_1[t_1] (x) ... (x)
+    T_n[t_n])`` (``np.kron`` order), (t_1, ..., t_n) = ``factor_index[s]``.
+    The maker vouches for that equality; the solver then applies the
+    rows by mode products where that is cheaper (see
+    :mod:`vartomo._kernels`).
     """
 
     psd: np.ndarray
@@ -64,6 +77,8 @@ class BoxRows:
     slack_index: np.ndarray = field(default=None)  # type: ignore[assignment]
     slack_coeff: np.ndarray = field(default=None)  # type: ignore[assignment]
     psd_row: np.ndarray = field(default=None)  # type: ignore[assignment]
+    factor_tables: tuple[np.ndarray, ...] | None = None
+    factor_index: np.ndarray | None = None
 
     def __post_init__(self):
         self.psd = np.asarray(self.psd, dtype=float)
@@ -78,7 +93,9 @@ class BoxRows:
             self.slack_index = np.full(n, -1)
         if self.slack_coeff is None:
             self.slack_coeff = np.zeros(n)
-        for name in ("psd_row", "slack_index"):
+        for name in ("psd_row", "slack_index", "factor_index"):
+            if getattr(self, name) is None:  # only factor_index is still unset here
+                continue
             index = np.asarray(getattr(self, name))
             if index.size and index.dtype.kind not in "iu":  # casting would truncate 1.5
                 raise ValueError(f"{name} must hold integers")
@@ -98,6 +115,28 @@ class BoxRows:
             i = bad[0]
             what = "NaN bound" if np.isnan(lo[i]) or np.isnan(hi[i]) else "empty interval"
             raise ValueError(f"{what} [{lo[i]}, {hi[i]}] in row {i}")
+        if (self.factor_tables is None) != (self.factor_index is None):
+            raise ValueError("factor_tables and factor_index come together")
+        if self.factor_tables is not None:
+            self._check_factors()
+
+    def _check_factors(self):
+        tables = tuple(np.ascontiguousarray(T, dtype=complex) for T in self.factor_tables)
+        if not tables or any(T.ndim != 3 or T.shape[1] != T.shape[2] for T in tables):
+            raise ValueError("factor tables must be (rows, d, d) stacks")
+        if not all(np.isfinite(T).all() for T in tables):
+            raise ValueError("factor tables must be finite")
+        for T in tables:
+            if T.size and np.abs(T - T.conj().transpose(0, 2, 1)).max() > tol.HERMITIAN_REJECT:
+                raise ValueError("factor tables must be Hermitian")
+        if math.prod(T.shape[1] for T in tables) ** 2 != self.psd.shape[1]:
+            raise ValueError("the factors' dimensions do not make up the psd block")
+        if self.factor_index.shape != (len(self.psd), len(tables)):
+            raise ValueError("factor_index needs one table index per stored row and factor")
+        sizes = np.array([len(T) for T in tables])
+        if np.any((self.factor_index < 0) | (self.factor_index >= sizes)):
+            raise ValueError("factor index out of range")
+        self.factor_tables = tuple(0.5 * (T + T.conj().transpose(0, 2, 1)) for T in tables)
 
     def __len__(self) -> int:
         return len(self.lower)
@@ -269,14 +308,21 @@ def solve(
 
 def problem_to_json(problem: SdpProblem) -> str:
     """Problem document holding the record's arrays as they are: the
-    :class:`BoxRows` fields of the inequalities and the equalities."""
+    :class:`BoxRows` fields of the inequalities and the equalities, a
+    factor table as its real and imaginary parts."""
 
     def listed(values: np.ndarray) -> list:  # an open bound or uncapped slack as null
         return np.where(np.isinf(values), None, values).tolist()
 
     def rows(r: BoxRows) -> dict:
         fields = ("psd", "psd_row", "lower", "upper", "slack_index", "slack_coeff")
-        return {name: listed(getattr(r, name)) for name in fields}
+        doc = {name: listed(getattr(r, name)) for name in fields}
+        if r.factor_tables is not None:
+            doc["factor_tables"] = [
+                {"re": T.real.tolist(), "im": T.imag.tolist()} for T in r.factor_tables
+            ]
+            doc["factor_index"] = r.factor_index.tolist()
+        return doc
 
     return json.dumps(
         {
@@ -296,14 +342,26 @@ def problem_from_json(text: str) -> SdpProblem:
     doc = json.loads(text)
 
     def rows(r: dict, psd_dim: int) -> BoxRows:
+        n_stored = len(r["psd"])
+        factors = {}
+        if "factor_tables" in r:  # optional: a block without a factored form
+            tables = [
+                np.asarray(T["re"], dtype=float) + 1j * np.asarray(T["im"])
+                for T in r["factor_tables"]
+            ]
+            factors = {
+                "factor_tables": tuple(tables),
+                "factor_index": np.asarray(r["factor_index"]).reshape(n_stored, len(tables)),
+            }
         return BoxRows(
             # (rows, D^2) even when there are no rows; a ragged list raises
-            psd=np.asarray(r["psd"], dtype=float).reshape(len(r["psd"]), psd_dim**2),
+            psd=np.asarray(r["psd"], dtype=float).reshape(n_stored, psd_dim**2),
             lower=[-np.inf if v is None else v for v in r["lower"]],
             upper=[np.inf if v is None else v for v in r["upper"]],
             slack_index=r["slack_index"],
             slack_coeff=r["slack_coeff"],
             psd_row=r["psd_row"],
+            **factors,
         )
 
     try:

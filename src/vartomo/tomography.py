@@ -61,9 +61,10 @@ class Setup:
     """One measurement setup: the chi basis, the probe states and the
     measured effects of a scheme.
 
-    ``table`` and ``tp_rows`` are computed on first use and are freed with
-    the setup.  The canonical setups of :func:`default_setup` live for
-    the life of the process, and so do their tables.
+    ``table``, ``factors`` and ``tp_rows`` are computed on first use and
+    are freed with the setup.  The canonical setups of
+    :func:`default_setup` live for the life of the process, and so do
+    their tables.
     """
 
     scheme: Scheme
@@ -100,6 +101,38 @@ class Setup:
         return table
 
     @functools.cached_property
+    def factors(self) -> tuple[tuple[np.ndarray, ...], np.ndarray] | None:
+        """The Kronecker form of ``table`` for a canonical setup of n >= 2
+        qubits, else None: (tables, index) with one per-qubit table per
+        qubit and ``table[k, lam] = svec(kron(T[index[k, lam, 0]], ...))``.
+
+        Every canonical probe and effect is a product over qubits, once
+        each ancilla qubit is paired with its system qubit, so each row
+        is a product of the one-qubit canonical rows (the per-qubit
+        table: 28 rows for SQPT, 37 for AAPT, Tr(out_k) rows included).
+        """
+        n = self.d.bit_length() - 1
+        if n < 2 or self.d != 2**n or default_setup(self.scheme, n) != self:
+            return None
+        one = default_setup(self.scheme, 1)
+        k_1, r_1 = one.table.shape[:2]
+        table = np.stack([linalg.mat_hermitian(row) for row in one.table.reshape(k_1 * r_1, -1)])
+        table.flags.writeable = False
+        # Per qubit: the probe digit (base k_1), and the effect digit of
+        # each wire (system, or ancilla then system; base 6, the effects
+        # per wire) read as one one-qubit effect; the identity effect is
+        # the last row.
+        wires = 1 if self.scheme is Scheme.SQPT else 2
+        base = round((r_1 - 1) ** (1 / wires))
+        probe = np.array(np.unravel_index(np.arange(len(self.probes.states)), (k_1,) * n))
+        digits = np.unravel_index(np.arange(len(self.effects)), (base,) * (wires * n))
+        effect = np.ravel_multi_index(np.reshape(digits, (wires, n, -1)), (base,) * wires)
+        effect = np.concatenate([effect, np.full((n, 1), r_1 - 1)], axis=1)
+        index = probe.T[:, None, :] * r_1 + effect.T[None, :, :]
+        index.flags.writeable = False
+        return (table,) * n, index
+
+    @functools.cached_property
     def tp_rows(self) -> np.ndarray:
         """Read-only rows of sum_ij chi_ij E_j^dag E_i, one per svec entry;
         pinning them to svec(I) makes chi trace preserving."""
@@ -122,9 +155,10 @@ class TomographyDataset:
     """Records of one setup.  ``setup`` is derived: the canonical setup
     when basis, probes and effects are its objects, the maker's setup
     for :meth:`Setup.dataset`, else a setup of the dataset's own.  Only
-    here are records checked, each column by one pass over its types and
-    one numpy range test; the columns are kept as read-only arrays named
-    as the record fields (``p`` as floats)."""
+    here are records checked: each column by one pass over its types,
+    then all four by one numpy range test (shots at most 2^53); the
+    columns are kept as read-only arrays named as the record fields
+    (``p`` as floats)."""
 
     scheme: Scheme
     d: int
@@ -150,16 +184,25 @@ class TomographyDataset:
         if self.d != self.setup.d:
             raise ValueError(f"dataset d={self.d} does not match its setup's d={self.setup.d}")
         columns = tuple(zip(*self.records)) or ((),) * 4
-        highs = (self.k_t - 1, len(self.effects) - 1, 1, np.iinfo(np.intp).max)
-        for name, values, high in zip(MeasurementRecord._fields, columns, highs):
+        names = MeasurementRecord._fields
+        for name, values in zip(names, columns):
             for i in first_of_each_type(values):
                 (require_real if name == "p" else require_integer)(values[i], name)
-            column = np.array(values)  # Python ints beyond int64 give an object array
-            inside = (column >= 0) & (column <= high)  # NaN is outside
-            if not inside.all():
-                raise ValueError(f"record {name} {values[inside.argmin()]!r} outside [0, {high}]")
-            column = column.astype(float if name == "p" else np.intp)
-            column.flags.writeable = False
+        # One range test over the stacked columns, as floats: integers up
+        # to 2^53 are exact there, which bounds the shot count.
+        highs = (self.k_t - 1, len(self.effects) - 1, 1, 2**53)
+        try:
+            table = np.array(columns, dtype=float)
+        except OverflowError:  # an integer beyond the float range: outside, found below
+            table = np.array(columns, dtype=object)
+        outside = ~((table >= 0) & (table <= np.array(highs)[:, None]))  # NaN is outside
+        if outside.any():
+            field = outside.any(axis=1).argmax()
+            value = columns[field][outside[field].argmax()]
+            raise ValueError(f"record {names[field]} {value!r} outside [0, {highs[field]}]")
+        integers = table[[0, 1, 3]].astype(np.intp)
+        table.flags.writeable = integers.flags.writeable = False
+        for name, column in zip(names, (integers[0], integers[1], table[2], integers[2])):
             object.__setattr__(self, name, column)
 
     @property
@@ -325,6 +368,12 @@ def _build_program(
     n_slack = len(head)
     stored = np.concatenate([table[data.probe_index[head], data.effect_index[head]], table[:, -1]])
     chi_rows, trace_rows = stored[:n_slack], stored[n_slack:]
+    # The same rows in Kronecker-factored form, where the setup has one.
+    tables = index = None
+    if data.setup.factors is not None:
+        tables, pairs = data.setup.factors
+        head_pairs = pairs[data.probe_index[head], data.effect_index[head]]
+        index = np.concatenate([head_pairs, pairs[:, -1]])
 
     envelope, scale, caps = noise_envelope(n_slack, record_slack, data.p, data.shots, options)
 
@@ -336,6 +385,8 @@ def _build_program(
         slack_index=np.concatenate([envelope["slack_index"], np.full(data.k_t, -1)]),
         slack_coeff=np.concatenate([envelope["slack_coeff"], np.zeros(data.k_t)]),
         psd_row=np.concatenate([envelope["psd_row"], n_slack + np.arange(data.k_t)]),
+        factor_tables=tables,
+        factor_index=index,
     )
     equalities = None
     if options.tp_constraint:

@@ -171,3 +171,39 @@ def test_reconstruct_objective_matches_tight_solve(case):
     tight = reconstruct(data, ReconstructionOptions(tol=1e-10)).solver
     assert loose.status is tight.status is SolveStatus.OPTIMAL
     assert relative_gap(loose.objective_value, tight.objective_value) <= 1e-6
+
+
+def forced_gamma(monkeypatch, value):
+    """Every Anderson fit returns gamma = ``value`` in each entry."""
+    monkeypatch.setattr(np.linalg, "solve", lambda H, b: np.full(len(b), value))
+
+
+@pytest.mark.parametrize("n_qubits,scheme", [(1, Scheme.SQPT), (2, Scheme.AAPT)])
+def test_step_bound_skips_every_far_jump(monkeypatch, n_qubits, scheme):
+    """With every extrapolation forced a billion-fold long, whatever the
+    rounding, the step bound skips each one before it is taken: the
+    solve runs as plain ADMM (a NaN gamma, never taken) does, bit for
+    bit.  Unbounded, each far jump is taken and costs an iteration
+    before the safeguard throws it away."""
+    data = tomography_case(n_qubits, scheme, 0, 4, False)
+    forced_gamma(monkeypatch, np.nan)
+    plain = reconstruct(data).solver
+    forced_gamma(monkeypatch, 1e9)
+    bounded = reconstruct(data).solver
+    assert plain.status is bounded.status is SolveStatus.OPTIMAL
+    assert bounded.iterations == plain.iterations
+    assert np.array_equal(bounded.chi_block, plain.chi_block)
+    assert np.array_equal(bounded.state.w, plain.state.w)
+
+
+def test_step_bound_keeps_slacks_from_drifting_off():
+    """The case that found the bound: complete noiseless 2q AAPT data of
+    a full-rank channel, where an accepted far jump put every slack near
+    2.55e4 and the loop ran 200,000 iterations to MAX_ITER (one OpenBLAS
+    thread; other rounding converged).  Bounded, it is optimal in 75."""
+    seed = RngSeed(9).derive("recon-2q-mix", 0, 8, "channel")
+    truth = kraus_to_chi(random_channel(4, 16, seed), build_scaled_pauli_basis(2))
+    data = make_dataset(truth, Scheme.AAPT, 2)
+    solution = reconstruct(data, ReconstructionOptions(max_iter=2_000)).solver
+    assert solution.status is SolveStatus.OPTIMAL
+    assert np.abs(solution.slacks).max() < 1.0

@@ -1,8 +1,9 @@
 """The solver's structured row operator against the dense rows it replaces.
 
 ``sdp.row_operator`` keeps each distinct equilibrated PSD row once and
-solves the x-step through a D^2 x D^2 factor plus a diagonal;
-``canned_suite.dense_rows`` is the dense oracle.
+solves the x-step through a D^2 x D^2 factor plus a diagonal; rows in
+Kronecker-factored form are applied by mode products above a size
+rule.  ``canned_suite.dense_rows`` is the dense oracle.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from canned_suite import build_canned_problems, dense_rows
+from vartomo._kernels import DenseRows, KroneckerRows
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
 from vartomo.probes import MeasurementRecord, RngSeed, Scheme, random_channel
 from vartomo.sdp import row_operator
@@ -18,7 +20,9 @@ from vartomo.tomography import (
     TomographyDataset,
     build_aapt_program,
     build_sqpt_program,
+    default_setup,
     make_dataset,
+    measurement_rows,
 )
 
 CANNED = build_canned_problems()
@@ -36,17 +40,17 @@ def relative_error(got, want):
     return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
 
 
-def assert_matches_oracle(problem):
+def assert_matches_oracle(problem, rel=1e-12):
     op = row_operator(problem)
     A, lower, upper = equilibrated_rows(problem)
     rng = np.random.default_rng(61)
     x = rng.normal(size=problem.n_vars)
     y = rng.normal(size=A.shape[0])
     r = rng.normal(size=problem.n_vars)
-    assert relative_error(op.matvec(x), A @ x) <= 1e-12
-    assert relative_error(op.rmatvec(y), A.T @ y) <= 1e-12
+    assert relative_error(op.matvec(x), A @ x) <= rel
+    assert relative_error(op.rmatvec(y), A.T @ y) <= rel
     oracle = np.linalg.solve(np.eye(problem.n_vars) + A.T @ A, r)
-    assert relative_error(op.solve(r), oracle) <= 1e-12
+    assert relative_error(op.solve(r), oracle) <= rel
     for got, want in ((op.lower, lower), (op.upper, upper)):
         assert np.array_equal(np.isinf(got), np.isinf(want))
         finite = np.isfinite(want)
@@ -140,3 +144,72 @@ def test_tomography_cross_sums_cancel_exactly(
     assert sums
     assert all(value == 0.0 for value in sums.values())
     assert row_operator(problem).cross is None
+
+
+# --- Kronecker-factored rows ------------------------------------------------------
+
+
+def half_selection(n_qubits, scheme, seed=5):
+    rng = np.random.default_rng(seed)
+    d = 2**n_qubits
+    n_probes = d * d if scheme is Scheme.SQPT else 1
+    n_effects = 6 ** (n_qubits if scheme is Scheme.SQPT else 2 * n_qubits)
+    return [
+        sorted(rng.choice(n_effects, n_effects // 2, replace=False).tolist())
+        for _ in range(n_probes)
+    ]
+
+
+@pytest.mark.parametrize("tp", [False, True])
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
+def test_factored_rows_match_dense_rows(scheme, half, tp):
+    """Two-qubit programs carry their rows in factored form, and the
+    operator applies them by mode products (the TP equalities stay
+    dense); A x, A^T y and the x-step agree with the dense rows."""
+    basis = build_scaled_pauli_basis(2)
+    truth = kraus_to_chi(random_channel(4, 3, RngSeed(7300)), basis)
+    selected = half_selection(2, scheme) if half else None
+    problem = program(make_dataset(truth, scheme, 2, selected), tp)
+    assert problem.inequalities.factor_index is not None
+    op = assert_matches_oracle(problem, 1e-13)
+    assert [type(part) for part in op.parts] == [KroneckerRows] + [DenseRows] * tp
+
+
+def test_factored_path_only_above_the_crossover():
+    """Below D^2 distinct rows, and at one qubit, the dense rows stay."""
+    basis = build_scaled_pauli_basis(2)
+    truth = kraus_to_chi(random_channel(4, 3, RngSeed(7301)), basis)
+    few = [list(range(6)) if k < 4 else [] for k in range(16)]  # 24 records
+    small = program(make_dataset(truth, Scheme.SQPT, 2, few), False)
+    op = assert_matches_oracle(small, 1e-13)
+    assert op.n_groups < 256 and [type(p) for p in op.parts] == [DenseRows]
+    one = program(tomography_dataset(1, Scheme.AAPT, 0), True)
+    assert one.inequalities.factor_tables is None
+    assert [type(p) for p in row_operator(one).parts] == [DenseRows]
+
+
+def test_three_qubit_factors_match_dense_rows():
+    """The n-factor mode products on a 3q SQPT setup: a few hundred
+    random (probe, effect) pairs, against dense rows made for those
+    pairs alone (the whole 3q table would take 455 MB)."""
+    setup = default_setup(Scheme.SQPT, 3)
+    tables, index = setup.factors
+    assert len(tables) == 3 and index.shape == (64, 217, 3)
+    rng = np.random.default_rng(7302)
+    pairs = np.sort(rng.choice(64 * 217, 300, replace=False))
+    probe, effect = np.divmod(pairs, 217)
+    stack = np.concatenate([setup.effects.effects, np.eye(8, dtype=complex)[None]])
+    dense = np.concatenate(
+        [
+            measurement_rows(setup.probes.states[k].rho, stack[effect[probe == k]], setup.basis)
+            for k in np.unique(probe)
+        ]
+    )
+    scale = rng.uniform(0.5, 2.0, size=len(pairs))
+    rows = KroneckerRows(tables, index[probe, effect], scale)
+    x = rng.normal(size=64 * 64)
+    b = rng.normal(size=len(pairs))
+    want = scale * (dense @ x)
+    assert relative_error(rows.values(x), want) <= 1e-13
+    assert relative_error(rows.adjoint(b), (b * scale) @ dense) <= 1e-13
