@@ -29,7 +29,9 @@ inputs included.  Alone it prints the iteration p50/p95/max, statuses
 and wall time of this tree.  With ``--baseline`` it runs the corpus in
 parts, each part in its own process per tree, the trees alternating,
 and writes per-case statuses, iterations, objectives, fidelities and
-wall times of both, with their agreement, to ``BENCH_anderson.json``.
+wall times of both, with their agreement, to ``BENCH_anderson.json``;
+the agreement lists every case whose status or iteration count moved,
+as "parent status iterations -> change status iterations".
 Every corpus case is feasible by construction, so either way it prints
 how many cases this tree reported infeasible and exits 1 if any were.
 
@@ -462,8 +464,18 @@ def corpus(baseline) -> int:
         }
         for label in apart
     }
+
+    def outcome(r):
+        return f"{r['status']} {r['iterations']}"
+
+    moved = {
+        label: f"{outcome(parent[label])} -> {outcome(change[label])}"
+        for label in sorted(parent)
+        if outcome(parent[label]) != outcome(change[label])
+    }
     agreement = {
         "optimal_regressed": regressed,
+        "moved": moved,
         "both_optimal": len(both),
         "objective_gap_max": max(objective.values()),
         "objective_gap_worst": max(objective, key=objective.get),

@@ -35,10 +35,8 @@ small, the safeguard below keeps accepting and the iterate drifts off.)
 The safeguard (as in Zhang, O'Donoghue and Boyd, SIAM J. Optim. 2020)
 keeps an extrapolated w only if its residual |G(w) - w| is no larger
 than the last accepted one; otherwise the loop takes the stored plain
-step G of that iterate and clears the memory, as it does on every
-penalty change and every ``RESTART_EVERY`` iterations.  A restart takes
-the plain step, clears the memory and starts a new certificate window
-(below), as a new solve from the same w and rho would.
+step G of that iterate and clears the memory.  A rejection, a skipped
+step and a penalty change are the only events that clear the memory.
 
 Convergence is read from the plain step of the current w, as plain ADMM
 reads it: the primal residual of x against z+ = P(G(w)) and the dual
@@ -46,7 +44,8 @@ residual rho [I A^T](z+ - z), both normalized by iterate scale.  The
 step into a check is never extrapolated, so the checks, the penalty
 adaptation and the state a call returns all rest on accepted iterates.
 The penalty rescales itself (and the scaled dual w - z) when the
-residuals drift apart by more than a factor of ten.
+residuals drift apart by more than a factor of ten, read every
+``ADAPT_EVERY`` iterations.
 
 Infeasibility is read at the same checks, from the dual of the plain
 step, y = rho (G(w) - P(G(w))).  On an empty feasible set y diverges
@@ -54,12 +53,12 @@ along a certificate (Banjac, Goulart, Stellato and Boyd, J. Optim.
 Theory Appl. 2019): a dy with [I A^T] dy = 0, whose chi part is
 negative semidefinite and whose support over the slack and row bounds
 is negative, which no point [x; A x] of the cone can meet.  The loop
-tests dy = y - y_0 for two baselines y_0: the dual at the solve's first
-check, and the dual at the first check since the latest restart.  It
-projects the slack and row entries of dy onto the polar of the bounds'
-recession cone (dy <= 0 where the upper bound is open, >= 0 where the
-lower is), and stops when the three conditions hold to
-``INFEASIBLE_TOL`` relative to the largest entry of dy, for either dy.
+tests dy = y - y_0 against one baseline y_0, the dual at the call's
+first check (where dy = 0, so that check skips the test).  It projects
+the slack and row entries of dy onto the polar of the bounds' recession
+cone (dy <= 0 where the upper bound is open, >= 0 where the lower is),
+and stops when the three conditions hold to ``INFEASIBLE_TOL`` relative
+to the largest entry of dy.
 
 A is never formed.  Every row is a stored PSD row, by index, plus at
 most one slack, so after equilibration (unit-norm rows)
@@ -102,8 +101,7 @@ _SQRT2 = np.sqrt(2.0)
 ALPHA = 1.6  # over-relaxation
 CHECK_EVERY = 25  # residual-check period
 INFEASIBLE_TOL = 1e-3  # certificate tolerance, relative to the largest entry of dy
-ADAPT_EVERY = 100  # penalty-adaptation period
-RESTART_EVERY = 500  # restart period; a multiple of ADAPT_EVERY and CHECK_EVERY
+ADAPT_EVERY = 100  # penalty-adaptation period; a multiple of CHECK_EVERY
 MEMORY = 10  # Anderson memory: differences kept for the extrapolation
 # An extrapolation longer than STEP_BOUND times the residual |f| is skipped.
 STEP_BOUND = 1000.0
@@ -420,8 +418,11 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
     ``x`` (the variables) and ``w`` (variables then rows) are updated in
     place.  Returns (iterations, status, rho, primal residual, dual
     residual): ``SolveStatus.MAX_ITER`` when the call ran out of
-    iterations.  ``trace``, when given, is called with one progress line
-    at each restart and one at exit.
+    iterations.  A call starts with an empty Anderson memory and takes
+    its certificate baseline at its first check.  ``trace``, when given,
+    is called with one progress line at each adaptation check (every
+    ``ADAPT_EVERY`` iterations) and one at exit; a line gives the
+    residuals and the penalty the preceding iterations ran with.
     """
     n = x.shape[0]
     N = w.shape[0]
@@ -444,8 +445,7 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
     z = np.empty(N)  # P(w)
     z_next = np.empty(N)  # P(G(w)), at the checks
     u = np.empty(N)  # G(w) - z_next, the scaled dual of the plain step
-    y_solve = None  # the dual rho u at the solve's first check
-    y_window = None  # ... and at the first check since the latest restart
+    y_solve = None  # the dual rho u at the call's first check
     # Anderson memory: ring buffers of the changes in f and in G between
     # consecutive accepted iterates, and the Gram matrix of the f changes.
     dF = np.empty((MEMORY, N))
@@ -503,47 +503,32 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
 
             if r_prim <= tol and r_dual <= tol:
                 status = SolveStatus.OPTIMAL
-            else:
-                y = rho * u
-                if y_solve is None:
-                    y_solve = y
-                if y_window is None:
-                    y_window = y
-                # (one baseline until the first restart)
-                if certifies(y - y_window) or (
-                    y_solve is not y_window and certifies(y - y_solve)
-                ):
-                    status = SolveStatus.INFEASIBLE
+            elif y_solve is None:  # the baseline; dy = 0 certifies nothing
+                y_solve = rho * u
+            elif certifies(rho * u - y_solve):
+                status = SolveStatus.INFEASIBLE
             if status is not SolveStatus.MAX_ITER or it == n_iters:
                 w[:] = g
                 break
 
-            restart = it % RESTART_EVERY == 0
-            factor = 1.0
-            if it % ADAPT_EVERY == 0 and not restart:
+            if it % ADAPT_EVERY == 0:
+                report(it, r_prim, r_dual, rho)
+                factor = 1.0
                 if r_prim > 10.0 * r_dual and rho < 1e6:
                     factor = 2.0
                 elif r_dual > 10.0 * r_prim and rho > 1e-6:
                     factor = 0.5
-            if restart or factor != 1.0:
-                if restart:
-                    # The plain step, and a new certificate window.
-                    w[:] = g
-                    y_window = None
-                    report(it, r_prim, r_dual, rho)
-                else:
+                if factor != 1.0:
                     # New penalty, new map: rescale the scaled dual w - z
-                    # of the plain step.
+                    # of the plain step and go on with an empty memory.
                     rho *= factor
                     c_rho = c / rho
                     np.subtract(g, z_next, out=w)
                     w /= factor
                     w += z_next
-                # Either way go on with an empty memory, as a new solve
-                # from w would.
-                project(w, z)
-                cols, have_prev, pending, f_last = 0, False, False, np.inf
-                continue
+                    project(w, z)
+                    cols, have_prev, pending, f_last = 0, False, False, np.inf
+                    continue
 
         if pending and not f_sq <= f_last:
             # Safeguard: the extrapolated w did worse than the last

@@ -154,8 +154,8 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_gen_channel(args) -> int:
     from .probes import random_channel
 
-    if args.qubits < 1:
-        print("vartomo: --qubits must be >= 1", file=sys.stderr)
+    if not 1 <= args.qubits <= tomography.MAX_QUBITS:
+        print(f"vartomo: --qubits must be in [1, {tomography.MAX_QUBITS}]", file=sys.stderr)
         return 1
     d = 2**args.qubits
     if not 1 <= args.rank <= d * d:

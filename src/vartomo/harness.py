@@ -34,7 +34,7 @@ import numpy as np
 from .channels import KrausSet, kraus_to_json, process_to_json
 from .probes import RngSeed, Scheme, random_channel, require_integer, require_real
 from .tolerances import SOLVER_MAX_ITER, SOLVER_TOL
-from .tomography import ReconstructionOptions, SweepResult, minimal_elements_sweep
+from .tomography import MAX_QUBITS, ReconstructionOptions, SweepResult, minimal_elements_sweep
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class ExperimentConfig:
             raise ValueError(f"tp_constraint must be true or false, got {self.tp_constraint!r}")
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
         d = 2**self.n_qubits
         for r in self.ranks:
             if not 1 <= require_integer(r, "rank") <= d * d:
@@ -307,7 +307,7 @@ def _atomic_write(path: Path, content: str) -> None:
 
 def _write_bundle(result, ordered, elapsed: float, started: float) -> None:
     cfg = result.config
-    out = Path(os.environ.get("VARTOMO_OUTPUT_DIR", "") or cfg.output_dir)
+    out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     log_lines = [f"run: scheme={cfg.scheme.value} d={cfg.d} master_seed={cfg.master_seed.seed}"]

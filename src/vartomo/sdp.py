@@ -26,11 +26,9 @@ loop by mode products once a block has D^2 distinct rows; the dense
 rows then only form that inverse.  A solve may start from
 a given loop state (:class:`SolverState`: x, w and the penalty), such
 as the final state of a solve of a related program mapped onto this
-one's variables and rows.  A solve starts with an empty Anderson memory
-and a new certificate window, as the loop does at each restart (every
-``_kernels.RESTART_EVERY`` iterations), so a solve resumed from its own
-final state goes on bit for bit as one longer solve would only if the
-first stopped at a multiple of ``RESTART_EVERY`` iterations.
+one's variables and rows.  A solve started from a state is a fresh loop
+call from that iterate: an empty Anderson memory, a new certificate
+baseline and the penalty-adaptation count from zero.
 
 A solve stops on one of the loop's checks: both residuals below the
 tolerance (OPTIMAL), a certificate of primal infeasibility read from
@@ -196,10 +194,10 @@ class SolverState:
     rows in the loop's equilibrated units; ``rho`` is the penalty.  w is
     the one vector the loop iterates (see :mod:`vartomo._kernels`), so a
     solve started from a final state goes on from the iterate where that
-    solve stopped (see the module docstring for when it continues that
-    solve bit for bit).  A row's equilibration depends on that row
-    alone, so a row carried unchanged into another program keeps its
-    entry of w.  A NaN row entry marks a row without a carried value:
+    solve stopped, as a fresh loop call: with an empty Anderson memory
+    and a new certificate baseline.  A row's equilibration depends on
+    that row alone, so a row carried unchanged into another program
+    keeps its entry of w.  A NaN row entry marks a row without a carried value:
     the solve starts it at the projection of its A x onto its interval.
     """
 
@@ -247,17 +245,20 @@ def solve(
     The loop starts from ``start`` when given (a warm start, typically the
     ``state`` of a solve of a related program mapped onto this one's
     variables and rows), else from zero with the initial penalty.
-    One loop call runs the whole ``max_iter`` budget.  ``trace``, when
-    given, is called with one progress line at each of the loop's
-    restarts (every ``RESTART_EVERY`` iterations) and one at the end.
+    One loop call runs the whole ``max_iter`` budget; a solve started
+    from a state is a fresh call from that iterate (empty memory, new
+    certificate baseline).  ``trace``, when given, is called with one
+    progress line at each of the loop's penalty-adaptation checks (every
+    ``_kernels.ADAPT_EVERY`` iterations) and one at the end.
     Returns the loop's final iterate, with diagnostics, and its state,
     from which a later solve goes on.  The status is the loop's:
     INFEASIBLE rests on a certificate of primal infeasibility (see
     :mod:`vartomo._kernels`), and a slow-but-feasible problem exhausts
     ``max_iter`` instead.
     """
-    if not tol_ > 0:  # NaN too
-        raise ValueError("tolerance must be positive")
+    # The primal residual is relative and at most 2: tol_ >= 1 certifies nothing.
+    if not 0 < tol_ < 1:  # NaN too
+        raise ValueError("tolerance must be in (0, 1)")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     D = problem.psd_dim

@@ -55,6 +55,10 @@ from .probes import (
 from .sdp import BoxRows, SdpProblem, SdpSolution, SolverState, SolveStatus, solve
 from .tolerances import SOLVER_MAX_ITER, SOLVER_TOL
 
+# The largest system a canonical setup is built for.  At 4 qubits the
+# SQPT table alone would take 174 GB and the AAPT effects 1.8 TB.
+MAX_QUBITS = 3
+
 
 @dataclass(frozen=True)
 class Setup:
@@ -176,7 +180,7 @@ class TomographyDataset:
         object.__setattr__(self, "records", tuple(self.records))
         setup = Setup(self.scheme, self.basis, self.probes, self.effects)
         n_qubits = setup.d.bit_length() - 1
-        if n_qubits >= 1 and setup.d == 2**n_qubits:
+        if 1 <= n_qubits <= MAX_QUBITS and setup.d == 2**n_qubits:
             canonical = default_setup(self.scheme, n_qubits)
             if canonical == setup:  # the same objects: they compare by identity
                 setup = canonical
@@ -220,8 +224,9 @@ class ReconstructionOptions:
     additive_cap: float = 100.0
 
     def __post_init__(self):
-        if not require_real(self.tol, "tol") > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        # The primal residual is relative and at most 2: tol >= 1 certifies nothing.
+        if not 0 < require_real(self.tol, "tol") < 1:
+            raise ValueError(f"tol must be in (0, 1), got {self.tol}")
         if require_integer(self.max_iter, "max_iter") < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if math.isnan(require_real(self.p_min, "p_min")):
@@ -529,11 +534,14 @@ def reconstruct(
 
 @functools.lru_cache(maxsize=None)
 def default_setup(scheme: Scheme, n_qubits: int) -> Setup:
-    """The canonical setup of a scheme at a given size.
+    """The canonical setup of a scheme at a given size, 1 to ``MAX_QUBITS``
+    qubits.
 
     Built and validated once per (scheme, n_qubits); every caller shares
     it, so its arrays are read-only.
     """
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
     basis = build_scaled_pauli_basis(n_qubits)
     if scheme is Scheme.SQPT:
         probes, effects = sqpt_probe_states(n_qubits), pauli_projector_effects(n_qubits)

@@ -1,9 +1,10 @@
 """The accelerated solver loop: its memory, its safeguard and its answers.
 
 ``_kernels.admm_loop`` iterates w = z + u and extrapolates it with
-type-II Anderson acceleration.  A penalty change and a restart must
-start the memory afresh, a bad extrapolation must be thrown away by the
-safeguard, and the answers must be those of a tightly converged solve.
+type-II Anderson acceleration.  A penalty change must start the memory
+afresh, the penalty is adapted at every adaptation check of a call, a
+bad extrapolation must be thrown away by the safeguard, and the answers
+must be those of a tightly converged solve.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from canned_suite import build_canned_problems, shot_noise_program
 from vartomo import sdp
-from vartomo._kernels import ADAPT_EVERY, CHECK_EVERY, RESTART_EVERY, cone_projection
+from vartomo._kernels import ADAPT_EVERY, CHECK_EVERY, cone_projection
 from vartomo.channels import build_scaled_pauli_basis, identity_channel, kraus_to_chi
 from vartomo.probes import MeasurementRecord, RngSeed, Scheme, random_channel
 from vartomo.sdp import SolveStatus, row_operator, solve
@@ -57,31 +58,18 @@ def test_rho_change_clears_memory(rho0, factor):
     assert (r_prim, r_dual) == (r_prim2, r_dual2)
 
 
-def test_restart_period_keeps_the_check_and_adaptation_phases():
-    assert RESTART_EVERY % ADAPT_EVERY == 0
-    assert RESTART_EVERY % CHECK_EVERY == 0
-
-
-@pytest.mark.parametrize("rho0", [0.01, 1.0, 100.0])
-def test_restart_is_a_fresh_call(rho0):
-    """A restart goes on exactly as a new loop call from the state
-    there: the plain step, no penalty adaptation at that check, an empty
-    memory.  Starts far from the balanced penalty make an adaptation at
-    the restart check likely, so a loop that adapts there fails."""
-    problem = shot_noise_program(2)
-    op = row_operator(problem)
-    c = problem.objective / np.linalg.norm(problem.objective)
-    caps, m, p = problem.slack_caps, problem.n_vars, op.n_rows
-
-    x, w = np.zeros(m), np.zeros(m + p)
-    done, status, rho, *_ = run_loop(op, c, caps, x, w, rho0, 2 * RESTART_EVERY)
-    assert (done, status) == (2 * RESTART_EVERY, SolveStatus.MAX_ITER)
-
-    x2, w2, rho2 = np.zeros(m), np.zeros(m + p), rho0
-    for _ in range(2):
-        done, _, rho2, *_ = run_loop(op, c, caps, x2, w2, rho2, RESTART_EVERY)
-        assert done == RESTART_EVERY
-    assert np.array_equal(x, x2) and np.array_equal(w, w2) and rho == rho2
+@pytest.mark.parametrize("rank,at", [(4, 500), (2, 1_000)])
+def test_rho_adapts_at_multiples_of_five_hundred(rank, at):
+    """The penalty is adapted at every ``ADAPT_EVERY`` check, 500 and
+    1,000 included: these shot-noise solves change it there.  A trace
+    line gives the penalty the preceding iterations ran with, so the
+    change at ``at`` shows in the line after it."""
+    lines = []
+    solve(shot_noise_program(rank), 1e-15, max_iter=at + ADAPT_EVERY, trace=lines.append)
+    fields = [line.split() for line in lines]
+    rho = {int(f[0].removeprefix("iter=")): float(f[3].removeprefix("rho=")) for f in fields}
+    assert list(rho) == list(range(ADAPT_EVERY, at + 2 * ADAPT_EVERY, ADAPT_EVERY))
+    assert rho[at + ADAPT_EVERY] != rho[at]
 
 
 def contradiction():
@@ -104,9 +92,9 @@ def test_safeguard_keeps_contradiction_infeasible(monkeypatch, overshoot):
     """The contradiction is flagged with its record ranked first, also
     when every extrapolation overshoots a thousandfold: the safeguard
     then rejects the extrapolated iterates and the plain steps remain.
-    The certificate's solve-wide baseline flags the plain steps within a
-    few restarts; a baseline reset at every restart alone needed
-    158,000 iterations."""
+    The certificate's one baseline, the dual at the solve's first check,
+    flags the plain steps in about 4,250 iterations; a baseline reset
+    every 500 iterations alone needed 158,000."""
     solve_normal_equations = np.linalg.solve
     monkeypatch.setattr(
         np.linalg, "solve", lambda H, b: overshoot * solve_normal_equations(H, b)

@@ -49,7 +49,7 @@ def test_traced_call_points_exist(perfbench):
 
 def test_one_loop_span_per_solve(perfbench):
     """The per-layer counters read one ``kernels.loop`` span per solve,
-    whose iteration count is the solve's, also past two restarts."""
+    whose iteration count is the solve's, also over 1,500 iterations."""
     _, spans = perfbench
     problem = shot_noise_program(1)
     tracer = spans.Tracer()

@@ -67,6 +67,9 @@ class TestConfig:
             dict(shots=-1),
             dict(solver_tol=0.0),
             dict(solver_max_iter=0),
+            dict(solver_tol=1.0),
+            dict(solver_tol=float("inf")),
+            dict(n_qubits=4, ranks=(1,)),
         ],
     )
     def test_invalid_values_rejected(self, tmp_path, bad):
@@ -227,17 +230,9 @@ class TestPlotData:
             emit_plot_data(result, "ignored.csv")
 
 
-def run_cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "vartomo.cli", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
+        [sys.executable, "-m", "vartomo.cli", *args], capture_output=True, text=True
     )
 
 
@@ -261,6 +256,12 @@ class TestCli:
     def test_gen_channel_bad_rank(self):
         r = run_cli("gen-channel", "--qubits", "1", "--rank", "9", "--seed", "1")
         assert r.returncode == 1
+
+    @pytest.mark.parametrize("qubits", ["0", "4"])
+    def test_gen_channel_qubits_outside_the_limit_exit_one(self, qubits):
+        r = run_cli("gen-channel", "--qubits", qubits, "--rank", "1", "--seed", "1")
+        assert r.returncode == 1
+        assert "--qubits must be in [1, 3]" in r.stderr
 
     def test_reconstruct_fixture(self, tmp_path):
         basis = build_scaled_pauli_basis(1)
@@ -304,23 +305,6 @@ class TestCli:
         doc = json.loads(r.stdout)
         assert doc[0]["rank"] == 1
 
-    def test_run_env_output_dir_override(self, tmp_path):
-        cfg = {
-            "n_qubits": 1,
-            "scheme": "sqpt",
-            "ranks": [1],
-            "channels_per_rank": 1,
-            "sweep_trials": 1,
-            "master_seed": {"seed": 4},
-            "output_dir": str(tmp_path / "ignored"),
-        }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        r = run_cli("run", "--config", str(cfg_path), env={"VARTOMO_OUTPUT_DIR": str(tmp_path / "env_out")})
-        assert r.returncode == 0
-        assert (tmp_path / "env_out" / "results.csv").exists()
-        assert not (tmp_path / "ignored").exists()
-
     @pytest.mark.parametrize(
         "key,value",
         [
@@ -332,6 +316,8 @@ class TestCli:
             ("ranks", [1.7]),
             ("solver_tol", True),
             ("fidelity_threshold", "0.9"),
+            ("solver_tol", 1.0),
+            ("solver_tol", 1e300),
         ],
     )
     def test_run_invalid_config_exits_one(self, tmp_path, key, value):
@@ -352,7 +338,15 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--additive-scale", "-0.001"), ("--tol", "0"), ("--tol", "-0.5"), ("--p-min", "nan")],
+        [
+            ("--additive-scale", "-0.001"),
+            ("--tol", "0"),
+            ("--tol", "-0.5"),
+            ("--p-min", "nan"),
+            ("--tol", "inf"),
+            ("--tol", "1"),
+            ("--tol", "1e300"),
+        ],
     )
     def test_reconstruct_invalid_option_exits_one(self, tmp_path, flag, value):
         basis = build_scaled_pauli_basis(1)
@@ -406,6 +400,29 @@ class TestCli:
         assert "malformed dataset document" in r.stderr
         assert r.stdout == ""
 
+    def test_run_beyond_the_qubit_limit_exits_one(self, tmp_path):
+        # The threshold is out of range too but checked after the size, so
+        # a build without the size check stops before a 4-qubit run (the
+        # SQPT table alone would take 174 GB).
+        cfg = {"n_qubits": 4, "ranks": [1], "fidelity_threshold": 1.5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, "output_dir": str(tmp_path / "out")}))
+        r = run_cli("run", "--config", str(cfg_path))
+        assert r.returncode == 1
+        assert "n_qubits must be in [1, 3]" in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_reconstruct_beyond_the_qubit_limit_exits_two(self, tmp_path):
+        # k = 256 is out of range too but checked after the size, so a
+        # build without the size check never reaches the 4-qubit table.
+        doc = {"scheme": "sqpt", "n_qubits": 4, "records": [{"k": 256, "lambda": 0, "p": 0.5}]}
+        fixture = tmp_path / "dataset.json"
+        fixture.write_text(json.dumps(doc))
+        r = run_cli("reconstruct", "--dataset", str(fixture))
+        assert r.returncode == 2
+        assert "n_qubits must be in [1, 3]" in r.stderr
+        assert r.stdout == ""
+
     def test_malformed_config_line_numbered(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n_qubits": 1,\n "scheme": }')
@@ -447,7 +464,8 @@ class TestCli:
         assert json.loads(r.stdout)["status"] == "optimal"
 
     @pytest.mark.parametrize(
-        "flag,value,message", [("--max-iter", "0", "max_iter"), ("--tol", "0", "tol")]
+        "flag,value,message",
+        [("--max-iter", "0", "max_iter"), ("--tol", "0", "tol"), ("--tol", "1", "tol"), ("--tol", "inf", "tol")],
     )
     def test_solve_sdp_invalid_option_exits_one(self, tmp_path, flag, value, message):
         from vartomo.sdp import problem_to_json

@@ -6,7 +6,7 @@ import pytest
 
 from canned_suite import build_canned_problems, dense_rows, shot_noise_program
 from vartomo import linalg
-from vartomo._kernels import RESTART_EVERY, KroneckerRows
+from vartomo._kernels import ADAPT_EVERY, KroneckerRows
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
 from vartomo.probes import RngSeed, Scheme, random_channel, unknown_subspace_hamiltonian
 from vartomo.sdp import (
@@ -215,7 +215,7 @@ class TestSolver:
         p = SdpProblem(psd_dim=0, n_slack=1, objective=[1.0], inequalities=rows)
         s = solve(p, 1e-8, max_iter=100_000)
         assert s.status is SolveStatus.INFEASIBLE
-        assert s.iterations <= 500  # the certificate holds before the loop's first restart
+        assert s.iterations <= 500
 
     def test_infeasible_through_the_psd_cone(self):
         """Re X_01 >= 1 with X_00, X_11 <= 0.1: each row alone is
@@ -240,7 +240,7 @@ class TestSolver:
         assert np.isfinite(s.primal_residual) and np.isfinite(s.dual_residual)
 
     def test_max_iter_returns_the_final_iterate(self):
-        """A solve stopped at its cap past two restarts reports the
+        """A solve stopped at its cap after 1,500 iterations reports the
         iterate of its final state, not an earlier one."""
         problem = shot_noise_program(1)
         s = solve(problem, 1e-15, max_iter=1500)
@@ -265,12 +265,12 @@ class TestSolver:
         solve(problem, 1e-8, trace=lines.append)
         assert lines and "primal=" in lines[0]
 
-    def test_trace_line_at_each_restart_and_at_exit(self):
+    def test_trace_line_at_each_adaptation_check_and_at_exit(self):
         lines = []
         s = solve(shot_noise_program(1), 1e-15, max_iter=2037, trace=lines.append)
         assert s.iterations == 2037
         at = [int(line.split()[0].removeprefix("iter=")) for line in lines]
-        assert at == list(range(RESTART_EVERY, 2037, RESTART_EVERY)) + [2037]
+        assert at == list(range(ADAPT_EVERY, 2037, ADAPT_EVERY)) + [2037]
 
 
 class TestWarmStart:
@@ -296,28 +296,6 @@ class TestWarmStart:
             assert again.status is SolveStatus.OPTIMAL, name
             assert again.iterations <= 25, name  # the first residual check
             assert abs(again.objective_value - analytic) <= 1e-6, name
-
-    @pytest.mark.parametrize(
-        "n_qubits,scheme", [(1, Scheme.SQPT), (1, Scheme.AAPT), (2, Scheme.SQPT), (2, Scheme.AAPT)]
-    )
-    def test_resume_continues_the_solve(self, n_qubits, scheme):
-        """A solve stopped at its cap, a restart point, and resumed from
-        its state reaches, bit for bit, the state of one solve run as
-        long."""
-        d = 2**n_qubits
-        truth = kraus_to_chi(
-            random_channel(d, 1, RngSeed(3)), build_scaled_pauli_basis(n_qubits)
-        )
-        data = make_dataset(truth, scheme, n_qubits, shots=10_000, seed=RngSeed(103))
-        build = build_sqpt_program if scheme is Scheme.SQPT else build_aapt_program
-        problem, _ = build(data)
-        whole = solve(problem, max_iter=2 * RESTART_EVERY)
-        half = solve(problem, max_iter=RESTART_EVERY)
-        resumed = solve(problem, max_iter=RESTART_EVERY, start=half.state)
-        assert whole.status is half.status is resumed.status is SolveStatus.MAX_ITER
-        assert np.array_equal(whole.state.x, resumed.state.x)
-        assert np.array_equal(whole.state.w, resumed.state.w)
-        assert whole.state.rho == resumed.state.rho
 
     def test_unset_rows_start_at_their_projection(self):
         _, problem, _ = build_canned_problems()[9]
@@ -352,7 +330,13 @@ class TestWarmStart:
     @pytest.mark.parametrize("tol_", [0.0, -1e-7, float("nan")])
     def test_tolerance_not_positive_rejected(self, tol_):
         # a NaN tolerance would never be met: the solve would spend max_iter
-        with pytest.raises(ValueError, match="tolerance must be positive"):
+        with pytest.raises(ValueError, match=r"tolerance must be in \(0, 1\)"):
+            solve(shot_noise_program(1), tol_, max_iter=3000)
+
+    @pytest.mark.parametrize("tol_", [1.0, 1e300, float("inf")])
+    def test_tolerance_of_one_or_more_rejected(self, tol_):
+        # the primal residual is relative and at most 2: any iterate would pass
+        with pytest.raises(ValueError, match=r"tolerance must be in \(0, 1\)"):
             solve(shot_noise_program(1), tol_, max_iter=3000)
 
 

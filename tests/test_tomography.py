@@ -442,6 +442,10 @@ class TestReconstructionOptions:
             dict(p_min="0.1"),
             dict(additive_scale=True),
             dict(additive_cap=True),
+            # the primal residual is at most 2: a tolerance of 1 or more certifies nothing
+            dict(tol=float("inf")),
+            dict(tol=1.0),
+            dict(tol=1e300),
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -886,6 +890,11 @@ class TestDefaultSetup:
         assert fresh is not rows and np.array_equal(rows, fresh)
         assert not rows.flags.writeable
 
+    @pytest.mark.parametrize("n_qubits", [0, tomography.MAX_QUBITS + 1])
+    def test_size_outside_the_limit_rejected(self, n_qubits):
+        with pytest.raises(ValueError, match=r"n_qubits must be in \[1, 3\]"):
+            default_setup(Scheme.SQPT, n_qubits)
+
     def test_make_dataset_is_repeatable(self):
         basis = build_scaled_pauli_basis(1)
         truth = kraus_to_chi(random_channel(2, 2, RngSeed(4003)), basis)
@@ -916,3 +925,13 @@ def test_dataset_json_probability_is_checked_not_coerced():
         doc["records"][0]["p"] = bad
         with pytest.raises(ValueError, match="p must be a real number"):
             dataset_from_json(json.dumps(doc))
+
+
+def test_dataset_json_beyond_the_qubit_limit_rejected():
+    """A document naming 4 qubits is refused before any setup is built
+    (at 4 qubits the SQPT table alone would take 174 GB)."""
+    doc = {"scheme": "sqpt", "n_qubits": 4, "records": [{"k": 0, "lambda": 0, "p": 0.5}]}
+    built = default_setup.cache_info().currsize
+    with pytest.raises(ValueError, match="n_qubits must be in"):
+        dataset_from_json(json.dumps(doc))
+    assert default_setup.cache_info().currsize == built
