@@ -17,8 +17,11 @@ wall time per sweep and per step.
 runs the sweep case in ten alternating pairs against the parent
 commit's source tree (each run in its own process with one BLAS thread)
 and writes both sides, with the machine and the numpy and BLAS versions,
-to ``BENCH_sweep.json`` at the repository root.  The sweep case uses
-only calls that both trees have.
+to ``BENCH_sweep.json`` at the repository root.  It also runs all 80
+criterion-4 sweeps (ranks 1, 4, 8 and 16, twenty channels each) once
+per tree, and records each channel's minimal count, steps, summed
+iterations and step statuses, the per-rank medians, and every channel
+whose count moved.  The sweep cases use only calls that both trees have.
 
     PYTHONPATH=src python benchmarks/bench_solver.py --corpus [--baseline PARENT/src]
 
@@ -163,49 +166,44 @@ def time_solve(problem, tol=1e-7, repeats=3):
 SWEEP_RANK = 4
 SWEEP_CHANNELS = 20
 CRITERION_4 = RngSeed(20130214)  # the acceptance suite's master seed
+CRITERION_4_RANKS = (1, 4, 8, 16)
 PAIRS = 10
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+
+
+def criterion_4_sweep(rank, i):
+    """Acceptance criterion 4's sweep of channel ``i`` at ``rank``: its
+    seeds, batch, tolerance and threshold."""
+    channel = random_channel(4, rank, CRITERION_4.derive("c4", rank, i))
+    return tomography.minimal_elements_sweep(
+        channel,
+        Scheme.SQPT,
+        0.99,
+        trials=1,
+        seed=CRITERION_4.derive("c4s", rank, i),
+        batch=16,
+        options=ReconstructionOptions(tol=1e-5),
+    )
 
 
 def sweep_case():
     """Criterion 4's rank-4 sweeps: per sweep the wall time, steps,
     iterations and minimal count, plus the summed loop time."""
-    steps = 0
-    reconstruct = tomography.reconstruct
-
-    def counted_reconstruct(*args, **kwargs):
-        nonlocal steps
-        steps += 1
-        return reconstruct(*args, **kwargs)
-
-    tomography.reconstruct = counted_reconstruct
     sweeps = []
-    try:
-        with loop_timer() as loop_s:
-            for i in range(SWEEP_CHANNELS):
-                channel = random_channel(4, SWEEP_RANK, CRITERION_4.derive("c4", SWEEP_RANK, i))
-                steps_before = steps
-                start = time.perf_counter()
-                sweep = tomography.minimal_elements_sweep(
-                    channel,
-                    Scheme.SQPT,
-                    0.99,
-                    trials=1,
-                    seed=CRITERION_4.derive("c4s", SWEEP_RANK, i),
-                    batch=16,
-                    options=ReconstructionOptions(tol=1e-5),
-                )
-                sweeps.append(
-                    {
-                        "wall_s": time.perf_counter() - start,
-                        "steps": steps - steps_before,
-                        "iterations": sweep.solver_iterations,
-                        "minimal_count": sweep.minimal_independent_count,
-                    }
-                )
-    finally:
-        tomography.reconstruct = reconstruct
+    with loop_timer() as loop_s:
+        for i in range(SWEEP_CHANNELS):
+            start = time.perf_counter()
+            sweep = criterion_4_sweep(SWEEP_RANK, i)
+            sweeps.append(
+                {
+                    "wall_s": time.perf_counter() - start,
+                    "steps": len(sweep.trials[0].step_iterations),
+                    "iterations": sweep.solver_iterations,
+                    "minimal_count": sweep.minimal_independent_count,
+                }
+            )
     wall = [s["wall_s"] for s in sweeps]
+    steps = sum(s["steps"] for s in sweeps)
     return {
         "sweep_p50_s": statistics.median(wall),
         "wall_s": sum(wall),
@@ -215,6 +213,38 @@ def sweep_case():
         "step_s": sum(wall) / steps,
         "sweeps": sweeps,
     }
+
+
+def criterion_4_case():
+    """Every criterion-4 sweep (ranks 1, 4, 8 and 16, twenty channels
+    each): per channel the minimal count, steps, summed iterations and
+    the steps' statuses."""
+    results = {}
+    for rank, i in itertools.product(CRITERION_4_RANKS, range(SWEEP_CHANNELS)):
+        trial = criterion_4_sweep(rank, i).trials[0]
+        results[f"r{rank}/c{i}"] = {
+            "count": trial.minimal_count,
+            "steps": len(trial.step_iterations),
+            "iterations": trial.solver_iterations,
+            "statuses": [status.value for status in trial.step_status],
+        }
+    return results
+
+
+def criterion_4_summary(results):
+    """Per rank the median count, summed iterations and steps short of
+    OPTIMAL."""
+    summary = {}
+    for rank in CRITERION_4_RANKS:
+        channels = [r for label, r in results.items() if label.startswith(f"r{rank}/")]
+        summary[f"r{rank}"] = {
+            "median_count": statistics.median(r["count"] for r in channels),
+            "iterations": sum(r["iterations"] for r in channels),
+            "unconverged_steps": sum(
+                status != "optimal" for r in channels for status in r["statuses"]
+            ),
+        }
+    return summary
 
 
 def print_sweep(result):
@@ -249,14 +279,19 @@ def run_in(src, *args):
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def source_trees(baseline):
+    """The src directories compared: ``baseline`` and this tree's."""
+    return {
+        "parent": Path(baseline).resolve(),
+        "change": Path(__file__).resolve().parent.parent / "src",
+    }
+
+
 def alternate(baseline, *args):
     """``PAIRS`` pairs of ``run_in`` processes with ``args``, on ``baseline``
     and on this tree, the order flipping every pair; each tree's results
     in run order, keyed "parent" and "change"."""
-    trees = {
-        "parent": Path(baseline).resolve(),
-        "change": Path(__file__).resolve().parent.parent / "src",
-    }
+    trees = source_trees(baseline)
     runs = {label: [] for label in trees}
     for pair in range(PAIRS):
         order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
@@ -267,7 +302,8 @@ def alternate(baseline, *args):
 
 
 def compare(baseline):
-    """Alternating pairs of sweep-case runs, this tree against ``baseline``."""
+    """Alternating pairs of sweep-case runs, this tree against ``baseline``,
+    then every criterion-4 sweep once per tree."""
     runs = alternate(baseline, "--sweep-only")
     for label, results in runs.items():
         for result in results:
@@ -284,6 +320,24 @@ def compare(baseline):
             "minimal_counts": [s["minimal_count"] for s in results[0]["sweeps"]],
         }
 
+    # The whole criterion once per tree, and every channel whose count moved.
+    trees = source_trees(baseline)
+    channels = {label: run_in(src, "--criterion-4-only") for label, src in trees.items()}
+    parent, change = channels["parent"], channels["change"]
+    moved = {
+        label: f"{parent[label]['count']} -> {change[label]['count']}"
+        for label in parent
+        if parent[label]["count"] != change[label]["count"]
+    }
+    criterion_4 = {
+        "summary": {label: criterion_4_summary(results) for label, results in channels.items()},
+        "moved_counts": moved,
+        "channels": channels,
+    }
+    for label, ranks in criterion_4["summary"].items():
+        print(f"criterion 4 ({label}): {ranks}")
+    print(f"channels whose count moved: {moved}")
+
     doc = {
         "case": (
             f"acceptance criterion 4, rank {SWEEP_RANK}: {SWEEP_CHANNELS} two-qubit SQPT "
@@ -293,6 +347,7 @@ def compare(baseline):
         "pairs": PAIRS,
         "summary": {label: summary(results) for label, results in runs.items()},
         "runs": runs,
+        "criterion_4": criterion_4,
     }
     BENCH_FILE.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {BENCH_FILE}")
@@ -737,6 +792,9 @@ def operator(baseline):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sweep-only", action="store_true", help="print the sweep case as JSON")
+    parser.add_argument(
+        "--criterion-4-only", action="store_true", help="print every criterion-4 sweep as JSON"
+    )
     parser.add_argument("--baseline", help="src directory of the parent tree to compare against")
     parser.add_argument("--corpus", action="store_true", help="run the iteration corpus")
     parser.add_argument("--corpus-part", type=int, help="print one part of the corpus as JSON")
@@ -752,6 +810,8 @@ def main():
     args = parser.parse_args()
     if args.sweep_only:
         print(json.dumps(sweep_case()))
+    elif args.criterion_4_only:
+        print(json.dumps(criterion_4_case()))
     elif args.operator_only:
         print(json.dumps(operator_case()))
     elif args.operator:

@@ -45,7 +45,13 @@ step into a check is never extrapolated, so the checks, the penalty
 adaptation and the state a call returns all rest on accepted iterates.
 The penalty rescales itself (and the scaled dual w - z) when the
 residuals drift apart by more than a factor of ten, read every
-``ADAPT_EVERY`` iterations.
+``ADAPT_EVERY`` iterations.  An OPTIMAL exit hands over the same point
+at the penalty that balances its final residuals (:func:`hand_over`,
+the residual balancing of Stellato et al., *OSQP*, Math. Prog. Comp.
+2020, §5.2): x, P(w) and the dual are kept, only w and rho change, so
+a solve started from that state (a sweep's next step) does not run
+at a penalty that sat inside the factor-ten band.  The other exits
+keep their penalty.
 
 Infeasibility is read at the same checks, from the dual of the plain
 step, y = rho (G(w) - P(G(w))).  On an empty feasible set y diverges
@@ -67,9 +73,12 @@ lo and hi rows of an envelope share one) and one (slack, coefficient)
 pair per row.  I + A^T A then has a diagonal slack block, and its
 chi/slack cross block is U^T W, where W holds the per-(distinct row,
 slack) sums of slack coefficients.  For envelope pairs those sums
-cancel exactly, so the x-step is one D^2 x D^2 inverse plus a diagonal;
-otherwise the inverse is taken of the Schur complement of the slack
+cancel exactly, so the x-step is one D^2 x D^2 factor plus a diagonal;
+otherwise the factor is that of the Schur complement of the slack
 block and the slacks the cross block touches get a low-rank correction.
+The factor is formed on the smaller side: with m < D^2 distinct rows
+(and no cross block) as I - U^T (I_m + U U^T)^{-1} U, an m x m inverse
+(Woodbury), else as the D^2 x D^2 inverse.
 
 The loop's A x and A^T y read the distinct rows block by block.  A block
 whose stored rows come in Kronecker-factored form (one Hermitian table
@@ -102,6 +111,7 @@ ALPHA = 1.6  # over-relaxation
 CHECK_EVERY = 25  # residual-check period
 INFEASIBLE_TOL = 1e-3  # certificate tolerance, relative to the largest entry of dy
 ADAPT_EVERY = 100  # penalty-adaptation period; a multiple of CHECK_EVERY
+RHO_MIN, RHO_MAX = 1e-6, 1e6  # the range the penalty is adapted and handed over in
 MEMORY = 10  # Anderson memory: differences kept for the extrapolation
 # An extrapolation longer than STEP_BOUND times the residual |f| is skipped.
 STEP_BOUND = 1000.0
@@ -206,8 +216,10 @@ class RowOperator:
     validated when they were made); row i then reads
     ``A_i x = psd[group[i]] . x[:D^2] + coeff[i] * x[D^2 + slack[i]]``
     (``coeff[i] = 0`` for a row without a slack).  ``matvec``, ``rmatvec``
-    and ``solve`` apply A, A^T and (I + A^T A)^{-1}.  ``parts`` applies
-    the PSD coefficients in the loop, one :class:`DenseRows` or
+    and ``solve`` apply A, A^T and (I + A^T A)^{-1}, the last through the
+    dense chi-block ``factor``, formed on the smaller side (an m x m
+    inverse for m < D^2 distinct rows).  ``parts`` applies the PSD
+    coefficients in the loop, one :class:`DenseRows` or
     :class:`KroneckerRows` per run of rows (``row_splits`` between them).
     """
 
@@ -289,12 +301,21 @@ class RowOperator:
         W[u, np.searchsorted(self.cross_slots, j)] = sums[nonzero]
         self.cross = psd.T @ W if len(self.cross_slots) else None
 
+        # The chi block I + U^T U, U the distinct rows weighted by the
+        # square root of their counts, is inverted on the smaller side:
+        # with fewer than D^2 rows (and no cross block) by Woodbury,
+        # (I + U^T U)^{-1} = I - U^T (I + U U^T)^{-1} U.
         counts = np.bincount(self.group, minlength=self.n_groups).astype(float)
         weighted = psd * np.sqrt(counts)[:, None]
-        chi_block = np.eye(DD) + weighted.T @ weighted
-        if self.cross is not None:
-            chi_block -= (self.cross * self.slack_scale[self.cross_slots]) @ self.cross.T
-        self.factor = np.linalg.inv(chi_block)
+        if self.cross is None and self.n_groups < DD:
+            inner = np.linalg.inv(np.eye(self.n_groups) + weighted @ weighted.T)
+            self.factor = -(weighted.T @ (inner @ weighted))
+            self.factor.flat[:: DD + 1] += 1.0
+        else:
+            chi_block = np.eye(DD) + weighted.T @ weighted
+            if self.cross is not None:
+                chi_block -= (self.cross * self.slack_scale[self.cross_slots]) @ self.cross.T
+            self.factor = np.linalg.inv(chi_block)
 
     def matvec(self, x):
         chi = x[: self.DD]
@@ -418,11 +439,15 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
     ``x`` (the variables) and ``w`` (variables then rows) are updated in
     place.  Returns (iterations, status, rho, primal residual, dual
     residual): ``SolveStatus.MAX_ITER`` when the call ran out of
-    iterations.  A call starts with an empty Anderson memory and takes
-    its certificate baseline at its first check.  ``trace``, when given,
-    is called with one progress line at each adaptation check (every
+    iterations.  At an OPTIMAL exit, w and the returned rho are the
+    final point handed over at its balancing penalty (:func:`hand_over`).
+    A call starts with an empty Anderson memory and takes its
+    certificate baseline at its first check.  ``trace``, when given, is
+    called with one progress line at each adaptation check (every
     ``ADAPT_EVERY`` iterations) and one at exit; a line gives the
-    residuals and the penalty the preceding iterations ran with.
+    residuals and the penalty the preceding iterations ran with, and
+    the exit line of an OPTIMAL solve adds the handed-over penalty
+    (``handover_rho=``).
     """
     n = x.shape[0]
     N = w.shape[0]
@@ -466,9 +491,9 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
     pending = False  # w is extrapolated and awaits the safeguard
     f_last = np.inf  # squared residual norm of the last accepted iterate
 
-    def report(it, r_prim, r_dual, rho):
+    def report(it, r_prim, r_dual, rho, extra=""):
         if trace is not None:
-            trace(f"iter={it} primal={r_prim:.3e} dual={r_dual:.3e} rho={rho:.3e}\n")
+            trace(f"iter={it} primal={r_prim:.3e} dual={r_dual:.3e} rho={rho:.3e}{extra}\n")
 
     project(w, z)
     it = 0
@@ -514,9 +539,9 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
             if it % ADAPT_EVERY == 0:
                 report(it, r_prim, r_dual, rho)
                 factor = 1.0
-                if r_prim > 10.0 * r_dual and rho < 1e6:
+                if r_prim > 10.0 * r_dual and rho < RHO_MAX:
                     factor = 2.0
-                elif r_dual > 10.0 * r_prim and rho > 1e-6:
+                elif r_dual > 10.0 * r_prim and rho > RHO_MIN:
                     factor = 0.5
                 if factor != 1.0:
                     # New penalty, new map: rescale the scaled dual w - z
@@ -574,8 +599,26 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
         project(w, z)
 
     x[:] = mx[:n]
-    report(it, r_prim, r_dual, rho)
-    return it, status, rho, r_prim, r_dual
+    if status is not SolveStatus.OPTIMAL:
+        report(it, r_prim, r_dual, rho)
+        return it, status, rho, r_prim, r_dual
+    handover = hand_over(w, z_next, rho, r_prim, r_dual)
+    report(it, r_prim, r_dual, rho, f" handover_rho={handover:.3e}")
+    return it, status, handover, r_prim, r_dual
+
+
+def hand_over(w, z, rho, r_prim, r_dual):
+    """The penalty rho' that balances the residuals, rho sqrt(r_prim /
+    r_dual) kept in [``RHO_MIN``, ``RHO_MAX``] (rho when either is zero),
+    with ``w`` rewritten in place as the same point at rho': z = P(w)
+    stays the projection, and the dual rho (w - z) stays the dual."""
+    if not (r_prim > 0 and r_dual > 0):
+        return rho
+    balanced = min(max(rho * math.sqrt(r_prim / r_dual), RHO_MIN), RHO_MAX)
+    w -= z
+    w *= rho / balanced
+    w += z
+    return balanced
 
 
 def get_loop(_backend=None):

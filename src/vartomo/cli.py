@@ -54,6 +54,7 @@ def _build_parser() -> _Parser:
         "--additive-scale", type=float, default=None,
         help="width scale of the additive envelope (default 1/shots, else 1e-3)",
     )
+    p_rec.add_argument("--trace", action="store_true", help="log residuals to stderr")
     p_rec.add_argument("--json", action="store_true")
 
     p_gen = sub.add_parser("gen-channel", help="emit a random channel as JSON")
@@ -117,7 +118,9 @@ def _cmd_reconstruct(args) -> int:
         return 1
     data, truth = tomography.dataset_from_json(_read_file(args.dataset))
     try:
-        result = tomography.reconstruct(data, options)
+        result = tomography.reconstruct(
+            data, options, trace=sys.stderr.write if args.trace else None
+        )
     except InfeasibleDataError as exc:
         payload = {
             "status": "infeasible",

@@ -34,7 +34,12 @@ import numpy as np
 from .channels import KrausSet, kraus_to_json, process_to_json
 from .probes import RngSeed, Scheme, random_channel, require_integer, require_real
 from .tolerances import SOLVER_MAX_ITER, SOLVER_TOL
-from .tomography import MAX_QUBITS, ReconstructionOptions, SweepResult, minimal_elements_sweep
+from .tomography import (
+    ReconstructionOptions,
+    SweepResult,
+    check_qubits,
+    minimal_elements_sweep,
+)
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,7 @@ class ExperimentConfig:
             raise ValueError(f"tp_constraint must be true or false, got {self.tp_constraint!r}")
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
+        check_qubits(self.scheme, self.n_qubits)
         d = 2**self.n_qubits
         for r in self.ranks:
             if not 1 <= require_integer(r, "rank") <= d * d:

@@ -20,15 +20,19 @@ safeguarded type-II Anderson acceleration (see :mod:`vartomo._kernels`,
 which also holds the loop's constants).  It never forms the dense row
 matrix: :func:`row_operator` equilibrates the rows, keeps each distinct
 PSD row once with a per-row slack coefficient, and factors the x-step
-through one D^2 x D^2 inverse plus a diagonal.  Stored rows given in
-Kronecker-factored form (``BoxRows.factor_tables``) are applied in the
-loop by mode products once a block has D^2 distinct rows; the dense
-rows then only form that inverse.  A solve may start from
+through one D^2 x D^2 factor plus a diagonal, the factor formed on the
+smaller side (an m x m inverse for m < D^2 distinct rows).  Stored rows
+given in Kronecker-factored form (``BoxRows.factor_tables``) are applied
+in the loop by mode products once a block has D^2 distinct rows; the
+dense rows then only form that factor.  A solve may start from
 a given loop state (:class:`SolverState`: x, w and the penalty), such
 as the final state of a solve of a related program mapped onto this
 one's variables and rows.  A solve started from a state is a fresh loop
 call from that iterate: an empty Anderson memory, a new certificate
-baseline and the penalty-adaptation count from zero.
+baseline and the penalty-adaptation count from zero.  An OPTIMAL solve
+returns its final point at the penalty that balances its residuals
+(the same x, projection and dual), so a solve started from it does not
+inherit a penalty that had drifted inside the adaptation band.
 
 A solve stops on one of the loop's checks: both residuals below the
 tolerance (OPTIMAL), a certificate of primal infeasibility read from
@@ -195,7 +199,12 @@ class SolverState:
     the one vector the loop iterates (see :mod:`vartomo._kernels`), so a
     solve started from a final state goes on from the iterate where that
     solve stopped, as a fresh loop call: with an empty Anderson memory
-    and a new certificate baseline.  A row's equilibration depends on
+    and a new certificate baseline.  The final state of an OPTIMAL solve
+    holds its point at the penalty that balances its final residuals,
+    rho' = rho sqrt(primal / dual) within the loop's range, with w
+    rescaled so that x, P(w) and the dual rho (w - P(w)) are those the
+    solve ended with; other final states hold the penalty they ran
+    with.  A row's equilibration depends on
     that row alone, so a row carried unchanged into another program
     keeps its entry of w.  A NaN row entry marks a row without a carried value:
     the solve starts it at the projection of its A x onto its interval.
@@ -249,9 +258,11 @@ def solve(
     from a state is a fresh call from that iterate (empty memory, new
     certificate baseline).  ``trace``, when given, is called with one
     progress line at each of the loop's penalty-adaptation checks (every
-    ``_kernels.ADAPT_EVERY`` iterations) and one at the end.
+    ``_kernels.ADAPT_EVERY`` iterations) and one at the end (an OPTIMAL
+    one adds the handed-over penalty, ``handover_rho=``).
     Returns the loop's final iterate, with diagnostics, and its state,
-    from which a later solve goes on.  The status is the loop's:
+    from which a later solve goes on (after an OPTIMAL exit, at the
+    balancing penalty; see :class:`SolverState`).  The status is the loop's:
     INFEASIBLE rests on a certificate of primal infeasibility (see
     :mod:`vartomo._kernels`), and a slow-but-feasible problem exhausts
     ``max_iter`` instead.

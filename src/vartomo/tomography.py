@@ -24,6 +24,7 @@ import math
 import statistics
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -55,9 +56,19 @@ from .probes import (
 from .sdp import BoxRows, SdpProblem, SdpSolution, SolverState, SolveStatus, solve
 from .tolerances import SOLVER_MAX_ITER, SOLVER_TOL
 
-# The largest system a canonical setup is built for.  At 4 qubits the
-# SQPT table alone would take 174 GB and the AAPT effects 1.8 TB.
-MAX_QUBITS = 3
+# The largest system a canonical setup is built for, per scheme.  At 4
+# qubits the SQPT table alone would take 174 GB; at 3 the AAPT effects
+# (6^6 of 64 x 64) would take 3.06 GB and their table 1.53 GB.
+QUBIT_LIMITS = {Scheme.SQPT: 3, Scheme.AAPT: 2}
+MAX_QUBITS = max(QUBIT_LIMITS.values())  # of any scheme: the limit of `gen-channel --qubits`
+
+
+def check_qubits(scheme: Scheme, n_qubits: int) -> None:
+    """Raise ValueError unless ``scheme`` has a canonical setup at ``n_qubits``."""
+    scheme = Scheme(scheme)
+    limit = QUBIT_LIMITS[scheme]
+    if not 1 <= n_qubits <= limit:
+        raise ValueError(f"n_qubits must be in [1, {limit}] for {scheme.value}, got {n_qubits}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +191,7 @@ class TomographyDataset:
         object.__setattr__(self, "records", tuple(self.records))
         setup = Setup(self.scheme, self.basis, self.probes, self.effects)
         n_qubits = setup.d.bit_length() - 1
-        if 1 <= n_qubits <= MAX_QUBITS and setup.d == 2**n_qubits:
+        if 1 <= n_qubits <= QUBIT_LIMITS[setup.scheme] and setup.d == 2**n_qubits:
             canonical = default_setup(self.scheme, n_qubits)
             if canonical == setup:  # the same objects: they compare by identity
                 setup = canonical
@@ -480,13 +491,15 @@ def reconstruct(
     options: ReconstructionOptions | None = None,
     *,
     start: ReconstructionResult | None = None,
+    trace: Callable[[str], None] | None = None,
 ) -> ReconstructionResult:
     """Build the scheme's program, solve it, and package the result.
 
     ``start`` warm-starts the solver from where another reconstruct
     stopped: its result on a prefix of ``data.records`` (same setup,
     same options).  Raises ValueError when the options differ or the
-    records do not line up.
+    records do not line up.  ``trace`` is passed on to
+    :func:`~vartomo.sdp.solve`.
 
     Raises InfeasibleDataError when the solver certifies that the records
     are mutually inconsistent; the error carries the records ranked by
@@ -498,7 +511,7 @@ def reconstruct(
     builder = build_sqpt_program if data.scheme is Scheme.SQPT else build_aapt_program
     problem, layout = builder(data, options)
     state = None if start is None else _carry_over(start, problem, data.records, options)
-    solution = solve(problem, options.tol, options.max_iter, start=state)
+    solution = solve(problem, options.tol, options.max_iter, trace=trace, start=state)
     if solution.status is SolveStatus.INFEASIBLE:
         violations = layout.violations(linalg.vec_hermitian(solution.chi_block), solution.slacks)
         ranked = np.argsort(-violations, kind="stable")
@@ -534,14 +547,13 @@ def reconstruct(
 
 @functools.lru_cache(maxsize=None)
 def default_setup(scheme: Scheme, n_qubits: int) -> Setup:
-    """The canonical setup of a scheme at a given size, 1 to ``MAX_QUBITS``
-    qubits.
+    """The canonical setup of a scheme at a given size, 1 to the scheme's
+    ``QUBIT_LIMITS`` qubits.
 
     Built and validated once per (scheme, n_qubits); every caller shares
     it, so its arrays are read-only.
     """
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+    check_qubits(scheme, n_qubits)
     basis = build_scaled_pauli_basis(n_qubits)
     if scheme is Scheme.SQPT:
         probes, effects = sqpt_probe_states(n_qubits), pauli_projector_effects(n_qubits)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from canned_suite import build_canned_problems, shot_noise_program
-from vartomo import sdp
-from vartomo._kernels import ADAPT_EVERY, CHECK_EVERY, cone_projection
+from vartomo import _kernels, sdp
+from vartomo._kernels import ADAPT_EVERY, CHECK_EVERY, RHO_MAX, RHO_MIN, cone_projection
 from vartomo.channels import build_scaled_pauli_basis, identity_channel, kraus_to_chi
 from vartomo.probes import MeasurementRecord, RngSeed, Scheme, random_channel
 from vartomo.sdp import SolveStatus, row_operator, solve
@@ -20,6 +20,7 @@ from vartomo.tomography import (
     InfeasibleDataError,
     ReconstructionOptions,
     TomographyDataset,
+    build_sqpt_program,
     make_dataset,
     reconstruct,
 )
@@ -70,6 +71,44 @@ def test_rho_adapts_at_multiples_of_five_hundred(rank, at):
     rho = {int(f[0].removeprefix("iter=")): float(f[3].removeprefix("rho=")) for f in fields}
     assert list(rho) == list(range(ADAPT_EVERY, at + 2 * ADAPT_EVERY, ADAPT_EVERY))
     assert rho[at + ADAPT_EVERY] != rho[at]
+
+
+@pytest.mark.parametrize("shots", [0, 10_000])
+def test_optimal_exit_hands_over_the_same_point(monkeypatch, shots):
+    """An OPTIMAL solve hands over its final point at the penalty that
+    balances its residuals: x, chi and the whole solve are those of the
+    loop without the hand-over, P(w') = P(w) and rho' (w' - P(w')) =
+    rho (w - P(w))."""
+    problem = build_sqpt_program(tomography_case(2, Scheme.SQPT, shots, 4, True))[0]
+    hand_over = _kernels.hand_over
+    seen = {}
+
+    def recorded(w, z, rho, r_prim, r_dual):
+        seen.update(w=w.copy(), rho=rho, ratio=r_prim / r_dual)
+        return hand_over(w, z, rho, r_prim, r_dual)
+
+    monkeypatch.setattr(_kernels, "hand_over", recorded)
+    handed = solve(problem, 1e-5)
+    monkeypatch.setattr(_kernels, "hand_over", lambda w, z, rho, *_: rho)
+    kept = solve(problem, 1e-5)
+
+    assert handed.status is kept.status is SolveStatus.OPTIMAL
+    assert handed.iterations == kept.iterations
+    assert handed.objective_value == kept.objective_value
+    assert np.array_equal(handed.state.x, kept.state.x)
+    assert np.array_equal(handed.chi_block, kept.chi_block)
+    assert np.array_equal(seen["w"], kept.state.w) and seen["rho"] == kept.state.rho
+    rho = kept.state.rho
+    balanced = min(max(rho * np.sqrt(seen["ratio"]), RHO_MIN), RHO_MAX)
+    assert handed.state.rho == balanced != rho
+
+    project = cone_projection(row_operator(problem), problem.slack_caps)
+    z, z_handed = np.empty_like(kept.state.w), np.empty_like(kept.state.w)
+    project(kept.state.w, z)
+    project(handed.state.w, z_handed)
+    assert np.abs(z_handed - z).max() <= 1e-12
+    dual = rho * (kept.state.w - z)
+    assert np.abs(handed.state.rho * (handed.state.w - z_handed) - dual).max() <= 1e-12
 
 
 def contradiction():

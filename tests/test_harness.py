@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from vartomo import cli, tomography
 from vartomo.channels import identity_channel, build_scaled_pauli_basis, kraus_to_chi
 from vartomo.harness import (
     ChannelRow,
@@ -230,6 +231,10 @@ class TestPlotData:
             emit_plot_data(result, "ignored.csv")
 
 
+def refuse_effects(n_qubits):
+    raise AssertionError(f"effects built for {n_qubits} qubits")
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "vartomo.cli", *args], capture_output=True, text=True
@@ -422,6 +427,41 @@ class TestCli:
         assert r.returncode == 2
         assert "n_qubits must be in [1, 3]" in r.stderr
         assert r.stdout == ""
+
+    def test_aapt_beyond_its_qubit_limit_rejected(self, tmp_path, monkeypatch, capsys):
+        """A 3-qubit AAPT config exits 1 and a 3-qubit AAPT dataset exits
+        2, before any setup is built (the effects alone would take
+        3.06 GB; building any effects fails here).  Run in process, so
+        that the guard holds."""
+        monkeypatch.setattr(tomography, "pauli_projector_effects", refuse_effects)
+        with pytest.raises(ValueError, match=r"n_qubits must be in \[1, 2\] for aapt"):
+            tiny_config(tmp_path, n_qubits=3, scheme=Scheme.AAPT, ranks=(1,))
+        cfg = {"n_qubits": 3, "scheme": "aapt", "ranks": [1], "output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        assert "n_qubits must be in [1, 2] for aapt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        doc = {"scheme": "aapt", "n_qubits": 3, "records": [{"k": 0, "lambda": 0, "p": 0.5}]}
+        fixture = tmp_path / "dataset.json"
+        fixture.write_text(json.dumps(doc))
+        assert cli.main(["reconstruct", "--dataset", str(fixture)]) == 2
+        out = capsys.readouterr()
+        assert "n_qubits must be in [1, 2] for aapt" in out.err and out.out == ""
+
+    def test_reconstruct_trace(self, tmp_path):
+        """``reconstruct --trace`` writes the solver's progress lines to
+        stderr; the last, at an OPTIMAL exit, gives the handed-over penalty."""
+        basis = build_scaled_pauli_basis(1)
+        truth = kraus_to_chi(random_channel(2, 2, RngSeed(516)), basis)
+        data = make_dataset(truth, Scheme.SQPT, 1, shots=1000, seed=RngSeed(517))
+        fixture = tmp_path / "dataset.json"
+        fixture.write_text(dataset_to_json(data))
+        r = run_cli("reconstruct", "--dataset", str(fixture), "--trace")
+        assert r.returncode == 0 and "status: optimal" in r.stdout
+        lines = r.stderr.splitlines()
+        assert lines and all(line.startswith("iter=") for line in lines)
+        assert lines[-1].split()[4].startswith("handover_rho=")
 
     def test_malformed_config_line_numbered(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,8 +1,9 @@
 """The solver's structured row operator against the dense rows it replaces.
 
 ``sdp.row_operator`` keeps each distinct equilibrated PSD row once and
-solves the x-step through a D^2 x D^2 factor plus a diagonal; rows in
-Kronecker-factored form are applied by mode products above a size
+solves the x-step through a D^2 x D^2 factor plus a diagonal, the factor
+formed on the smaller side (by Woodbury below D^2 distinct rows); rows
+in Kronecker-factored form are applied by mode products above a size
 rule.  ``canned_suite.dense_rows`` is the dense oracle.
 """
 
@@ -14,7 +15,7 @@ from canned_suite import build_canned_problems, dense_rows
 from vartomo._kernels import DenseRows, KroneckerRows
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
 from vartomo.probes import MeasurementRecord, RngSeed, Scheme, random_channel
-from vartomo.sdp import row_operator
+from vartomo.sdp import BoxRows, SdpProblem, row_operator
 from vartomo.tomography import (
     ReconstructionOptions,
     TomographyDataset,
@@ -213,3 +214,67 @@ def test_three_qubit_factors_match_dense_rows():
     want = scale * (dense @ x)
     assert relative_error(rows.values(x), want) <= 1e-13
     assert relative_error(rows.adjoint(b), (b * scale) @ dense) <= 1e-13
+
+
+# --- the x-step factor ------------------------------------------------------------
+
+
+def factor_oracle(problem):
+    """The chi block of (I + A^T A)^{-1}, from the dense equilibrated rows."""
+    A, _, _ = equilibrated_rows(problem)
+    DD = problem.psd_dim**2
+    return np.linalg.inv(np.eye(problem.n_vars) + A.T @ A)[:DD, :DD]
+
+
+def inverted_sizes(monkeypatch, problem):
+    """The operator, and the sizes of the matrices its set-up inverted."""
+    sizes = []
+    inv = np.linalg.inv
+
+    def spy(a):
+        sizes.append(len(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    op = row_operator(problem)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    return op, sizes
+
+
+def sweep_sized_program(n_pairs):
+    """Two-qubit SQPT exact data on ``n_pairs`` seeded random (probe,
+    effect) pairs, as a sweep step reveals them: ``n_pairs`` + 16
+    distinct rows, the Tr(out_k) rows included."""
+    basis = build_scaled_pauli_basis(2)
+    truth = kraus_to_chi(random_channel(4, 4, RngSeed(7400)), basis)
+    probe, effect = np.divmod(np.random.default_rng(7401).permutation(16 * 36)[:n_pairs], 36)
+    selected = [sorted(effect[probe == k].tolist()) for k in range(16)]
+    return program(make_dataset(truth, Scheme.SQPT, 2, selected), False)
+
+
+@pytest.mark.parametrize("m", [1, 255, 256])
+def test_factor_formed_on_the_smaller_side(monkeypatch, m):
+    """Below D^2 = 256 distinct rows the factor is inverted on the row
+    side, an m x m matrix; at D^2 on the chi side.  Either way it is the
+    inverse of I + A^T A."""
+    if m == 1:  # one two-qubit SQPT row, as an equality
+        row = default_setup(Scheme.SQPT, 2).table[3, 7]
+        problem = SdpProblem(psd_dim=16, n_slack=0, equalities=BoxRows(row[None], [0.2], [0.2]))
+    else:
+        problem = sweep_sized_program(m - 16)
+    op, sizes = inverted_sizes(monkeypatch, problem)
+    assert op.n_groups == m and op.cross is None
+    assert sizes == [min(m, 256)]
+    assert np.abs(op.factor - factor_oracle(problem)).max() <= 1e-12
+
+
+def test_factor_with_a_cross_block_stays_on_the_chi_side(monkeypatch):
+    """A cross block (rows sharing a stored row and a slack whose
+    coefficients do not cancel) keeps the dense route: the inverse of
+    the Schur complement of the slack block, which is the chi block of
+    (I + A^T A)^{-1}."""
+    problem = next(p for name, p, _ in CANNED if name == "mixed-blocks")
+    op, sizes = inverted_sizes(monkeypatch, problem)
+    assert op.cross is not None and op.n_groups < op.DD
+    assert sizes == [op.DD]
+    assert np.abs(op.factor - factor_oracle(problem)).max() <= 1e-12

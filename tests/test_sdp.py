@@ -272,6 +272,20 @@ class TestSolver:
         at = [int(line.split()[0].removeprefix("iter=")) for line in lines]
         assert at == list(range(ADAPT_EVERY, 2037, ADAPT_EVERY)) + [2037]
 
+    def test_exit_line_of_an_optimal_solve_gives_the_handover(self):
+        """The exit line of an OPTIMAL solve adds the penalty it hands
+        over after the one it ran with; a MAX_ITER exit line does not."""
+        lines = []
+        s = solve(shot_noise_program(1), trace=lines.append)
+        assert s.status is SolveStatus.OPTIMAL
+        assert len(lines) == (s.iterations - 1) // ADAPT_EVERY + 1
+        fields = lines[-1].split()
+        assert fields[0] == f"iter={s.iterations}" and fields[3].startswith("rho=")
+        assert float(fields[4].removeprefix("handover_rho=")) == pytest.approx(s.state.rho, 1e-3)
+        lines.clear()
+        solve(shot_noise_program(1), 1e-15, max_iter=150, trace=lines.append)
+        assert len(lines) == 2 and len(lines[-1].split()) == 4
+
 
 class TestWarmStart:
     def test_zero_start_is_the_cold_solve(self):

@@ -935,3 +935,21 @@ def test_dataset_json_beyond_the_qubit_limit_rejected():
     with pytest.raises(ValueError, match="n_qubits must be in"):
         dataset_from_json(json.dumps(doc))
     assert default_setup.cache_info().currsize == built
+
+
+def refuse_effects(n_qubits):
+    raise AssertionError(f"effects built for {n_qubits} qubits")
+
+
+def test_aapt_beyond_its_qubit_limit_rejected(monkeypatch):
+    """Three-qubit AAPT is refused before any setup is built, directly
+    and from a dataset document: its 6^6 effects of 64 x 64 would take
+    3.06 GB and its table 1.53 GB.  (Building any effects fails here.)"""
+    monkeypatch.setattr(tomography, "pauli_projector_effects", refuse_effects)
+    built = default_setup.cache_info().currsize
+    with pytest.raises(ValueError, match=r"n_qubits must be in \[1, 2\] for aapt, got 3"):
+        default_setup(Scheme.AAPT, 3)
+    doc = {"scheme": "aapt", "n_qubits": 3, "records": [{"k": 0, "lambda": 0, "p": 0.5}]}
+    with pytest.raises(ValueError, match=r"n_qubits must be in \[1, 2\] for aapt"):
+        dataset_from_json(json.dumps(doc))
+    assert default_setup.cache_info().currsize == built
