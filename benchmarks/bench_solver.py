@@ -1,62 +1,29 @@
-"""Time the solver on representative reconstruction problems and on one
-minimal-measurement sweep case.
+"""Time the solver's cases on this source tree, or on it and a parent tree side by side.
 
-Run with ``PYTHONPATH=src python benchmarks/bench_solver.py``.  For each
-problem it prints the best of three program builds (dataset to
-``build_*_program``; the setup's measurement table is cached by the
-first) and the best of three solves: the whole solve, the set-up before
-the first iteration (row equilibration, row grouping and the x-step
-factor), the ADMM loop, the iteration count and the loop time per
-iteration.  Then it runs the sweep case: acceptance criterion 4's
-twenty rank-4 two-qubit channels, with its seeds, batch, tolerance and
-threshold, and prints the sweep steps, solver iterations, loop time and
-wall time per sweep and per step.
+    PYTHONPATH=src python benchmarks/bench_solver.py [--corpus | --simulate | --operator]
+        [--baseline PARENT/src]
 
-    PYTHONPATH=src python benchmarks/bench_solver.py --baseline PARENT/src
+The rule: a mode runs its case in fresh processes, one per call and
+tree, each importing vartomo from its tree with one BLAS thread, and
+prints what they measured.  Alone it runs on this tree.  With
+``--baseline`` the two trees take turns to go first, and the mode also
+prints their comparison and writes both sides, with the machine and the
+numpy and BLAS versions, to ``BENCH_<mode>.json`` at the repository root.
 
-runs the sweep case in ten alternating pairs against the parent
-commit's source tree (each run in its own process with one BLAS thread)
-and writes both sides, with the machine and the numpy and BLAS versions,
-to ``BENCH_sweep.json`` at the repository root.  It also runs all 80
-criterion-4 sweeps (ranks 1, 4, 8 and 16, twenty channels each) once
-per tree, and records each channel's minimal count, steps, summed
-iterations and step statuses, the per-rank medians, and every channel
-whose count moved.  The sweep cases use only calls that both trees have.
+- ``sweep`` (no flag): criterion 4's twenty rank-4 two-qubit sweeps, ten
+  calls (:func:`sweep_case`).  Alone it first prints the solver table;
+  compared, it also runs all 80 criterion-4 sweeps once per tree and
+  lists every channel whose minimal count moved.
+- ``corpus``: 288 seeded reconstructs in eight parts (:func:`corpus_case`).
+  Compared, it lists every case whose status or iteration count moved
+  and re-solves here, tightly, the cases whose objectives differ.  It
+  exits 1 if this tree reported a case infeasible: none is.
+- ``simulate``: dataset simulation, ten calls (:func:`simulate_case`).
+- ``operator``: the loop's time per iteration split by part, ten calls
+  (:func:`operator_case`).
 
-    PYTHONPATH=src python benchmarks/bench_solver.py --corpus [--baseline PARENT/src]
-
-runs the iteration corpus: seeded one- and two-qubit reconstructs
-(SQPT and AAPT, complete and half data, exact and 1e4 shots, ranks from
-1 to full, ``max_iter`` 20,000), the below-full-rank and shot-noise
-inputs included.  Alone it prints the iteration p50/p95/max, statuses
-and wall time of this tree.  With ``--baseline`` it runs the corpus in
-parts, each part in its own process per tree, the trees alternating,
-and writes per-case statuses, iterations, objectives, fidelities and
-wall times of both, with their agreement, to ``BENCH_anderson.json``;
-the agreement lists every case whose status or iteration count moved,
-as "parent status iterations -> change status iterations".
-Every corpus case is feasible by construction, so either way it prints
-how many cases this tree reported infeasible and exits 1 if any were.
-
-    PYTHONPATH=src python benchmarks/bench_solver.py --simulate [--baseline PARENT/src]
-
-times dataset simulation: ``make_dataset`` on complete one-, two- and
-three-qubit SQPT and one- and two-qubit AAPT data, exact and at 1e4
-shots, the median of several calls after a warm-up call.  Alone it
-prints this tree's times.  With ``--baseline`` it runs every case in
-ten alternating pairs of processes, one per tree, and writes both sides
-with the machine to ``BENCH_simulate.json``.
-
-    PYTHONPATH=src python benchmarks/bench_solver.py --operator [--baseline PARENT/src]
-
-splits the loop's time per iteration on representative two-qubit
-problems (SQPT and AAPT, complete and half data, exact, rank 4): A x
-(``matvec``), A^T y (``rmatvec``), the x-step solve, the cone projection
-and the rest (Anderson and the vector updates), from one solve to tol
-1e-7 with each part timed, next to the loop's time per iteration
-without the timers.  Alone it prints this tree's split.  With
-``--baseline`` it runs ten alternating pairs of processes, one per tree,
-and writes both sides with the machine to ``BENCH_operator.json``.
+``--case NAME [ARG ...]`` runs one case of ``CASES`` in this process and
+prints its JSON; the modes run it in their child processes.
 """
 
 import argparse
@@ -69,12 +36,13 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from vartomo import sdp, tomography
+from vartomo import _kernels, sdp, tomography
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi, process_fidelity
 from vartomo.linalg import vec_hermitian
 from vartomo.probes import RngSeed, Scheme, random_channel
@@ -88,23 +56,34 @@ from vartomo.tomography import (
     reconstruct,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
+HERE = ROOT / "src"  # this tree's sources
+PAIRS = 10
 
-def tomography_problem(
-    n_qubits: int, rank: int, shots: int = 0, scheme=Scheme.SQPT
-) -> tuple[SdpProblem, float]:
-    """The program of a seeded complete dataset and its best build time."""
-    seed = RngSeed(9000 + n_qubits)
+
+def dataset(n_qubits, scheme, rank, channel_seed, select_seed=None, shots=0, shots_seed=None):
+    """The chi of a seeded rank-``rank`` channel and its dataset: complete,
+    or half of each probe's effects drawn with ``select_seed``; exact, or
+    ``shots`` per record drawn with ``shots_seed``."""
     d = 2**n_qubits
-    basis = build_scaled_pauli_basis(n_qubits)
-    truth = kraus_to_chi(random_channel(d, rank, seed), basis)
-    data = make_dataset(truth, scheme, n_qubits, shots=shots, seed=seed.derive("m") if shots else None)
-    build = build_sqpt_program if scheme is Scheme.SQPT else build_aapt_program
-    build_s = np.inf
-    for _ in range(3):
-        start = time.perf_counter()
-        problem, _ = build(data, ReconstructionOptions())
-        build_s = min(build_s, time.perf_counter() - start)
-    return problem, build_s
+    scheme = Scheme(scheme)
+    truth = kraus_to_chi(random_channel(d, rank, channel_seed), build_scaled_pauli_basis(n_qubits))
+    selected = None
+    if select_seed is not None:
+        rng = select_seed.generator()
+        n_probes = d * d if scheme is Scheme.SQPT else 1
+        n_effects = 6 ** (n_qubits if scheme is Scheme.SQPT else 2 * n_qubits)
+        selected = [
+            sorted(rng.choice(n_effects, n_effects // 2, replace=False).tolist())
+            for _ in range(n_probes)
+        ]
+    return truth, make_dataset(truth, scheme, n_qubits, selected, shots, shots_seed)
+
+
+def program(data) -> SdpProblem:
+    """The program of ``data`` under the default options."""
+    build = build_sqpt_program if data.scheme is Scheme.SQPT else build_aapt_program
+    return build(data, ReconstructionOptions())[0]
 
 
 def random_diag_sdp(dim: int, n_rows: int) -> SdpProblem:
@@ -120,32 +99,33 @@ def random_diag_sdp(dim: int, n_rows: int) -> SdpProblem:
     return SdpProblem(psd_dim=dim, n_slack=0, objective=objective, inequalities=rows)
 
 
+def timed(fn, seconds, calls, key):
+    """``fn``, adding the time of each call to ``seconds[key]`` and one to ``calls[key]``."""
+
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seconds[key] += time.perf_counter() - start
+            calls[key] += 1
+
+    return wrapper
+
+
 @contextlib.contextmanager
 def loop_timer():
     """Time every ADMM loop run inside the block.
 
     Wraps the ``sdp.get_loop`` hook that :func:`vartomo.sdp.solve` calls
-    and restores it on exit.  Yields a one-entry list holding the summed
-    loop seconds, read after the block.
+    and restores it on exit.  Yields a dict whose ``"loop"`` entry holds
+    the summed loop seconds, read after the block.
     """
     get_loop = sdp.get_loop
-    loop_s = [0.0]
-
-    def timed_get_loop(backend=None):
-        loop = get_loop(backend)
-
-        def timed_loop(*args):
-            start = time.perf_counter()
-            try:
-                return loop(*args)
-            finally:
-                loop_s[0] += time.perf_counter() - start
-
-        return timed_loop
-
-    sdp.get_loop = timed_get_loop
+    seconds, calls = {"loop": 0.0}, {"loop": 0}
+    sdp.get_loop = lambda backend=None: timed(get_loop(backend), seconds, calls, "loop")
     try:
-        yield loop_s
+        yield seconds
     finally:
         sdp.get_loop = get_loop
 
@@ -156,33 +136,63 @@ def timed_solve(problem, tol):
         start = time.perf_counter()
         result = solve(problem, tol)
         solve_s = time.perf_counter() - start
-    return solve_s, loop_s[0], result
+    return solve_s, loop_s["loop"], result
 
 
 def time_solve(problem, tol=1e-7, repeats=3):
     return min((timed_solve(problem, tol) for _ in range(repeats)), key=lambda run: run[0])
 
 
+def solver_table():
+    """Per problem the best of three builds (dataset to program; the
+    setup's measurement table is cached by the first) and of three solves."""
+    cases = [  # (name, n_qubits, scheme, rank, shots) of a seeded complete dataset
+        ("single-qubit SQPT, noiseless", 1, Scheme.SQPT, 2, 0),
+        ("single-qubit SQPT, 1e4 shots", 1, Scheme.SQPT, 2, 10_000),
+        ("two-qubit SQPT, noiseless", 2, Scheme.SQPT, 8, 0),
+        ("two-qubit AAPT, noiseless", 2, Scheme.AAPT, 8, 0),
+    ]
+    problems = []
+    for name, n_qubits, scheme, rank, shots in cases:
+        seed = RngSeed(9000 + n_qubits)
+        shots_seed = seed.derive("m") if shots else None
+        _, data = dataset(n_qubits, scheme, rank, seed, shots=shots, shots_seed=shots_seed)
+        build_s = min(timeit.repeat(lambda: program(data), number=1, repeat=3))
+        problems.append((name, program(data), build_s))
+    problems.append(("random diagonal SDP (dim 8)", random_diag_sdp(8, 24), None))
+    header = (
+        f"{'problem':30s} {'rows':>5s} {'build':>9s} {'time':>9s} {'prep':>9s} {'loop':>9s} "
+        f"{'iters':>6s} {'us/iter':>8s}"
+    )
+    print(header)
+    print("-" * len(header))
+    for name, problem, build_s in problems:
+        t, loop_s, result = time_solve(problem)
+        rows = len(problem.inequalities) + len(problem.equalities)
+        per_iter = loop_s / result.iterations * 1e6
+        build = "-" if build_s is None else f"{build_s * 1e3:.1f}ms"
+        print(
+            f"{name:30s} {rows:5d} {build:>9s} {t * 1e3:7.1f}ms {(t - loop_s) * 1e3:7.1f}ms "
+            f"{loop_s * 1e3:7.1f}ms {result.iterations:6d} {per_iter:8.1f}"
+        )
+
+
+# --- the child side: one case, run in this process ----------------------------
+
 SWEEP_RANK = 4
 SWEEP_CHANNELS = 20
 CRITERION_4 = RngSeed(20130214)  # the acceptance suite's master seed
 CRITERION_4_RANKS = (1, 4, 8, 16)
-PAIRS = 10
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
 
 def criterion_4_sweep(rank, i):
     """Acceptance criterion 4's sweep of channel ``i`` at ``rank``: its
     seeds, batch, tolerance and threshold."""
     channel = random_channel(4, rank, CRITERION_4.derive("c4", rank, i))
+    seed = CRITERION_4.derive("c4s", rank, i)
+    options = ReconstructionOptions(tol=1e-5)
     return tomography.minimal_elements_sweep(
-        channel,
-        Scheme.SQPT,
-        0.99,
-        trials=1,
-        seed=CRITERION_4.derive("c4s", rank, i),
-        batch=16,
-        options=ReconstructionOptions(tol=1e-5),
+        channel, Scheme.SQPT, 0.99, trials=1, seed=seed, batch=16, options=options
     )
 
 
@@ -209,7 +219,7 @@ def sweep_case():
         "wall_s": sum(wall),
         "steps": steps,
         "iterations": sum(s["iterations"] for s in sweeps),
-        "loop_s": loop_s[0],
+        "loop_s": loop_s["loop"],
         "step_s": sum(wall) / steps,
         "sweeps": sweeps,
     }
@@ -231,132 +241,9 @@ def criterion_4_case():
     return results
 
 
-def criterion_4_summary(results):
-    """Per rank the median count, summed iterations and steps short of
-    OPTIMAL."""
-    summary = {}
-    for rank in CRITERION_4_RANKS:
-        channels = [r for label, r in results.items() if label.startswith(f"r{rank}/")]
-        summary[f"r{rank}"] = {
-            "median_count": statistics.median(r["count"] for r in channels),
-            "iterations": sum(r["iterations"] for r in channels),
-            "unconverged_steps": sum(
-                status != "optimal" for r in channels for status in r["statuses"]
-            ),
-        }
-    return summary
-
-
-def print_sweep(result):
-    print(
-        f"\ncriterion-4 rank-{SWEEP_RANK} sweeps ({len(result['sweeps'])} channels): "
-        f"p50 {result['sweep_p50_s']:.3f}s per sweep, {result['steps']} steps, "
-        f"{result['iterations']} iterations, loop {result['loop_s']:.2f}s of "
-        f"{result['wall_s']:.2f}s, {result['step_s'] * 1e3:.1f}ms per step"
-    )
-
-
-def machine():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "platform": platform.platform(),
-        "processor": platform.processor() or platform.machine(),
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_threads": 1,
-    }
-
-
-def run_in(src, *args):
-    """This script with ``args`` in a fresh process importing vartomo from
-    ``src`` (one BLAS thread); its last output line, read as JSON."""
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    out = subprocess.run(
-        [sys.executable, __file__, *args], env=env, check=True, capture_output=True, text=True
-    )
-    return json.loads(out.stdout.splitlines()[-1])
-
-
-def source_trees(baseline):
-    """The src directories compared: ``baseline`` and this tree's."""
-    return {
-        "parent": Path(baseline).resolve(),
-        "change": Path(__file__).resolve().parent.parent / "src",
-    }
-
-
-def alternate(baseline, *args):
-    """``PAIRS`` pairs of ``run_in`` processes with ``args``, on ``baseline``
-    and on this tree, the order flipping every pair; each tree's results
-    in run order, keyed "parent" and "change"."""
-    trees = source_trees(baseline)
-    runs = {label: [] for label in trees}
-    for pair in range(PAIRS):
-        order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
-        for label in order:
-            runs[label].append(run_in(trees[label], *args))
-        print(f"pair {pair + 1}/{PAIRS} done", flush=True)
-    return runs
-
-
-def compare(baseline):
-    """Alternating pairs of sweep-case runs, this tree against ``baseline``,
-    then every criterion-4 sweep once per tree."""
-    runs = alternate(baseline, "--sweep-only")
-    for label, results in runs.items():
-        for result in results:
-            print_sweep(result)
-            print(f"  ({label})")
-
-    def summary(results):
-        return {
-            "sweep_p50_s": statistics.median(r["sweep_p50_s"] for r in results),
-            "step_s": statistics.median(r["step_s"] for r in results),
-            "loop_s": statistics.median(r["loop_s"] for r in results),
-            "steps": results[0]["steps"],
-            "iterations": results[0]["iterations"],
-            "minimal_counts": [s["minimal_count"] for s in results[0]["sweeps"]],
-        }
-
-    # The whole criterion once per tree, and every channel whose count moved.
-    trees = source_trees(baseline)
-    channels = {label: run_in(src, "--criterion-4-only") for label, src in trees.items()}
-    parent, change = channels["parent"], channels["change"]
-    moved = {
-        label: f"{parent[label]['count']} -> {change[label]['count']}"
-        for label in parent
-        if parent[label]["count"] != change[label]["count"]
-    }
-    criterion_4 = {
-        "summary": {label: criterion_4_summary(results) for label, results in channels.items()},
-        "moved_counts": moved,
-        "channels": channels,
-    }
-    for label, ranks in criterion_4["summary"].items():
-        print(f"criterion 4 ({label}): {ranks}")
-    print(f"channels whose count moved: {moved}")
-
-    doc = {
-        "case": (
-            f"acceptance criterion 4, rank {SWEEP_RANK}: {SWEEP_CHANNELS} two-qubit SQPT "
-            "sweeps, batch 16, tol 1e-5, threshold 0.99, seeds of the acceptance suite"
-        ),
-        "machine": machine(),
-        "pairs": PAIRS,
-        "summary": {label: summary(results) for label, results in runs.items()},
-        "runs": runs,
-        "criterion_4": criterion_4,
-    }
-    BENCH_FILE.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {BENCH_FILE}")
-
-
 CORPUS_SEED = RngSeed(8008)
 CORPUS_MAX_ITER = 20_000
 CORPUS_PARTS = 8
-CORPUS_FILE = BENCH_FILE.with_name("BENCH_anderson.json")
 # Where the two trees' objectives differ by more than REFERENCE_GAP, this
 # tree solves the case again to REFERENCE_TOL, and each side's distance
 # from that solve is reported.
@@ -380,38 +267,26 @@ def corpus_cases():
     return cases
 
 
-def corpus_dataset(n_qubits, scheme, complete, shots, rank, i):
-    d = 2**n_qubits
-    seed = CORPUS_SEED.derive(n_qubits, scheme, complete, shots, rank, i)
-    basis = build_scaled_pauli_basis(n_qubits)
-    truth = kraus_to_chi(random_channel(d, rank, seed.derive("channel")), basis)
-    scheme = Scheme(scheme)
-    selected = None
-    if not complete:
-        rng = seed.derive("select").generator()
-        n_probes = d * d if scheme is Scheme.SQPT else 1
-        n_effects = 6 ** (n_qubits if scheme is Scheme.SQPT else 2 * n_qubits)
-        selected = [
-            sorted(rng.choice(n_effects, n_effects // 2, replace=False).tolist())
-            for _ in range(n_probes)
-        ]
-    data = make_dataset(
-        truth, scheme, n_qubits, selected, shots, seed.derive("shots") if shots else None
-    )
-    return truth, data
-
-
-def corpus_part(part, labels=None):
-    """Every ``CORPUS_PARTS``-th case from ``part`` on, reconstructed here;
-    or the cases named in ``labels``, solved to ``REFERENCE_TOL``."""
-    options = ReconstructionOptions(max_iter=CORPUS_MAX_ITER)
-    cases = corpus_cases()[part::CORPUS_PARTS]
-    if labels is not None:
+def corpus_case(*args):
+    """``corpus N``: every ``CORPUS_PARTS``-th case from the N-th on,
+    reconstructed here; ``corpus LABEL...``: the cases named, solved to
+    ``REFERENCE_TOL``."""
+    if len(args) == 1 and args[0].isdigit():
+        options = ReconstructionOptions(max_iter=CORPUS_MAX_ITER)
+        cases = corpus_cases()[int(args[0]) :: CORPUS_PARTS]
+    else:
         options = ReconstructionOptions(tol=REFERENCE_TOL, max_iter=REFERENCE_MAX_ITER)
-        cases = [case for case in corpus_cases() if case[0] in labels]
+        cases = [case for case in corpus_cases() if case[0] in args]
+        if len(cases) != len(set(args)):
+            raise ValueError(f"not corpus cases: {sorted(set(args) - {c[0] for c in cases})}")
     results = {}
-    for label, *case in cases:
-        truth, data = corpus_dataset(*case)
+    for label, n_qubits, scheme, complete, shots, rank, i in cases:
+        seed = CORPUS_SEED.derive(n_qubits, scheme, complete, shots, rank, i)
+        select = None if complete else seed.derive("select")
+        shots_seed = seed.derive("shots") if shots else None
+        truth, data = dataset(
+            n_qubits, scheme, rank, seed.derive("channel"), select, shots, shots_seed
+        )
         start = time.perf_counter()
         try:
             with warnings.catch_warnings():
@@ -431,9 +306,219 @@ def corpus_part(part, labels=None):
     return results
 
 
-def run_part_in(src, part, labels=None):
-    """``corpus_part`` in a fresh process importing vartomo from ``src``."""
-    return run_in(src, "--corpus-part", str(part), *(["--labels", *labels] if labels else []))
+SIMULATE_CASES = [
+    (n_qubits, scheme, shots)
+    for n_qubits, scheme in ((1, "sqpt"), (2, "sqpt"), (3, "sqpt"), (1, "aapt"), (2, "aapt"))
+    for shots in (0, 10_000)
+]
+SIMULATE_CALLS = 7
+
+
+def simulate_case():
+    """Per case: the median and best of ``SIMULATE_CALLS`` ``make_dataset``
+    calls on a seeded rank-2 channel, after one untimed call that makes
+    the canonical setup, and the record count."""
+    results = {}
+    for n_qubits, scheme, shots in SIMULATE_CASES:
+        seed = RngSeed(9100).derive(n_qubits, scheme, shots)
+        shots_seed = seed.derive("shots") if shots else None
+        truth, data = dataset(n_qubits, scheme, 2, seed, shots=shots, shots_seed=shots_seed)
+        times = []
+        for _ in range(SIMULATE_CALLS):
+            start = time.perf_counter()
+            make_dataset(truth, Scheme(scheme), n_qubits, shots=shots, seed=shots_seed)
+            times.append(time.perf_counter() - start)
+        label = f"{n_qubits}q/{scheme}/" + (f"{shots}shots" if shots else "exact")
+        results[label] = {
+            "median_s": statistics.median(times),
+            "min_s": min(times),
+            "records": len(data.records),
+        }
+    return results
+
+
+OPERATOR_CASES = [(scheme, complete) for scheme in ("sqpt", "aapt") for complete in (True, False)]
+OPERATOR_PARTS = ("matvec", "rmatvec", "solve", "projection", "other")
+
+
+@contextlib.contextmanager
+def split_timer(problem):
+    """Time the loop's parts inside the block: the operator's ``matvec``,
+    ``rmatvec`` and ``solve`` and every cone projection, wrapped in
+    timers.  Yields the per-part seconds and call counts."""
+    seconds = {part: 0.0 for part in OPERATOR_PARTS[:-1]}  # "other" is not timed
+    calls = {part: 0 for part in seconds}
+    op = sdp.row_operator(problem)
+    for part in ("matvec", "rmatvec", "solve"):
+        setattr(op, part, timed(getattr(op, part), seconds, calls, part))
+    row_operator, cone_projection = sdp.row_operator, _kernels.cone_projection
+    sdp.row_operator = lambda _: op
+    _kernels.cone_projection = lambda *args: timed(
+        cone_projection(*args), seconds, calls, "projection"
+    )
+    try:
+        yield seconds, calls
+    finally:
+        sdp.row_operator, _kernels.cone_projection = row_operator, cone_projection
+
+
+def operator_case():
+    """Per case: the loop's microseconds per iteration, untimed (best of
+    three solves) and split by part (one solve with the timers), on a
+    seeded rank-4 two-qubit program of exact data, half of each probe's
+    effects at random when not complete."""
+    results = {}
+    for scheme, complete in OPERATOR_CASES:
+        seed = RngSeed(9200).derive(scheme, complete)
+        _, data = dataset(2, scheme, 4, seed, None if complete else seed.derive("select"))
+        problem = program(data)
+        _, loop_s, solution = time_solve(problem)
+        iters = solution.iterations
+        with split_timer(problem) as (seconds, calls):
+            _, split_loop_s, _ = timed_solve(problem, 1e-7)
+        per_iter = {part: seconds[part] / iters * 1e6 for part in seconds}
+        per_iter["other"] = split_loop_s / iters * 1e6 - sum(per_iter.values())
+        label = f"2q/{scheme}/{'complete' if complete else 'half'}/exact/r4"
+        results[label] = {
+            "iterations": iters,
+            "loop_us_per_iter": loop_s / iters * 1e6,
+            "split_us_per_iter": per_iter,
+            "calls": calls,
+        }
+    return results
+
+
+CASES = {
+    "sweep": sweep_case,
+    "criterion-4": criterion_4_case,
+    "corpus": corpus_case,
+    "simulate": simulate_case,
+    "operator": operator_case,
+}
+
+
+# --- the driver side: cases run in child processes, one tree each -------------
+
+
+def run_in(src, name, *args):
+    """Case ``name`` of ``CASES`` with ``args`` in a fresh process importing
+    vartomo from ``src`` (one BLAS thread): its JSON, the process's last
+    output line.  A failed process has its stderr printed and raises
+    ``CalledProcessError``."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, __file__, "--case", name, *args], env=env, capture_output=True, text=True
+    )
+    if out.returncode:
+        sys.stderr.write(out.stderr)
+        out.check_returncode()
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def alternate(trees, calls):
+    """One ``run_in`` process per tree for each of ``calls`` (a case name
+    and its arguments), the trees' order flipping from one call to the
+    next; each tree's results in call order, keyed as ``trees``."""
+    runs = {label: [] for label in trees}
+    for k, call in enumerate(calls):
+        order = list(trees) if k % 2 == 0 else list(trees)[::-1]
+        for label in order:
+            runs[label].append(run_in(trees[label], *call))
+        print(f"{' '.join(call)}: {k + 1}/{len(calls)} done", flush=True)
+    return runs
+
+
+def machine():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "platform": platform.platform(),
+        "processor": platform.processor() or platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": 1,
+    }
+
+
+def write(mode, case, runs, **doc):
+    """``BENCH_<mode>.json`` at the repository root: the case, the machine,
+    the calls per tree, ``doc`` and each tree's ``runs``."""
+    path = ROOT / f"BENCH_{mode}.json"
+    doc = {"case": case, "machine": machine(), "pairs": len(runs["change"]), **doc, "runs": runs}
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {path}")
+
+
+def show(**values):
+    print(json.dumps(values, indent=1))
+
+
+def medians(results, keys):
+    """Per key, the median of its values over ``results``."""
+    return {key: statistics.median(r[key] for r in results) for key in keys}
+
+
+def faster_in_pairs(runs, key):
+    """Per case, the calls in which the change's ``key`` (a time) was below the parent's."""
+    pairs = list(zip(runs["parent"], runs["change"]))
+    return {case: sum(p[case][key] > c[case][key] for p, c in pairs) for case in runs["change"][0]}
+
+
+def criterion_4_summary(results):
+    """Per rank the median count, summed iterations and steps short of
+    OPTIMAL."""
+    summary = {}
+    for rank in CRITERION_4_RANKS:
+        channels = [r for label, r in results.items() if label.startswith(f"r{rank}/")]
+        summary[f"r{rank}"] = {
+            "median_count": statistics.median(r["count"] for r in channels),
+            "iterations": sum(r["iterations"] for r in channels),
+            "unconverged_steps": sum(
+                status != "optimal" for r in channels for status in r["statuses"]
+            ),
+        }
+    return summary
+
+
+def sweep(trees):
+    """The sweep case on ``trees``; alone, the solver table first;
+    compared, every criterion-4 sweep once per tree too."""
+    if len(trees) == 1:
+        solver_table()
+    runs = alternate(trees, [("sweep",)] * PAIRS)
+    summary = {
+        label: {
+            **medians(results, ("sweep_p50_s", "step_s", "loop_s")),
+            "steps": results[0]["steps"],
+            "iterations": results[0]["iterations"],
+            "minimal_counts": [s["minimal_count"] for s in results[0]["sweeps"]],
+        }
+        for label, results in runs.items()
+    }
+    show(summary=summary)
+    if len(trees) == 1:
+        return
+
+    # The whole criterion once per tree, and every channel whose count moved.
+    channels = {label: r[0] for label, r in alternate(trees, [("criterion-4",)]).items()}
+    parent, change = channels["parent"], channels["change"]
+    moved = {
+        label: f"{parent[label]['count']} -> {change[label]['count']}"
+        for label in parent
+        if parent[label]["count"] != change[label]["count"]
+    }
+    criterion_4 = {
+        "summary": {label: criterion_4_summary(results) for label, results in channels.items()},
+        "moved_counts": moved,
+        "channels": channels,
+    }
+    show(criterion_4_summary=criterion_4["summary"], moved_counts=moved)
+    case = (
+        f"acceptance criterion 4, rank {SWEEP_RANK}: {SWEEP_CHANNELS} two-qubit SQPT "
+        "sweeps, batch 16, tol 1e-5, threshold 0.99, seeds of the acceptance suite"
+    )
+    write("sweep", case, runs, summary=summary, criterion_4=criterion_4)
 
 
 def corpus_summary(results):
@@ -454,48 +539,26 @@ def corpus_summary(results):
     }
 
 
-def print_corpus(label, summary):
-    print(
-        f"{label}: {summary['cases']} cases, iterations p50 {summary['iterations_p50']:.0f} "
-        f"p95 {summary['iterations_p95']:.0f} max {summary['iterations_max']}, "
-        f"{summary['wall_s']:.1f}s, statuses {summary['statuses']}"
-    )
-
-
-def count_infeasible(results) -> int:
-    """Print and return the number of cases reported infeasible."""
-    infeasible = sorted(label for label, r in results.items() if r["status"] == "infeasible")
-    print(f"infeasible cases (all are feasible by construction): {len(infeasible)} {infeasible}")
-    return len(infeasible)
-
-
-def corpus(baseline) -> int:
-    """The corpus on this tree; with ``baseline``, on both trees, compared.
-    Returns the number of cases this tree reported infeasible."""
-    here = Path(__file__).resolve().parent.parent / "src"
-    if baseline is None:
-        results = {}
-        for part in range(CORPUS_PARTS):
-            results.update(run_part_in(here, part))
-        print_corpus("change", corpus_summary(results))
-        return count_infeasible(results)
-    trees = {"parent": Path(baseline).resolve(), "change": here}
+def corpus(trees) -> int:
+    """The corpus on ``trees``; compared, the agreement of the two.
+    Returns 1 if this tree reported a case infeasible, else 0."""
+    parts = alternate(trees, [("corpus", str(part)) for part in range(CORPUS_PARTS)])
     runs = {label: {} for label in trees}
-    for part in range(CORPUS_PARTS):
-        order = list(trees) if part % 2 == 0 else list(trees)[::-1]
-        for label in order:
-            runs[label].update(run_part_in(trees[label], part))
-        print(f"part {part + 1}/{CORPUS_PARTS} done", flush=True)
+    for label, results in parts.items():
+        for part in results:
+            runs[label].update(part)
+    summary = {label: corpus_summary(results) for label, results in runs.items()}
+    change = runs["change"]
+    infeasible = sorted(label for label, r in change.items() if r["status"] == "infeasible")
+    show(summary=summary)
+    print(f"infeasible cases (all are feasible by construction): {len(infeasible)} {infeasible}")
+    if len(trees) == 1:
+        return 1 if infeasible else 0
 
-    parent, change = runs["parent"], runs["change"]
-    regressed = [
-        label for label in parent
-        if parent[label]["status"] == "optimal" and change[label]["status"] != "optimal"
-    ]
-    both = [
-        label for label in parent
-        if parent[label]["status"] == change[label]["status"] == "optimal"
-    ]
+    parent = runs["parent"]
+    statuses = {label: (parent[label]["status"], change[label]["status"]) for label in parent}
+    regressed = [label for label, (p, c) in statuses.items() if p == "optimal" and c != p]
+    both = [label for label, (p, c) in statuses.items() if p == c == "optimal"]
 
     def gap(a, b):  # relative; a zero optimum (complete exact data) is measured against 1e-2
         return abs(a - b) / max(abs(a), abs(b), 1e-2)
@@ -503,22 +566,18 @@ def corpus(baseline) -> int:
     objective = {
         label: gap(parent[label]["objective"], change[label]["objective"]) for label in both
     }
-    unique = [label for label in both if "/complete/exact/" in label]
-    fidelity = {
-        label: abs(parent[label]["fidelity"] - change[label]["fidelity"]) for label in unique
+    fidelity = {  # where the optimum is unique
+        label: abs(parent[label]["fidelity"] - change[label]["fidelity"])
+        for label in both
+        if "/complete/exact/" in label
     }
     apart = sorted(label for label in both if objective[label] > REFERENCE_GAP)
-    tight = run_part_in(here, 0, apart) if apart else {}
-    reference = {
-        label: {
-            "status": tight[label]["status"],
-            **{
-                side: gap(runs[side][label]["objective"], tight[label]["objective"])
-                for side in trees
-            },
-        }
-        for label in apart
-    }
+    tight = run_in(HERE, "corpus", *apart) if apart else {}
+    reference = {}
+    for label in apart:
+        target = tight[label]["objective"]
+        sides = {side: gap(runs[side][label]["objective"], target) for side in trees}
+        reference[label] = {"status": tight[label]["status"], **sides}
 
     def outcome(r):
         return f"{r['status']} {r['iterations']}"
@@ -540,320 +599,101 @@ def corpus(baseline) -> int:
         ),
         "complete_exact_fidelity_abs_max": max(fidelity.values()),
     }
-    doc = {
-        "case": (
-            f"iteration corpus: {len(parent)} seeded reconstructs (one qubit: SQPT and AAPT, "
-            "complete and half data, exact and 1e4 shots, ranks 1-4, six seeds; two qubits: "
-            f"the same at ranks 1, 2, 4 and 16, three seeds), max_iter {CORPUS_MAX_ITER}, "
-            f"default options otherwise; {CORPUS_PARTS} parts, trees alternating per part"
-        ),
-        "machine": machine(),
-        "summary": {label: corpus_summary(results) for label, results in runs.items()},
-        "agreement": agreement,
-        "runs": runs,
+    show(agreement=agreement)
+    case = (
+        f"iteration corpus: {len(parent)} seeded reconstructs (one qubit: SQPT and AAPT, "
+        "complete and half data, exact and 1e4 shots, ranks 1-4, six seeds; two qubits: "
+        f"the same at ranks 1, 2, 4 and 16, three seeds), max_iter {CORPUS_MAX_ITER}, "
+        f"default options otherwise; {CORPUS_PARTS} parts, trees alternating per part"
+    )
+    write("corpus", case, parts, summary=summary, agreement=agreement)
+    return 1 if infeasible else 0
+
+
+def simulate(trees):
+    """Dataset simulation on ``trees``: per case the median over the calls."""
+    runs = alternate(trees, [("simulate",)] * PAIRS)
+    records = {case: r["records"] for case, r in runs["change"][0].items()}
+    summary = {
+        label: {case: statistics.median(r[case]["median_s"] for r in results) for case in records}
+        for label, results in runs.items()
     }
-    for label, summary in doc["summary"].items():
-        print_corpus(label, summary)
-    print(json.dumps(agreement, indent=1))
-    CORPUS_FILE.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {CORPUS_FILE}")
-    return count_infeasible(change)
-
-
-SIMULATE_FILE = BENCH_FILE.with_name("BENCH_simulate.json")
-SIMULATE_CASES = [
-    (n_qubits, scheme, shots)
-    for n_qubits, scheme in ((1, "sqpt"), (2, "sqpt"), (3, "sqpt"), (1, "aapt"), (2, "aapt"))
-    for shots in (0, 10_000)
-]
-SIMULATE_CALLS = 7
-
-
-def simulate_case():
-    """Per case: the median and best of ``SIMULATE_CALLS`` ``make_dataset``
-    calls on a seeded rank-2 channel, after one untimed call that makes
-    the canonical setup, and the record count."""
-    results = {}
-    for n_qubits, scheme, shots in SIMULATE_CASES:
-        d = 2**n_qubits
-        seed = RngSeed(9100).derive(n_qubits, scheme, shots)
-        truth = kraus_to_chi(random_channel(d, 2, seed), build_scaled_pauli_basis(n_qubits))
-
-        def simulate():
-            return make_dataset(
-                truth, Scheme(scheme), n_qubits, shots=shots,
-                seed=seed.derive("shots") if shots else None,
-            )
-
-        records = len(simulate().records)
-        times = []
-        for _ in range(SIMULATE_CALLS):
-            start = time.perf_counter()
-            simulate()
-            times.append(time.perf_counter() - start)
-        label = f"{n_qubits}q/{scheme}/" + (f"{shots}shots" if shots else "exact")
-        results[label] = {
-            "median_s": statistics.median(times), "min_s": min(times), "records": records
-        }
-    return results
-
-
-def print_simulate(results):
-    for label, r in results.items():
-        print(
-            f"{label:22s} {r['records']:6d} records  median {r['median_s'] * 1e3:8.2f}ms  "
-            f"best {r['min_s'] * 1e3:8.2f}ms"
-        )
-
-
-def simulate(baseline):
-    """Dataset simulation on this tree; with ``baseline``, alternating
-    pairs of processes on both trees, written to ``BENCH_simulate.json``."""
-    if baseline is None:
-        print_simulate(run_in(Path(__file__).resolve().parent.parent / "src", "--simulate-only"))
+    show(records=records, summary_median_s=summary)
+    if len(trees) == 1:
         return
-    runs = alternate(baseline, "--simulate-only")
+    ratio = {case: summary["parent"][case] / summary["change"][case] for case in records}
+    faster = faster_in_pairs(runs, "median_s")
+    show(speedup=ratio, change_faster_in_pairs=faster)
+    case = (
+        "make_dataset on complete data of a seeded rank-2 channel: SQPT at 1-3 qubits, "
+        f"AAPT at 1-2 qubits, exact and 1e4 shots; per process the median of "
+        f"{SIMULATE_CALLS} calls after a warm-up call; {PAIRS} alternating pairs of processes"
+    )
+    doc = {"summary_median_s": summary, "speedup": ratio, "change_faster_in_pairs": faster}
+    write("simulate", case, runs, records=records, **doc)
+
+
+def operator(trees):
+    """The loop split on ``trees``: per case the medians over the calls."""
+    runs = alternate(trees, [("operator",)] * PAIRS)
     summary = {
         label: {
-            case: statistics.median(run[case]["median_s"] for run in results)
+            case: {
+                "iterations": results[0][case]["iterations"],
+                **medians([r[case] for r in results], ("loop_us_per_iter",)),
+                "split_us_per_iter": medians(
+                    [r[case]["split_us_per_iter"] for r in results], OPERATOR_PARTS
+                ),
+            }
             for case in results[0]
         }
         for label, results in runs.items()
     }
-    ratio = {case: summary["parent"][case] / summary["change"][case] for case in summary["change"]}
-    faster = {
-        case: sum(p[case]["median_s"] > c[case]["median_s"] for p, c in zip(*runs.values()))
-        for case in summary["change"]
-    }
-    doc = {
-        "case": (
-            "make_dataset on complete data of a seeded rank-2 channel: SQPT at 1-3 qubits, "
-            f"AAPT at 1-2 qubits, exact and 1e4 shots; per process the median of "
-            f"{SIMULATE_CALLS} calls after a warm-up call; {PAIRS} alternating pairs of processes"
-        ),
-        "machine": machine(),
-        "pairs": PAIRS,
-        "records": {case: r["records"] for case, r in runs["change"][0].items()},
-        "summary_median_s": summary,
-        "speedup": ratio,
-        "change_faster_in_pairs": faster,
-        "runs": runs,
-    }
-    for case in summary["change"]:
-        print(
-            f"{case:22s} parent {summary['parent'][case] * 1e3:8.2f}ms  "
-            f"change {summary['change'][case] * 1e3:8.2f}ms  x{ratio[case]:.1f}  "
-            f"faster in {faster[case]}/{PAIRS} pairs"
-        )
-    SIMULATE_FILE.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {SIMULATE_FILE}")
-
-
-OPERATOR_FILE = BENCH_FILE.with_name("BENCH_operator.json")
-OPERATOR_CASES = [(scheme, complete) for scheme in ("sqpt", "aapt") for complete in (True, False)]
-OPERATOR_PARTS = ("matvec", "rmatvec", "solve", "projection")
-
-
-def operator_problem(scheme, complete):
-    """A seeded rank-4 two-qubit program of exact data, half of each
-    probe's effects at random when not ``complete``."""
-    seed = RngSeed(9200).derive(scheme, complete)
-    truth = kraus_to_chi(random_channel(4, 4, seed), build_scaled_pauli_basis(2))
-    selected = None
-    if not complete:
-        rng = seed.derive("select").generator()
-        n_probes, n_effects = (16, 36) if scheme == "sqpt" else (1, 1296)
-        selected = [
-            sorted(rng.choice(n_effects, n_effects // 2, replace=False).tolist())
-            for _ in range(n_probes)
-        ]
-    data = make_dataset(truth, Scheme(scheme), 2, selected)
-    build = build_sqpt_program if scheme == "sqpt" else build_aapt_program
-    return build(data, ReconstructionOptions())[0]
-
-
-@contextlib.contextmanager
-def split_timer(problem):
-    """Time the loop's parts inside the block: the operator's ``matvec``,
-    ``rmatvec`` and ``solve`` and every cone projection, wrapped in
-    timers.  Yields the per-part seconds and call counts."""
-    from vartomo import _kernels
-
-    seconds = {part: 0.0 for part in OPERATOR_PARTS}
-    calls = {part: 0 for part in OPERATOR_PARTS}
-
-    def timed(part, fn):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                seconds[part] += time.perf_counter() - start
-                calls[part] += 1
-
-        return wrapper
-
-    op = sdp.row_operator(problem)
-    for part in ("matvec", "rmatvec", "solve"):
-        setattr(op, part, timed(part, getattr(op, part)))
-    row_operator, cone_projection = sdp.row_operator, _kernels.cone_projection
-    sdp.row_operator = lambda _: op
-    _kernels.cone_projection = lambda *args: timed("projection", cone_projection(*args))
-    try:
-        yield seconds, calls
-    finally:
-        sdp.row_operator, _kernels.cone_projection = row_operator, cone_projection
-
-
-def operator_case():
-    """Per case: the loop's microseconds per iteration, untimed (best of
-    three solves) and split by part (one solve with the timers)."""
-    results = {}
-    for scheme, complete in OPERATOR_CASES:
-        problem = operator_problem(scheme, complete)
-        _, loop_s, solution = time_solve(problem)
-        iters = solution.iterations
-        with split_timer(problem) as (seconds, calls):
-            _, split_loop_s, _ = timed_solve(problem, 1e-7)
-        per_iter = {part: seconds[part] / iters * 1e6 for part in OPERATOR_PARTS}
-        per_iter["other"] = split_loop_s / iters * 1e6 - sum(per_iter.values())
-        label = f"2q/{scheme}/{'complete' if complete else 'half'}/exact/r4"
-        results[label] = {
-            "iterations": iters,
-            "loop_us_per_iter": loop_s / iters * 1e6,
-            "split_us_per_iter": per_iter,
-            "calls": calls,
-        }
-    return results
-
-
-def print_operator(results):
-    header = f"{'case':26s} {'iters':>6s} {'loop':>7s}" + "".join(
-        f" {part:>10s}" for part in (*OPERATOR_PARTS, "other")
-    )
-    print(header + "   (us per iteration)")
-    for label, r in results.items():
-        split = r["split_us_per_iter"]
-        print(
-            f"{label:26s} {r['iterations']:6d} {r['loop_us_per_iter']:7.1f}"
-            + "".join(f" {split[part]:10.1f}" for part in (*OPERATOR_PARTS, "other"))
-        )
-
-
-def operator(baseline):
-    """The loop split on this tree; with ``baseline``, alternating pairs
-    of processes on both trees, written to ``BENCH_operator.json``."""
-    if baseline is None:
-        print_operator(run_in(Path(__file__).resolve().parent.parent / "src", "--operator-only"))
+    show(summary=summary)
+    if len(trees) == 1:
         return
-    runs = alternate(baseline, "--operator-only")
-
-    def median_split(results, case):
-        return {
-            "iterations": results[0][case]["iterations"],
-            "loop_us_per_iter": statistics.median(r[case]["loop_us_per_iter"] for r in results),
-            "split_us_per_iter": {
-                part: statistics.median(r[case]["split_us_per_iter"][part] for r in results)
-                for part in (*OPERATOR_PARTS, "other")
-            },
-        }
-
-    summary = {
-        label: {case: median_split(results, case) for case in results[0]}
-        for label, results in runs.items()
-    }
-    faster = {
-        case: sum(
-            p[case]["loop_us_per_iter"] > c[case]["loop_us_per_iter"] for p, c in zip(*runs.values())
-        )
-        for case in summary["change"]
-    }
-    doc = {
-        "case": (
-            "the ADMM loop's time per iteration on seeded rank-4 two-qubit programs of exact "
-            "data (SQPT and AAPT, complete and half), untimed (best of three solves to tol "
-            "1e-7) and split by part (one solve with each part wrapped in a timer; 'other' is "
-            f"the rest of the loop); {PAIRS} alternating pairs of processes, medians"
-        ),
-        "machine": machine(),
-        "pairs": PAIRS,
-        "summary": summary,
-        "change_faster_in_pairs": faster,
-        "runs": runs,
-    }
-    for label, results in summary.items():
-        print(f"{label}:")
-        print_operator(results)
-    print(f"change faster (loop per iteration) in pairs: {faster}")
-    OPERATOR_FILE.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {OPERATOR_FILE}")
+    faster = faster_in_pairs(runs, "loop_us_per_iter")
+    show(change_faster_in_pairs=faster)
+    case = (
+        "the ADMM loop's time per iteration on seeded rank-4 two-qubit programs of exact "
+        "data (SQPT and AAPT, complete and half), untimed (best of three solves to tol "
+        "1e-7) and split by part (one solve with each part wrapped in a timer; 'other' is "
+        f"the rest of the loop); {PAIRS} alternating pairs of processes, medians"
+    )
+    write("operator", case, runs, summary=summary, change_faster_in_pairs=faster)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sweep-only", action="store_true", help="print the sweep case as JSON")
-    parser.add_argument(
-        "--criterion-4-only", action="store_true", help="print every criterion-4 sweep as JSON"
-    )
     parser.add_argument("--baseline", help="src directory of the parent tree to compare against")
-    parser.add_argument("--corpus", action="store_true", help="run the iteration corpus")
-    parser.add_argument("--corpus-part", type=int, help="print one part of the corpus as JSON")
-    parser.add_argument("--labels", nargs="*", help="with --corpus-part: these cases, tightly")
-    parser.add_argument("--simulate", action="store_true", help="time dataset simulation")
-    parser.add_argument(
-        "--simulate-only", action="store_true", help="print the simulation times as JSON"
-    )
-    parser.add_argument("--operator", action="store_true", help="split the loop's time by part")
-    parser.add_argument(
-        "--operator-only", action="store_true", help="print the loop split as JSON"
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--corpus", action="store_true", help="run the iteration corpus")
+    mode.add_argument("--simulate", action="store_true", help="time dataset simulation")
+    mode.add_argument("--operator", action="store_true", help="split the loop's time by part")
+    mode.add_argument(
+        "--case", nargs="+", metavar=("NAME", "ARG"), help="print one case of CASES as JSON"
     )
     args = parser.parse_args()
-    if args.sweep_only:
-        print(json.dumps(sweep_case()))
-    elif args.criterion_4_only:
-        print(json.dumps(criterion_4_case()))
-    elif args.operator_only:
-        print(json.dumps(operator_case()))
-    elif args.operator:
-        operator(args.baseline)
-    elif args.simulate_only:
-        print(json.dumps(simulate_case()))
+    if args.case:
+        name, *case_args = args.case
+        if name not in CASES:
+            parser.error(f"--case: {name!r} is none of {', '.join(CASES)}")
+        print(json.dumps(CASES[name](*case_args)))
+        return
+    trees = {"change": HERE}
+    if args.baseline:
+        parent = Path(args.baseline).resolve()
+        if not (parent / "vartomo" / "__init__.py").is_file():
+            parser.error(f"--baseline {args.baseline}: no vartomo/__init__.py there")
+        trees = {"parent": parent, "change": HERE}
+    if args.corpus:
+        sys.exit(corpus(trees))
     elif args.simulate:
-        simulate(args.baseline)
-    elif args.corpus_part is not None:
-        print(json.dumps(corpus_part(args.corpus_part, args.labels)))
-    elif args.corpus:
-        sys.exit(1 if corpus(args.baseline) else 0)
-    elif args.baseline:
-        compare(args.baseline)
+        simulate(trees)
+    elif args.operator:
+        operator(trees)
     else:
-        solver_table()
-        print_sweep(sweep_case())
-
-
-def solver_table():
-    cases = [
-        ("single-qubit SQPT, noiseless", tomography_problem(1, 2)),
-        ("single-qubit SQPT, 1e4 shots", tomography_problem(1, 2, shots=10_000)),
-        ("two-qubit SQPT, noiseless", tomography_problem(2, 8)),
-        ("two-qubit AAPT, noiseless", tomography_problem(2, 8, scheme=Scheme.AAPT)),
-        ("random diagonal SDP (dim 8)", (random_diag_sdp(8, 24), None)),
-    ]
-    header = (
-        f"{'problem':30s} {'rows':>5s} {'build':>9s} {'time':>9s} {'prep':>9s} {'loop':>9s} "
-        f"{'iters':>6s} {'us/iter':>8s}"
-    )
-    print(header)
-    print("-" * len(header))
-    for name, (problem, build_s) in cases:
-        t, loop_s, result = time_solve(problem)
-        rows = len(problem.inequalities) + len(problem.equalities)
-        per_iter = loop_s / result.iterations * 1e6
-        build = "-" if build_s is None else f"{build_s * 1e3:.1f}ms"
-        print(
-            f"{name:30s} {rows:5d} {build:>9s} {t * 1e3:7.1f}ms {(t - loop_s) * 1e3:7.1f}ms "
-            f"{loop_s * 1e3:7.1f}ms {result.iterations:6d} {per_iter:8.1f}"
-        )
+        sweep(trees)
 
 
 if __name__ == "__main__":

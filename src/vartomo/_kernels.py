@@ -451,14 +451,10 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
     """
     n = x.shape[0]
     N = w.shape[0]
-    p = N - n
     project = cone_projection(op, caps)
 
     def adjoint(v):  # [I A^T] v
-        out = v[:n].copy()
-        if p > 0:
-            out += op.rmatvec(v[n:])
-        return out
+        return v[:n] + op.rmatvec(v[n:])
 
     certifies = infeasibility_test(op, caps, adjoint)
 
@@ -502,12 +498,9 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
         np.multiply(z, 2.0, out=v)
         v -= w
         rhs = v[:n] - c_rho
-        if p > 0:
-            rhs += op.rmatvec(v[n:])
-            op.solve(rhs, out=mx[:n])
-            mx[n:] = op.matvec(mx[:n])
-        else:
-            mx[:] = rhs
+        rhs += op.rmatvec(v[n:])
+        op.solve(rhs, out=mx[:n])
+        mx[n:] = op.matvec(mx[:n])
         np.subtract(mx, z, out=f)
         f *= ALPHA
         np.add(w, f, out=g)

@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         check_qubits(self.scheme, self.n_qubits)
         d = 2**self.n_qubits
+        if not self.ranks:
+            raise ValueError("ranks must name at least one rank")
         for r in self.ranks:
             if not 1 <= require_integer(r, "rank") <= d * d:
                 raise ValueError(f"rank {r} outside [1, {d * d}]")

@@ -78,9 +78,11 @@ class RngSeed:
     seed: int
     generator_id: str = "pcg64"
 
-    def generator(self) -> np.random.Generator:
+    def __post_init__(self):
         if self.generator_id != "pcg64":
             raise ValueError(f"unknown generator {self.generator_id!r}")
+
+    def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.seed))
 
     def derive(self, *parts) -> "RngSeed":

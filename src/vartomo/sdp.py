@@ -208,6 +208,8 @@ class SolverState:
     that row alone, so a row carried unchanged into another program
     keeps its entry of w.  A NaN row entry marks a row without a carried value:
     the solve starts it at the projection of its A x onto its interval.
+    Every other entry of x and w is finite, and rho is finite and > 0;
+    :func:`solve` rejects a start that is not.
     """
 
     x: np.ndarray
@@ -253,7 +255,9 @@ def solve(
 
     The loop starts from ``start`` when given (a warm start, typically the
     ``state`` of a solve of a related program mapped onto this one's
-    variables and rows), else from zero with the initial penalty.
+    variables and rows), else from zero with the initial penalty.  A
+    start needs a finite penalty > 0, a finite x and a w that is finite
+    but for its NaN row markers; any other raises ValueError.
     One loop call runs the whole ``max_iter`` budget; a solve started
     from a state is a fresh call from that iterate (empty memory, new
     certificate baseline).  ``trace``, when given, is called with one
@@ -289,7 +293,16 @@ def solve(
         raise ValueError(f"start state needs {m} variables")
     if w.shape != (n,):
         raise ValueError(f"start state needs w over {m} variables and {op.n_rows} rows")
+    # A penalty <= 0 can end OPTIMAL at a wrong point (the dual residual
+    # turns negative); 0, NaN or inf, or a NaN or inf iterate, breaks the loop.
+    rho = float(start.rho)
+    if not 0 < rho < np.inf:  # NaN too
+        raise ValueError(f"start state needs a finite penalty > 0, got {rho}")
+    if not (np.isfinite(x).all() and np.isfinite(w[:m]).all()):
+        raise ValueError("start state needs finite x and w over the variables")
     rows = w[m:]
+    if np.isinf(rows).any():
+        raise ValueError("start state needs finite or NaN (unset) row entries of w")
     fresh = np.isnan(rows)
     if fresh.any():
         rows[fresh] = np.clip(op.matvec(x)[fresh], op.lower[fresh], op.upper[fresh])
@@ -299,7 +312,7 @@ def solve(
     # and passes its arguments on by position.
     loop = get_loop()
     iters, status, rho, r_prim, r_dual = loop(
-        op, c, problem.slack_caps, x, w, float(start.rho), tol_, max_iter, trace
+        op, c, problem.slack_caps, x, w, rho, tol_, max_iter, trace
     )
 
     chi_block = linalg.mat_hermitian(x[: D * D], D) if D else np.zeros((0, 0), dtype=complex)

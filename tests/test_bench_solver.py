@@ -1,0 +1,46 @@
+"""The tree-comparison script ``benchmarks/bench_solver.py``, loaded by its path."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_solver.py"
+LABEL = "1q/sqpt/complete/exact/r4/s0"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_solver", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_corpus_labels_are_distinct(bench):
+    labels = [case[0] for case in bench.corpus_cases()]
+    assert len(set(labels)) == len(labels) == 288
+
+
+def test_run_in_returns_the_case_asked_for(bench):
+    result = bench.run_in(bench.HERE, "corpus", LABEL)
+    assert list(result) == [LABEL]
+    assert result[LABEL]["status"] == "optimal"
+
+
+def test_failed_child_shows_its_error(bench, tmp_path, capsys):
+    with pytest.raises(subprocess.CalledProcessError):
+        bench.run_in(tmp_path, "corpus", LABEL)
+    assert "ModuleNotFoundError: No module named 'vartomo'" in capsys.readouterr().err
+
+
+def test_baseline_without_sources_rejected_before_any_run(tmp_path):
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--corpus", "--baseline", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2
+    assert "no vartomo/__init__.py" in out.stderr and not out.stdout

@@ -323,6 +323,8 @@ class TestCli:
             ("fidelity_threshold", "0.9"),
             ("solver_tol", 1.0),
             ("solver_tol", 1e300),
+            ("master_seed", {"seed": 0, "generator_id": "mt19937"}),
+            ("ranks", []),
         ],
     )
     def test_run_invalid_config_exits_one(self, tmp_path, key, value):

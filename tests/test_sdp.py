@@ -7,7 +7,7 @@ import pytest
 from canned_suite import build_canned_problems, dense_rows, shot_noise_program
 from vartomo import linalg
 from vartomo._kernels import ADAPT_EVERY, KroneckerRows
-from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
+from vartomo.channels import build_scaled_pauli_basis, identity_channel, kraus_to_chi
 from vartomo.probes import RngSeed, Scheme, random_channel, unknown_subspace_hamiltonian
 from vartomo.sdp import (
     RHO,
@@ -250,6 +250,17 @@ class TestSolver:
         assert np.array_equal(s.slacks, x[DD:])
         assert s.objective_value == float(problem.objective @ x)
 
+    def test_rowless_program(self):
+        """A program without box rows takes the loop's one x-step path,
+        through an empty row operator whose factor is I."""
+        objective = np.concatenate([linalg.vec_hermitian(np.diag([1.0, 2.0])), [-1.0, 1.0]])
+        p = SdpProblem(psd_dim=2, n_slack=2, objective=objective, slack_caps=[3.0, np.inf])
+        assert np.array_equal(row_operator(p).factor, np.eye(4))
+        s = solve(p, 1e-8)
+        assert s.status is SolveStatus.OPTIMAL
+        assert abs(s.objective_value + 3.0) <= 1e-6
+        assert np.abs(s.chi_block).max() <= 1e-6 and np.allclose(s.slacks, [3.0, 0.0])
+
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError, match="empty interval"):
             BoxRows(np.zeros((1, 0)), [2.0], [1.0], [0], [1.0])
@@ -334,6 +345,32 @@ class TestWarmStart:
         short = SolverState(state.x, state.w[:-1], state.rho)
         with pytest.raises(ValueError, match="rows"):
             solve(problem, start=short)
+
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_start_penalty_not_finite_and_positive_rejected(self, rho):
+        """From its own optimal state at rho = -1, complete noiseless 1q
+        identity data (optimum 1.1e-15) ended OPTIMAL at objective 804.6,
+        its dual residual negative; 0 and NaN broke ``eigh``, and inf
+        ran to ``max_iter``."""
+        data = make_dataset(identity_channel(build_scaled_pauli_basis(1)), Scheme.SQPT, 1)
+        problem, _ = build_sqpt_program(data, ReconstructionOptions())
+        state = solve(problem).state
+        with pytest.raises(ValueError, match="finite penalty > 0"):
+            solve(problem, start=SolverState(state.x, state.w, rho))
+
+    @pytest.mark.parametrize(
+        "name,at,value",
+        [("x", 0, np.nan), ("x", -1, np.inf), ("w", 0, np.nan), ("w", -1, -np.inf)],
+    )
+    def test_start_iterate_not_finite_rejected(self, name, at, value):
+        """Only a row entry of w may be NaN (an unset row); an infinite
+        entry or a NaN variable is rejected."""
+        _, problem, _ = build_canned_problems()[9]
+        state = solve(problem, 1e-8).state
+        x, w = state.x.copy(), state.w.copy()
+        {"x": x, "w": w}[name][at] = value
+        with pytest.raises(ValueError, match="start state needs finite"):
+            solve(problem, start=SolverState(x, w, state.rho))
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_max_iter_below_one_rejected(self, max_iter):
