@@ -11,7 +11,8 @@ prints their comparison and writes both sides, with the machine and the
 numpy and BLAS versions, to ``BENCH_<mode>.json`` at the repository root.
 
 - ``sweep`` (no flag): criterion 4's twenty rank-4 two-qubit sweeps, ten
-  calls (:func:`sweep_case`).  Alone it first prints the solver table;
+  calls (:func:`sweep_case`).  Alone it first prints the solver table
+  (:func:`solver_table_case`, in a child like every case);
   compared, it also runs all 80 criterion-4 sweeps once per tree and
   lists every channel whose minimal count moved.
 - ``corpus``: 288 seeded reconstructs in eight parts (:func:`corpus_case`).
@@ -143,9 +144,10 @@ def time_solve(problem, tol=1e-7, repeats=3):
     return min((timed_solve(problem, tol) for _ in range(repeats)), key=lambda run: run[0])
 
 
-def solver_table():
-    """Per problem the best of three builds (dataset to program; the
-    setup's measurement table is cached by the first) and of three solves."""
+def solver_table_case():
+    """Per problem of the solver table its rows, the best of three builds
+    (dataset to program; the setup's measurement table is cached by the
+    first) and the best of three solves: total, loop and iteration count."""
     cases = [  # (name, n_qubits, scheme, rank, shots) of a seeded complete dataset
         ("single-qubit SQPT, noiseless", 1, Scheme.SQPT, 2, 0),
         ("single-qubit SQPT, 1e4 shots", 1, Scheme.SQPT, 2, 10_000),
@@ -160,20 +162,36 @@ def solver_table():
         build_s = min(timeit.repeat(lambda: program(data), number=1, repeat=3))
         problems.append((name, program(data), build_s))
     problems.append(("random diagonal SDP (dim 8)", random_diag_sdp(8, 24), None))
+    table = []
+    for name, problem, build_s in problems:
+        solve_s, loop_s, result = time_solve(problem)
+        table.append(
+            {
+                "problem": name,
+                "rows": len(problem.inequalities) + len(problem.equalities),
+                "build_s": build_s,
+                "solve_s": solve_s,
+                "loop_s": loop_s,
+                "iterations": result.iterations,
+            }
+        )
+    return table
+
+
+def show_solver_table(table):
     header = (
         f"{'problem':30s} {'rows':>5s} {'build':>9s} {'time':>9s} {'prep':>9s} {'loop':>9s} "
         f"{'iters':>6s} {'us/iter':>8s}"
     )
     print(header)
     print("-" * len(header))
-    for name, problem, build_s in problems:
-        t, loop_s, result = time_solve(problem)
-        rows = len(problem.inequalities) + len(problem.equalities)
-        per_iter = loop_s / result.iterations * 1e6
-        build = "-" if build_s is None else f"{build_s * 1e3:.1f}ms"
+    for r in table:
+        t, loop_s, iters = r["solve_s"], r["loop_s"], r["iterations"]
+        build = "-" if r["build_s"] is None else f"{r['build_s'] * 1e3:.1f}ms"
         print(
-            f"{name:30s} {rows:5d} {build:>9s} {t * 1e3:7.1f}ms {(t - loop_s) * 1e3:7.1f}ms "
-            f"{loop_s * 1e3:7.1f}ms {result.iterations:6d} {per_iter:8.1f}"
+            f"{r['problem']:30s} {r['rows']:5d} {build:>9s} {t * 1e3:7.1f}ms "
+            f"{(t - loop_s) * 1e3:7.1f}ms {loop_s * 1e3:7.1f}ms {iters:6d} "
+            f"{loop_s / iters * 1e6:8.1f}"
         )
 
 
@@ -389,6 +407,7 @@ def operator_case():
 
 
 CASES = {
+    "solver-table": solver_table_case,
     "sweep": sweep_case,
     "criterion-4": criterion_4_case,
     "corpus": corpus_case,
@@ -485,7 +504,7 @@ def sweep(trees):
     """The sweep case on ``trees``; alone, the solver table first;
     compared, every criterion-4 sweep once per tree too."""
     if len(trees) == 1:
-        solver_table()
+        show_solver_table(run_in(HERE, "solver-table"))
     runs = alternate(trees, [("sweep",)] * PAIRS)
     summary = {
         label: {

@@ -26,7 +26,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -118,21 +118,31 @@ def config_from_json(text: str) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class ChannelRow:
+    """One (rank, channel) of the sweep: the fields are the columns of
+    ``results.csv``, in order.  A failed channel has the defaults but for
+    ``failed`` and ``error``."""
+
     rank: int
-    channel_index: int
+    channel: int
     seed: int
-    min_elements: int | None
-    final_fidelity: float | None
-    saturated: bool
-    solver_iterations: int
-    wall_time: float
+    min_elements: int | None = None
+    final_fidelity: float | None = None
+    saturated: bool = False
+    solver_iterations: int = 0
     unconverged_steps: int = 0  # sweep steps whose solve was not OPTIMAL
     failed: bool = False
     error: str = ""
 
+    @property
+    def tag(self) -> str:
+        """The row's name in the bundle: its channel file and wall-time key."""
+        return f"r{self.rank}_c{self.channel}"
+
 
 @dataclass(frozen=True)
 class RankAggregate:
+    """One rank of the curve: the fields are the columns of ``fig1.csv``."""
+
     rank: int
     median_min_elements: float | None
     q1: float | None
@@ -143,9 +153,13 @@ class RankAggregate:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """The deterministic records of a run, and its wall times (row tag to
+    seconds), which only ``meta.json`` holds."""
+
     config: ExperimentConfig
     rows: tuple[ChannelRow, ...]
     aggregates: tuple[RankAggregate, ...]
+    wall_times: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 def _aggregate(rows: list[ChannelRow]) -> list[RankAggregate]:
@@ -165,7 +179,6 @@ def _run_channel(
     cfg: ExperimentConfig, rank: int, index: int
 ) -> tuple[ChannelRow, KrausSet | None, SweepResult | None]:
     channel_seed = cfg.master_seed.derive("channel", rank, index)
-    start = time.perf_counter()
     try:
         channel = random_channel(cfg.d, rank, channel_seed)
         sweep = minimal_elements_sweep(
@@ -178,32 +191,17 @@ def _run_channel(
             batch=cfg.sweep_batch,
             options=cfg.reconstruction_options(),
         )
-        row = ChannelRow(
-            rank=rank,
-            channel_index=index,
-            seed=channel_seed.seed,
+        found = dict(
             min_elements=sweep.minimal_independent_count,
             final_fidelity=sweep.final_fidelity,
             saturated=sweep.saturated,
             solver_iterations=sweep.solver_iterations,
-            wall_time=time.perf_counter() - start,
             unconverged_steps=sweep.unconverged_steps,
         )
-        return row, channel, sweep
     except Exception as exc:  # noqa: BLE001 - a failed trial must not abort the batch
-        row = ChannelRow(
-            rank=rank,
-            channel_index=index,
-            seed=channel_seed.seed,
-            min_elements=None,
-            final_fidelity=None,
-            saturated=False,
-            solver_iterations=0,
-            wall_time=time.perf_counter() - start,
-            failed=True,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        return row, None, None
+        channel = sweep = None
+        found = dict(failed=True, error=f"{type(exc).__name__}: {exc}")
+    return ChannelRow(rank, index, channel_seed.seed, **found), channel, sweep
 
 
 def run_experiment(cfg: ExperimentConfig, write_bundle: bool = True) -> ExperimentResult:
@@ -211,82 +209,48 @@ def run_experiment(cfg: ExperimentConfig, write_bundle: bool = True) -> Experime
     # one run per distinct (rank, channel), in sorted order
     keys = sorted({(rank, c) for rank in cfg.ranks for c in range(cfg.channels_per_rank)})
     started = time.time()
-    ordered = [_run_channel(cfg, rank, c) for rank, c in keys]
+    ordered, wall_times = [], {}
+    for rank, c in keys:
+        start = time.perf_counter()
+        ordered.append(_run_channel(cfg, rank, c))
+        wall_times[ordered[-1][0].tag] = time.perf_counter() - start
     rows = tuple(row for row, _, _ in ordered)
-    result = ExperimentResult(config=cfg, rows=rows, aggregates=tuple(_aggregate(list(rows))))
+    result = ExperimentResult(cfg, rows, tuple(_aggregate(list(rows))), wall_times)
     if write_bundle:
         _write_bundle(result, ordered, time.time() - started, started)
     return result
 
 
-def results_csv(result: ExperimentResult) -> str:
+def _cell(value):
+    """The one cell rule of the bundle's CSV files: None is empty, a bool
+    0 or 1, a float its repr."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+def _csv(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "rank",
-            "channel",
-            "seed",
-            "min_elements",
-            "final_fidelity",
-            "saturated",
-            "solver_iterations",
-            "unconverged_steps",
-            "failed",
-            "error",
-        ]
-    )
-    for r in result.rows:
-        writer.writerow(
-            [
-                r.rank,
-                r.channel_index,
-                r.seed,
-                "" if r.min_elements is None else r.min_elements,
-                "" if r.final_fidelity is None else repr(r.final_fidelity),
-                int(r.saturated),
-                r.solver_iterations,
-                r.unconverged_steps,
-                int(r.failed),
-                r.error,
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows([_cell(value) for value in astuple(row)] for row in rows)
     return buf.getvalue()
+
+
+def results_csv(result: ExperimentResult) -> str:
+    return _csv([f.name for f in fields(ChannelRow)], result.rows)
 
 
 def plot_data_csv(result: ExperimentResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "median_min_elements", "q1", "q3", "n_channels", "n_failed"])
-    for a in result.aggregates:
-        writer.writerow(
-            [
-                a.rank,
-                "" if a.median_min_elements is None else repr(a.median_min_elements),
-                "" if a.q1 is None else repr(a.q1),
-                "" if a.q3 is None else repr(a.q3),
-                a.n_channels,
-                a.n_failed,
-            ]
-        )
-    return buf.getvalue()
+    return _csv([f.name for f in fields(RankAggregate)], result.aggregates)
 
 
 def plot_data_json(result: ExperimentResult) -> str:
-    return json.dumps(
-        [
-            {
-                "rank": a.rank,
-                "median_min_elements": a.median_min_elements,
-                "q1": a.q1,
-                "q3": a.q3,
-                "n_channels": a.n_channels,
-                "n_failed": a.n_failed,
-            }
-            for a in result.aggregates
-        ],
-        indent=2,
-    )
+    return json.dumps([asdict(a) for a in result.aggregates], indent=2)
 
 
 def emit_plot_data(result: ExperimentResult, path: str | Path) -> None:
@@ -318,40 +282,28 @@ def _write_bundle(result, ordered, elapsed: float, started: float) -> None:
 
     log_lines = [f"run: scheme={cfg.scheme.value} d={cfg.d} master_seed={cfg.master_seed.seed}"]
     for row, channel, sweep in ordered:
-        tag = f"r{row.rank}_c{row.channel_index}"
         if row.failed:
-            log_lines.append(f"{tag}: FAILED seed={row.seed} {row.error}")
+            log_lines.append(f"{row.tag}: FAILED seed={row.seed} {row.error}")
             continue
         log_lines.append(
-            f"{tag}: min_elements={row.min_elements} fidelity={row.final_fidelity:.6f} "
+            f"{row.tag}: min_elements={row.min_elements} fidelity={row.final_fidelity:.6f} "
             f"saturated={int(row.saturated)} iters={row.solver_iterations} "
             f"unconverged={row.unconverged_steps}"
         )
-        _atomic_write(out / "channels" / f"{tag}.json", kraus_to_json(channel))
+        _atomic_write(out / "channels" / f"{row.tag}.json", kraus_to_json(channel))
         final = sweep.trials[-1].final_chi
         if final is not None:
             doc = json.loads(process_to_json(final))
             doc["fidelity"] = row.final_fidelity
             doc["min_elements"] = row.min_elements
             doc["trace"] = [[c, f] for c, f in sweep.trace]
-            _atomic_write(out / "reconstructions" / f"{tag}.json", json.dumps(doc))
+            _atomic_write(out / "reconstructions" / f"{row.tag}.json", json.dumps(doc))
     log_lines.append(f"done: {len(result.rows)} channels")
 
     _atomic_write(out / "config.json", config_to_json(cfg))
     emit_plot_data(result, out / "fig1.csv")
     _atomic_write(out / "log.txt", "\n".join(log_lines) + "\n")
-    _atomic_write(
-        out / "meta.json",
-        json.dumps(
-            {
-                "started_unix": started,
-                "elapsed_seconds": elapsed,
-                "wall_times": {
-                    f"r{r.rank}_c{r.channel_index}": r.wall_time for r in result.rows
-                },
-            },
-            indent=2,
-        ),
-    )
+    meta = {"started_unix": started, "elapsed_seconds": elapsed, "wall_times": result.wall_times}
+    _atomic_write(out / "meta.json", json.dumps(meta, indent=2))
     # results.csv is the completeness marker: always written last.
     _atomic_write(out / "results.csv", results_csv(result))

@@ -361,9 +361,33 @@ def problem_to_json(problem: SdpProblem) -> str:
     )
 
 
+def _check_factored_rows(rows: BoxRows, name: str, chunk: int = 256) -> None:
+    """Raise ValueError unless every stored row of ``rows`` is svec of the
+    Kronecker product its ``factor_index`` row names, to 1e-10 of the
+    row's norm.  ``chunk`` rows at a time, so no second dense copy."""
+    for start in range(0, len(rows.psd), chunk):
+        index = rows.factor_index[start : start + chunk]
+        kron = np.ones((len(index), 1, 1))
+        for T, column in zip(rows.factor_tables, index.T):
+            A, B = kron, T[column]  # np.kron order: A's indices are the slow ones
+            kron = (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(
+                len(A), A.shape[1] * B.shape[1], -1
+            )
+        want = linalg.vec_hermitian_stack(kron)
+        error = np.linalg.norm(rows.psd[start : start + chunk] - want, axis=1)
+        bad = np.flatnonzero(~(error <= 1e-10 * np.linalg.norm(want, axis=1)))
+        if bad.size:
+            raise ValueError(
+                f"{name}: stored row {start + bad[0]} is not the Kronecker product "
+                "of its factor_index row"
+            )
+
+
 def problem_from_json(text: str) -> SdpProblem:
     """The problem of a :func:`problem_to_json` document, validated by
-    construction: a malformed document raises ValueError."""
+    construction: a malformed document raises ValueError, and so do
+    stored rows that differ from the Kronecker products of their factor
+    tables."""
     doc = json.loads(text)
 
     def rows(r: dict, psd_dim: int) -> BoxRows:
@@ -391,7 +415,7 @@ def problem_from_json(text: str) -> SdpProblem:
 
     try:
         psd_dim = int(doc["psd_dim"])
-        return SdpProblem(
+        problem = SdpProblem(
             psd_dim=psd_dim,
             n_slack=int(doc["n_slack"]),
             objective=doc["objective"],
@@ -401,6 +425,11 @@ def problem_from_json(text: str) -> SdpProblem:
         )
     except (KeyError, TypeError) as exc:  # a missing field, or one of the wrong kind
         raise ValueError(f"malformed problem document: {exc!r}") from exc
+    for name in ("inequalities", "equalities"):
+        block = getattr(problem, name)
+        if block.factor_tables is not None:
+            _check_factored_rows(block, name)
+    return problem
 
 
 __all__ = [

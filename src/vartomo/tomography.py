@@ -24,7 +24,7 @@ import math
 import statistics
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class Setup:
         table: 28 rows for SQPT, 37 for AAPT, Tr(out_k) rows included).
         """
         n = self.d.bit_length() - 1
-        if n < 2 or self.d != 2**n or default_setup(self.scheme, n) != self:
+        if n < 2 or canonical_setup(self) is None:
             return None
         one = default_setup(self.scheme, 1)
         k_1, r_1 = one.table.shape[:2]
@@ -190,12 +190,7 @@ class TomographyDataset:
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
         setup = Setup(self.scheme, self.basis, self.probes, self.effects)
-        n_qubits = setup.d.bit_length() - 1
-        if 1 <= n_qubits <= QUBIT_LIMITS[setup.scheme] and setup.d == 2**n_qubits:
-            canonical = default_setup(self.scheme, n_qubits)
-            if canonical == setup:  # the same objects: they compare by identity
-                setup = canonical
-        object.__setattr__(self, "setup", setup)
+        object.__setattr__(self, "setup", canonical_setup(setup) or setup)
         if self.d != self.setup.d:
             raise ValueError(f"dataset d={self.d} does not match its setup's d={self.setup.d}")
         columns = tuple(zip(*self.records)) or ((),) * 4
@@ -232,7 +227,7 @@ class ReconstructionOptions:
     max_iter: int = SOLVER_MAX_ITER
     p_min: float = 1e-6
     additive_scale: float | None = None
-    additive_cap: float = 100.0
+    additive_cap: ClassVar[float] = 100.0  # the cap on an additive envelope's slack
 
     def __post_init__(self):
         # The primal residual is relative and at most 2: tol >= 1 certifies nothing.
@@ -245,8 +240,6 @@ class ReconstructionOptions:
         scale = self.additive_scale
         if scale is not None and not require_real(scale, "additive_scale") > 0:
             raise ValueError(f"additive_scale must be positive, got {scale}")
-        if not require_real(self.additive_cap, "additive_cap") > 0:
-            raise ValueError(f"additive_cap must be positive, got {self.additive_cap}")
 
 
 @dataclass(frozen=True)
@@ -565,6 +558,16 @@ def default_setup(scheme: Scheme, n_qubits: int) -> Setup:
     return Setup(scheme, basis, probes, effects)
 
 
+def canonical_setup(setup: Setup) -> Setup | None:
+    """The canonical setup that ``setup`` is a twin of (the same basis,
+    probes and effects objects: they compare by identity), else None."""
+    n_qubits = setup.d.bit_length() - 1
+    if not (1 <= n_qubits <= QUBIT_LIMITS[setup.scheme] and setup.d == 2**n_qubits):
+        return None
+    canonical = default_setup(setup.scheme, n_qubits)
+    return canonical if canonical == setup else None
+
+
 def complete_selection(probes: ProbeSet, effects: EffectSet) -> list[list[int]]:
     return [list(range(len(effects))) for _ in probes.states]
 
@@ -590,8 +593,12 @@ def dataset_to_json(data: TomographyDataset, truth: KrausSet | None = None) -> s
 
     Schema: {"scheme": "sqpt"|"aapt", "n_qubits": int,
     "records": [{"k", "lambda", "p", "shots"}, ...], "truth": optional
-    channel document as written by the gen-channel command}.
+    channel document as written by the gen-channel command}.  The key
+    names only a canonical setup, so a dataset of any other setup raises
+    ValueError.
     """
+    if canonical_setup(data.setup) is None:
+        raise ValueError("only a dataset of a canonical setup can be written as a document")
     columns = [getattr(data, name).tolist() for name in MeasurementRecord._fields]
     doc = {
         "scheme": data.scheme.value,

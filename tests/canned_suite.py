@@ -1,17 +1,20 @@
 """Ten small conic problems with analytic optima, shared by the solver
-unit tests and the acceptance suite, the dense row oracle, and a seeded
-one-qubit reconstruction program that converges slowly.
+unit tests and the acceptance suite, the dense row oracle, a seeded
+one-qubit reconstruction program that converges slowly, and a two-qubit
+problem dump whose factored rows were tampered with.
 
 Each entry is (name, problem, analytic_objective).  The analytic values
 are computed constructively (never by the solver under test).
 """
+
+import json
 
 import numpy as np
 
 from vartomo import linalg
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
 from vartomo.probes import RngSeed, Scheme, random_channel
-from vartomo.sdp import BoxRows, SdpProblem
+from vartomo.sdp import BoxRows, SdpProblem, problem_to_json
 from vartomo.tomography import build_sqpt_program, make_dataset
 
 
@@ -128,3 +131,17 @@ def shot_noise_program(rank):
     truth = kraus_to_chi(random_channel(2, rank, RngSeed(8100)), build_scaled_pauli_basis(1))
     data = make_dataset(truth, Scheme.SQPT, 1, shots=10_000, seed=RngSeed(8101))
     return build_sqpt_program(data)[0]
+
+
+def swapped_factor_rows_dump() -> str:
+    """The problem dump of complete noiseless 2q SQPT data with the
+    ``factor_index`` entries of stored rows 3 and 40 swapped, so that
+    neither row is the Kronecker product its entry names.  Loaded
+    unchecked, the loop's mode products and the dense rows disagree:
+    the solve reported OPTIMAL at objective 8.36 (0 untampered)."""
+    truth = kraus_to_chi(random_channel(4, 2, RngSeed(5)), build_scaled_pauli_basis(2))
+    problem, _ = build_sqpt_program(make_dataset(truth, Scheme.SQPT, 2))
+    doc = json.loads(problem_to_json(problem))
+    index = doc["inequalities"]["factor_index"]
+    index[3], index[40] = index[40], index[3]
+    return json.dumps(doc)

@@ -44,3 +44,27 @@ def test_baseline_without_sources_rejected_before_any_run(tmp_path):
     )
     assert out.returncode == 2
     assert "no vartomo/__init__.py" in out.stderr and not out.stdout
+
+
+class Stop(Exception):
+    pass
+
+
+def test_sweep_alone_runs_the_solver_table_in_a_child(bench, monkeypatch, capsys):
+    """The sweep mode alone prints the solver table from a child process
+    (one BLAS thread), as it runs every case, not from the driver."""
+    run_in, called = bench.run_in, []
+
+    def recorded(src, name, *args):
+        called.append(name)
+        if name != "solver-table":
+            raise Stop  # before the ten sweep calls
+        return run_in(src, name, *args)
+
+    monkeypatch.setattr(bench, "run_in", recorded)
+    with pytest.raises(Stop):
+        bench.sweep({"change": bench.HERE})
+    assert called == ["solver-table", "sweep"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:2] == ["problem", "rows"] and len(lines) == 7
+    assert lines[-1].startswith("random diagonal SDP (dim 8)")

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -39,6 +40,22 @@ def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def fail_first_sweep(monkeypatch):
+    """Make the run's first channel sweep raise."""
+    import vartomo.harness as harness_mod
+
+    calls = {"n": 0}
+    original = harness_mod.minimal_elements_sweep
+
+    def flaky(channel, *args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            raise RuntimeError("synthetic trial failure")
+        return original(channel, *args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "minimal_elements_sweep", flaky)
 
 
 class TestConfig:
@@ -158,18 +175,7 @@ class TestRunExperiment:
         assert all(r.min_elements == 1 for r in result.rows)
 
     def test_failed_channel_does_not_abort(self, tmp_path, monkeypatch):
-        import vartomo.harness as harness_mod
-
-        calls = {"n": 0}
-        original = harness_mod.minimal_elements_sweep
-
-        def flaky(channel, *args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("synthetic trial failure")
-            return original(channel, *args, **kwargs)
-
-        monkeypatch.setattr(harness_mod, "minimal_elements_sweep", flaky)
+        fail_first_sweep(monkeypatch)
         cfg = tiny_config(tmp_path)
         result = run_experiment(cfg)
         failed = [r for r in result.rows if r.failed]
@@ -178,6 +184,30 @@ class TestRunExperiment:
         assert (tmp_path / "run" / "results.csv").exists()
         log = (tmp_path / "run" / "log.txt").read_text()
         assert "FAILED" in log and str(failed[0].seed) in log
+
+    def test_results_csv_is_the_channel_rows(self, tmp_path, monkeypatch):
+        """results.csv has ChannelRow's fields as its columns; a failed
+        row is the defaults plus failed and error; the wall times, one
+        per row tag, are in meta.json alone."""
+        fail_first_sweep(monkeypatch)
+        result = run_experiment(tiny_config(tmp_path))
+        lines = (tmp_path / "run" / "results.csv").read_text().splitlines()
+        assert lines[0].split(",") == [f.name for f in fields(ChannelRow)] == [
+            "rank",
+            "channel",
+            "seed",
+            "min_elements",
+            "final_fidelity",
+            "saturated",
+            "solver_iterations",
+            "unconverged_steps",
+            "failed",
+            "error",
+        ]
+        assert lines[1] == "1,0,12470464870260552905,,,0,0,0,1,RuntimeError: synthetic trial failure"
+        meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+        tags = ["r1_c0", "r1_c1", "r4_c0", "r4_c1"]
+        assert list(meta["wall_times"]) == list(result.wall_times) == tags
 
 
 class TestPlotData:
@@ -191,18 +221,7 @@ class TestPlotData:
 
     def test_all_failed_rank_emits_empty_stats(self):
         rows = (
-            ChannelRow(
-                rank=3,
-                channel_index=0,
-                seed=1,
-                min_elements=None,
-                final_fidelity=None,
-                saturated=False,
-                solver_iterations=0,
-                wall_time=0.0,
-                failed=True,
-                error="boom",
-            ),
+            ChannelRow(rank=3, channel=0, seed=1, failed=True, error="boom"),
         )
         result = ExperimentResult(
             config=ExperimentConfig(), rows=rows, aggregates=tuple(_aggregate(list(rows)))
@@ -539,6 +558,17 @@ class TestCli:
         r = run_cli("solve-sdp", "--problem", str(path), "--json")
         assert r.returncode == 2
         assert message in r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stdout == ""
+
+    def test_solve_sdp_rows_unlike_their_factors_exit_two(self, tmp_path):
+        from canned_suite import swapped_factor_rows_dump
+
+        path = tmp_path / "problem.json"
+        path.write_text(swapped_factor_rows_dump())
+        r = run_cli("solve-sdp", "--problem", str(path), "--json")
+        assert r.returncode == 2
+        assert "stored row 3 is not the Kronecker product" in r.stderr
         assert "Traceback" not in r.stderr
         assert r.stdout == ""
 

@@ -4,7 +4,12 @@ import time
 import numpy as np
 import pytest
 
-from canned_suite import build_canned_problems, dense_rows, shot_noise_program
+from canned_suite import (
+    build_canned_problems,
+    dense_rows,
+    shot_noise_program,
+    swapped_factor_rows_dump,
+)
 from vartomo import linalg
 from vartomo._kernels import ADAPT_EVERY, KroneckerRows
 from vartomo.channels import build_scaled_pauli_basis, identity_channel, kraus_to_chi
@@ -584,3 +589,10 @@ def test_factored_rows_are_checked(changes, message):
     with_factors(rows)  # the unchanged rows are valid
     with pytest.raises(ValueError, match=message):
         with_factors(rows, **changes)
+
+
+def test_problem_json_rejects_rows_unlike_their_factors():
+    """A dump's factored rows are checked against its dense rows: with
+    two rows' factor indices swapped, the load names the first bad row."""
+    with pytest.raises(ValueError, match="inequalities: stored row 3 is not the Kronecker product"):
+        problem_from_json(swapped_factor_rows_dump())

@@ -336,6 +336,20 @@ class TestMeasurementTable:
         with pytest.raises(ValueError, match="effects act on dim 4, expected 2"):
             Setup(Scheme.SQPT, sqpt.basis, sqpt.probes, aapt.effects)
 
+    def test_custom_setup_past_the_canonical_limit_builds(self):
+        """A 3q AAPT setup of its own (two effects): AAPT has no canonical
+        setup at 3 qubits, so the program's rows are the dense table's,
+        with no factor tables."""
+        P = np.zeros((64, 64))
+        P[0, 0] = 1.0
+        effects = EffectSet(64, np.stack([P, np.eye(64) - P]), ("P", "I-P"))
+        setup = Setup(Scheme.AAPT, build_scaled_pauli_basis(3), aapt_probe_state(3), effects)
+        data = setup.dataset([MeasurementRecord(0, 0, 0.125, 0)])
+        problem, _ = build_aapt_program(data)
+        assert setup.factors is None
+        assert problem.inequalities.factor_tables is None
+        assert problem.inequalities.psd.shape == (2, 4096)
+
     def test_dataset_with_another_schemes_setup_rejected(self):
         """AAPT objects labelled SQPT used to solve as AAPT data and be
         written out as an SQPT document."""
@@ -434,14 +448,11 @@ class TestReconstructionOptions:
             dict(p_min=float("nan")),
             dict(additive_scale=0.0),
             dict(additive_scale=-1e-3),
-            dict(additive_cap=0.0),
-            dict(additive_cap=-5.0),
             # a bool or a string is not a real number
             dict(tol=True),
             dict(tol="1e-7"),
             dict(p_min="0.1"),
             dict(additive_scale=True),
-            dict(additive_cap=True),
             # the primal residual is at most 2: a tolerance of 1 or more certifies nothing
             dict(tol=float("inf")),
             dict(tol=1.0),
@@ -915,6 +926,19 @@ def test_dataset_json_roundtrip():
     assert back.records == data.records
     assert np.abs(back_truth.operators - truth_kraus.operators).max() <= 1e-12
     assert back.setup is data.setup is default_setup(Scheme.SQPT, 1)
+
+
+def test_dataset_json_of_a_custom_setup_rejected():
+    """The document names only a canonical setup: a 1q SQPT dataset of the
+    pair |0><0|, |1><1| would reload on the six canonical effects, its
+    effect 0 then read as (I + sigma_x)/6."""
+    canonical = default_setup(Scheme.SQPT, 1)
+    effects = EffectSet(2, np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), ("0", "1"))
+    data = TomographyDataset(
+        Scheme.SQPT, 2, canonical.basis, canonical.probes, effects, [MeasurementRecord(0, 0, 1.0, 0)]
+    )
+    with pytest.raises(ValueError, match="canonical setup"):
+        dataset_to_json(data)
 
 
 def test_dataset_json_probability_is_checked_not_coerced():
