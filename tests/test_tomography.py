@@ -448,11 +448,14 @@ class TestReconstructionOptions:
             dict(p_min=float("nan")),
             dict(additive_scale=0.0),
             dict(additive_scale=-1e-3),
+            dict(additive_scale=float("nan")),
+            dict(max_iter=-3),
             # a bool or a string is not a real number
             dict(tol=True),
             dict(tol="1e-7"),
             dict(p_min="0.1"),
             dict(additive_scale=True),
+            dict(max_iter="10"),
             # the primal residual is at most 2: a tolerance of 1 or more certifies nothing
             dict(tol=float("inf")),
             dict(tol=1.0),
