@@ -21,7 +21,9 @@ numpy and BLAS versions, to ``BENCH_<mode>.json`` at the repository root.
   exits 1 if this tree reported a case infeasible: none is.
 - ``simulate``: dataset simulation, ten calls (:func:`simulate_case`).
 - ``operator``: the loop's time per iteration split by part, ten calls
-  (:func:`operator_case`).
+  (:func:`operator_case`), then one three-qubit complete-SQPT
+  reconstruct per tree (:func:`three_qubit_case`): its set-up, build,
+  iterations, status, fidelity and peak RSS.
 
 ``--case NAME [ARG ...]`` runs one case of ``CASES`` in this process and
 prints its JSON; the modes run it in their child processes.
@@ -33,6 +35,7 @@ import itertools
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -406,6 +409,37 @@ def operator_case():
     return results
 
 
+def three_qubit_case():
+    """One reconstruct of complete noiseless three-qubit SQPT data of a
+    seeded rank-1 channel: the dataset's time, the program build's, the
+    reconstruct's time outside the loop (the set-up: build, row operator
+    and its factor, then the short finish), the loop's, the iterations,
+    status and fidelity, and the process's peak RSS (``ru_maxrss``)."""
+    start = time.perf_counter()
+    truth, data = dataset(3, "sqpt", 1, RngSeed(9300))
+    dataset_s = time.perf_counter() - start
+    seconds, calls = {"build": 0.0}, {"build": 0}
+    build = tomography.build_sqpt_program
+    tomography.build_sqpt_program = timed(build, seconds, calls, "build")
+    try:
+        with loop_timer() as loop_s:
+            start = time.perf_counter()
+            result = reconstruct(data)
+            wall_s = time.perf_counter() - start
+    finally:
+        tomography.build_sqpt_program = build
+    return {
+        "dataset_s": dataset_s,
+        "build_s": seconds["build"],
+        "setup_s": wall_s - loop_s["loop"],
+        "loop_s": loop_s["loop"],
+        "iterations": result.solver.iterations,
+        "status": result.solver.status.value,
+        "fidelity": process_fidelity(result.chi_hat, truth),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
 CASES = {
     "solver-table": solver_table_case,
     "sweep": sweep_case,
@@ -413,6 +447,7 @@ CASES = {
     "corpus": corpus_case,
     "simulate": simulate_case,
     "operator": operator_case,
+    "three-qubit": three_qubit_case,
 }
 
 
@@ -653,7 +688,8 @@ def simulate(trees):
 
 
 def operator(trees):
-    """The loop split on ``trees``: per case the medians over the calls."""
+    """The loop split on ``trees``: per case the medians over the calls;
+    then the three-qubit reconstruct once per tree."""
     runs = alternate(trees, [("operator",)] * PAIRS)
     summary = {
         label: {
@@ -669,6 +705,8 @@ def operator(trees):
         for label, results in runs.items()
     }
     show(summary=summary)
+    three_qubit = {label: r[0] for label, r in alternate(trees, [("three-qubit",)]).items()}
+    show(three_qubit=three_qubit)
     if len(trees) == 1:
         return
     faster = faster_in_pairs(runs, "loop_us_per_iter")
@@ -677,9 +715,12 @@ def operator(trees):
         "the ADMM loop's time per iteration on seeded rank-4 two-qubit programs of exact "
         "data (SQPT and AAPT, complete and half), untimed (best of three solves to tol "
         "1e-7) and split by part (one solve with each part wrapped in a timer; 'other' is "
-        f"the rest of the loop); {PAIRS} alternating pairs of processes, medians"
+        f"the rest of the loop); {PAIRS} alternating pairs of processes, medians; "
+        "three_qubit: one reconstruct of complete noiseless 3q SQPT data of a seeded "
+        "rank-1 channel per tree, each in its own process"
     )
-    write("operator", case, runs, summary=summary, change_faster_in_pairs=faster)
+    doc = {"summary": summary, "change_faster_in_pairs": faster, "three_qubit": three_qubit}
+    write("operator", case, runs, **doc)
 
 
 def main():

@@ -70,25 +70,28 @@ A is never formed.  Every row is a stored PSD row, by index, plus at
 most one slack, so after equilibration (unit-norm rows)
 :class:`RowOperator` keeps each distinct (stored row, norm) once (the
 lo and hi rows of an envelope share one) and one (slack, coefficient)
-pair per row.  I + A^T A then has a diagonal slack block, and its
-chi/slack cross block is U^T W, where W holds the per-(distinct row,
-slack) sums of slack coefficients.  For envelope pairs those sums
+pair per row.  A factored stored row's norm is the product of its
+tables' Frobenius norms (svec is an isometry).  I + A^T A then has a
+diagonal slack block, and its chi/slack cross block is U^T W, where W
+holds the per-(distinct row, slack) sums of slack coefficients.  For envelope pairs those sums
 cancel exactly, so the x-step is one D^2 x D^2 factor plus a diagonal;
 otherwise the factor is that of the Schur complement of the slack
 block and the slacks the cross block touches get a low-rank correction.
 The factor is formed on the smaller side: with m < D^2 distinct rows
 (and no cross block) as I - U^T (I_m + U U^T)^{-1} U, an m x m inverse
-(Woodbury), else as the D^2 x D^2 inverse.
+(Woodbury), else as the D^2 x D^2 inverse, whose Gram matrix U^T U is
+summed over chunks of distinct rows made on demand.
 
 The loop's A x and A^T y read the distinct rows block by block.  A block
 whose stored rows come in Kronecker-factored form (one Hermitian table
 per factor, ``BoxRows.factor_tables``) is applied by
 :class:`KroneckerRows`: mode products of the permuted chi with the
 tables give the value of every table combination at once, and each
-distinct row gathers its entry of that grid.  The dense distinct rows
-then serve only to form I + A^T A.  The operator takes that path for a
-block with at least D^2 distinct rows, where it was measured to be the
-cheaper one; other blocks keep the dense rows.
+distinct row gathers its entry of that grid.  Such a block's dense rows
+exist only a chunk at a time, while the Gram matrix is summed.  The
+operator takes that path for a block with at least D^2 distinct rows,
+where it was measured to be the cheaper one; other blocks are made
+dense (:class:`DenseRows`) once, for the loop.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ class KroneckerRows:
     the products back with the tables themselves.
     """
 
-    def __init__(self, tables, index, scale):
+    def __init__(self, tables, index, scale=1.0):
         n = len(tables)
         dims = [T.shape[1] for T in tables]
         D = math.prod(dims)
@@ -214,14 +217,22 @@ class RowOperator:
     Built from blocks of :class:`vartomo.sdp.BoxRows`, taken in order as
     one set of rows (their fields are read as they are: the blocks were
     validated when they were made); row i then reads
-    ``A_i x = psd[group[i]] . x[:D^2] + coeff[i] * x[D^2 + slack[i]]``
+    ``A_i x = stored[group[i]] . x[:D^2] + coeff[i] * x[D^2 + slack[i]]``
     (``coeff[i] = 0`` for a row without a slack).  ``matvec``, ``rmatvec``
     and ``solve`` apply A, A^T and (I + A^T A)^{-1}, the last through the
     dense chi-block ``factor``, formed on the smaller side (an m x m
     inverse for m < D^2 distinct rows).  ``parts`` applies the PSD
     coefficients in the loop, one :class:`DenseRows` or
     :class:`KroneckerRows` per run of rows (``row_splits`` between them).
+    Dense rows are made only for a :class:`DenseRows` part and, a chunk
+    of max(``CHUNK``, D^2) distinct rows at a time, to sum the Gram
+    matrix of the factor: from D^2 = 256 on no chunk is larger than the
+    factor itself, and thinner chunks slow the Gram's product (3q
+    complete SQPT, 2-vCPU Xeon VM, one OpenBLAS thread: 13.0 s of
+    set-up with 1,024-row chunks, 9.3 s with 4,096).
     """
+
+    CHUNK = 256  # the fewest distinct rows in a chunk of the Gram sum
 
     def __init__(self, D, n_slack, blocks):
         DD = D * D
@@ -233,15 +244,15 @@ class RowOperator:
         def joined(name):
             return np.concatenate([getattr(rows, name) for rows in blocks])
 
-        stored = np.concatenate([rows.psd for rows in blocks])
-        offsets = np.cumsum([0] + [len(rows.psd) for rows in blocks])
+        offsets = np.cumsum([0] + [rows.n_stored for rows in blocks])
         psd_row = np.concatenate([rows.psd_row + off for rows, off in zip(blocks, offsets)])
         slack_index = joined("slack_index")
         self.n_rows = len(slack_index)
         # Equilibrate: unit-norm rows keep the projections balanced.
         has = slack_index >= 0
         coeff = np.where(has, joined("slack_coeff"), 0.0)
-        norms = np.sqrt(np.einsum("ij,ij->i", stored, stored)[psd_row] + coeff * coeff)
+        sq_norms = np.concatenate([rows.sq_norms() for rows in blocks])
+        norms = np.sqrt(sq_norms[psd_row] + coeff * coeff)
         norms[norms == 0] = 1.0
         self.coeff = coeff / norms
         self.slack = np.where(has, slack_index, 0)
@@ -256,7 +267,19 @@ class RowOperator:
         )
         self.group = group.reshape(-1)
         self.n_groups = len(first)
-        psd = stored[psd_row[first]] / norms[first, None]
+        group_row, group_norm = psd_row[first], norms[first]
+        group_bounds = np.searchsorted(group_row, offsets)
+
+        def distinct_rows(g0, g1):
+            """The dense distinct rows g0 to g1, made from their blocks."""
+            pieces = []
+            for k, rows in enumerate(blocks):
+                a, b = max(g0, group_bounds[k]), min(g1, group_bounds[k + 1])
+                if a < b:
+                    stored = rows.stored(group_row[a:b] - offsets[k])  # a fresh array
+                    stored /= group_norm[a:b, None]
+                    pieces.append(stored)
+            return pieces[0] if len(pieces) == 1 else np.concatenate([np.zeros((0, DD)), *pieces])
 
         # The loop's parts: a factored block on its own once it has D^2
         # distinct rows, runs of other blocks as dense rows.  The dense
@@ -265,7 +288,6 @@ class RowOperator:
         # SQPT and AAPT programs (one BLAS thread) the loop's time per
         # iteration crosses over near D^2 distinct rows for both schemes.
         row_bounds = np.cumsum([0] + [len(rows) for rows in blocks])
-        group_bounds = np.searchsorted(psd_row[first], offsets)
         runs = []  # (first row, first group, KroneckerRows or None for dense)
         for k, rows in enumerate(blocks):
             (r0, r1), (g0, g1) = row_bounds[k : k + 2], group_bounds[k : k + 2]
@@ -278,10 +300,8 @@ class RowOperator:
                 runs.append((r0, g0, None))
         runs = runs or [(0, 0, None)]  # no rows at all: one empty dense part
         runs.append((self.n_rows, self.n_groups, None))
-        # A dense part of several keeps a copy, so the whole row matrix
-        # is freed after set-up.
         self.parts = [
-            kron or DenseRows(psd if len(runs) == 2 else psd[g0:g1].copy(), self.group[r0:r1] - g0)
+            kron or DenseRows(distinct_rows(g0, g1), self.group[r0:r1] - g0)
             for (r0, g0, kron), (r1, g1, _) in zip(runs[:-1], runs[1:])
         ]
         self.row_splits = [r0 for r0, _, _ in runs[1:-1]]
@@ -299,22 +319,35 @@ class RowOperator:
         self.cross_slots = np.unique(j)
         W = np.zeros((self.n_groups, len(self.cross_slots)))
         W[u, np.searchsorted(self.cross_slots, j)] = sums[nonzero]
-        self.cross = psd.T @ W if len(self.cross_slots) else None
 
         # The chi block I + U^T U, U the distinct rows weighted by the
         # square root of their counts, is inverted on the smaller side:
         # with fewer than D^2 rows (and no cross block) by Woodbury,
-        # (I + U^T U)^{-1} = I - U^T (I + U U^T)^{-1} U.
-        counts = np.bincount(self.group, minlength=self.n_groups).astype(float)
-        weighted = psd * np.sqrt(counts)[:, None]
-        if self.cross is None and self.n_groups < DD:
+        # (I + U^T U)^{-1} = I - U^T (I + U U^T)^{-1} U, on the rows of
+        # the one dense part; else U^T U and the cross block are summed
+        # over chunks of rows.
+        weight = np.sqrt(np.bincount(self.group, minlength=self.n_groups).astype(float))
+        has_cross = len(self.cross_slots) > 0
+        self.cross = None
+        if not has_cross and self.n_groups < DD:
+            weighted = self.parts[0].rows * weight[:, None]
             inner = np.linalg.inv(np.eye(self.n_groups) + weighted @ weighted.T)
             self.factor = -(weighted.T @ (inner @ weighted))
             self.factor.flat[:: DD + 1] += 1.0
         else:
-            chi_block = np.eye(DD) + weighted.T @ weighted
-            if self.cross is not None:
-                chi_block -= (self.cross * self.slack_scale[self.cross_slots]) @ self.cross.T
+            chi_block = np.eye(DD)
+            cross = np.zeros((DD, len(self.cross_slots)))
+            chunk = max(self.CHUNK, DD)
+            for g0 in range(0, self.n_groups, chunk):
+                g1 = min(g0 + chunk, self.n_groups)
+                rows = distinct_rows(g0, g1)
+                if has_cross:
+                    cross += rows.T @ W[g0:g1]
+                rows *= weight[g0:g1, None]
+                chi_block += rows.T @ rows
+            if has_cross:
+                self.cross = cross
+                chi_block -= (cross * self.slack_scale[self.cross_slots]) @ cross.T
             self.factor = np.linalg.inv(chi_block)
 
     def matvec(self, x):

@@ -17,6 +17,9 @@ product of two svecs equals Re Tr(A^dag B) of the originals.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from . import tolerances as tol
@@ -114,6 +117,41 @@ def vec_hermitian_stack(Ms: np.ndarray) -> np.ndarray:
     diag = np.diagonal(Ms, axis1=-2, axis2=-1).real
     off = Ms[..., iu, ju]
     return np.concatenate([diag, _SQRT2 * off.real, _SQRT2 * off.imag], axis=-1)
+
+
+def kron_rows(tables, index: np.ndarray) -> np.ndarray:
+    """svec(T_1[t_1] (x) ... (x) T_n[t_n]), in ``np.kron`` order, for each
+    row (t_1, ..., t_n) of ``index``: one (R_q, d_q, d_q) Hermitian table
+    per factor in ``tables``, one svec row per index row.
+
+    Only the entries svec reads are formed: entry (I, J) of a product is
+    the product over q of T_q[t_q][i_q, j_q] (:func:`_kron_entries`).
+    """
+    positions = _kron_entries(tuple(T.shape[1] for T in tables))
+    entry = None
+    for T, column, position in zip(tables, np.transpose(index), positions):
+        factor = T.reshape(len(T), -1)[:, position][column]
+        if entry is None:
+            entry = factor
+        else:
+            entry *= factor
+    D = math.prod(T.shape[1] for T in tables)
+    off = entry[:, D:]
+    off *= _SQRT2
+    return np.concatenate([entry[:, :D].real, off.real, off.imag], axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _kron_entries(dims: tuple[int, ...]) -> list[np.ndarray]:
+    """Per factor of dimensions ``dims``, the flat position i_q d_q + j_q
+    in factor q of each entry (I, J) that svec reads: the diagonal, then
+    the upper triangle row-major."""
+    D = math.prod(dims)
+    iu, ju = np.triu_indices(D, k=1)
+    I = np.concatenate([np.arange(D), iu])
+    J = np.concatenate([np.arange(D), ju])
+    pairs = zip(dims, np.unravel_index(I, dims), np.unravel_index(J, dims))
+    return [i * d + j for d, i, j in pairs]
 
 
 def mat_hermitian(v: np.ndarray, dim: int | None = None) -> np.ndarray:

@@ -13,6 +13,10 @@ with ``slack_index = -1`` for a row without a slack.  Rows are held in
 bulk, one array per field, and rows may share a stored PSD row
 (:class:`BoxRows`); equalities are rows with ``lower == upper``.  The
 debug dump (:func:`problem_to_json`) writes these arrays as they are.
+Stored rows may instead be held by reference: per stored row, an index
+into each of a few small per-factor tables, the row being svec of the
+Kronecker product of the entries it names.  The dump writes such rows
+densely too.
 
 The solver is ADMM with PSD projection, run as the relaxed
 Douglas-Rachford iteration on one vector w = z + u and sped up by
@@ -23,8 +27,9 @@ PSD row once with a per-row slack coefficient, and factors the x-step
 through one D^2 x D^2 factor plus a diagonal, the factor formed on the
 smaller side (an m x m inverse for m < D^2 distinct rows).  Stored rows
 given in Kronecker-factored form (``BoxRows.factor_tables``) are applied
-in the loop by mode products once a block has D^2 distinct rows; the
-dense rows then only form that factor.  A solve may start from
+in the loop by mode products once a block has D^2 distinct rows; their
+dense rows are then made only a chunk at a time, to sum that factor's
+Gram matrix.  A solve may start from
 a given loop state (:class:`SolverState`: x, w and the penalty), such
 as the final state of a solve of a related program mapped onto this
 one's variables and rows.  A solve started from a state is a fresh loop
@@ -57,23 +62,24 @@ class BoxRows:
     """Rows ``lower <= psd[psd_row] . svec(X) + slack_coeff * slacks[slack_index] <= upper``.
 
     ``psd`` is (stored rows, D^2); the other fields hold one entry per
-    box row, ``psd_row`` being the row's index into ``psd`` (default:
-    one stored row per box row).  ``slack_index`` and ``slack_coeff``
-    default to "no slack" (-1, 0).  Coefficients must be finite and
-    bounds not NaN; an infinite bound means an open side.  ``len()``
-    counts box rows.
+    box row, ``psd_row`` being the row's index into the stored rows
+    (default: one stored row per box row).  ``slack_index`` and
+    ``slack_coeff`` default to "no slack" (-1, 0).  Coefficients must be
+    finite and bounds not NaN; an infinite bound means an open side.
+    ``len()`` counts box rows.
 
     The stored rows may also come in Kronecker-factored form:
     ``factor_tables`` holds one (R_q, d_q, d_q) Hermitian table per
     factor, with prod d_q = D, and ``factor_index`` one row of table
-    indices per stored row, so that ``psd[s] = svec(T_1[t_1] (x) ... (x)
-    T_n[t_n])`` (``np.kron`` order), (t_1, ..., t_n) = ``factor_index[s]``.
-    The maker vouches for that equality; the solver then applies the
-    rows by mode products where that is cheaper (see
-    :mod:`vartomo._kernels`).
+    indices per stored row, so that stored row s is ``svec(T_1[t_1] (x)
+    ... (x) T_n[t_n])`` (``np.kron`` order), (t_1, ..., t_n) =
+    ``factor_index[s]``.  ``psd`` may then be None: the factors are the
+    rows.  Given both, the maker vouches that they agree, and the solver
+    reads the factors (see :mod:`vartomo._kernels`).  :meth:`stored`
+    makes dense rows on demand.
     """
 
-    psd: np.ndarray
+    psd: np.ndarray | None
     lower: np.ndarray
     upper: np.ndarray
     slack_index: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -83,32 +89,38 @@ class BoxRows:
     factor_index: np.ndarray | None = None
 
     def __post_init__(self):
-        self.psd = np.asarray(self.psd, dtype=float)
-        if self.psd.ndim != 2:
-            raise ValueError("psd coefficients must be a (rows, D^2) array")
+        if (self.factor_tables is None) != (self.factor_index is None):
+            raise ValueError("factor_tables and factor_index come together")
+        if self.psd is not None:
+            self.psd = np.asarray(self.psd, dtype=float)
+            if self.psd.ndim != 2:
+                raise ValueError("psd coefficients must be a (rows, D^2) array")
+        elif self.factor_tables is None:
+            raise ValueError("stored rows need psd coefficients or factor tables")
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
         n = self.lower.size
-        if self.psd_row is None:
-            self.psd_row = np.arange(len(self.psd))
         if self.slack_index is None:
             self.slack_index = np.full(n, -1)
         if self.slack_coeff is None:
             self.slack_coeff = np.zeros(n)
-        for name in ("psd_row", "slack_index", "factor_index"):
-            if getattr(self, name) is None:  # only factor_index is still unset here
+        for name in ("factor_index", "psd_row", "slack_index"):
+            if getattr(self, name) is None:  # factor_index, or psd_row (set below)
                 continue
             index = np.asarray(getattr(self, name))
             if index.size and index.dtype.kind not in "iu":  # casting would truncate 1.5
                 raise ValueError(f"{name} must hold integers")
             setattr(self, name, index.astype(np.intp, copy=False))
+        if self.psd_row is None:
+            self.psd_row = np.arange(self.n_stored)
         self.slack_coeff = np.asarray(self.slack_coeff, dtype=float)
         fields = (self.lower, self.upper, self.psd_row, self.slack_index, self.slack_coeff)
         if any(a.shape != (n,) for a in fields):
             raise ValueError("every per-row field needs one entry per box row")
-        if np.any((self.psd_row < 0) | (self.psd_row >= len(self.psd))):
+        if np.any((self.psd_row < 0) | (self.psd_row >= self.n_stored)):
             raise ValueError("stored-row index out of range")
-        if not (np.isfinite(self.psd).all() and np.isfinite(self.slack_coeff).all()):
+        psd_finite = self.psd is None or np.isfinite(self.psd).all()
+        if not (psd_finite and np.isfinite(self.slack_coeff).all()):
             raise ValueError("psd and slack coefficients must be finite")
         # lo <= hi is false on NaN; an infinite bound on the wrong side admits no value.
         lo, hi = self.lower, self.upper
@@ -117,8 +129,6 @@ class BoxRows:
             i = bad[0]
             what = "NaN bound" if np.isnan(lo[i]) or np.isnan(hi[i]) else "empty interval"
             raise ValueError(f"{what} [{lo[i]}, {hi[i]}] in row {i}")
-        if (self.factor_tables is None) != (self.factor_index is None):
-            raise ValueError("factor_tables and factor_index come together")
         if self.factor_tables is not None:
             self._check_factors()
 
@@ -131,9 +141,10 @@ class BoxRows:
         for T in tables:
             if T.size and np.abs(T - T.conj().transpose(0, 2, 1)).max() > tol.HERMITIAN_REJECT:
                 raise ValueError("factor tables must be Hermitian")
-        if math.prod(T.shape[1] for T in tables) ** 2 != self.psd.shape[1]:
+        width = math.prod(T.shape[1] for T in tables) ** 2
+        if self.psd is not None and width != self.psd.shape[1]:
             raise ValueError("the factors' dimensions do not make up the psd block")
-        if self.factor_index.shape != (len(self.psd), len(tables)):
+        if self.factor_index.shape != (self.n_stored, len(tables)):
             raise ValueError("factor_index needs one table index per stored row and factor")
         sizes = np.array([len(T) for T in tables])
         if np.any((self.factor_index < 0) | (self.factor_index >= sizes)):
@@ -142,6 +153,32 @@ class BoxRows:
 
     def __len__(self) -> int:
         return len(self.lower)
+
+    @property
+    def n_stored(self) -> int:
+        return len(self.psd) if self.psd is not None else len(self.factor_index)
+
+    @property
+    def width(self) -> int:
+        """D^2, the length of a stored row."""
+        if self.psd is not None:
+            return self.psd.shape[1]
+        return math.prod(T.shape[1] for T in self.factor_tables) ** 2
+
+    def stored(self, which=slice(None)) -> np.ndarray:
+        """The dense stored rows ``which`` (all by default), made from the
+        factors when the rows are factored."""
+        if self.factor_tables is None:
+            return self.psd[which]
+        return linalg.kron_rows(self.factor_tables, self.factor_index[which])
+
+    def sq_norms(self) -> np.ndarray:
+        """The squared norm of every stored row.  svec is an isometry, so a
+        factored row's norm is the product of its tables' Frobenius norms."""
+        if self.factor_tables is None:
+            return np.einsum("ij,ij->i", self.psd, self.psd)
+        sq = [np.einsum("rij,rij->r", T.conj(), T).real for T in self.factor_tables]
+        return math.prod(s[column] for s, column in zip(sq, self.factor_index.T))
 
 
 @dataclass
@@ -177,7 +214,7 @@ class SdpProblem:
             if rows is None:
                 rows = BoxRows(np.zeros((0, self.psd_dim**2)), [], [])
                 setattr(self, name, rows)
-            if rows.psd.shape[1] != self.psd_dim**2:
+            if rows.width != self.psd_dim**2:
                 raise ValueError(f"{name}: psd coefficients must have length {self.psd_dim**2}")
             if np.any((rows.slack_index < -1) | (rows.slack_index >= self.n_slack)):
                 raise ValueError(f"{name}: slack index out of range")
@@ -334,14 +371,15 @@ def solve(
 def problem_to_json(problem: SdpProblem) -> str:
     """Problem document holding the record's arrays as they are: the
     :class:`BoxRows` fields of the inequalities and the equalities, a
-    factor table as its real and imaginary parts."""
+    factor table as its real and imaginary parts.  ``psd`` is always
+    written, as dense rows; a factored block's are made from its factors."""
 
     def listed(values: np.ndarray) -> list:  # an open bound or uncapped slack as null
         return np.where(np.isinf(values), None, values).tolist()
 
     def rows(r: BoxRows) -> dict:
-        fields = ("psd", "psd_row", "lower", "upper", "slack_index", "slack_coeff")
-        doc = {name: listed(getattr(r, name)) for name in fields}
+        fields = ("psd_row", "lower", "upper", "slack_index", "slack_coeff")
+        doc = {"psd": r.stored().tolist(), **{name: listed(getattr(r, name)) for name in fields}}
         if r.factor_tables is not None:
             doc["factor_tables"] = [
                 {"re": T.real.tolist(), "im": T.imag.tolist()} for T in r.factor_tables
@@ -365,15 +403,8 @@ def _check_factored_rows(rows: BoxRows, name: str, chunk: int = 256) -> None:
     """Raise ValueError unless every stored row of ``rows`` is svec of the
     Kronecker product its ``factor_index`` row names, to 1e-10 of the
     row's norm.  ``chunk`` rows at a time, so no second dense copy."""
-    for start in range(0, len(rows.psd), chunk):
-        index = rows.factor_index[start : start + chunk]
-        kron = np.ones((len(index), 1, 1))
-        for T, column in zip(rows.factor_tables, index.T):
-            A, B = kron, T[column]  # np.kron order: A's indices are the slow ones
-            kron = (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(
-                len(A), A.shape[1] * B.shape[1], -1
-            )
-        want = linalg.vec_hermitian_stack(kron)
+    for start in range(0, rows.n_stored, chunk):
+        want = rows.stored(slice(start, start + chunk))
         error = np.linalg.norm(rows.psd[start : start + chunk] - want, axis=1)
         bad = np.flatnonzero(~(error <= 1e-10 * np.linalg.norm(want, axis=1)))
         if bad.size:
@@ -387,7 +418,7 @@ def problem_from_json(text: str) -> SdpProblem:
     """The problem of a :func:`problem_to_json` document, validated by
     construction: a malformed document raises ValueError, and so do
     stored rows that differ from the Kronecker products of their factor
-    tables."""
+    tables.  A factored block keeps its factors alone, as it was built."""
     doc = json.loads(text)
 
     def rows(r: dict, psd_dim: int) -> BoxRows:
@@ -429,6 +460,7 @@ def problem_from_json(text: str) -> SdpProblem:
         block = getattr(problem, name)
         if block.factor_tables is not None:
             _check_factored_rows(block, name)
+            block.psd = None
     return problem
 
 

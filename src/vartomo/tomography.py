@@ -11,9 +11,12 @@ effects NOT measured on probe k.  The standard scheme (SQPT) probes the
 channel with d^2 independent states; the ancilla-assisted scheme (AAPT)
 sends half of a maximally entangled pair through it and measures
 jointly.  A :class:`Setup` (scheme, basis, probes, effects) owns every
-fact of one measurement setup: its expectation-row table and its
+fact of one measurement setup: its expectation rows and its
 trace-preserving rows are computed on first use and live exactly as long
-as the setup.  Every row of both programs is a gather from that table.
+as the setup.  From two qubits on, a canonical setup's rows are held by
+reference: each is a Kronecker product of one-qubit rows, and the
+programs hold indices into the per-qubit tables.  Other setups' programs
+gather their rows from the setup's dense table.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .probes import (
     simulate_measurements,
     sqpt_probe_states,
 )
+from ._kernels import DenseRows, KroneckerRows
 from .sdp import BoxRows, SdpProblem, SdpSolution, SolverState, SolveStatus, solve
 from .tolerances import SOLVER_MAX_ITER, SOLVER_TOL
 
@@ -79,7 +83,10 @@ class Setup:
     ``table``, ``factors`` and ``tp_rows`` are computed on first use and
     are freed with the setup.  The canonical setups of
     :func:`default_setup` live for the life of the process, and so do
-    their tables.
+    their cached rows.  From two qubits on a canonical setup has
+    ``factors``, and its programs, its sweep and :meth:`rows` read them;
+    nothing there fills ``table``, which serves one qubit, setups of
+    their own and the tests' oracles.
     """
 
     scheme: Scheme
@@ -105,7 +112,9 @@ class Setup:
         """Every expectation row, as a read-only (k_t, m + 1, D^2) array.
 
         ``table[k, lam]`` is the row of effect lam on probe k and
-        ``table[k, m]`` the Tr(out_k) row (the identity effect).
+        ``table[k, m]`` the Tr(out_k) row (the identity effect).  Read
+        where the setup has no ``factors``: 1.2 MB at two qubits, but
+        455 MB for three-qubit SQPT.
         """
         ancilla = self.scheme is Scheme.AAPT
         stack = np.concatenate([self.effects.effects, np.eye(self.effects.dim, dtype=complex)[None]])
@@ -114,6 +123,15 @@ class Setup:
         )
         table.flags.writeable = False
         return table
+
+    def rows(self, probe, effect) -> np.ndarray:
+        """The expectation rows of the (``probe``, ``effect``) pairs (index
+        arrays; effect ``len(effects)`` is the Tr(out_k) row), made from
+        ``factors`` where the setup has them, else read from ``table``."""
+        if self.factors is None:
+            return self.table[probe, effect]
+        tables, index = self.factors
+        return linalg.kron_rows(tables, index[probe, effect])
 
     @functools.cached_property
     def factors(self) -> tuple[tuple[np.ndarray, ...], np.ndarray] | None:
@@ -154,7 +172,8 @@ class Setup:
         els = self.basis.elements
         G = np.einsum("jba,ibc->ijac", els.conj(), els)  # (i, j) -> E_j^dag E_i
         units = np.stack([linalg.mat_hermitian(e) for e in np.eye(self.basis.size**2)])
-        rows = linalg.vec_hermitian_stack(np.einsum("qij,ijac->qac", units, G)).T
+        rows = linalg.vec_hermitian_stack(np.einsum("qij,ijac->qac", units, G))
+        rows = np.ascontiguousarray(rows.T)  # row norms then sum in the order of other rows
         rows.flags.writeable = False
         return rows
 
@@ -246,20 +265,25 @@ class ReconstructionOptions:
 class ProgramLayout:
     """What the program holds, for post-hoc re-verification.
 
-    Slack s belongs to one distinct (probe, effect) pair; ``chi_rows[s]``
-    is that pair's expectation row.  Record i, of probability ``p[i]``,
-    uses slack ``record_slack[i]`` with envelope scale ``scale[i]``.
+    Slack s belongs to one distinct (probe, effect) pair; row s of
+    ``chi_rows`` is that pair's expectation row, and row k of
+    ``probe_trace_rows`` probe k's Tr(out_k) row.  Both are the
+    program's stored rows as the solver applies them
+    (:class:`~vartomo._kernels.KroneckerRows` where they are factored,
+    else :class:`~vartomo._kernels.DenseRows`): ``values(chi_vec)`` is
+    A x.  Record i, of probability ``p[i]``, uses slack
+    ``record_slack[i]`` with envelope scale ``scale[i]``.
     """
 
     p: np.ndarray  # (n_records,)
     record_slack: np.ndarray  # (n_records,)
     scale: np.ndarray  # (n_records,)
-    chi_rows: np.ndarray  # (n_slack, psd_dim^2)
-    probe_trace_rows: np.ndarray  # (k_t, psd_dim^2)
+    chi_rows: DenseRows | KroneckerRows  # n_slack rows
+    probe_trace_rows: DenseRows | KroneckerRows  # k_t rows
 
     def violations(self, chi_vec: np.ndarray, slacks: np.ndarray) -> np.ndarray:
         """How far each record's value lies outside its envelope (0 inside)."""
-        value = (self.chi_rows @ chi_vec)[self.record_slack]
+        value = self.chi_rows.values(chi_vec)[self.record_slack]
         width = slacks[self.record_slack] * self.scale
         return np.maximum(0.0, np.maximum(self.p - width - value, value - self.p - width))
 
@@ -298,15 +322,29 @@ def measurement_rows(
     One row per effect in the (n, dim, dim) stack ``effects``, all against
     one probe state.  B_i is the basis element, lifted to I (x) B_i when
     ``ancilla`` is set (rho and the effects then live on dimension d^2).
-    The programs read these rows through :attr:`Setup.table`.
+    The programs of one qubit and of setups of their own read these rows
+    through :attr:`Setup.table`.
+
+    Two products: M[l, i, j] = Tr(E_l T_i B_j^dag), T_i = B_i rho, is
+    the inner product of E_l with (T_i B_j^dag)^T = conj(B_j) T_i^T, one
+    matmul per (i, j) and then one against the flattened effects; with
+    fewer effects than basis elements the smaller intermediate is
+    B_j^dag E_l, met by the flattened T_i.
     """
     B = basis.elements
     if ancilla:
         B = np.stack([np.kron(np.eye(basis.d), E) for E in B])
     if rho.shape[0] != B.shape[1] or effects.shape[-1] != B.shape[1]:
         raise ValueError("dimension mismatch between state, effect, and basis")
-    T = np.einsum("iab,bc->iac", B, rho)
-    M = np.einsum("lab,ibc,jac->lij", effects, T, B.conj(), optimize=True)
+    n, L = len(B), len(effects)
+    T = B @ rho
+    if L < n:  # Tr(T_i R_lj), R_lj = B_j^dag E_l: <T_i^T, R_lj> flat
+        R = B.conj().transpose(0, 2, 1)[None] @ effects[:, None]
+        M = (T.transpose(0, 2, 1).reshape(n, -1) @ R.reshape(L * n, -1).T).reshape(n, L, n)
+        M = M.transpose(1, 0, 2)
+    else:
+        P = B.conj()[None] @ T.transpose(0, 2, 1)[:, None]  # (i, j) -> (T_i B_j^dag)^T
+        M = (effects.reshape(L, -1) @ P.reshape(n * n, -1).T).reshape(L, n, n)
     K = M.conj()
     K = 0.5 * (K + K.conj().transpose(0, 2, 1))
     return linalg.vec_hermitian_stack(K)
@@ -363,10 +401,11 @@ def _build_program(
     data: TomographyDataset, options: ReconstructionOptions
 ) -> tuple[SdpProblem, ProgramLayout]:
     """Rows in order: the envelopes (lo, hi per record), Tr(out_k) <= 1 per
-    probe, then the trace-preserving equalities when requested."""
+    probe, then the trace-preserving equalities when requested.  The
+    stored rows are indices into the setup's factor tables where it has
+    them, else rows gathered from its table."""
     if not data.records:
         raise ValueError("dataset has no measurement records: nothing to fit")
-    table = data.setup.table
 
     # One slack, and one stored row, per distinct (probe, effect), numbered
     # by first appearance; one stored Tr(out_k) row per probe.
@@ -375,36 +414,41 @@ def _build_program(
     head = np.sort(first)  # each slack's first record
     record_slack = np.searchsorted(head, first)[inverse]
     n_slack = len(head)
-    stored = np.concatenate([table[data.probe_index[head], data.effect_index[head]], table[:, -1]])
-    chi_rows, trace_rows = stored[:n_slack], stored[n_slack:]
-    # The same rows in Kronecker-factored form, where the setup has one.
-    tables = index = None
-    if data.setup.factors is not None:
+    probe, effect = data.probe_index[head], data.effect_index[head]
+
+    # Objective: per probe the weight on the unmeasured effects, I minus
+    # the measured ones (A^T of a +-1 vector), plus the slack total.
+    if data.setup.factors is None:
+        table = data.setup.table
+        stored = np.concatenate([table[probe, effect], table[:, -1]])
+        rows = {"psd": stored}
+        chi_rows = DenseRows(stored[:n_slack], np.arange(n_slack))
+        trace_rows = DenseRows(stored[n_slack:], np.arange(data.k_t))
+        chi_weight = trace_rows.rows.sum(axis=0) - chi_rows.rows.sum(axis=0)
+    else:
         tables, pairs = data.setup.factors
-        head_pairs = pairs[data.probe_index[head], data.effect_index[head]]
-        index = np.concatenate([head_pairs, pairs[:, -1]])
+        index = np.concatenate([pairs[probe, effect], pairs[:, -1]])
+        rows = {"psd": None, "factor_tables": tables, "factor_index": index}
+        chi_rows = KroneckerRows(tables, index[:n_slack])
+        trace_rows = KroneckerRows(tables, index[n_slack:])
+        chi_weight = trace_rows.adjoint(np.ones(data.k_t)) - chi_rows.adjoint(np.ones(n_slack))
 
     envelope, scale, caps = noise_envelope(n_slack, record_slack, data.p, data.shots, options)
 
     # Tr(out_k) <= 1 for every probe, measured or not.
     inequalities = BoxRows(
-        psd=stored,
         lower=np.concatenate([envelope["lower"], np.full(data.k_t, -np.inf)]),
         upper=np.concatenate([envelope["upper"], np.ones(data.k_t)]),
         slack_index=np.concatenate([envelope["slack_index"], np.full(data.k_t, -1)]),
         slack_coeff=np.concatenate([envelope["slack_coeff"], np.zeros(data.k_t)]),
         psd_row=np.concatenate([envelope["psd_row"], n_slack + np.arange(data.k_t)]),
-        factor_tables=tables,
-        factor_index=index,
+        **rows,
     )
     equalities = None
     if options.tp_constraint:
         targets = linalg.vec_hermitian(np.eye(data.d))
         equalities = BoxRows(data.setup.tp_rows, targets, targets)
 
-    # Objective: per probe the weight on the unmeasured effects, I minus
-    # the measured ones, plus the slack total.
-    chi_weight = trace_rows.sum(axis=0) - chi_rows.sum(axis=0)
     problem = SdpProblem(
         psd_dim=data.d**2,
         n_slack=n_slack,
@@ -523,7 +567,7 @@ def reconstruct(
     chi = linalg.psd_project(solution.chi_block)
     chi_hat = ProcessMatrix(d=data.d, basis=data.basis, chi=chi)
     chi_vec = linalg.vec_hermitian(chi)
-    traces = layout.probe_trace_rows @ chi_vec
+    traces = layout.probe_trace_rows.values(chi_vec)
     return ReconstructionResult(
         chi_hat=chi_hat,
         slack_sum=float(solution.slacks.sum()),
@@ -732,7 +776,7 @@ def minimal_elements_sweep(
     options = options or ReconstructionOptions()
     setup = default_setup(scheme, n_qubits)
     truth = kraus_to_chi(channel, setup.basis)
-    table = setup.table
+    m = len(setup.effects)
 
     # Pair i is (probe, effect) = divmod(i, m), the records' order.
     all_records = simulate_measurements(
@@ -747,7 +791,7 @@ def minimal_elements_sweep(
     trial_results = []
     for t in range(trials):
         order = seed.derive("order", t).generator().permutation(len(all_records))
-        tracker = _IncrementalRank(table.shape[-1])
+        tracker = _IncrementalRank(setup.basis.size**2)
         records: list[MeasurementRecord] = []
         trace: list[tuple[int, float]] = []
         iterations: list[int] = []
@@ -759,9 +803,9 @@ def minimal_elements_sweep(
         while position < len(order):
             take = order[position : position + batch]
             position += len(take)
-            for idx in take:
-                records.append(all_records[idx])
-                tracker.add(table[divmod(idx, len(setup.effects))])
+            records.extend(all_records[idx] for idx in take)
+            for row in setup.rows(*np.divmod(take, m)):
+                tracker.add(row)
             result = reconstruct(setup.dataset(records), options, start=result)
             iterations.append(result.solver.iterations)
             statuses.append(result.solver.status)

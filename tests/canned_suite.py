@@ -100,15 +100,17 @@ def build_canned_problems():
 
 
 def all_rows(problem):
-    """The inequalities then the equalities, as one set of box rows."""
+    """The inequalities then the equalities, as one set of box rows with
+    dense stored rows (a factored block's made from its factors)."""
     a, b = problem.inequalities, problem.equalities
 
     def both(name):
         return np.concatenate([getattr(a, name), getattr(b, name)])
 
     return BoxRows(
-        *map(both, ("psd", "lower", "upper", "slack_index", "slack_coeff")),
-        psd_row=np.concatenate([a.psd_row, len(a.psd) + b.psd_row]),
+        np.concatenate([a.stored(), b.stored()]),
+        *map(both, ("lower", "upper", "slack_index", "slack_coeff")),
+        psd_row=np.concatenate([a.psd_row, a.n_stored + b.psd_row]),
     )
 
 

@@ -396,7 +396,7 @@ class TestWarmStart:
             solve(shot_noise_program(1), tol_, max_iter=3000)
 
 
-ROW_FIELDS = ("psd", "psd_row", "lower", "upper", "slack_index", "slack_coeff")
+ROW_FIELDS = ("psd", "psd_row", "lower", "upper", "slack_index", "slack_coeff", "factor_index")
 
 
 def assert_same_problem(a, b):
@@ -406,7 +406,13 @@ def assert_same_problem(a, b):
     for block in ("inequalities", "equalities"):
         for field in ROW_FIELDS:
             got, want = getattr(getattr(a, block), field), getattr(getattr(b, block), field)
-            assert got.shape == want.shape and np.array_equal(got, want), (block, field)
+            if want is None:  # a factored block's psd, or an unfactored block's factors
+                assert got is None, (block, field)
+            else:
+                assert got.shape == want.shape and np.array_equal(got, want), (block, field)
+        tables = [getattr(p, block).factor_tables or () for p in (a, b)]
+        assert len(tables[0]) == len(tables[1])
+        assert all(np.array_equal(x, y) for x, y in zip(*tables)), (block, "factor_tables")
 
 
 def assert_same_solve(a, b, tol_):

@@ -213,11 +213,12 @@ class TestProgramRows:
         assert len(ineq) == 2 * n + data.k_t
         assert len(problem.equalities) == d * d
         # one stored row per distinct (probe, effect) pair and one per probe
-        assert len(ineq.psd) == problem.n_slack + data.k_t
-        assert len(np.unique(ineq.psd, axis=0)) == len(ineq.psd)
+        stored = ineq.stored()
+        assert len(stored) == problem.n_slack + data.k_t
+        assert len(np.unique(stored, axis=0)) == len(stored)
 
         chi_vec = linalg.vec_hermitian(truth.chi)
-        values = (ineq.psd @ chi_vec)[ineq.psd_row]
+        values = (stored @ chi_vec)[ineq.psd_row]
         apply = apply_map_ancilla if scheme is Scheme.AAPT else apply_map
         outputs = [apply(truth, state) for state in data.probes.states]
         branches = set()
@@ -431,7 +432,7 @@ class TestDataset:
         assert layout.record_slack.tolist() == want
         assert problem.n_slack == len(slack_of) < len(shuffled)
         k, lam = np.array(list(slack_of)).T
-        assert np.array_equal(layout.chi_rows, setup.table[k, lam])
+        assert np.array_equal(layout.chi_rows.rows, setup.table[k, lam])
         assert layout.p.tolist() == [r.p for r in shuffled]
 
 
@@ -544,7 +545,7 @@ class TestReconstruct:
         options = ReconstructionOptions(p_min=1.1, additive_scale=1e-3)
         # the truth fits every envelope with slack <= 10.8, under the cap of 100
         _, layout = build_sqpt_program(data, options)
-        values = (layout.chi_rows @ linalg.vec_hermitian(truth.chi))[layout.record_slack]
+        values = layout.chi_rows.values(linalg.vec_hermitian(truth.chi))[layout.record_slack]
         p = np.array([r.p for r in data.records])
         assert np.max(np.abs(values - p) / layout.scale) <= 10.8
         res = reconstruct(data, options)
