@@ -149,7 +149,7 @@ def time_solve(problem, tol=1e-7, repeats=3):
 
 def solver_table_case():
     """Per problem of the solver table its rows, the best of three builds
-    (dataset to program; the setup's measurement table is cached by the
+    (dataset to program; the setup's factor tables are cached by the
     first) and the best of three solves: total, loop and iteration count."""
     cases = [  # (name, n_qubits, scheme, rank, shots) of a seeded complete dataset
         ("single-qubit SQPT, noiseless", 1, Scheme.SQPT, 2, 0),

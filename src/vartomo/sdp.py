@@ -15,8 +15,8 @@ bulk, one array per field, and rows may share a stored PSD row
 debug dump (:func:`problem_to_json`) writes these arrays as they are.
 Stored rows may instead be held by reference: per stored row, an index
 into each of a few small per-factor tables, the row being svec of the
-Kronecker product of the entries it names.  The dump writes such rows
-densely too.
+Kronecker product of the entries it names (with one factor, svec of the
+entry itself).  The dump writes such rows densely too.
 
 The solver is ADMM with PSD projection, run as the relaxed
 Douglas-Rachford iteration on one vector w = z + u and sped up by
@@ -27,9 +27,9 @@ PSD row once with a per-row slack coefficient, and factors the x-step
 through one D^2 x D^2 factor plus a diagonal, the factor formed on the
 smaller side (an m x m inverse for m < D^2 distinct rows).  Stored rows
 given in Kronecker-factored form (``BoxRows.factor_tables``) are applied
-in the loop by mode products once a block has D^2 distinct rows; their
-dense rows are then made only a chunk at a time, to sum that factor's
-Gram matrix.  A solve may start from
+in the loop by mode products once a block has more than one factor and
+D^2 distinct rows; their dense rows are then made only a chunk at a
+time, to sum that factor's Gram matrix.  A solve may start from
 a given loop state (:class:`SolverState`: x, w and the penalty), such
 as the final state of a solve of a related program mapped onto this
 one's variables and rows.  A solve started from a state is a fresh loop
@@ -68,15 +68,13 @@ class BoxRows:
     finite and bounds not NaN; an infinite bound means an open side.
     ``len()`` counts box rows.
 
-    The stored rows may also come in Kronecker-factored form:
-    ``factor_tables`` holds one (R_q, d_q, d_q) Hermitian table per
-    factor, with prod d_q = D, and ``factor_index`` one row of table
-    indices per stored row, so that stored row s is ``svec(T_1[t_1] (x)
-    ... (x) T_n[t_n])`` (``np.kron`` order), (t_1, ..., t_n) =
-    ``factor_index[s]``.  ``psd`` may then be None: the factors are the
-    rows.  Given both, the maker vouches that they agree, and the solver
-    reads the factors (see :mod:`vartomo._kernels`).  :meth:`stored`
-    makes dense rows on demand.
+    The stored rows may instead come in Kronecker-factored form, with
+    ``psd`` None: ``factor_tables`` holds one (R_q, d_q, d_q) Hermitian
+    table per factor, with prod d_q = D, and ``factor_index`` one row of
+    table indices per stored row, so that stored row s is
+    ``svec(T_1[t_1] (x) ... (x) T_n[t_n])`` (``np.kron`` order),
+    (t_1, ..., t_n) = ``factor_index[s]``.  A block holds one form or the
+    other, never both.  :meth:`stored` makes dense rows on demand.
     """
 
     psd: np.ndarray | None
@@ -92,6 +90,8 @@ class BoxRows:
         if (self.factor_tables is None) != (self.factor_index is None):
             raise ValueError("factor_tables and factor_index come together")
         if self.psd is not None:
+            if self.factor_tables is not None:
+                raise ValueError("stored rows come as psd coefficients or factor tables, not both")
             self.psd = np.asarray(self.psd, dtype=float)
             if self.psd.ndim != 2:
                 raise ValueError("psd coefficients must be a (rows, D^2) array")
@@ -141,9 +141,6 @@ class BoxRows:
         for T in tables:
             if T.size and np.abs(T - T.conj().transpose(0, 2, 1)).max() > tol.HERMITIAN_REJECT:
                 raise ValueError("factor tables must be Hermitian")
-        width = math.prod(T.shape[1] for T in tables) ** 2
-        if self.psd is not None and width != self.psd.shape[1]:
-            raise ValueError("the factors' dimensions do not make up the psd block")
         if self.factor_index.shape != (self.n_stored, len(tables)):
             raise ValueError("factor_index needs one table index per stored row and factor")
         sizes = np.array([len(T) for T in tables])
@@ -399,13 +396,13 @@ def problem_to_json(problem: SdpProblem) -> str:
     )
 
 
-def _check_factored_rows(rows: BoxRows, name: str, chunk: int = 256) -> None:
-    """Raise ValueError unless every stored row of ``rows`` is svec of the
-    Kronecker product its ``factor_index`` row names, to 1e-10 of the
-    row's norm.  ``chunk`` rows at a time, so no second dense copy."""
+def _check_factored_rows(rows: BoxRows, psd: np.ndarray, name: str, chunk: int = 256) -> None:
+    """Raise ValueError unless every dense row of ``psd`` is svec of the
+    Kronecker product the ``factor_index`` row of ``rows`` names, to 1e-10
+    of the row's norm.  ``chunk`` rows at a time, so no second dense copy."""
     for start in range(0, rows.n_stored, chunk):
         want = rows.stored(slice(start, start + chunk))
-        error = np.linalg.norm(rows.psd[start : start + chunk] - want, axis=1)
+        error = np.linalg.norm(psd[start : start + chunk] - want, axis=1)
         bad = np.flatnonzero(~(error <= 1e-10 * np.linalg.norm(want, axis=1)))
         if bad.size:
             raise ValueError(
@@ -418,30 +415,33 @@ def problem_from_json(text: str) -> SdpProblem:
     """The problem of a :func:`problem_to_json` document, validated by
     construction: a malformed document raises ValueError, and so do
     stored rows that differ from the Kronecker products of their factor
-    tables.  A factored block keeps its factors alone, as it was built."""
+    tables.  A factored block is built from its factors alone, as it was
+    built before the dump."""
     doc = json.loads(text)
+    dumped = {}  # the dense rows of each block
 
-    def rows(r: dict, psd_dim: int) -> BoxRows:
+    def rows(r: dict, psd_dim: int, name: str) -> BoxRows:
         n_stored = len(r["psd"])
-        factors = {}
+        # (rows, D^2) even when there are no rows; a ragged list raises
+        dumped[name] = np.asarray(r["psd"], dtype=float).reshape(n_stored, psd_dim**2)
+        stored = {"psd": dumped[name]}
         if "factor_tables" in r:  # optional: a block without a factored form
             tables = [
                 np.asarray(T["re"], dtype=float) + 1j * np.asarray(T["im"])
                 for T in r["factor_tables"]
             ]
-            factors = {
+            stored = {
+                "psd": None,
                 "factor_tables": tuple(tables),
                 "factor_index": np.asarray(r["factor_index"]).reshape(n_stored, len(tables)),
             }
         return BoxRows(
-            # (rows, D^2) even when there are no rows; a ragged list raises
-            psd=np.asarray(r["psd"], dtype=float).reshape(n_stored, psd_dim**2),
             lower=[-np.inf if v is None else v for v in r["lower"]],
             upper=[np.inf if v is None else v for v in r["upper"]],
             slack_index=r["slack_index"],
             slack_coeff=r["slack_coeff"],
             psd_row=r["psd_row"],
-            **factors,
+            **stored,
         )
 
     try:
@@ -450,17 +450,16 @@ def problem_from_json(text: str) -> SdpProblem:
             psd_dim=psd_dim,
             n_slack=int(doc["n_slack"]),
             objective=doc["objective"],
-            inequalities=rows(doc["inequalities"], psd_dim),
-            equalities=rows(doc["equalities"], psd_dim),
+            inequalities=rows(doc["inequalities"], psd_dim, "inequalities"),
+            equalities=rows(doc["equalities"], psd_dim, "equalities"),
             slack_caps=[np.inf if c is None else c for c in doc["slack_caps"]],
         )
     except (KeyError, TypeError) as exc:  # a missing field, or one of the wrong kind
         raise ValueError(f"malformed problem document: {exc!r}") from exc
-    for name in ("inequalities", "equalities"):
+    for name, psd in dumped.items():
         block = getattr(problem, name)
         if block.factor_tables is not None:
-            _check_factored_rows(block, name)
-            block.psd = None
+            _check_factored_rows(block, psd, name)
     return problem
 
 

@@ -13,10 +13,10 @@ sends half of a maximally entangled pair through it and measures
 jointly.  A :class:`Setup` (scheme, basis, probes, effects) owns every
 fact of one measurement setup: its expectation rows and its
 trace-preserving rows are computed on first use and live exactly as long
-as the setup.  From two qubits on, a canonical setup's rows are held by
-reference: each is a Kronecker product of one-qubit rows, and the
-programs hold indices into the per-qubit tables.  Other setups' programs
-gather their rows from the setup's dense table.
+as the setup.  Every setup's rows are held by reference, as factor
+tables plus an index, and the programs hold indices: from two qubits on
+a canonical setup's rows are Kronecker products of one-qubit rows (one
+table per qubit), and any other setup's rows are its one table's.
 """
 
 from __future__ import annotations
@@ -56,13 +56,14 @@ from .probes import (
     simulate_measurements,
     sqpt_probe_states,
 )
-from ._kernels import DenseRows, KroneckerRows
+from ._kernels import KroneckerRows
 from .sdp import BoxRows, SdpProblem, SdpSolution, SolverState, SolveStatus, solve
 from .tolerances import SOLVER_MAX_ITER, SOLVER_TOL
 
 # The largest system a canonical setup is built for, per scheme.  At 4
-# qubits the SQPT table alone would take 174 GB; at 3 the AAPT effects
-# (6^6 of 64 x 64) would take 3.06 GB and their table 1.53 GB.
+# qubits the SQPT x-step factor alone, a dense 65,536^2 float matrix,
+# would take 34 GB; at 3 the AAPT effects (6^6 of 64 x 64) would take
+# 3.06 GB.
 QUBIT_LIMITS = {Scheme.SQPT: 3, Scheme.AAPT: 2}
 MAX_QUBITS = max(QUBIT_LIMITS.values())  # of any scheme: the limit of `gen-channel --qubits`
 
@@ -80,13 +81,10 @@ class Setup:
     """One measurement setup: the chi basis, the probe states and the
     measured effects of a scheme.
 
-    ``table``, ``factors`` and ``tp_rows`` are computed on first use and
-    are freed with the setup.  The canonical setups of
-    :func:`default_setup` live for the life of the process, and so do
-    their cached rows.  From two qubits on a canonical setup has
-    ``factors``, and its programs, its sweep and :meth:`rows` read them;
-    nothing there fills ``table``, which serves one qubit, setups of
-    their own and the tests' oracles.
+    ``factors`` and ``tp_rows`` are computed on first use and are freed
+    with the setup.  The canonical setups of :func:`default_setup` live
+    for the life of the process, and so do their cached rows.  The
+    programs, the sweep and :meth:`rows` read every row from ``factors``.
     """
 
     scheme: Scheme
@@ -107,50 +105,39 @@ class Setup:
     def d(self) -> int:
         return self.basis.d
 
-    @functools.cached_property
-    def table(self) -> np.ndarray:
-        """Every expectation row, as a read-only (k_t, m + 1, D^2) array.
-
-        ``table[k, lam]`` is the row of effect lam on probe k and
-        ``table[k, m]`` the Tr(out_k) row (the identity effect).  Read
-        where the setup has no ``factors``: 1.2 MB at two qubits, but
-        455 MB for three-qubit SQPT.
-        """
-        ancilla = self.scheme is Scheme.AAPT
-        stack = np.concatenate([self.effects.effects, np.eye(self.effects.dim, dtype=complex)[None]])
-        table = np.stack(
-            [measurement_rows(s.rho, stack, self.basis, ancilla) for s in self.probes.states]
-        )
-        table.flags.writeable = False
-        return table
-
     def rows(self, probe, effect) -> np.ndarray:
         """The expectation rows of the (``probe``, ``effect``) pairs (index
-        arrays; effect ``len(effects)`` is the Tr(out_k) row), made from
-        ``factors`` where the setup has them, else read from ``table``."""
-        if self.factors is None:
-            return self.table[probe, effect]
-        tables, index = self.factors
-        return linalg.kron_rows(tables, index[probe, effect])
+        arrays; effect ``len(effects)`` is the Tr(out_k) row)."""
+        return linalg.kron_rows(self.factors[0], self.factors[1][probe, effect])
 
     @functools.cached_property
-    def factors(self) -> tuple[tuple[np.ndarray, ...], np.ndarray] | None:
-        """The Kronecker form of ``table`` for a canonical setup of n >= 2
-        qubits, else None: (tables, index) with one per-qubit table per
-        qubit and ``table[k, lam] = svec(kron(T[index[k, lam, 0]], ...))``.
+    def factors(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Every expectation row by reference: (tables, index), read-only,
+        with the row of effect lam on probe k ``svec(kron(T_1[t_1], ...))``
+        for (t_1, ...) = ``index[k, lam]``; effect m = ``len(effects)`` is
+        the Tr(out_k) row (the identity effect).
 
-        Every canonical probe and effect is a product over qubits, once
-        each ancilla qubit is paired with its system qubit, so each row
-        is a product of the one-qubit canonical rows (the per-qubit
-        table: 28 rows for SQPT, 37 for AAPT, Tr(out_k) rows included).
+        A canonical setup of n >= 2 qubits has one table per qubit: every
+        canonical probe and effect is a product over qubits, once each
+        ancilla qubit is paired with its system qubit, so each row is a
+        product of one-qubit canonical rows, and the per-qubit table is
+        the one-qubit canonical setup's (28 rows for SQPT, 37 for AAPT).
+        Any other setup has one table, every (probe, effect) row of
+        :func:`measurement_rows` as a Hermitian matrix, and
+        ``index[k, lam] = (k (m + 1) + lam,)``.
         """
         n = self.d.bit_length() - 1
         if n < 2 or canonical_setup(self) is None:
-            return None
-        one = default_setup(self.scheme, 1)
-        k_1, r_1 = one.table.shape[:2]
-        table = np.stack([linalg.mat_hermitian(row) for row in one.table.reshape(k_1 * r_1, -1)])
-        table.flags.writeable = False
+            ancilla = self.scheme is Scheme.AAPT
+            eye = np.eye(self.effects.dim, dtype=complex)[None]
+            stack = np.concatenate([self.effects.effects, eye])
+            rows = [measurement_rows(s.rho, stack, self.basis, ancilla) for s in self.probes.states]
+            table = np.stack([linalg.mat_hermitian(row) for row in np.concatenate(rows)])
+            index = np.arange(len(table)).reshape(len(rows), len(stack), 1)
+            table.flags.writeable = index.flags.writeable = False
+            return (table,), index
+        (table,), one = default_setup(self.scheme, 1).factors
+        k_1, r_1 = one.shape[:2]
         # Per qubit: the probe digit (base k_1), and the effect digit of
         # each wire (system, or ancilla then system; base 6, the effects
         # per wire) read as one one-qubit effect; the identity effect is
@@ -168,11 +155,21 @@ class Setup:
     @functools.cached_property
     def tp_rows(self) -> np.ndarray:
         """Read-only rows of sum_ij chi_ij E_j^dag E_i, one per svec entry;
-        pinning them to svec(I) makes chi trace preserving."""
+        pinning them to svec(I) makes chi trace preserving.
+
+        Column q is the map of the q-th svec unit chi, made from
+        G[i, j] = E_j^dag E_i: G[i, i] for a diagonal unit, r G[i, j] +
+        r G[j, i] for a real and i r G[i, j] - i r G[j, i] for an
+        imaginary off-diagonal one (r = 1/sqrt(2), i < j).
+        """
         els = self.basis.elements
         G = np.einsum("jba,ibc->ijac", els.conj(), els)  # (i, j) -> E_j^dag E_i
-        units = np.stack([linalg.mat_hermitian(e) for e in np.eye(self.basis.size**2)])
-        rows = linalg.vec_hermitian_stack(np.einsum("qij,ijac->qac", units, G))
+        diag = np.arange(len(els))
+        iu, ju = np.triu_indices(len(els), k=1)
+        r = 1.0 / np.sqrt(2.0)
+        upper, lower = G[iu, ju], G[ju, iu]
+        maps = [G[diag, diag], r * upper + r * lower, 1j * r * upper - 1j * r * lower]
+        rows = linalg.vec_hermitian_stack(np.concatenate(maps))
         rows = np.ascontiguousarray(rows.T)  # row norms then sum in the order of other rows
         rows.flags.writeable = False
         return rows
@@ -268,18 +265,18 @@ class ProgramLayout:
     Slack s belongs to one distinct (probe, effect) pair; row s of
     ``chi_rows`` is that pair's expectation row, and row k of
     ``probe_trace_rows`` probe k's Tr(out_k) row.  Both are the
-    program's stored rows as the solver applies them
-    (:class:`~vartomo._kernels.KroneckerRows` where they are factored,
-    else :class:`~vartomo._kernels.DenseRows`): ``values(chi_vec)`` is
-    A x.  Record i, of probability ``p[i]``, uses slack
-    ``record_slack[i]`` with envelope scale ``scale[i]``.
+    program's stored rows by reference, as
+    :class:`~vartomo._kernels.KroneckerRows` over the setup's factor
+    tables: ``values(chi_vec)`` is A x.  Record i, of probability
+    ``p[i]``, uses slack ``record_slack[i]`` with envelope scale
+    ``scale[i]``.
     """
 
     p: np.ndarray  # (n_records,)
     record_slack: np.ndarray  # (n_records,)
     scale: np.ndarray  # (n_records,)
-    chi_rows: DenseRows | KroneckerRows  # n_slack rows
-    probe_trace_rows: DenseRows | KroneckerRows  # k_t rows
+    chi_rows: KroneckerRows  # n_slack rows
+    probe_trace_rows: KroneckerRows  # k_t rows
 
     def violations(self, chi_vec: np.ndarray, slacks: np.ndarray) -> np.ndarray:
         """How far each record's value lies outside its envelope (0 inside)."""
@@ -322,8 +319,8 @@ def measurement_rows(
     One row per effect in the (n, dim, dim) stack ``effects``, all against
     one probe state.  B_i is the basis element, lifted to I (x) B_i when
     ``ancilla`` is set (rho and the effects then live on dimension d^2).
-    The programs of one qubit and of setups of their own read these rows
-    through :attr:`Setup.table`.
+    :attr:`Setup.factors` stacks these rows, as Hermitian matrices, into
+    the one-qubit tables and the tables of setups of their own.
 
     Two products: M[l, i, j] = Tr(E_l T_i B_j^dag), T_i = B_i rho, is
     the inner product of E_l with (T_i B_j^dag)^T = conj(B_j) T_i^T, one
@@ -402,8 +399,7 @@ def _build_program(
 ) -> tuple[SdpProblem, ProgramLayout]:
     """Rows in order: the envelopes (lo, hi per record), Tr(out_k) <= 1 per
     probe, then the trace-preserving equalities when requested.  The
-    stored rows are indices into the setup's factor tables where it has
-    them, else rows gathered from its table."""
+    stored rows are indices into the setup's factor tables."""
     if not data.records:
         raise ValueError("dataset has no measurement records: nothing to fit")
 
@@ -418,31 +414,24 @@ def _build_program(
 
     # Objective: per probe the weight on the unmeasured effects, I minus
     # the measured ones (A^T of a +-1 vector), plus the slack total.
-    if data.setup.factors is None:
-        table = data.setup.table
-        stored = np.concatenate([table[probe, effect], table[:, -1]])
-        rows = {"psd": stored}
-        chi_rows = DenseRows(stored[:n_slack], np.arange(n_slack))
-        trace_rows = DenseRows(stored[n_slack:], np.arange(data.k_t))
-        chi_weight = trace_rows.rows.sum(axis=0) - chi_rows.rows.sum(axis=0)
-    else:
-        tables, pairs = data.setup.factors
-        index = np.concatenate([pairs[probe, effect], pairs[:, -1]])
-        rows = {"psd": None, "factor_tables": tables, "factor_index": index}
-        chi_rows = KroneckerRows(tables, index[:n_slack])
-        trace_rows = KroneckerRows(tables, index[n_slack:])
-        chi_weight = trace_rows.adjoint(np.ones(data.k_t)) - chi_rows.adjoint(np.ones(n_slack))
+    tables, pairs = data.setup.factors
+    index = np.concatenate([pairs[probe, effect], pairs[:, -1]])
+    chi_rows = KroneckerRows(tables, index[:n_slack])
+    trace_rows = KroneckerRows(tables, index[n_slack:])
+    chi_weight = trace_rows.adjoint(np.ones(data.k_t)) - chi_rows.adjoint(np.ones(n_slack))
 
     envelope, scale, caps = noise_envelope(n_slack, record_slack, data.p, data.shots, options)
 
     # Tr(out_k) <= 1 for every probe, measured or not.
     inequalities = BoxRows(
+        psd=None,
         lower=np.concatenate([envelope["lower"], np.full(data.k_t, -np.inf)]),
         upper=np.concatenate([envelope["upper"], np.ones(data.k_t)]),
         slack_index=np.concatenate([envelope["slack_index"], np.full(data.k_t, -1)]),
         slack_coeff=np.concatenate([envelope["slack_coeff"], np.zeros(data.k_t)]),
         psd_row=np.concatenate([envelope["psd_row"], n_slack + np.arange(data.k_t)]),
-        **rows,
+        factor_tables=tables,
+        factor_index=index,
     )
     equalities = None
     if options.tp_constraint:

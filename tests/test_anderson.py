@@ -62,11 +62,16 @@ def test_rho_change_clears_memory(rho0, factor):
 @pytest.mark.parametrize("rank,at", [(4, 500), (2, 1_000)])
 def test_rho_adapts_at_multiples_of_five_hundred(rank, at):
     """The penalty is adapted at every ``ADAPT_EVERY`` check, 500 and
-    1,000 included: these shot-noise solves change it there.  A trace
-    line gives the penalty the preceding iterations ran with, so the
-    change at ``at`` shows in the line after it."""
-    lines = []
-    solve(shot_noise_program(rank), 1e-15, max_iter=at + ADAPT_EVERY, trace=lines.append)
+    1,000 included.  Started from zero at a penalty of 1e4, far above
+    the one their residuals balance at, these shot-noise solves halve it
+    at every check past 1,000, so which checks change it does not rest
+    on the last bits of the path.  A trace line gives the penalty the
+    preceding iterations ran with, so the change at ``at`` shows in the
+    line after it."""
+    problem, lines = shot_noise_program(rank), []
+    n = problem.n_vars + row_operator(problem).n_rows
+    start = sdp.SolverState(np.zeros(problem.n_vars), np.zeros(n), 1e4)
+    solve(problem, 1e-15, max_iter=at + ADAPT_EVERY, trace=lines.append, start=start)
     fields = [line.split() for line in lines]
     rho = {int(f[0].removeprefix("iter=")): float(f[3].removeprefix("rho=")) for f in fields}
     assert list(rho) == list(range(ADAPT_EVERY, at + 2 * ADAPT_EVERY, ADAPT_EVERY))

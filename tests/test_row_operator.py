@@ -178,16 +178,19 @@ def test_factored_rows_match_dense_rows(scheme, half, tp):
 
 
 def test_factored_path_only_above_the_crossover():
-    """Below D^2 distinct rows, and at one qubit, the dense rows stay."""
+    """Below D^2 distinct rows, and in a block of one factor (every
+    one-qubit program, complete data included), the dense rows stay."""
     basis = build_scaled_pauli_basis(2)
     truth = kraus_to_chi(random_channel(4, 3, RngSeed(7301)), basis)
     few = [list(range(6)) if k < 4 else [] for k in range(16)]  # 24 records
     small = program(make_dataset(truth, Scheme.SQPT, 2, few), False)
     op = assert_matches_oracle(small, 1e-13)
     assert op.n_groups < 256 and [type(p) for p in op.parts] == [DenseRows]
-    one = program(tomography_dataset(1, Scheme.AAPT, 0), True)
-    assert one.inequalities.factor_tables is None
-    assert [type(p) for p in row_operator(one).parts] == [DenseRows]
+    for scheme, tp in ((Scheme.AAPT, True), (Scheme.SQPT, False)):  # complete data
+        one = program(tomography_dataset(1, scheme, 0), tp)
+        assert len(one.inequalities.factor_tables) == 1
+        op = assert_matches_oracle(one, 1e-13)
+        assert op.n_groups >= 16 and [type(p) for p in op.parts] == [DenseRows]
 
 
 def test_three_qubit_factors_match_dense_rows():
@@ -258,8 +261,8 @@ def test_factor_formed_on_the_smaller_side(monkeypatch, m):
     side, an m x m matrix; at D^2 on the chi side.  Either way it is the
     inverse of I + A^T A."""
     if m == 1:  # one two-qubit SQPT row, as an equality
-        row = default_setup(Scheme.SQPT, 2).table[3, 7]
-        problem = SdpProblem(psd_dim=16, n_slack=0, equalities=BoxRows(row[None], [0.2], [0.2]))
+        row = default_setup(Scheme.SQPT, 2).rows([3], [7])
+        problem = SdpProblem(psd_dim=16, n_slack=0, equalities=BoxRows(row, [0.2], [0.2]))
     else:
         problem = sweep_sized_program(m - 16)
     op, sizes = inverted_sizes(monkeypatch, problem)

@@ -1,5 +1,6 @@
-"""Rows by reference: from two qubits on, a canonical setup's programs
-hold indices into per-qubit factor tables and never a dense row table.
+"""Rows by reference: every program holds indices into its setup's
+factor tables, one per qubit from two qubits on, and never a dense row
+table.
 
 The oracle is the dense path: rows from ``measurement_rows``, gathered
 into the program as its build did before the rows were factored.  The
@@ -138,7 +139,7 @@ def relative_error(got, want):
 @pytest.mark.parametrize("n_qubits,scheme,half,tp", PROGRAMS)
 def test_program_matches_the_dense_path(n_qubits, scheme, half, tp):
     data, problem, layout, dense, stored = program_and_oracle(n_qubits, scheme, half, tp)
-    assert (problem.inequalities.psd is None) == (n_qubits >= 2)
+    assert problem.inequalities.psd is None
     assert np.abs(problem.objective - dense.objective).max() <= 1e-12
 
     op, oracle = row_operator(problem), row_operator(dense)
@@ -188,12 +189,10 @@ def test_factor_matches_the_dense_rows_factor(route):
 
 
 def test_two_qubit_runs_fill_no_table():
-    """Reconstructs and a sweep at two qubits read the factors alone: the
-    canonical setups' tables stay unmade, and the inequality blocks hold
-    indices, not dense rows."""
+    """Reconstructs and a sweep at two qubits read the factors alone: a
+    setup has no dense table, and the inequality blocks hold indices,
+    not dense rows."""
     setups = [default_setup(scheme, 2) for scheme in (Scheme.SQPT, Scheme.AAPT)]
-    for setup in setups:
-        setup.__dict__.pop("table", None)  # an oracle elsewhere may have made it
     truth = kraus_to_chi(random_channel(4, 2, RngSeed(7640)), setups[0].basis)
     for setup in setups:
         data = make_dataset(truth, setup.scheme, 2)
@@ -208,19 +207,16 @@ def test_two_qubit_runs_fill_no_table():
     )
     assert len(sweep.trace) > 1
     for setup in setups:
-        assert "table" not in setup.__dict__
+        assert not hasattr(setup, "table")
 
 
 def test_factored_dump_keeps_the_schema_and_solves_bit_for_bit():
     """The dump of a factored program writes dense ``psd`` rows, as every
     dump does; its reload holds the factors alone and solves as the
     program does."""
-    problem, _ = sweep_sized(400)
-    one_qubit = build_sqpt_program(make_dataset(
-        kraus_to_chi(random_channel(2, 2, RngSeed(7650)), build_scaled_pauli_basis(1)),
-        Scheme.SQPT, 1,
-    ))[0]
-    doc, plain = json.loads(problem_to_json(problem)), json.loads(problem_to_json(one_qubit))
+    problem, data = sweep_sized(400)
+    dense, _ = dense_path(problem, data)
+    doc, plain = json.loads(problem_to_json(problem)), json.loads(problem_to_json(dense))
     assert doc.keys() == plain.keys()
     ineq = doc["inequalities"]
     assert ineq.keys() == plain["inequalities"].keys() | {"factor_tables", "factor_index"}

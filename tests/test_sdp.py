@@ -520,15 +520,15 @@ def test_problem_json_rejects_malformed(path, value, message):
 
 def factored_problem(n_stored=24, seed=7400):
     """min <I, X> over a 4x4 X (two factors of dimension 2) with
-    floors <psd[s], svec X> >= b_s, the stored rows in factored form."""
+    floors <psd[s], svec X> >= b_s, the stored rows in factored form
+    alone."""
     rng = np.random.default_rng(seed)
     tables = tuple(
         np.stack([rand_hermitian(rng, 2) + 2 * np.eye(2) for _ in range(5)]) for _ in "ab"
     )
     index = rng.integers(0, 5, size=(n_stored, 2))
-    psd = np.stack([linalg.vec_hermitian(np.kron(tables[0][i], tables[1][j])) for i, j in index])
     rows = BoxRows(
-        psd,
+        None,
         rng.uniform(0.5, 1.0, n_stored),
         np.full(n_stored, np.inf),
         factor_tables=tables,
@@ -545,11 +545,13 @@ def test_factored_rows_solve_as_the_dense_rows():
     problem = factored_problem()
     assert isinstance(row_operator(problem).parts[0], KroneckerRows)
     r = problem.inequalities
+    products = [np.kron(*(T[t] for T, t in zip(r.factor_tables, i))) for i in r.factor_index]
+    assert np.abs(r.stored() - [linalg.vec_hermitian(P) for P in products]).max() <= 1e-13
     dense = SdpProblem(
         psd_dim=4,
         n_slack=0,
         objective=problem.objective,
-        inequalities=BoxRows(r.psd, r.lower, r.upper),
+        inequalities=BoxRows(r.stored(), r.lower, r.upper),
     )
     a, b = solve(problem, 1e-9), solve(dense, 1e-9)
     assert a.status is b.status is SolveStatus.OPTIMAL
@@ -581,7 +583,7 @@ def with_factors(rows, **changes):
     [
         (dict(factor_index=None), "come together"),
         (dict(factor_tables=None), "come together"),
-        (dict(factor_tables=(np.eye(2)[None],)), "do not make up the psd block"),
+        (dict(psd=np.zeros((24, 16))), "psd coefficients or factor tables, not both"),
         (dict(factor_tables=(np.ones((5, 2, 3)), np.ones((5, 2, 3)))), r"\(rows, d, d\)"),
         (dict(factor_tables=(np.full((5, 2, 2), np.nan),) * 2), "must be finite"),
         (dict(factor_tables=(np.triu(np.ones((5, 2, 2))),) * 2), "must be Hermitian"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vartomo import linalg, tomography
+from vartomo._kernels import DenseRows
 from vartomo.channels import (
     ProcessMatrix,
     apply_map,
@@ -50,6 +51,23 @@ from vartomo.tomography import _carry_over, _IncrementalRank
 
 def expectation_row(rho, effect, basis, ancilla=False):
     return measurement_rows(rho, effect[None], basis, ancilla)[0]
+
+
+def setup_rows(setup):
+    """Every row of ``setup``, from :meth:`Setup.rows`, as a (k_t, m + 1,
+    D^2) array: row [k, lam] is effect lam on probe k, row [k, m] the
+    Tr(out_k) row."""
+    k_t, m = len(setup.probes.states), len(setup.effects) + 1
+    probe, effect = np.divmod(np.arange(k_t * m), m)
+    return setup.rows(probe, effect).reshape(k_t, m, -1)
+
+
+def bell_setup():
+    """A one-qubit AAPT setup of its own: two effects, the projector onto
+    the entangled probe and its complement."""
+    bell = maximally_entangled_state(2).rho
+    effects = EffectSet(dim=4, effects=np.stack([bell, np.eye(4) - bell]), labels=("bell", "rest"))
+    return Setup(Scheme.AAPT, build_scaled_pauli_basis(1), aapt_probe_state(1), effects)
 
 
 def linear_inversion(data: TomographyDataset) -> np.ndarray:
@@ -127,24 +145,11 @@ class TestAaptProgram:
     def test_single_bell_effect_constraint_satisfied(self):
         # one measured effect: the projector onto the entangled probe, p = 1;
         # any feasible answer must keep the Choi overlap at 1.
-        basis = build_scaled_pauli_basis(1)
-        ident = identity_channel(basis)
-        bell = maximally_entangled_state(2).rho
-        effects = EffectSet(
-            dim=4,
-            effects=np.stack([bell, np.eye(4) - bell]),
-            labels=("bell", "rest"),
-        )
-        data = TomographyDataset(
-            scheme=Scheme.AAPT,
-            d=2,
-            basis=basis,
-            probes=aapt_probe_state(1),
-            effects=effects,
-            records=(MeasurementRecord(probe_index=0, effect_index=0, p=1.0),),
-        )
+        setup = bell_setup()
+        bell = setup.effects.effects[0]
+        data = setup.dataset([MeasurementRecord(probe_index=0, effect_index=0, p=1.0)])
         res = reconstruct(data)
-        row = expectation_row(bell, bell, basis, ancilla=True)
+        row = expectation_row(bell, bell, setup.basis, ancilla=True)
         overlap = row @ linalg.vec_hermitian(res.chi_hat.chi)
         assert overlap == pytest.approx(1.0, abs=1e-5)
 
@@ -256,10 +261,14 @@ class TestMeasurementTable:
     def test_rows_match_measurement_rows(self, n_qubits, scheme):
         setup = default_setup(scheme, n_qubits)
         basis, probes, effects = setup.basis, setup.probes, setup.effects
-        table = setup.table
-        assert setup.table is table  # computed once per setup
-        assert table.shape == (len(probes.states), len(effects) + 1, basis.size**2)
-        assert not table.flags.writeable
+        factors = setup.factors
+        assert setup.factors is factors  # computed once per setup
+        tables, index = factors
+        assert len(tables) == n_qubits  # one per qubit, the one-qubit setup's table
+        assert all(T is default_setup(scheme, 1).factors[0][0] for T in tables)
+        assert index.shape == (len(probes.states), len(effects) + 1, n_qubits)
+        assert not any(a.flags.writeable for a in (index, *tables))
+        table = setup_rows(setup)
         ancilla = scheme is Scheme.AAPT
         eye = np.eye(effects.dim, dtype=complex)
         for k, state in enumerate(probes.states):
@@ -269,6 +278,23 @@ class TestMeasurementTable:
             row = expectation_row(state.rho, eye, basis, ancilla)
             assert np.abs(table[k, -1] - row).max() <= 1e-12
 
+    def test_one_factor_rows_are_measurement_rows(self):
+        """A one-qubit canonical setup and a setup of its own hold one
+        factor, every (probe, effect) row as a Hermitian matrix: its rows
+        are those of :func:`measurement_rows` bit for bit, and there is
+        no dense table."""
+        for setup in (default_setup(Scheme.SQPT, 1), default_setup(Scheme.AAPT, 1), bell_setup()):
+            (table,), index = setup.factors
+            k_t, m = len(setup.probes.states), len(setup.effects) + 1
+            assert table.shape == (k_t * m, setup.basis.size, setup.basis.size)
+            assert np.array_equal(index, np.arange(k_t * m).reshape(k_t, m, 1))
+            stack = np.concatenate([setup.effects.effects, np.eye(setup.effects.dim)[None]])
+            ancilla = setup.scheme is Scheme.AAPT
+            for k, state in enumerate(setup.probes.states):
+                want = measurement_rows(state.rho, stack, setup.basis, ancilla)
+                assert np.array_equal(setup.rows(np.full(m, k), np.arange(m)), want)
+            assert not hasattr(setup, "table")
+
     def test_cached_setup_makes_no_row_calls(self, monkeypatch):
         calls = []
         rows = tomography.measurement_rows
@@ -277,26 +303,29 @@ class TestMeasurementTable:
             calls.append(args)
             return rows(*args, **kwargs)
 
-        default_setup.cache_clear()  # a canonical setup whose table is not yet built
+        default_setup.cache_clear()  # a canonical setup whose factors are not yet made
         basis = build_scaled_pauli_basis(1)
         truth = kraus_to_chi(random_channel(2, 2, RngSeed(4100)), basis)
         data = make_dataset(truth, Scheme.SQPT, 1, selected=[[0, 1], [2], [], [3, 4, 5]])
         assert data.setup is default_setup(Scheme.SQPT, 1)
         monkeypatch.setattr(tomography, "measurement_rows", counted)
         build_sqpt_program(data)
-        assert len(calls) == data.k_t  # the table: one call per probe
+        assert len(calls) == data.k_t  # the factors: one call per probe
         build_sqpt_program(data)
         channel = random_channel(2, 1, RngSeed(4101))
         sweep = minimal_elements_sweep(channel, Scheme.SQPT, 0.99, trials=1, seed=RngSeed(4102))
         assert len(sweep.trace) > 1
         # rebuilt by keyword from another dataset's fields, as a caller
-        # appending a record does: the same setup, and its table
+        # appending a record does: the same setup, and its factors
         rebuilt = TomographyDataset(
             scheme=data.scheme, d=data.d, basis=data.basis, probes=data.probes,
             effects=data.effects, records=data.records + data.records[:1],
         )
         assert rebuilt.setup is data.setup
         build_sqpt_program(rebuilt)
+        # a two-qubit program's factors are the one-qubit setup's table
+        two = kraus_to_chi(random_channel(4, 1, RngSeed(4103)), build_scaled_pauli_basis(2))
+        build_sqpt_program(make_dataset(two, Scheme.SQPT, 2, selected=[[0, 1]] + [[]] * 15))
         assert len(calls) == data.k_t
 
     def test_own_setup_is_freed_with_its_dataset(self):
@@ -308,7 +337,7 @@ class TestMeasurementTable:
             effects=canonical.effects, records=records,
         )
         assert data.setup is not canonical and data.setup.basis is basis
-        table = weakref.ref(data.setup.table)
+        table = weakref.ref(data.setup.factors[0][0])
         reconstruct(data)
         assert table() is not None
         del data
@@ -339,17 +368,18 @@ class TestMeasurementTable:
 
     def test_custom_setup_past_the_canonical_limit_builds(self):
         """A 3q AAPT setup of its own (two effects): AAPT has no canonical
-        setup at 3 qubits, so the program's rows are the dense table's,
-        with no factor tables."""
+        setup at 3 qubits, so the program's rows come from the setup's one
+        factor, which the loop applies as dense rows."""
         P = np.zeros((64, 64))
         P[0, 0] = 1.0
         effects = EffectSet(64, np.stack([P, np.eye(64) - P]), ("P", "I-P"))
         setup = Setup(Scheme.AAPT, build_scaled_pauli_basis(3), aapt_probe_state(3), effects)
         data = setup.dataset([MeasurementRecord(0, 0, 0.125, 0)])
         problem, _ = build_aapt_program(data)
-        assert setup.factors is None
-        assert problem.inequalities.factor_tables is None
-        assert problem.inequalities.psd.shape == (2, 4096)
+        (table,), index = setup.factors
+        assert table.shape == (3, 64, 64) and index.shape == (1, 3, 1)
+        assert problem.inequalities.psd is None
+        assert [type(part) for part in row_operator(problem).parts] == [DenseRows]
 
     def test_dataset_with_another_schemes_setup_rejected(self):
         """AAPT objects labelled SQPT used to solve as AAPT data and be
@@ -432,7 +462,9 @@ class TestDataset:
         assert layout.record_slack.tolist() == want
         assert problem.n_slack == len(slack_of) < len(shuffled)
         k, lam = np.array(list(slack_of)).T
-        assert np.array_equal(layout.chi_rows.rows, setup.table[k, lam])
+        assert np.array_equal(problem.inequalities.stored(range(problem.n_slack)), setup.rows(k, lam))
+        x = np.random.default_rng(4008).normal(size=16)
+        assert np.abs(layout.chi_rows.values(x) - setup.rows(k, lam) @ x).max() <= 1e-12
         assert layout.p.tolist() == [r.p for r in shuffled]
 
 
@@ -648,7 +680,7 @@ class TestIncrementalRank:
     @settings(max_examples=40, deadline=None)
     @given(steps=st.lists(_step, min_size=1, max_size=60))
     def test_matches_gram_schmidt_oracle(self, n_qubits, steps):
-        table = default_setup(Scheme.SQPT, n_qubits).table
+        table = setup_rows(default_setup(Scheme.SQPT, n_qubits))
         k_t, m, dim = table.shape
 
         def row(pick):
@@ -667,7 +699,7 @@ class TestIncrementalRank:
         assert blocked.rank == len(oracle.basis) <= dim
 
     def test_complete_rows_reach_full_rank(self):
-        table = default_setup(Scheme.SQPT, 2).table
+        table = setup_rows(default_setup(Scheme.SQPT, 2))
         tracker = _IncrementalRank(table.shape[-1])
         for v in table[:, :-1].reshape(-1, table.shape[-1]):
             tracker.add(v)
@@ -725,7 +757,7 @@ class TestWarmStartedSweep:
         assert trial.step_iterations == tuple(r.solver.iterations for _, _, r in steps)
         assert trial.step_status == tuple(r.solver.status for _, _, r in steps)
 
-        table = default_setup(scheme, n_qubits).table
+        table = setup_rows(default_setup(scheme, n_qubits))
         for (data, _, warm), (count, _) in zip(steps, trial.trace):
             assert data.setup is default_setup(scheme, n_qubits)
             cold = reconstruct(data, options)
@@ -835,8 +867,8 @@ _chi_draw = dict(
 
 
 class TestTableAgainstSimulator:
-    """Property tests: the setup's table rows and trace-preserving rows
-    against the simulator and a direct sum over the basis."""
+    """Property tests: the setup's rows and trace-preserving rows against
+    the simulator and a direct sum over the basis."""
 
     @staticmethod
     def check_rows(scheme, n_qubits, seed, rank, scale):
@@ -847,7 +879,7 @@ class TestTableAgainstSimulator:
         selected = complete_selection(setup.probes, setup.effects)
         records = simulate_measurements(truth, setup.probes, setup.effects, selected)
         p = np.array([r.p for r in records]).reshape(len(setup.probes.states), -1)
-        values = setup.table @ linalg.vec_hermitian(truth.chi)
+        values = setup_rows(setup) @ linalg.vec_hermitian(truth.chi)
         assert np.abs(values[:, :-1] - p).max() <= 1e-12
         # the last row of each probe is Tr(out_k), the sum over a POVM
         assert np.abs(values[:, -1] - p.sum(axis=1)).max() <= 1e-12
@@ -904,6 +936,12 @@ class TestDefaultSetup:
         fresh = Setup(setup.scheme, setup.basis, setup.probes, setup.effects).tp_rows
         assert fresh is not rows and np.array_equal(rows, fresh)
         assert not rows.flags.writeable
+        # the oracle: the map of every svec unit chi, stacked, bit for bit
+        els = setup.basis.elements
+        G = np.einsum("jba,ibc->ijac", els.conj(), els)  # (i, j) -> E_j^dag E_i
+        units = np.stack([linalg.mat_hermitian(e) for e in np.eye(setup.basis.size**2)])
+        oracle = linalg.vec_hermitian_stack(np.einsum("qij,ijac->qac", units, G)).T
+        assert np.array_equal(rows, oracle)
 
     @pytest.mark.parametrize("n_qubits", [0, tomography.MAX_QUBITS + 1])
     def test_size_outside_the_limit_rejected(self, n_qubits):
@@ -957,7 +995,7 @@ def test_dataset_json_probability_is_checked_not_coerced():
 
 def test_dataset_json_beyond_the_qubit_limit_rejected():
     """A document naming 4 qubits is refused before any setup is built
-    (at 4 qubits the SQPT table alone would take 174 GB)."""
+    (at 4 qubits the SQPT x-step factor alone would take 34 GB)."""
     doc = {"scheme": "sqpt", "n_qubits": 4, "records": [{"k": 0, "lambda": 0, "p": 0.5}]}
     built = default_setup.cache_info().currsize
     with pytest.raises(ValueError, match="n_qubits must be in"):
@@ -972,7 +1010,7 @@ def refuse_effects(n_qubits):
 def test_aapt_beyond_its_qubit_limit_rejected(monkeypatch):
     """Three-qubit AAPT is refused before any setup is built, directly
     and from a dataset document: its 6^6 effects of 64 x 64 would take
-    3.06 GB and its table 1.53 GB.  (Building any effects fails here.)"""
+    3.06 GB.  (Building any effects fails here.)"""
     monkeypatch.setattr(tomography, "pauli_projector_effects", refuse_effects)
     built = default_setup.cache_info().currsize
     with pytest.raises(ValueError, match=r"n_qubits must be in \[1, 2\] for aapt, got 3"):
