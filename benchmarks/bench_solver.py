@@ -20,8 +20,9 @@ numpy and BLAS versions, to ``BENCH_<mode>.json`` at the repository root.
   and re-solves here, tightly, the cases whose objectives differ.  It
   exits 1 if this tree reported a case infeasible: none is.
 - ``simulate``: dataset simulation, ten calls (:func:`simulate_case`).
-- ``operator``: the loop's time per iteration split by part, ten calls
-  (:func:`operator_case`), then one three-qubit complete-SQPT
+- ``operator``: the loop's time per iteration split by part, at one and
+  two qubits, ten calls (:func:`operator_case`), then one three-qubit
+  complete-SQPT
   reconstruct per tree (:func:`three_qubit_case`): its set-up, build,
   iterations, status, fidelity and peak RSS.
 
@@ -358,48 +359,71 @@ def simulate_case():
     return results
 
 
-OPERATOR_CASES = [(scheme, complete) for scheme in ("sqpt", "aapt") for complete in (True, False)]
-OPERATOR_PARTS = ("matvec", "rmatvec", "solve", "projection", "other")
+OPERATOR_CASES = [
+    (n_qubits, scheme, complete)
+    for n_qubits in (1, 2)
+    for scheme in ("sqpt", "aapt")
+    for complete in (True, False)
+]
+OPERATOR_PARTS = ("matvec", "rmatvec", "solve", "projection", "anderson", "other")
+# Solves per case: the untimed loop is the best of these, and so is the
+# split.  A one-qubit solve takes a few ms, so it is repeated more often.
+OPERATOR_REPEATS = {1: 15, 2: 3}
 
 
 @contextlib.contextmanager
 def split_timer(problem):
     """Time the loop's parts inside the block: the operator's ``matvec``,
-    ``rmatvec`` and ``solve`` and every cone projection, wrapped in
-    timers.  Yields the per-part seconds and call counts."""
+    ``rmatvec`` and ``solve``, every cone projection and every Anderson
+    step, wrapped in timers.  Yields the per-part seconds and call counts.
+    A tree whose loop has no ``_kernels.anderson_step`` (its Anderson step
+    inline) leaves that step in "other" and its seconds at 0."""
     seconds = {part: 0.0 for part in OPERATOR_PARTS[:-1]}  # "other" is not timed
     calls = {part: 0 for part in seconds}
     op = sdp.row_operator(problem)
     for part in ("matvec", "rmatvec", "solve"):
         setattr(op, part, timed(getattr(op, part), seconds, calls, part))
-    row_operator, cone_projection = sdp.row_operator, _kernels.cone_projection
+    # The loop makes these closures once per call: time what each returns.
+    factories = {"cone_projection": "projection", "anderson_step": "anderson"}
+    originals = {name: getattr(_kernels, name) for name in factories if hasattr(_kernels, name)}
+
+    def timed_factory(make, part):
+        return lambda *args: timed(make(*args), seconds, calls, part)
+
+    row_operator = sdp.row_operator
     sdp.row_operator = lambda _: op
-    _kernels.cone_projection = lambda *args: timed(
-        cone_projection(*args), seconds, calls, "projection"
-    )
+    for name, make in originals.items():
+        setattr(_kernels, name, timed_factory(make, factories[name]))
     try:
         yield seconds, calls
     finally:
-        sdp.row_operator, _kernels.cone_projection = row_operator, cone_projection
+        sdp.row_operator = row_operator
+        for name, make in originals.items():
+            setattr(_kernels, name, make)
 
 
 def operator_case():
     """Per case: the loop's microseconds per iteration, untimed (best of
-    three solves) and split by part (one solve with the timers), on a
-    seeded rank-4 two-qubit program of exact data, half of each probe's
-    effects at random when not complete."""
+    ``OPERATOR_REPEATS`` solves) and split by part (the best of as many
+    solves with the timers), on a seeded rank-4 program of exact data,
+    half of each probe's effects at random when not complete."""
     results = {}
-    for scheme, complete in OPERATOR_CASES:
+    for n_qubits, scheme, complete in OPERATOR_CASES:
         seed = RngSeed(9200).derive(scheme, complete)
-        _, data = dataset(2, scheme, 4, seed, None if complete else seed.derive("select"))
+        _, data = dataset(n_qubits, scheme, 4, seed, None if complete else seed.derive("select"))
         problem = program(data)
-        _, loop_s, solution = time_solve(problem)
+        repeats = OPERATOR_REPEATS[n_qubits]
+        _, loop_s, solution = time_solve(problem, repeats=repeats)
         iters = solution.iterations
-        with split_timer(problem) as (seconds, calls):
-            _, split_loop_s, _ = timed_solve(problem, 1e-7)
+        splits = []
+        for _ in range(repeats):
+            with split_timer(problem) as (seconds, calls):
+                _, split_loop_s, _ = timed_solve(problem, 1e-7)
+            splits.append((split_loop_s, dict(seconds), dict(calls)))
+        split_loop_s, seconds, calls = min(splits, key=lambda split: split[0])
         per_iter = {part: seconds[part] / iters * 1e6 for part in seconds}
         per_iter["other"] = split_loop_s / iters * 1e6 - sum(per_iter.values())
-        label = f"2q/{scheme}/{'complete' if complete else 'half'}/exact/r4"
+        label = f"{n_qubits}q/{scheme}/{'complete' if complete else 'half'}/exact/r4"
         results[label] = {
             "iterations": iters,
             "loop_us_per_iter": loop_s / iters * 1e6,
@@ -712,10 +736,12 @@ def operator(trees):
     faster = faster_in_pairs(runs, "loop_us_per_iter")
     show(change_faster_in_pairs=faster)
     case = (
-        "the ADMM loop's time per iteration on seeded rank-4 two-qubit programs of exact "
-        "data (SQPT and AAPT, complete and half), untimed (best of three solves to tol "
-        "1e-7) and split by part (one solve with each part wrapped in a timer; 'other' is "
-        f"the rest of the loop); {PAIRS} alternating pairs of processes, medians; "
+        "the ADMM loop's time per iteration on seeded rank-4 one- and two-qubit programs "
+        "of exact data (SQPT and AAPT, complete and half), untimed (best of 15 solves to "
+        "tol 1e-7 at one qubit, 3 at two) and split by part (the best of as many solves "
+        "with each part wrapped in a timer; 'anderson' is the Anderson step, 0 on a tree "
+        "whose loop has it inline, and 'other' the rest of the loop); "
+        f"{PAIRS} alternating pairs of processes, medians; "
         "three_qubit: one reconstruct of complete noiseless 3q SQPT data of a seeded "
         "rank-1 channel per tree, each in its own process"
     )

@@ -3,7 +3,13 @@
 Plain numpy: each iteration is a few small matvecs or mode products,
 two ``bincount`` scatters, one small Hermitian eigendecomposition and an
 m x m solve (m the Anderson memory); ``benchmarks/bench_solver.py``
-times it, and its ``--operator`` mode splits the time by part.
+times it, and its ``--operator`` mode splits the time by part.  At one
+qubit the arithmetic is tiny (vectors of about 90 entries, a 4 x 4
+eigendecomposition) and numpy's per-call overhead sets the time, so the
+loop calls the LAPACK gufuncs behind ``np.linalg.eigh`` and
+``np.linalg.solve`` directly (:func:`lapack_eigh`, :func:`lapack_solve`)
+and takes products with ``ndarray.dot`` (the BLAS call of ``@``, without
+the matmul gufunc's dispatch): the same iterates, bit for bit.
 
 The loop solves
 
@@ -104,6 +110,38 @@ import functools
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
+
+# The gufuncs behind np.linalg.eigh and np.linalg.solve, bound once: at
+# the loop's sizes the public calls' Python wrappers cost more than LAPACK
+# (one BLAS thread, numpy 2.4: a 4 x 4 eigh 9.4 us against 4.3 us, the
+# k x k Anderson solve 6.1-7.1 us against 1.1-2.2 us).
+_EIGH = _umath_linalg.eigh_lo
+_SOLVE = _umath_linalg.solve1
+
+
+def lapack_eigh(a):
+    """``np.linalg.eigh(a)`` of a Hermitian matrix (its lower triangle is
+    read), through the gufunc.  Raises LinAlgError when an eigenvalue is
+    NaN: where LAPACK failed (numpy then fills the result with NaN) or a
+    NaN or infinite entry reached the eigenvalues."""
+    vals, vecs = _EIGH(a)
+    square = vals.dot(vals)  # NaN iff some eigenvalue is
+    if square != square:
+        raise LinAlgError("NaN eigenvalues (a non-finite matrix, or no convergence)")
+    return vals, vecs
+
+
+def lapack_solve(a, b):
+    """``np.linalg.solve(a, b)`` for one square ``a`` and one vector ``b``,
+    through the gufunc.  Raises LinAlgError when the solution has a NaN
+    entry: where LAPACK found ``a`` singular (numpy then fills the
+    result with NaN) or a NaN or infinite entry of ``a`` reached it."""
+    x = _SOLVE(a, b)
+    square = x.dot(x)
+    if square != square:
+        raise LinAlgError("NaN solution (a singular or non-finite matrix)")
+    return x
 
 
 class SolveStatus(enum.Enum):
@@ -133,10 +171,10 @@ class DenseRows:
         self.group = group
 
     def values(self, chi):
-        return (self.rows @ chi)[self.group]
+        return self.rows.dot(chi)[self.group]
 
     def adjoint(self, v):
-        return np.bincount(self.group, v, len(self.rows)) @ self.rows
+        return np.bincount(self.group, v, len(self.rows)).dot(self.rows)
 
 
 class KroneckerRows:
@@ -153,42 +191,18 @@ class KroneckerRows:
     """
 
     def __init__(self, tables, index, scale=1.0):
-        n = len(tables)
-        dims = [T.shape[1] for T in tables]
-        D = math.prod(dims)
         self.flat = [T.reshape(len(T), -1) for T in tables]  # (i, j) -> i d_q + j
         self.conj = [F.conj() for F in self.flat]
         self.conj_last = np.ascontiguousarray(self.conj[-1].T)
         self.scale = scale
-        # values() contracts the last mode from the right, then the others
-        # from the left, moving each result axis to the back but the last
-        # one's.  So the grid's axes are the factors in the order
-        # grid_axes, and the adjoint (right product on the grid's last
-        # axis, then left products) leaves chi's modes in the order
-        # out_modes; at two factors both are (1, 2), with no transposes.
-        grid_axes = [(q + n - 2) % n for q in range(n)]
-        out_modes = grid_axes[-2:] + grid_axes[:-2]
+        dims = tuple(T.shape[1] for T in tables)
+        grid_axes, self.into, self.into_coeff, self.back, self.back_coeff = kronecker_gathers(dims)
         self.grid_axes = grid_axes
         self.n_cells = math.prod(len(T) for T in tables)
         self.cell = np.ravel_multi_index(
             tuple(index[:, grid_axes].T), [len(tables[q]) for q in grid_axes]
         )
         self.cell2 = 2 * self.cell  # the real parts in the complex grid's float view
-
-        # Gathers between svec and the permuted chi, as real views.
-        into, into_coeff, back, back_coeff = svec_gathers(D)
-        entries = np.arange(D * D).reshape(dims + dims)  # chi's flat entry at (i_1.., j_1..)
-
-        def layout(modes):
-            return entries.transpose([a for q in modes for a in (q, n + q)]).ravel()
-
-        x_entries = layout(range(n))
-        self.into = into.reshape(-1, 2)[x_entries].ravel()
-        self.into_coeff = into_coeff.reshape(-1, 2)[x_entries].ravel()
-        position = np.empty(D * D, dtype=np.intp)
-        position[layout(out_modes)] = np.arange(D * D)
-        self.back = 2 * position[back // 2] + back % 2
-        self.back_coeff = back_coeff
 
     def values(self, chi):
         X = (chi[self.into] * self.into_coeff).view(np.complex128)
@@ -310,6 +324,18 @@ class RowOperator:
             for (r0, g0, kron), (r1, g1, _) in zip(runs[:-1], runs[1:])
         ]
         self.row_splits = [r0 for r0, _, _ in runs[1:-1]]
+        part_groups = [g0 for _, g0, _ in runs]
+
+        def gram_rows(g0, g1):
+            """The dense distinct rows g0 to g1, as a fresh array: copied
+            from the dense parts, made from their blocks elsewhere."""
+            pieces = []
+            for part, p0, p1 in zip(self.parts, part_groups[:-1], part_groups[1:]):
+                a, b = max(g0, p0), min(g1, p1)
+                if a < b:
+                    dense = isinstance(part, DenseRows)
+                    pieces.append(part.rows[a - p0 : b - p0].copy() if dense else distinct_rows(a, b))
+            return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
         # Slack block: diagonal.  Cross block U^T W, W[u, j] = sum of coeff
         # over the rows of group u that use slack j.
@@ -345,7 +371,7 @@ class RowOperator:
             chunk = max(self.CHUNK, DD)
             for g0 in range(0, self.n_groups, chunk):
                 g1 = min(g0 + chunk, self.n_groups)
-                rows = distinct_rows(g0, g1)
+                rows = gram_rows(g0, g1)
                 if has_cross:
                     cross += rows.T @ W[g0:g1]
                 rows *= weight[g0:g1, None]
@@ -418,6 +444,44 @@ def svec_gathers(D):
     return into, into_coeff, back, back_coeff
 
 
+@functools.lru_cache(maxsize=None)
+def kronecker_gathers(dims):
+    """The gathers of :class:`KroneckerRows` over factors of dimensions
+    ``dims``, read-only: (grid_axes, into, into_coeff, back, back_coeff).
+
+    ``values`` contracts the last mode from the right, then the others
+    from the left, moving each result axis to the back but the last
+    one's.  So the grid's axes are the factors in the order
+    ``grid_axes``, and the adjoint (right product on the grid's last
+    axis, then left products) leaves chi's modes in the order out_modes;
+    at two factors both are (1, 2), with no transposes.  ``into`` and
+    ``into_coeff`` gather the permuted chi from svec, ``back`` and
+    ``back_coeff`` svec from the adjoint's permuted chi, as real views.
+    """
+    n = len(dims)
+    D = math.prod(dims)
+    grid_axes = tuple((q + n - 2) % n for q in range(n))
+    out_modes = grid_axes[-2:] + grid_axes[:-2]
+    into, into_coeff, back, back_coeff = svec_gathers(D)
+    entries = np.arange(D * D).reshape(dims + dims)  # chi's flat entry at (i_1.., j_1..)
+
+    def layout(modes):
+        return entries.transpose([a for q in modes for a in (q, n + q)]).ravel()
+
+    x_entries = layout(range(n))
+    position = np.empty(D * D, dtype=np.intp)
+    position[layout(out_modes)] = np.arange(D * D)
+    gathers = (
+        into.reshape(-1, 2)[x_entries].ravel(),
+        into_coeff.reshape(-1, 2)[x_entries].ravel(),
+        2 * position[back // 2] + back % 2,
+        back_coeff,
+    )
+    for a in gathers:
+        a.flags.writeable = False
+    return (grid_axes, *gathers)
+
+
 def box_bounds(op, caps):
     """The bounds [lo, hi] of the slacks then the rows."""
     return np.concatenate([np.zeros(op.n_slack), op.lower]), np.concatenate([caps, op.upper])
@@ -428,14 +492,23 @@ def cone_projection(op, caps):
     D, DD = op.D, op.DD
     into, into_coeff, back, back_coeff = svec_gathers(D)
     lo, hi = box_bounds(op, caps)
+    # The chi block X and its projection P, each in one buffer that every
+    # call reuses, with the flat real views the gathers read and write.
+    x_flat = np.empty(2 * DD)
+    X = x_flat.view(np.complex128).reshape(D, D)
+    P = np.empty((D, D), dtype=np.complex128)
+    p_flat = P.view(np.float64).reshape(-1)
 
     def project(v, out):
         if D > 0:
-            vals, V = np.linalg.eigh((v[into] * into_coeff).view(np.complex128).reshape(D, D))
-            P = (V * np.maximum(vals, 0.0)) @ V.conj().T
-            np.multiply(P.view(np.float64).ravel()[back], back_coeff, out=out[:DD])
-        np.maximum(v[DD:], lo, out=out[DD:])
-        np.minimum(out[DD:], hi, out=out[DD:])
+            np.multiply(v[into], into_coeff, out=x_flat)
+            vals, V = lapack_eigh(X)
+            np.maximum(vals, 0.0, out=vals)
+            np.matmul(V * vals, V.conj().T, out=P)
+            np.multiply(p_flat[back], back_coeff, out=out[:DD])
+        box = out[DD:]
+        np.maximum(v[DD:], lo, out=box)
+        np.minimum(box, hi, out=box)
 
     return project
 
@@ -471,6 +544,52 @@ def infeasibility_test(op, caps, adjoint):
     return certifies
 
 
+def anderson_step(fd, f_prev):
+    """``extrapolate(cols, g, g_prev, f_sq, fit)`` over one Anderson memory.
+
+    f = ``fd[0]`` and G = ``g`` (|f|^2 = ``f_sq``) are those of the iterate
+    just accepted, ``f_prev`` and ``g_prev`` those of the one before
+    (``fd[1]`` is a work buffer).  A call stores their changes as change
+    ``cols`` since the memory was cleared, then, with ``fit``, fits f by
+    the stored f changes (the Tikhonov-regularized normal equations) and
+    returns (changes stored, step dG gamma).  The step is None without
+    ``fit`` and when the Gram matrix has no positive trace; it is skipped,
+    None with the memory cleared (0 changes stored), when the trace is
+    infinite and when dG gamma is not within ``STEP_BOUND`` |f| (a NaN
+    step is not).
+    """
+    f, df = fd
+    N = len(f)
+    dF = np.empty((MEMORY, N))
+    dG = np.empty((MEMORY, N))
+    gram = np.empty((MEMORY, MEMORY))
+    bound_sq = STEP_BOUND**2
+
+    def extrapolate(cols, g, g_prev, f_sq, fit):
+        j = cols % MEMORY
+        np.subtract(f, f_prev, out=df)
+        dF[j] = df
+        np.subtract(g, g_prev, out=dG[j])
+        cols += 1
+        k = min(cols, MEMORY)
+        f_fit, row = fd.dot(dF[:k].T)
+        gram[j, :k] = row
+        gram[:k, j] = row
+        H = gram[:k, :k]
+        h_trace = H.trace()
+        if not (fit and h_trace > 0):
+            return cols, None
+        if h_trace < math.inf:
+            H = H.copy()
+            H.ravel()[:: k + 1] += h_trace * REGULARIZATION
+            step = lapack_solve(H, f_fit).dot(dG[:k])
+            if step.dot(step) <= bound_sq * f_sq:
+                return cols, step
+        return 0, None
+
+    return extrapolate
+
+
 def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
     """Run up to ``n_iters`` steps of the accelerated iteration on ``w``.
 
@@ -499,21 +618,15 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
     mx = np.empty(N)  # [x; A x]
     v = np.empty(N)
     fd = np.empty((2, N))  # f = G(w) - w, and its change since the last accepted w
-    f, df = fd
+    f = fd[0]
     g = np.empty(N)  # G(w)
     z = np.empty(N)  # P(w)
     z_next = np.empty(N)  # P(G(w)), at the checks
     u = np.empty(N)  # G(w) - z_next, the scaled dual of the plain step
     y_solve = None  # the dual rho u at the call's first check
-    # Anderson memory: ring buffers of the changes in f and in G between
-    # consecutive accepted iterates, and the Gram matrix of the f changes.
-    dF = np.empty((MEMORY, N))
-    dG = np.empty((MEMORY, N))
-    gram = np.empty((MEMORY, MEMORY))
-    tikhonov = REGULARIZATION * np.eye(MEMORY)
-    bound_sq = STEP_BOUND**2
     g_prev = np.empty(N)
     f_prev = np.empty(N)
+    extrapolate = anderson_step(fd, f_prev)
 
     status = SolveStatus.MAX_ITER
     r_prim = np.inf
@@ -542,20 +655,20 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
         np.subtract(mx, z, out=f)
         f *= ALPHA
         np.add(w, f, out=g)
-        f_sq = f @ f
+        f_sq = f.dot(f)
 
         if it % CHECK_EVERY == 0 or it == n_iters:
             # The residuals of the plain step from w: x against the
             # projection z+ of G(w), and the dual residual of the z move.
             project(g, z_next)
             np.subtract(mx, z_next, out=v)
-            scale_p = max(1.0, np.sqrt(mx @ mx), np.sqrt(z_next @ z_next))
-            r_prim = np.sqrt(v @ v) / scale_p
+            scale_p = max(1.0, np.sqrt(mx.dot(mx)), np.sqrt(z_next.dot(z_next)))
+            r_prim = np.sqrt(v.dot(v)) / scale_p
             np.subtract(g, z_next, out=u)
             y_vec = adjoint(u)
             dvec = adjoint(z_next - z)
-            scale_d = max(1.0, c_norm, rho * np.sqrt(y_vec @ y_vec))
-            r_dual = rho * np.sqrt(dvec @ dvec) / scale_d
+            scale_d = max(1.0, c_norm, rho * np.sqrt(y_vec.dot(y_vec)))
+            r_dual = rho * np.sqrt(dvec.dot(dvec)) / scale_d
 
             if r_prim <= tol and r_dual <= tol:
                 status = SolveStatus.OPTIMAL
@@ -594,32 +707,15 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
             project(w, z)
             continue
 
-        # Accept w: store its changes, then extrapolate (type II):
-        # w = G(w) - dG gamma, gamma the regularized least-squares fit
-        # of f by the columns of dF.  The step into a check is plain, so
-        # every check reads an accepted iterate.
+        # Accept w: store its changes, then extrapolate (type II,
+        # :func:`anderson_step`): w = G(w) - dG gamma.  The step into a
+        # check is plain, so every check reads an accepted iterate.
         f_last = f_sq
-        pending = False
+        step = None
         if have_prev:
-            j = cols % MEMORY
-            np.subtract(f, f_prev, out=df)
-            dF[j] = df
-            np.subtract(g, g_prev, out=dG[j])
-            cols += 1
-            k = min(cols, MEMORY)
-            fit, row = fd @ dF[:k].T
-            gram[j, :k] = row
-            gram[:k, j] = row
-            H = gram[:k, :k]
-            h_trace = H.trace()
-            if h_trace > 0 and (it + 1) % CHECK_EVERY and it + 1 < n_iters:
-                gamma = np.linalg.solve(H + h_trace * tikhonov[:k, :k], fit)
-                step = gamma @ dG[:k]
-                # Bound the step (false on a NaN or infinite one too); a
-                # skipped step takes the plain step and a new memory.
-                pending = step @ step <= bound_sq * f_sq
-                if not pending:
-                    cols = 0
+            fit = (it + 1) % CHECK_EVERY and it + 1 < n_iters
+            cols, step = extrapolate(cols, g, g_prev, f_sq, fit)
+        pending = step is not None
         g_prev, g = g, g_prev
         f_prev[:] = f
         have_prev = True

@@ -57,6 +57,35 @@ from . import linalg, tolerances as tol
 from ._kernels import RowOperator, SolveStatus, get_loop
 
 
+class FactorTables(tuple):
+    """Kronecker factor tables, checked once: one read-only (R_q, d_q, d_q)
+    complex stack per factor, each finite and Hermitian to
+    ``HERMITIAN_REJECT`` and then symmetrized.  Given a FactorTables,
+    the constructor returns it as it is, so tables made once (a setup's)
+    are not checked again by every :class:`BoxRows` that holds them;
+    ``tables * n`` repeats checked tables without a check.
+    """
+
+    def __new__(cls, tables):
+        if isinstance(tables, FactorTables):
+            return tables
+        tables = tuple(np.ascontiguousarray(T, dtype=complex) for T in tables)
+        if not tables or any(T.ndim != 3 or T.shape[1] != T.shape[2] for T in tables):
+            raise ValueError("factor tables must be (rows, d, d) stacks")
+        if not all(np.isfinite(T).all() for T in tables):
+            raise ValueError("factor tables must be finite")
+        for T in tables:
+            if T.size and np.abs(T - T.conj().transpose(0, 2, 1)).max() > tol.HERMITIAN_REJECT:
+                raise ValueError("factor tables must be Hermitian")
+        tables = tuple(0.5 * (T + T.conj().transpose(0, 2, 1)) for T in tables)
+        for T in tables:
+            T.flags.writeable = False
+        return super().__new__(cls, tables)
+
+    def __mul__(self, n):
+        return tuple.__new__(FactorTables, tuple(self) * n)
+
+
 @dataclass
 class BoxRows:
     """Rows ``lower <= psd[psd_row] . svec(X) + slack_coeff * slacks[slack_index] <= upper``.
@@ -70,7 +99,8 @@ class BoxRows:
 
     The stored rows may instead come in Kronecker-factored form, with
     ``psd`` None: ``factor_tables`` holds one (R_q, d_q, d_q) Hermitian
-    table per factor, with prod d_q = D, and ``factor_index`` one row of
+    table per factor, with prod d_q = D (kept as :class:`FactorTables`,
+    which checks tables given otherwise), and ``factor_index`` one row of
     table indices per stored row, so that stored row s is
     ``svec(T_1[t_1] (x) ... (x) T_n[t_n])`` (``np.kron`` order),
     (t_1, ..., t_n) = ``factor_index[s]``.  A block holds one form or the
@@ -133,20 +163,12 @@ class BoxRows:
             self._check_factors()
 
     def _check_factors(self):
-        tables = tuple(np.ascontiguousarray(T, dtype=complex) for T in self.factor_tables)
-        if not tables or any(T.ndim != 3 or T.shape[1] != T.shape[2] for T in tables):
-            raise ValueError("factor tables must be (rows, d, d) stacks")
-        if not all(np.isfinite(T).all() for T in tables):
-            raise ValueError("factor tables must be finite")
-        for T in tables:
-            if T.size and np.abs(T - T.conj().transpose(0, 2, 1)).max() > tol.HERMITIAN_REJECT:
-                raise ValueError("factor tables must be Hermitian")
+        tables = self.factor_tables = FactorTables(self.factor_tables)
         if self.factor_index.shape != (self.n_stored, len(tables)):
             raise ValueError("factor_index needs one table index per stored row and factor")
         sizes = np.array([len(T) for T in tables])
         if np.any((self.factor_index < 0) | (self.factor_index >= sizes)):
             raise ValueError("factor index out of range")
-        self.factor_tables = tuple(0.5 * (T + T.conj().transpose(0, 2, 1)) for T in tables)
 
     def __len__(self) -> int:
         return len(self.lower)
@@ -466,6 +488,7 @@ def problem_from_json(text: str) -> SdpProblem:
 __all__ = [
     "SolveStatus",
     "BoxRows",
+    "FactorTables",
     "SdpProblem",
     "SdpSolution",
     "SolverState",

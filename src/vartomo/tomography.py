@@ -57,7 +57,7 @@ from .probes import (
     sqpt_probe_states,
 )
 from ._kernels import KroneckerRows
-from .sdp import BoxRows, SdpProblem, SdpSolution, SolverState, SolveStatus, solve
+from .sdp import BoxRows, FactorTables, SdpProblem, SdpSolution, SolverState, SolveStatus, solve
 from .tolerances import SOLVER_MAX_ITER, SOLVER_TOL
 
 # The largest system a canonical setup is built for, per scheme.  At 4
@@ -111,8 +111,9 @@ class Setup:
         return linalg.kron_rows(self.factors[0], self.factors[1][probe, effect])
 
     @functools.cached_property
-    def factors(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    def factors(self) -> tuple[FactorTables, np.ndarray]:
         """Every expectation row by reference: (tables, index), read-only,
+        the tables checked here, once per setup (:class:`~vartomo.sdp.FactorTables`),
         with the row of effect lam on probe k ``svec(kron(T_1[t_1], ...))``
         for (t_1, ...) = ``index[k, lam]``; effect m = ``len(effects)`` is
         the Tr(out_k) row (the identity effect).
@@ -134,9 +135,9 @@ class Setup:
             rows = [measurement_rows(s.rho, stack, self.basis, ancilla) for s in self.probes.states]
             table = np.stack([linalg.mat_hermitian(row) for row in np.concatenate(rows)])
             index = np.arange(len(table)).reshape(len(rows), len(stack), 1)
-            table.flags.writeable = index.flags.writeable = False
-            return (table,), index
-        (table,), one = default_setup(self.scheme, 1).factors
+            index.flags.writeable = False
+            return FactorTables((table,)), index
+        tables, one = default_setup(self.scheme, 1).factors
         k_1, r_1 = one.shape[:2]
         # Per qubit: the probe digit (base k_1), and the effect digit of
         # each wire (system, or ancilla then system; base 6, the effects
@@ -150,7 +151,7 @@ class Setup:
         effect = np.concatenate([effect, np.full((n, 1), r_1 - 1)], axis=1)
         index = probe.T[:, None, :] * r_1 + effect.T[None, :, :]
         index.flags.writeable = False
-        return (table,) * n, index
+        return tables * n, index
 
     @functools.cached_property
     def tp_rows(self) -> np.ndarray:
@@ -173,6 +174,14 @@ class Setup:
         rows = np.ascontiguousarray(rows.T)  # row norms then sum in the order of other rows
         rows.flags.writeable = False
         return rows
+
+    @functools.cached_property
+    def schmidt_rank(self) -> int:
+        """The Schmidt rank of an AAPT setup's probe across its two d-level
+        halves (to 1e-10): the rank of its partial trace over the second
+        half.  A probe below rank d leaves chi underdetermined."""
+        reduced = self.probes.states[0].rho.reshape((self.d,) * 4)
+        return int(np.linalg.matrix_rank(np.trace(reduced, axis1=1, axis2=3), tol=1e-10))
 
     def dataset(self, records) -> TomographyDataset:
         """A dataset of ``records`` measured with this setup."""
@@ -469,10 +478,7 @@ def build_aapt_program(
 ) -> tuple[SdpProblem, ProgramLayout]:
     if data.scheme is not Scheme.AAPT:
         raise ValueError("dataset is not an AAPT dataset")
-    probe = data.probes.states[0]
-    reduced = probe.rho.reshape(data.d, data.d, data.d, data.d)
-    schmidt = np.linalg.matrix_rank(np.trace(reduced, axis1=1, axis2=3), tol=1e-10)
-    if schmidt < data.d:
+    if data.setup.schmidt_rank < data.d:
         warnings.warn(
             "AAPT probe does not have full Schmidt rank; the reconstruction "
             "is not unique",

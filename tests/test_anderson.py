@@ -12,7 +12,17 @@ import pytest
 
 from canned_suite import build_canned_problems, shot_noise_program
 from vartomo import _kernels, sdp
-from vartomo._kernels import ADAPT_EVERY, CHECK_EVERY, RHO_MAX, RHO_MIN, cone_projection
+from vartomo._kernels import (
+    ADAPT_EVERY,
+    CHECK_EVERY,
+    MEMORY,
+    REGULARIZATION,
+    RHO_MAX,
+    RHO_MIN,
+    cone_projection,
+    lapack_eigh,
+    lapack_solve,
+)
 from vartomo.channels import build_scaled_pauli_basis, identity_channel, kraus_to_chi
 from vartomo.probes import MeasurementRecord, RngSeed, Scheme, random_channel
 from vartomo.sdp import SolveStatus, row_operator, solve
@@ -139,9 +149,9 @@ def test_safeguard_keeps_contradiction_infeasible(monkeypatch, overshoot):
     The certificate's one baseline, the dual at the solve's first check,
     flags the plain steps in about 4,250 iterations; a baseline reset
     every 500 iterations alone needed 158,000."""
-    solve_normal_equations = np.linalg.solve
+    solve_normal_equations = _kernels.lapack_solve
     monkeypatch.setattr(
-        np.linalg, "solve", lambda H, b: overshoot * solve_normal_equations(H, b)
+        _kernels, "lapack_solve", lambda H, b: overshoot * solve_normal_equations(H, b)
     )
     data, options = contradiction()
     with pytest.raises(InfeasibleDataError) as err:
@@ -207,7 +217,7 @@ def test_reconstruct_objective_matches_tight_solve(case):
 
 def forced_gamma(monkeypatch, value):
     """Every Anderson fit returns gamma = ``value`` in each entry."""
-    monkeypatch.setattr(np.linalg, "solve", lambda H, b: np.full(len(b), value))
+    monkeypatch.setattr(_kernels, "lapack_solve", lambda H, b: np.full(len(b), value))
 
 
 @pytest.mark.parametrize("n_qubits,scheme", [(1, Scheme.SQPT), (2, Scheme.AAPT)])
@@ -218,11 +228,13 @@ def test_step_bound_skips_every_far_jump(monkeypatch, n_qubits, scheme):
     bit.  Unbounded, each far jump is taken and costs an iteration
     before the safeguard throws it away."""
     data = tomography_case(n_qubits, scheme, 0, 4, False)
+    accelerated = reconstruct(data).solver
     forced_gamma(monkeypatch, np.nan)
     plain = reconstruct(data).solver
     forced_gamma(monkeypatch, 1e9)
     bounded = reconstruct(data).solver
     assert plain.status is bounded.status is SolveStatus.OPTIMAL
+    assert accelerated.iterations < plain.iterations  # the forced fits reach the loop
     assert bounded.iterations == plain.iterations
     assert np.array_equal(bounded.chi_block, plain.chi_block)
     assert np.array_equal(bounded.state.w, plain.state.w)
@@ -239,3 +251,57 @@ def test_step_bound_keeps_slacks_from_drifting_off():
     solution = reconstruct(data, ReconstructionOptions(max_iter=2_000)).solver
     assert solution.status is SolveStatus.OPTIMAL
     assert np.abs(solution.slacks).max() < 1.0
+
+
+# --- the loop's direct LAPACK calls -------------------------------------------------
+
+
+@pytest.mark.parametrize("D", [4, 16, 64])
+def test_projection_eigensolver_is_numpy_eigh(D):
+    """The projection's eigensolver calls the gufunc behind np.linalg.eigh:
+    the same eigenvalues and eigenvectors, bit for bit."""
+    rng = np.random.default_rng(7700 + D)
+    for _ in range(5):
+        A = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+        A += A.conj().T
+        vals, vecs = lapack_eigh(A)
+        want_vals, want_vecs = np.linalg.eigh(A)
+        assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
+
+
+@pytest.mark.parametrize("k", range(1, MEMORY + 1))
+def test_anderson_solve_is_numpy_solve(k):
+    """The Anderson fit's solve calls the gufunc behind np.linalg.solve, on
+    normal equations as the loop forms them: the same gamma, bit for bit."""
+    rng = np.random.default_rng(7800 + k)
+    for _ in range(5):
+        dF = rng.normal(size=(k, 90)) * rng.uniform(1e-6, 1.0, size=(k, 1))
+        H = dF.dot(dF.T)
+        H.ravel()[:: k + 1] += H.trace() * REGULARIZATION
+        b = rng.normal(size=k)
+        assert np.array_equal(lapack_solve(H, b), np.linalg.solve(H, b))
+
+
+def test_non_finite_matrices_fail_loudly():
+    """A NaN matrix raises LinAlgError from either call, where LAPACK
+    fails (numpy then flags an invalid value, silenced here) and where the
+    NaN only runs through; so does the projection of a NaN iterate, which
+    never becomes a NaN z."""
+    with np.errstate(invalid="ignore"):
+        for D in (4, 16):
+            some = np.eye(D, dtype=complex)
+            some[1, 2] = some[2, 1] = np.nan
+            for A in (np.full((D, D), np.nan, dtype=complex), some):
+                with pytest.raises(np.linalg.LinAlgError):
+                    lapack_eigh(A)
+        some = 2.0 * np.eye(3)
+        some[0, 1] = some[1, 0] = np.nan
+        for H in (np.full((3, 3), np.nan), some, np.zeros((3, 3))):
+            with pytest.raises(np.linalg.LinAlgError):
+                lapack_solve(H, np.ones(3))
+    problem = shot_noise_program(2)
+    op = row_operator(problem)
+    w = np.zeros(problem.n_vars + op.n_rows)
+    w[3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        cone_projection(op, problem.slack_caps)(w, np.empty_like(w))

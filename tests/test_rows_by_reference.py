@@ -13,9 +13,17 @@ import numpy as np
 import pytest
 
 from vartomo import linalg
+from vartomo._kernels import DenseRows
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
 from vartomo.probes import RngSeed, Scheme, random_channel
-from vartomo.sdp import BoxRows, SdpProblem, problem_from_json, problem_to_json, row_operator
+from vartomo.sdp import (
+    BoxRows,
+    FactorTables,
+    SdpProblem,
+    problem_from_json,
+    problem_to_json,
+    row_operator,
+)
 from vartomo.tomography import (
     ReconstructionOptions,
     build_aapt_program,
@@ -227,3 +235,51 @@ def test_factored_dump_keeps_the_schema_and_solves_bit_for_bit():
     a, b = row_operator(problem).solve, row_operator(back).solve
     r = np.random.default_rng(7651).normal(size=problem.n_vars)
     assert np.array_equal(a(r), b(r))
+
+
+# --- set-up work done once ------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
+def test_builds_share_the_setups_checked_tables(scheme, n_qubits):
+    """A setup's factor tables are checked once, where ``Setup.factors``
+    makes them: every build's inequalities hold those very tables, which
+    :class:`FactorTables` passes through unchecked.  The gathers of the
+    layout's row sets depend on the table dimensions alone: every build
+    shares one read-only set."""
+    setup = default_setup(scheme, n_qubits)
+    tables = setup.factors[0]
+    assert isinstance(tables, FactorTables) and FactorTables(tables) is tables
+    assert not any(T.flags.writeable for T in tables)
+    truth = kraus_to_chi(random_channel(2**n_qubits, 2, RngSeed(7660)), setup.basis)
+    build = build_sqpt_program if scheme is Scheme.SQPT else build_aapt_program
+    data = make_dataset(truth, scheme, n_qubits)
+    builds = [build(data), build(setup.dataset(data.records[:5]))]
+
+    def gathers(rows):
+        return rows.into, rows.into_coeff, rows.back, rows.back_coeff
+
+    shared = gathers(builds[0][1].chi_rows)
+    assert not any(a.flags.writeable for a in shared)
+    for problem, layout in builds:
+        assert problem.inequalities.factor_tables is tables
+        for rows in (layout.chi_rows, layout.probe_trace_rows):
+            assert all(a is b for a, b in zip(gathers(rows), shared))
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
+def test_one_qubit_row_operator_makes_its_rows_once(monkeypatch, scheme):
+    """A one-qubit program has one dense part, and complete data give it
+    more distinct rows than D^2 = 16, so the x-step factor is summed from
+    their Gram matrix: that sum copies the part's rows, and the operator
+    makes its rows from the factors in one ``kron_rows`` call."""
+    truth = kraus_to_chi(random_channel(2, 2, RngSeed(7670)), build_scaled_pauli_basis(1))
+    build = build_sqpt_program if scheme is Scheme.SQPT else build_aapt_program
+    problem, _ = build(make_dataset(truth, scheme, 1))
+    calls = []
+    kron_rows = linalg.kron_rows
+    monkeypatch.setattr(linalg, "kron_rows", lambda *args: calls.append(1) or kron_rows(*args))
+    op = row_operator(problem)
+    assert [type(p) for p in op.parts] == [DenseRows] and op.n_groups > 16
+    assert len(calls) == 1

@@ -160,7 +160,9 @@ class TestAaptProgram:
         res = reconstruct(data)
         assert process_fidelity(res.chi_hat, truth) >= 0.999
 
-    def test_degenerate_probe_warns(self):
+    def test_degenerate_probe_warns(self, monkeypatch):
+        """Every build from a probe below full Schmidt rank warns; the
+        rank is a fact of the setup, found once for all its builds."""
         basis = build_scaled_pauli_basis(1)
         ident = identity_channel(basis)
         complete = make_dataset(ident, Scheme.AAPT, 1)
@@ -182,8 +184,16 @@ class TestAaptProgram:
             effects=complete.effects,
             records=complete.records[:4],
         )
-        with pytest.warns(UserWarning, match="Schmidt"):
-            build_aapt_program(data)
+        ranks = []
+        matrix_rank = np.linalg.matrix_rank
+        monkeypatch.setattr(
+            np.linalg, "matrix_rank", lambda *a, **k: ranks.append(1) or matrix_rank(*a, **k)
+        )
+        for records in (complete.records[:4], complete.records[4:9]):
+            with pytest.warns(UserWarning, match="Schmidt"):
+                build_aapt_program(data.setup.dataset(records))
+        assert len(ranks) == 1 and data.setup.schmidt_rank == 1
+        assert default_setup(Scheme.AAPT, 1).schmidt_rank == 2
 
 
 class TestProgramRows:
