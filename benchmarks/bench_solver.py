@@ -1,7 +1,7 @@
 """Time the solver's cases on this source tree, or on it and a parent tree side by side.
 
-    PYTHONPATH=src python benchmarks/bench_solver.py [--corpus | --simulate | --operator]
-        [--baseline PARENT/src]
+    PYTHONPATH=src python benchmarks/bench_solver.py
+        [--corpus | --simulate | --operator | --dump] [--baseline PARENT/src]
 
 The rule: a mode runs its case in fresh processes, one per call and
 tree, each importing vartomo from its tree with one BLAS thread, and
@@ -25,6 +25,9 @@ numpy and BLAS versions, to ``BENCH_<mode>.json`` at the repository root.
   complete-SQPT
   reconstruct per tree (:func:`three_qubit_case`): its set-up, build,
   iterations, status, fidelity and peak RSS.
+- ``dump``: the problem dump's bytes and the seconds of ``problem_to_json``
+  and ``problem_from_json`` for 2q SQPT, 2q AAPT and 3q SQPT programs,
+  ten calls (:func:`dump_case`).
 
 ``--case NAME [ARG ...]`` runs one case of ``CASES`` in this process and
 prints its JSON; the modes run it in their child processes.
@@ -464,6 +467,52 @@ def three_qubit_case():
     }
 
 
+DUMP_CASES = ((2, "sqpt"), (2, "aapt"), (3, "sqpt"))
+DUMP_CALLS = 5
+DENSE_LIMIT_MB = 100  # 3q SQPT: 455 MB of dense rows, several GB of Python floats and text
+
+
+def writes_dense_rows():
+    """Whether this tree's dump writes the rows of a factored block densely
+    as well as its tables and indices."""
+    rows = BoxRows(None, [0.0], [1.0], factor_tables=(np.eye(2)[None],), factor_index=[[0]])
+    doc = json.loads(sdp.problem_to_json(SdpProblem(psd_dim=2, n_slack=0, inequalities=rows)))
+    return "psd" in doc["inequalities"]
+
+
+def dump_case():
+    """Per case: the bytes of the problem dump of complete noiseless data
+    of a seeded rank-1 channel, and the median seconds of ``DUMP_CALLS``
+    ``problem_to_json`` and ``problem_from_json`` calls.  On a tree that
+    writes a factored block's rows densely, a case whose dense rows pass
+    ``DENSE_LIMIT_MB`` is not run, and its entry says why."""
+    dense = writes_dense_rows()
+    results = {}
+    for n_qubits, scheme in DUMP_CASES:
+        _, data = dataset(n_qubits, scheme, 1, RngSeed(9400).derive(n_qubits, scheme))
+        problem = program(data)
+        label = f"{n_qubits}q/{scheme}"
+        ineq = problem.inequalities
+        dense_mb = ineq.n_stored * ineq.width * 8 / 1e6
+        if dense and dense_mb > DENSE_LIMIT_MB:
+            results[label] = f"not run (dense rows {dense_mb:.0f} MB before JSON)"
+            continue
+        dump_s, load_s = [], []
+        for _ in range(DUMP_CALLS):
+            start = time.perf_counter()
+            text = sdp.problem_to_json(problem)
+            dump_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            sdp.problem_from_json(text)
+            load_s.append(time.perf_counter() - start)
+        results[label] = {
+            "bytes": len(text.encode()),
+            "dump_s": statistics.median(dump_s),
+            "load_s": statistics.median(load_s),
+        }
+    return results
+
+
 CASES = {
     "solver-table": solver_table_case,
     "sweep": sweep_case,
@@ -472,6 +521,7 @@ CASES = {
     "simulate": simulate_case,
     "operator": operator_case,
     "three-qubit": three_qubit_case,
+    "dump": dump_case,
 }
 
 
@@ -749,6 +799,33 @@ def operator(trees):
     write("operator", case, runs, **doc)
 
 
+def dump(trees):
+    """The dump case on ``trees``: per case the medians over the calls, or
+    the reason a tree did not run it."""
+    runs = alternate(trees, [("dump",)] * PAIRS)
+
+    def summarized(results, case):
+        first = results[0][case]
+        if isinstance(first, str):  # not run, and why
+            return first
+        return {"bytes": first["bytes"], **medians([r[case] for r in results], ("dump_s", "load_s"))}
+
+    summary = {
+        label: {case: summarized(results, case) for case in results[0]}
+        for label, results in runs.items()
+    }
+    show(summary=summary)
+    if len(trees) == 1:
+        return
+    case = (
+        "problem_to_json and problem_from_json on the programs of complete noiseless "
+        "2q SQPT, 2q AAPT and 3q SQPT data of a seeded rank-1 channel: the dump's bytes "
+        f"and, per process, the median of {DUMP_CALLS} calls each; {PAIRS} alternating "
+        "pairs of processes, medians"
+    )
+    write("dump", case, runs, summary=summary)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", help="src directory of the parent tree to compare against")
@@ -756,6 +833,7 @@ def main():
     mode.add_argument("--corpus", action="store_true", help="run the iteration corpus")
     mode.add_argument("--simulate", action="store_true", help="time dataset simulation")
     mode.add_argument("--operator", action="store_true", help="split the loop's time by part")
+    mode.add_argument("--dump", action="store_true", help="time the problem dump and load")
     mode.add_argument(
         "--case", nargs="+", metavar=("NAME", "ARG"), help="print one case of CASES as JSON"
     )
@@ -778,6 +856,8 @@ def main():
         simulate(trees)
     elif args.operator:
         operator(trees)
+    elif args.dump:
+        dump(trees)
     else:
         sweep(trees)
 

@@ -16,7 +16,7 @@ debug dump (:func:`problem_to_json`) writes these arrays as they are.
 Stored rows may instead be held by reference: per stored row, an index
 into each of a few small per-factor tables, the row being svec of the
 Kronecker product of the entries it names (with one factor, svec of the
-entry itself).  The dump writes such rows densely too.
+entry itself).  The dump writes such a block as its tables and indices.
 
 The solver is ADMM with PSD projection, run as the relaxed
 Douglas-Rachford iteration on one vector w = z + u and sped up by
@@ -389,22 +389,26 @@ def solve(
 
 def problem_to_json(problem: SdpProblem) -> str:
     """Problem document holding the record's arrays as they are: the
-    :class:`BoxRows` fields of the inequalities and the equalities, a
-    factor table as its real and imaginary parts.  ``psd`` is always
-    written, as dense rows; a factored block's are made from its factors."""
+    :class:`BoxRows` fields of the inequalities and the equalities, each
+    block's stored rows in the one form it holds them, ``psd`` or
+    ``factor_tables`` plus ``factor_index`` (a table as its real and
+    imaginary parts)."""
 
     def listed(values: np.ndarray) -> list:  # an open bound or uncapped slack as null
         return np.where(np.isinf(values), None, values).tolist()
 
     def rows(r: BoxRows) -> dict:
+        if r.factor_tables is None:
+            doc = {"psd": r.psd.tolist()}
+        else:
+            doc = {
+                "factor_tables": [
+                    {"re": T.real.tolist(), "im": T.imag.tolist()} for T in r.factor_tables
+                ],
+                "factor_index": r.factor_index.tolist(),
+            }
         fields = ("psd_row", "lower", "upper", "slack_index", "slack_coeff")
-        doc = {"psd": r.stored().tolist(), **{name: listed(getattr(r, name)) for name in fields}}
-        if r.factor_tables is not None:
-            doc["factor_tables"] = [
-                {"re": T.real.tolist(), "im": T.imag.tolist()} for T in r.factor_tables
-            ]
-            doc["factor_index"] = r.factor_index.tolist()
-        return doc
+        return {**doc, **{name: listed(getattr(r, name)) for name in fields}}
 
     return json.dumps(
         {
@@ -418,45 +422,30 @@ def problem_to_json(problem: SdpProblem) -> str:
     )
 
 
-def _check_factored_rows(rows: BoxRows, psd: np.ndarray, name: str, chunk: int = 256) -> None:
-    """Raise ValueError unless every dense row of ``psd`` is svec of the
-    Kronecker product the ``factor_index`` row of ``rows`` names, to 1e-10
-    of the row's norm.  ``chunk`` rows at a time, so no second dense copy."""
-    for start in range(0, rows.n_stored, chunk):
-        want = rows.stored(slice(start, start + chunk))
-        error = np.linalg.norm(psd[start : start + chunk] - want, axis=1)
-        bad = np.flatnonzero(~(error <= 1e-10 * np.linalg.norm(want, axis=1)))
-        if bad.size:
-            raise ValueError(
-                f"{name}: stored row {start + bad[0]} is not the Kronecker product "
-                "of its factor_index row"
-            )
-
-
 def problem_from_json(text: str) -> SdpProblem:
     """The problem of a :func:`problem_to_json` document, validated by
-    construction: a malformed document raises ValueError, and so do
-    stored rows that differ from the Kronecker products of their factor
-    tables.  A factored block is built from its factors alone, as it was
-    built before the dump."""
+    construction: a malformed document raises ValueError.  Each block's
+    stored rows go to :class:`BoxRows` in the form the document gives,
+    which rejects a block with both forms, or with half of the factored
+    one.  The sizes must be integers: 2.9 is rejected, not truncated."""
     doc = json.loads(text)
-    dumped = {}  # the dense rows of each block
 
-    def rows(r: dict, psd_dim: int, name: str) -> BoxRows:
-        n_stored = len(r["psd"])
-        # (rows, D^2) even when there are no rows; a ragged list raises
-        dumped[name] = np.asarray(r["psd"], dtype=float).reshape(n_stored, psd_dim**2)
-        stored = {"psd": dumped[name]}
-        if "factor_tables" in r:  # optional: a block without a factored form
-            tables = [
-                np.asarray(T["re"], dtype=float) + 1j * np.asarray(T["im"])
-                for T in r["factor_tables"]
-            ]
-            stored = {
-                "psd": None,
-                "factor_tables": tuple(tables),
-                "factor_index": np.asarray(r["factor_index"]).reshape(n_stored, len(tables)),
-            }
+    def complex_table(T: dict) -> np.ndarray:
+        table = np.asarray(T["re"], dtype=complex)
+        table.imag = T["im"]  # kept as written, signed zeros too
+        return table
+
+    def rows(r: dict, psd_dim: int) -> BoxRows:
+        stored = {"psd": None}
+        if "psd" in r:  # (rows, D^2) even when there are no rows; a ragged list raises
+            stored["psd"] = np.asarray(r["psd"], dtype=float).reshape(len(r["psd"]), psd_dim**2)
+        if "factor_tables" in r:
+            stored["factor_tables"] = tuple(map(complex_table, r["factor_tables"]))
+        if "factor_index" in r:
+            index = np.asarray(r["factor_index"])
+            if not index.size:  # (0, factors), as for any other row count
+                index = index.reshape(0, len(stored.get("factor_tables", ())))
+            stored["factor_index"] = index
         return BoxRows(
             lower=[-np.inf if v is None else v for v in r["lower"]],
             upper=[np.inf if v is None else v for v in r["upper"]],
@@ -467,22 +456,19 @@ def problem_from_json(text: str) -> SdpProblem:
         )
 
     try:
-        psd_dim = int(doc["psd_dim"])
-        problem = SdpProblem(
-            psd_dim=psd_dim,
-            n_slack=int(doc["n_slack"]),
+        for name in ("psd_dim", "n_slack"):
+            if isinstance(doc[name], bool) or not isinstance(doc[name], int):
+                raise ValueError(f"{name} must be an integer, got {doc[name]!r}")
+        return SdpProblem(
+            psd_dim=doc["psd_dim"],
+            n_slack=doc["n_slack"],
             objective=doc["objective"],
-            inequalities=rows(doc["inequalities"], psd_dim, "inequalities"),
-            equalities=rows(doc["equalities"], psd_dim, "equalities"),
+            inequalities=rows(doc["inequalities"], doc["psd_dim"]),
+            equalities=rows(doc["equalities"], doc["psd_dim"]),
             slack_caps=[np.inf if c is None else c for c in doc["slack_caps"]],
         )
     except (KeyError, TypeError) as exc:  # a missing field, or one of the wrong kind
         raise ValueError(f"malformed problem document: {exc!r}") from exc
-    for name, psd in dumped.items():
-        block = getattr(problem, name)
-        if block.factor_tables is not None:
-            _check_factored_rows(block, psd, name)
-    return problem
 
 
 __all__ = [

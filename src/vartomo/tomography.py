@@ -767,6 +767,8 @@ def minimal_elements_sweep(
         raise ValueError("fidelity threshold must be in [0, 1)")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if require_integer(batch, "batch") < 1:  # -1 would re-solve the same records forever
+        raise ValueError("batch must be >= 1")
     n_qubits = channel.d.bit_length() - 1
     options = options or ReconstructionOptions()
     setup = default_setup(scheme, n_qubits)

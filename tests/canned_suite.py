@@ -135,15 +135,13 @@ def shot_noise_program(rank):
     return build_sqpt_program(data)[0]
 
 
-def swapped_factor_rows_dump() -> str:
-    """The problem dump of complete noiseless 2q SQPT data with the
-    ``factor_index`` entries of stored rows 3 and 40 swapped, so that
-    neither row is the Kronecker product its entry names.  Loaded
-    unchecked, the loop's mode products and the dense rows disagree:
-    the solve reported OPTIMAL at objective 8.36 (0 untampered)."""
+def both_forms_dump() -> str:
+    """The problem dump of complete noiseless 2q SQPT data with the dense
+    ``psd`` rows of its factored inequality block added back beside the
+    factor tables and indices, as dumps of earlier versions wrote them:
+    a block given in both forms, whose two copies could disagree."""
     truth = kraus_to_chi(random_channel(4, 2, RngSeed(5)), build_scaled_pauli_basis(2))
     problem, _ = build_sqpt_program(make_dataset(truth, Scheme.SQPT, 2))
     doc = json.loads(problem_to_json(problem))
-    index = doc["inequalities"]["factor_index"]
-    index[3], index[40] = index[40], index[3]
+    doc["inequalities"]["psd"] = problem.inequalities.stored().tolist()
     return json.dumps(doc)

@@ -68,3 +68,14 @@ def test_sweep_alone_runs_the_solver_table_in_a_child(bench, monkeypatch, capsys
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[:2] == ["problem", "rows"] and len(lines) == 7
     assert lines[-1].startswith("random diagonal SDP (dim 8)")
+
+
+def test_dump_case_writes_each_program_in_its_factored_form(bench):
+    """This tree dumps every program of the dump case, 3q SQPT included,
+    2q SQPT in at most 0.15 MB and 2q AAPT in at most 0.3 MB."""
+    assert not bench.writes_dense_rows()
+    result = bench.run_in(bench.HERE, "dump")
+    assert list(result) == ["2q/sqpt", "2q/aapt", "3q/sqpt"]
+    assert result["2q/sqpt"]["bytes"] <= 150_000
+    assert result["2q/aapt"]["bytes"] <= 300_000
+    assert result["3q/sqpt"]["bytes"] < 5_000_000

@@ -562,15 +562,21 @@ class TestCli:
         assert r.stdout == ""
 
     def test_solve_sdp_rows_unlike_their_factors_exit_two(self, tmp_path):
-        from canned_suite import swapped_factor_rows_dump
+        """A block in both forms, or dense rows with a stray factor index,
+        is refused, not reconciled."""
+        from canned_suite import both_forms_dump
 
-        path = tmp_path / "problem.json"
-        path.write_text(swapped_factor_rows_dump())
-        r = run_cli("solve-sdp", "--problem", str(path), "--json")
-        assert r.returncode == 2
-        assert "stored row 3 is not the Kronecker product" in r.stderr
-        assert "Traceback" not in r.stderr
-        assert r.stdout == ""
+        text = both_forms_dump()
+        both, stray = json.loads(text), json.loads(text)
+        del stray["inequalities"]["factor_tables"]
+        for doc, message in ((both, "not both"), (stray, "come together")):
+            path = tmp_path / "problem.json"
+            path.write_text(json.dumps(doc))
+            r = run_cli("solve-sdp", "--problem", str(path), "--json")
+            assert r.returncode == 2
+            assert message in r.stderr
+            assert "Traceback" not in r.stderr
+            assert r.stdout == ""
 
     def test_infeasible_dataset_reported(self, tmp_path):
         basis = build_scaled_pauli_basis(1)

@@ -219,22 +219,36 @@ def test_two_qubit_runs_fill_no_table():
 
 
 def test_factored_dump_keeps_the_schema_and_solves_bit_for_bit():
-    """The dump of a factored program writes dense ``psd`` rows, as every
-    dump does; its reload holds the factors alone and solves as the
-    program does."""
+    """The dump of a factored program writes its inequality block as
+    factor tables and indices in place of dense ``psd`` rows, the other
+    fields as every dump does; its reload holds the factors alone and
+    solves as the program does."""
     problem, data = sweep_sized(400)
     dense, _ = dense_path(problem, data)
     doc, plain = json.loads(problem_to_json(problem)), json.loads(problem_to_json(dense))
     assert doc.keys() == plain.keys()
     ineq = doc["inequalities"]
-    assert ineq.keys() == plain["inequalities"].keys() | {"factor_tables", "factor_index"}
-    assert np.shape(ineq["psd"]) == (problem.inequalities.n_stored, 256)
+    assert ineq.keys() == plain["inequalities"].keys() - {"psd"} | {"factor_tables", "factor_index"}
+    assert np.shape(ineq["factor_index"]) == (problem.inequalities.n_stored, 2)
     back = problem_from_json(json.dumps(doc))
     assert back.inequalities.psd is None
     assert np.array_equal(back.inequalities.factor_index, problem.inequalities.factor_index)
     a, b = row_operator(problem).solve, row_operator(back).solve
     r = np.random.default_rng(7651).normal(size=problem.n_vars)
     assert np.array_equal(a(r), b(r))
+
+
+def test_three_qubit_dump_round_trips():
+    """Complete 3q SQPT data: 13,888 stored rows of 4,096 entries, 455 MB
+    as dense float64, dump as tables and indices in under 5 MB, and the
+    reload dumps to the same bytes.  No solve."""
+    truth = kraus_to_chi(random_channel(8, 1, RngSeed(7652)), build_scaled_pauli_basis(3))
+    problem, _ = build_sqpt_program(make_dataset(truth, Scheme.SQPT, 3))
+    assert problem.inequalities.n_stored == 13_888
+    text = problem_to_json(problem)
+    assert len(text) < 5_000_000  # ASCII: characters are bytes
+    assert "psd" not in json.loads(text)["inequalities"]
+    assert problem_to_json(problem_from_json(text)) == text
 
 
 # --- set-up work done once ------------------------------------------------------

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from canned_suite import (
+    both_forms_dump,
     build_canned_problems,
     dense_rows,
     shot_noise_program,
-    swapped_factor_rows_dump,
 )
 from vartomo import linalg
 from vartomo._kernels import ADAPT_EVERY, KroneckerRows
@@ -422,11 +422,26 @@ def assert_same_solve(a, b, tol_):
     assert np.array_equal(sa.slacks, sb.slacks)
 
 
+def reloaded(problem):
+    """The reload of ``problem``'s dump, which writes each block's stored
+    rows in the one form the block holds and dumps to the same bytes."""
+    text = problem_to_json(problem)
+    doc = json.loads(text)
+    for block in ("inequalities", "equalities"):
+        factored = getattr(problem, block).factor_tables is not None
+        forms = doc[block].keys() & {"psd", "factor_tables", "factor_index"}
+        assert forms == ({"factor_tables", "factor_index"} if factored else {"psd"}), block
+    back = problem_from_json(text)
+    assert problem_to_json(back) == text
+    return back
+
+
 def test_problem_json_roundtrip():
     """The dump holds the arrays as they are: a reload is array-equal,
-    keeps the stored rows and their sharing, and solves bit for bit."""
+    keeps the stored rows and their sharing, dumps to the same bytes and
+    solves bit for bit."""
     for _, problem, _ in build_canned_problems():
-        back = problem_from_json(problem_to_json(problem))
+        back = reloaded(problem)
         assert_same_problem(back, problem)
         assert_same_solve(back, problem, 1e-8)
 
@@ -441,7 +456,7 @@ def test_problem_json_roundtrip_tomography(n_qubits, scheme, tp):
     data = make_dataset(truth, scheme, n_qubits)
     builder = build_sqpt_program if scheme is Scheme.SQPT else build_aapt_program
     problem, _ = builder(data, ReconstructionOptions(tp_constraint=tp))
-    back = problem_from_json(problem_to_json(problem))
+    back = reloaded(problem)
     assert_same_problem(back, problem)
     assert_same_solve(back, problem, 1e-7)
 
@@ -486,6 +501,11 @@ MALFORMED = [
     (("slack_caps", 0), NAN, "slack caps must be >= 0"),
     (("equalities",), {}, "malformed problem document: KeyError"),
     (("inequalities",), [], "malformed problem document: TypeError"),
+    (("psd_dim",), 2.9, "psd_dim must be an integer"),
+    (("psd_dim",), "2", "psd_dim must be an integer"),
+    (("n_slack",), 0.7, "n_slack must be an integer"),
+    (("n_slack",), True, "n_slack must be an integer"),
+    (("inequalities", "factor_index"), [[0], [0]], "factor_tables and factor_index come together"),
 ]
 
 
@@ -560,11 +580,13 @@ def test_factored_rows_solve_as_the_dense_rows():
 
 def test_problem_json_roundtrip_keeps_factors():
     problem = factored_problem()
-    back = problem_from_json(problem_to_json(problem)).inequalities
+    back = reloaded(problem).inequalities
     rows = problem.inequalities
     assert np.array_equal(back.factor_index, rows.factor_index)
     assert all(np.array_equal(a, b) for a, b in zip(back.factor_tables, rows.factor_tables))
     assert problem_from_json(problem_to_json(SdpProblem(2, 0))).inequalities.factor_tables is None
+    empty = reloaded(factored_problem(n_stored=0)).inequalities  # no stored rows
+    assert empty.factor_index.shape == (0, 2)
 
 
 def with_factors(rows, **changes):
@@ -600,7 +622,8 @@ def test_factored_rows_are_checked(changes, message):
 
 
 def test_problem_json_rejects_rows_unlike_their_factors():
-    """A dump's factored rows are checked against its dense rows: with
-    two rows' factor indices swapped, the load names the first bad row."""
-    with pytest.raises(ValueError, match="inequalities: stored row 3 is not the Kronecker product"):
-        problem_from_json(swapped_factor_rows_dump())
+    """A block holds its stored rows in one form: a factored block that
+    also carries dense rows, which could disagree with its factors, is
+    rejected by :class:`BoxRows`, not reconciled."""
+    with pytest.raises(ValueError, match="psd coefficients or factor tables, not both"):
+        problem_from_json(both_forms_dump())

@@ -649,6 +649,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             minimal_elements_sweep(channel, Scheme.SQPT, 0.9, trials=0, seed=RngSeed(1))
 
+    @pytest.mark.parametrize("batch", [0, -1, 1.5, True])
+    def test_batch_below_one_or_not_an_integer_rejected(self, batch):
+        """Checked before any simulation.  At threshold 0 an accepted
+        batch ends the sweep after one step, so none of these hangs: -1
+        took every record but the last, and would re-solve the same
+        records forever at a higher threshold."""
+        channel = random_channel(2, 1, RngSeed(3010))
+        with pytest.raises(ValueError, match="batch must be"):
+            minimal_elements_sweep(channel, Scheme.SQPT, 0.0, trials=1, seed=RngSeed(1), batch=batch)
+
 
 class GramSchmidtRank:
     """Oracle for the blocked rank tracker: modified Gram-Schmidt, one
