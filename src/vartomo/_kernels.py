@@ -101,6 +101,9 @@ Other blocks are made dense (:class:`DenseRows`) once, for the loop: a
 one-factor "product" is a dense table, and on complete one-qubit rows
 its mode products took 3.7-4.2 us per A x or A^T y against 1.1-1.6 us
 for the dense rows (2-vCPU Xeon VM, one BLAS thread).
+
+chi moves between svec and matrix form through the gathers of
+:func:`vartomo.linalg.svec_gathers`, the one implementation of svec.
 """
 
 from __future__ import annotations
@@ -111,6 +114,8 @@ import math
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
+
+from .linalg import mat_hermitian, svec_gathers
 
 # The gufuncs behind np.linalg.eigh and np.linalg.solve, bound once: at
 # the loop's sizes the public calls' Python wrappers cost more than LAPACK
@@ -150,7 +155,6 @@ class SolveStatus(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
-_SQRT2 = np.sqrt(2.0)
 ALPHA = 1.6  # over-relaxation
 CHECK_EVERY = 25  # residual-check period
 INFEASIBLE_TOL = 1e-3  # certificate tolerance, relative to the largest entry of dy
@@ -418,33 +422,6 @@ class RowOperator:
 
 
 @functools.lru_cache(maxsize=None)
-def svec_gathers(D):
-    """Index/coefficient pairs between svec(X) and the real view of X.
-
-    ``(t[into] * into_coeff).view(complex).reshape(D, D)`` is the Hermitian
-    X of svec t, and ``X.view(float).ravel()[back] * back_coeff`` its svec.
-    """
-    DD = D * D
-    n_off = (DD - D) // 2
-    iu, ju = np.triu_indices(D, k=1)
-    into = np.zeros(2 * DD, dtype=np.intp)
-    into_coeff = np.zeros(2 * DD)
-    diag = np.arange(D) * (D + 1)
-    into[2 * diag] = np.arange(D)
-    into_coeff[2 * diag] = 1.0
-    off = np.arange(n_off)
-    for flat, sign in ((iu * D + ju, 1.0), (ju * D + iu, -1.0)):
-        into[2 * flat] = D + off
-        into[2 * flat + 1] = D + n_off + off
-        into_coeff[2 * flat] = 1.0 / _SQRT2
-        into_coeff[2 * flat + 1] = sign / _SQRT2
-    up = iu * D + ju
-    back = np.concatenate([2 * diag, 2 * up, 2 * up + 1])
-    back_coeff = np.concatenate([np.ones(D), np.full(2 * n_off, _SQRT2)])
-    return into, into_coeff, back, back_coeff
-
-
-@functools.lru_cache(maxsize=None)
 def kronecker_gathers(dims):
     """The gathers of :class:`KroneckerRows` over factors of dimensions
     ``dims``, read-only: (grid_axes, into, into_coeff, back, back_coeff).
@@ -456,7 +433,8 @@ def kronecker_gathers(dims):
     axis, then left products) leaves chi's modes in the order out_modes;
     at two factors both are (1, 2), with no transposes.  ``into`` and
     ``into_coeff`` gather the permuted chi from svec, ``back`` and
-    ``back_coeff`` svec from the adjoint's permuted chi, as real views.
+    ``back_coeff`` svec from the adjoint's permuted chi, as real views:
+    :func:`vartomo.linalg.svec_gathers` with chi's entries permuted.
     """
     n = len(dims)
     D = math.prod(dims)
@@ -518,8 +496,7 @@ def infeasibility_test(op, caps, adjoint):
     is a certificate of infeasibility to ``INFEASIBLE_TOL``.  Projects
     the slack and row entries of dy in place first; ``adjoint`` applies
     [I A^T]."""
-    D, DD = op.D, op.DD
-    into, into_coeff, _, _ = svec_gathers(D)
+    DD = op.DD
     lo, hi = box_bounds(op, caps)
     # The polar of the recession cone of [lo, hi], as bounds on dy.
     floor = np.where(lo == -np.inf, 0.0, -np.inf)
@@ -536,10 +513,7 @@ def infeasibility_test(op, caps, adjoint):
             return False
         if np.abs(adjoint(dy)).max() > margin:
             return False
-        if D == 0:
-            return True
-        chi = (dy[into] * into_coeff).view(np.complex128).reshape(D, D)
-        return np.linalg.eigvalsh(chi)[-1] <= margin
+        return (np.linalg.eigvalsh(mat_hermitian(dy[:DD]))[-1:] <= margin).all()  # none at D = 0
 
     return certifies
 

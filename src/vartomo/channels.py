@@ -295,9 +295,17 @@ def process_to_json(process: ProcessMatrix) -> str:
     )
 
 
+def _dimension(doc: dict) -> int:
+    """The document's ``d`` if it is an integer (a bool is not), else
+    ValueError: 2.9 and "2" are rejected, not truncated or parsed."""
+    if isinstance(doc["d"], bool) or not isinstance(doc["d"], int):
+        raise ValueError(f"d must be an integer, got {doc['d']!r}")
+    return doc["d"]
+
+
 def process_from_json(text: str, basis: OperatorBasis | None = None) -> ProcessMatrix:
     doc = json.loads(text)
-    d = int(doc["d"])
+    d = _dimension(doc)
     if basis is None:
         n = d.bit_length() - 1
         if 2**n != d:
@@ -321,6 +329,8 @@ def kraus_to_json(kraus: KrausSet) -> str:
 
 def kraus_from_json(text: str) -> KrausSet:
     doc = json.loads(text)
-    d = int(doc["d"])
+    d, trace_preserving = _dimension(doc), doc["trace_preserving"]
+    if not isinstance(trace_preserving, bool):  # "false" would read as True
+        raise ValueError(f"trace_preserving must be true or false, got {trace_preserving!r}")
     ops = np.stack([_pairs_to_complex(p, (d, d)) for p in doc["operators"]])
-    return KrausSet(d=d, operators=ops, trace_preserving=bool(doc["trace_preserving"]))
+    return KrausSet(d=d, operators=ops, trace_preserving=trace_preserving)

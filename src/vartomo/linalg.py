@@ -13,6 +13,9 @@ svec layout for an n x n Hermitian matrix M (n^2 real coordinates):
 
 The sqrt(2) scaling makes the map an isometry: the Euclidean inner
 product of two svecs equals Re Tr(A^dag B) of the originals.
+
+:func:`svec_gathers` is the one implementation of this layout; the
+other svec maps here and the solver loop (``_kernels``) read it.
 """
 
 from __future__ import annotations
@@ -100,23 +103,47 @@ def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
     return complex(np.sum(A.conj() * B))
 
 
+@functools.lru_cache(maxsize=None)
+def svec_gathers(D: int) -> tuple[np.ndarray, ...]:
+    """The svec layout of D x D matrices, read-only: (into, into_coeff,
+    back, back_coeff).  ``(t[..., into] * into_coeff).view(complex)`` is
+    the flat Hermitian X of svec t, ``X.view(float)[..., back] * back_coeff``
+    its svec (a diagonal entry's imaginary part gathers 0 * t[0])."""
+    iu, ju = np.triu_indices(D, k=1)
+    up, low = 2 * (iu * D + ju), 2 * (ju * D + iu)  # real parts in the real view
+    back = np.concatenate([2 * (D + 1) * np.arange(D), up, up + 1])
+    back_coeff = np.concatenate([np.ones(D), np.full(2 * len(up), _SQRT2)])
+    into, into_coeff = np.zeros(2 * D * D, dtype=np.intp), np.zeros(2 * D * D)
+    into[back], into_coeff[back] = np.arange(D * D), 1.0 / back_coeff
+    into[low], into[low + 1] = into[up], into[up + 1]  # the lower triangle: conjugates
+    into_coeff[low], into_coeff[low + 1] = into_coeff[up], -into_coeff[up + 1]
+    for a in (into, into_coeff, back, back_coeff):
+        a.flags.writeable = False
+    return into, into_coeff, back, back_coeff
+
+
 def vec_hermitian(M: np.ndarray) -> np.ndarray:
     """Real isometric vectorization of a Hermitian matrix (see module docstring)."""
-    H = hermitian_part(M)
-    n = H.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    off = H[iu, ju]
-    return np.concatenate([H.diagonal().real, _SQRT2 * off.real, _SQRT2 * off.imag])
+    return vec_hermitian_stack(hermitian_part(M))
 
 
 def vec_hermitian_stack(Ms: np.ndarray) -> np.ndarray:
     """Vectorize a stack of Hermitian matrices, one svec row each."""
-    Ms = np.asarray(Ms, dtype=complex)
-    n = Ms.shape[-1]
-    iu, ju = np.triu_indices(n, k=1)
-    diag = np.diagonal(Ms, axis1=-2, axis2=-1).real
-    off = Ms[..., iu, ju]
-    return np.concatenate([diag, _SQRT2 * off.real, _SQRT2 * off.imag], axis=-1)
+    Ms = np.ascontiguousarray(Ms, dtype=complex)
+    D = Ms.shape[-1]
+    _, _, back, back_coeff = svec_gathers(D)
+    return Ms.view(np.float64).reshape(Ms.shape[:-2] + (2 * D * D,)).take(back, -1) * back_coeff
+
+
+def mat_hermitian(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vec_hermitian_stack`: one Hermitian matrix per
+    svec on the last axis of ``v``."""
+    v = np.asarray(v, dtype=float)
+    n, dim = v.shape[-1], math.isqrt(v.shape[-1])
+    if n != dim * dim:
+        raise ValueError(f"coordinate count {n} is not a square")
+    into, into_coeff, _, _ = svec_gathers(dim)
+    return (v.take(into, -1) * into_coeff).view(np.complex128).reshape(v.shape[:-1] + (dim, dim))
 
 
 def kron_rows(tables, index: np.ndarray) -> np.ndarray:
@@ -144,28 +171,8 @@ def kron_rows(tables, index: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _kron_entries(dims: tuple[int, ...]) -> list[np.ndarray]:
     """Per factor of dimensions ``dims``, the flat position i_q d_q + j_q
-    in factor q of each entry (I, J) that svec reads: the diagonal, then
-    the upper triangle row-major."""
+    in factor q of each entry (I, J) that svec reads (the real parts
+    ``back`` gathers): the diagonal, then the upper triangle row-major."""
     D = math.prod(dims)
-    iu, ju = np.triu_indices(D, k=1)
-    I = np.concatenate([np.arange(D), iu])
-    J = np.concatenate([np.arange(D), ju])
-    pairs = zip(dims, np.unravel_index(I, dims), np.unravel_index(J, dims))
-    return [i * d + j for d, i, j in pairs]
-
-
-def mat_hermitian(v: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec_hermitian`."""
-    v = np.asarray(v, dtype=float)
-    if dim is None:
-        dim = int(round(np.sqrt(v.size)))
-    if v.size != dim * dim:
-        raise ValueError(f"coordinate count {v.size} is not {dim}^2")
-    n_off = dim * (dim - 1) // 2
-    M = np.zeros((dim, dim), dtype=complex)
-    M[np.diag_indices(dim)] = v[:dim]
-    iu, ju = np.triu_indices(dim, k=1)
-    off = (v[dim : dim + n_off] + 1j * v[dim + n_off :]) / _SQRT2
-    M[iu, ju] = off
-    M[ju, iu] = off.conj()
-    return M
+    ij = np.unravel_index(svec_gathers(D)[2][: (D * D + D) // 2] // 2, dims + dims)
+    return [ij[q] * d + ij[len(dims) + q] for q, d in enumerate(dims)]

@@ -371,7 +371,7 @@ def solve(
         op, c, problem.slack_caps, x, w, rho, tol_, max_iter, trace
     )
 
-    chi_block = linalg.mat_hermitian(x[: D * D], D) if D else np.zeros((0, 0), dtype=complex)
+    chi_block = linalg.mat_hermitian(x[: D * D])
     return SdpSolution(
         chi_block=chi_block,
         slacks=x[D * D :].copy(),
@@ -427,18 +427,26 @@ def problem_from_json(text: str) -> SdpProblem:
     construction: a malformed document raises ValueError.  Each block's
     stored rows go to :class:`BoxRows` in the form the document gives,
     which rejects a block with both forms, or with half of the factored
-    one.  The sizes must be integers: 2.9 is rejected, not truncated."""
+    one.  The sizes must be integers and the other entries numbers: 2.9,
+    "1.0" and true are rejected, not truncated or coerced."""
     doc = json.loads(text)
 
+    def reals(values, name: str) -> np.ndarray:  # float would parse "1.0" and read true as 1
+        array = np.asarray(values, dtype=float)  # a ragged list raises
+        for v in np.asarray(values, dtype=object).flat:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{name} must hold numbers, got {v!r}")
+        return array
+
     def complex_table(T: dict) -> np.ndarray:
-        table = np.asarray(T["re"], dtype=complex)
-        table.imag = T["im"]  # kept as written, signed zeros too
+        table = reals(T["re"], "factor_tables").astype(complex)
+        table.imag = reals(T["im"], "factor_tables")  # kept as written, signed zeros too
         return table
 
     def rows(r: dict, psd_dim: int) -> BoxRows:
         stored = {"psd": None}
         if "psd" in r:  # (rows, D^2) even when there are no rows; a ragged list raises
-            stored["psd"] = np.asarray(r["psd"], dtype=float).reshape(len(r["psd"]), psd_dim**2)
+            stored["psd"] = reals(r["psd"], "psd").reshape(len(r["psd"]), psd_dim**2)
         if "factor_tables" in r:
             stored["factor_tables"] = tuple(map(complex_table, r["factor_tables"]))
         if "factor_index" in r:
@@ -447,10 +455,10 @@ def problem_from_json(text: str) -> SdpProblem:
                 index = index.reshape(0, len(stored.get("factor_tables", ())))
             stored["factor_index"] = index
         return BoxRows(
-            lower=[-np.inf if v is None else v for v in r["lower"]],
-            upper=[np.inf if v is None else v for v in r["upper"]],
+            lower=reals([-np.inf if v is None else v for v in r["lower"]], "lower"),
+            upper=reals([np.inf if v is None else v for v in r["upper"]], "upper"),
             slack_index=r["slack_index"],
-            slack_coeff=r["slack_coeff"],
+            slack_coeff=reals(r["slack_coeff"], "slack_coeff"),
             psd_row=r["psd_row"],
             **stored,
         )
@@ -462,10 +470,10 @@ def problem_from_json(text: str) -> SdpProblem:
         return SdpProblem(
             psd_dim=doc["psd_dim"],
             n_slack=doc["n_slack"],
-            objective=doc["objective"],
+            objective=reals(doc["objective"], "objective"),
             inequalities=rows(doc["inequalities"], doc["psd_dim"]),
             equalities=rows(doc["equalities"], doc["psd_dim"]),
-            slack_caps=[np.inf if c is None else c for c in doc["slack_caps"]],
+            slack_caps=reals([np.inf if v is None else v for v in doc["slack_caps"]], "slack_caps"),
         )
     except (KeyError, TypeError) as exc:  # a missing field, or one of the wrong kind
         raise ValueError(f"malformed problem document: {exc!r}") from exc

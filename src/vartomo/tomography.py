@@ -133,7 +133,7 @@ class Setup:
             eye = np.eye(self.effects.dim, dtype=complex)[None]
             stack = np.concatenate([self.effects.effects, eye])
             rows = [measurement_rows(s.rho, stack, self.basis, ancilla) for s in self.probes.states]
-            table = np.stack([linalg.mat_hermitian(row) for row in np.concatenate(rows)])
+            table = linalg.mat_hermitian(np.concatenate(rows))
             index = np.arange(len(table)).reshape(len(rows), len(stack), 1)
             index.flags.writeable = False
             return FactorTables((table,)), index
@@ -765,8 +765,8 @@ def minimal_elements_sweep(
     """
     if not 0 <= fidelity_threshold < 1:
         raise ValueError("fidelity threshold must be in [0, 1)")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if require_integer(trials, "trials") < 1:
+        raise ValueError("trials must be >= 1")
     if require_integer(batch, "batch") < 1:  # -1 would re-solve the same records forever
         raise ValueError("batch must be >= 1")
     n_qubits = channel.d.bit_length() - 1

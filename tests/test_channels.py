@@ -289,6 +289,31 @@ class TestSerialization:
         assert np.abs(back.operators - kraus.operators).max() <= 1e-12
         assert back.trace_preserving == kraus.trace_preserving
 
+    @pytest.mark.parametrize(
+        "which,field,value,message",
+        [
+            ("kraus", "trace_preserving", "false", "trace_preserving must be true or false"),
+            ("kraus", "trace_preserving", 0, "trace_preserving must be true or false"),
+            ("kraus", "d", 2.9, "d must be an integer"),
+            ("kraus", "d", True, "d must be an integer"),
+            ("process", "d", "2", "d must be an integer"),
+            ("process", "d", 2.0, "d must be an integer"),
+        ],
+    )
+    def test_non_numbers_rejected_not_coerced(self, which, field, value, message):
+        """``"false"`` read as True, 2.9 as 2 and ``"2"`` as 2."""
+        kraus = random_channel(2, 2, RngSeed(14))
+        if which == "kraus":
+            load, text = kraus_from_json, kraus_to_json(kraus)
+        else:
+            chi = kraus_to_chi(kraus, build_scaled_pauli_basis(1))
+            load, text = process_from_json, process_to_json(chi)
+        doc = json.loads(text)
+        load(json.dumps(doc))  # the unchanged document loads
+        doc[field] = value
+        with pytest.raises(ValueError, match=message):
+            load(json.dumps(doc))
+
     def test_basis_mismatch_detected(self):
         basis = build_scaled_pauli_basis(1)
         doc = json.loads(process_to_json(identity_channel(basis)))

@@ -543,6 +543,7 @@ class TestCli:
         "field,value,message",
         [
             ("objective", [float("nan"), 0.0, 0.0, 0.0], "objective must be finite"),
+            ("objective", ["1.0", 0.0, 0.0, 0.0], "objective must hold numbers"),
             # the dense-row format of earlier versions: one dict per row
             ("equalities", [{"coeffs": [1.0, 1.0, 0.0, 0.0], "value": 1.0}], "malformed"),
         ],

@@ -165,8 +165,57 @@ class TestVectorization:
             assert np.allclose(row, linalg.vec_hermitian(M), atol=1e-14)
 
     def test_wrong_length(self):
-        with pytest.raises(ValueError, match="not 3"):
-            linalg.mat_hermitian(np.zeros(5), dim=3)
+        with pytest.raises(ValueError, match="5 is not a square"):
+            linalg.mat_hermitian(np.zeros(5))
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: signed zeros count."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestOneSvec:
+    """Every svec map reads the gathers of ``svec_gathers``: one matrix or
+    a stack, either way, and a one-factor ``kron_rows``, agree bit for bit."""
+
+    @pytest.mark.parametrize("D", [0, 1, 2, 4, 16])
+    def test_single_and_stacked_maps_agree(self, D):
+        rng = np.random.default_rng(7700 + D)
+        Ms = np.stack([rand_hermitian(rng, D) for _ in range(6)])
+        vs = linalg.vec_hermitian_stack(Ms)
+        assert vs.shape == (6, D * D)
+        assert all(same_bits(linalg.vec_hermitian(M), v) for M, v in zip(Ms, vs))
+        t = rng.normal(size=(6, D * D))
+        stacked = linalg.mat_hermitian(t)
+        assert stacked.shape == (6, D, D)
+        assert all(same_bits(linalg.mat_hermitian(row), X) for row, X in zip(t, stacked))
+        back = linalg.mat_hermitian(vs)
+        round_trips = [linalg.mat_hermitian(linalg.vec_hermitian(M)) for M in Ms]
+        assert all(same_bits(X, Y) for X, Y in zip(round_trips, back))
+        assert np.abs(back - Ms).max(initial=0.0) <= 1e-15 * np.abs(Ms).max(initial=1.0)
+
+    @pytest.mark.parametrize("D", [0, 1, 2, 4, 16])
+    def test_one_factor_kron_rows_are_the_table_rows(self, D):
+        rng = np.random.default_rng(7710 + D)
+        table = np.stack([rand_hermitian(rng, D) for _ in range(5)])
+        index = rng.integers(0, 5, size=(12, 1))
+        rows = linalg.vec_hermitian_stack(table[index[:, 0]])
+        assert same_bits(linalg.kron_rows([table], index), rows)
+
+    @pytest.mark.parametrize("D", [0, 1, 2, 4, 16])
+    def test_gathers_are_read_only(self, D):
+        for a in linalg.svec_gathers(D):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_solve_without_a_psd_block_returns_an_empty_chi_block(self):
+        from canned_suite import build_canned_problems
+        from vartomo.sdp import solve
+
+        [problem] = [p for name, p, _ in build_canned_problems() if name == "slack-floor"]
+        chi = solve(problem).chi_block
+        assert chi.shape == (0, 0) and chi.dtype == complex
 
 
 def test_matrices_equal_requires_explicit_tolerance():

@@ -251,7 +251,7 @@ class TestSolver:
         s = solve(problem, 1e-15, max_iter=1500)
         assert s.status is SolveStatus.MAX_ITER and s.iterations == 1500
         x, DD = s.state.x, problem.psd_dim**2
-        assert np.array_equal(s.chi_block, linalg.mat_hermitian(x[:DD], problem.psd_dim))
+        assert np.array_equal(s.chi_block, linalg.mat_hermitian(x[:DD]))
         assert np.array_equal(s.slacks, x[DD:])
         assert s.objective_value == float(problem.objective @ x)
 
@@ -506,6 +506,15 @@ MALFORMED = [
     (("n_slack",), 0.7, "n_slack must be an integer"),
     (("n_slack",), True, "n_slack must be an integer"),
     (("inequalities", "factor_index"), [[0], [0]], "factor_tables and factor_index come together"),
+    (("objective", 0), "1.0", "objective must hold numbers"),
+    (("objective", 0), True, "objective must hold numbers"),
+    (("inequalities", "lower", 0), "0.5", "lower must hold numbers"),
+    (("equalities", "upper", 0), False, "upper must hold numbers"),
+    (("inequalities", "psd", 0, 2), "1.0", "psd must hold numbers"),
+    (("inequalities", "psd", 1, 0), True, "psd must hold numbers"),
+    (("inequalities", "slack_coeff", 1), "1", "slack_coeff must hold numbers"),
+    (("inequalities", "slack_coeff", 1), True, "slack_coeff must hold numbers"),
+    (("slack_caps", 0), "2", "slack_caps must hold numbers"),
 ]
 
 
@@ -587,6 +596,14 @@ def test_problem_json_roundtrip_keeps_factors():
     assert problem_from_json(problem_to_json(SdpProblem(2, 0))).inequalities.factor_tables is None
     empty = reloaded(factored_problem(n_stored=0)).inequalities  # no stored rows
     assert empty.factor_index.shape == (0, 2)
+
+
+@pytest.mark.parametrize("part,value", [("re", "0.5"), ("im", True)])
+def test_problem_json_rejects_factor_table_entries_not_numbers(part, value):
+    doc = json.loads(problem_to_json(factored_problem()))
+    doc["inequalities"]["factor_tables"][1][part][0][1][0] = value
+    with pytest.raises(ValueError, match="factor_tables must hold numbers"):
+        problem_from_json(json.dumps(doc))
 
 
 def with_factors(rows, **changes):

@@ -84,7 +84,7 @@ def linear_inversion(data: TomographyDataset) -> np.ndarray:
     ]
     ps = [r.p for r in data.records]
     sol, *_ = np.linalg.lstsq(np.stack(rows), np.array(ps), rcond=None)
-    return linalg.mat_hermitian(sol, data.d**2)
+    return linalg.mat_hermitian(sol)
 
 
 class TestSqptProgram:
@@ -658,6 +658,14 @@ class TestSweep:
         channel = random_channel(2, 1, RngSeed(3010))
         with pytest.raises(ValueError, match="batch must be"):
             minimal_elements_sweep(channel, Scheme.SQPT, 0.0, trials=1, seed=RngSeed(1), batch=batch)
+
+    @pytest.mark.parametrize("trials", [0, 1.5, True])
+    def test_trials_below_one_or_not_an_integer_rejected(self, trials):
+        """Checked before any simulation: ``True`` ran one trial, and 1.5
+        failed late in ``range``."""
+        channel = random_channel(2, 1, RngSeed(3010))
+        with pytest.raises(ValueError, match="trials must be"):
+            minimal_elements_sweep(channel, Scheme.SQPT, 0.0, trials=trials, seed=RngSeed(1))
 
 
 class GramSchmidtRank:
