@@ -543,9 +543,9 @@ class TestCli:
         "field,value,message",
         [
             ("objective", [float("nan"), 0.0, 0.0, 0.0], "objective must be finite"),
-            ("objective", ["1.0", 0.0, 0.0, 0.0], "objective must hold numbers"),
             # the dense-row format of earlier versions: one dict per row
             ("equalities", [{"coeffs": [1.0, 1.0, 0.0, 0.0], "value": 1.0}], "malformed"),
+            ("objective", ["1.0", 0.0, 0.0, 0.0], "objective must hold numbers"),
         ],
     )
     def test_solve_sdp_invalid_problem_exits_two(self, tmp_path, field, value, message):
