@@ -107,15 +107,19 @@ def random_diag_sdp(dim: int, n_rows: int) -> SdpProblem:
     return SdpProblem(psd_dim=dim, n_slack=0, objective=objective, inequalities=rows)
 
 
-def timed(fn, seconds, calls, key):
-    """``fn``, adding the time of each call to ``seconds[key]`` and one to ``calls[key]``."""
+def timed(fn, seconds, calls, key, inner=()):
+    """``fn``, adding the time of each call to ``seconds[key]`` and one to
+    ``calls[key]``; less, with ``inner``, the seconds those keys gained
+    during the call (the timed parts that ``fn`` calls)."""
 
     def wrapper(*args, **kwargs):
+        before = sum(seconds[part] for part in inner)
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
-            seconds[key] += time.perf_counter() - start
+            elapsed = time.perf_counter() - start
+            seconds[key] += elapsed - (sum(seconds[part] for part in inner) - before)
             calls[key] += 1
 
     return wrapper
@@ -368,7 +372,8 @@ OPERATOR_CASES = [
     for scheme in ("sqpt", "aapt")
     for complete in (True, False)
 ]
-OPERATOR_PARTS = ("matvec", "rmatvec", "solve", "projection", "anderson", "other")
+OPERATOR_PARTS = ("matvec", "rmatvec", "solve", "x_step", "projection", "anderson", "other")
+OPERATOR_CALLS = ("matvec", "rmatvec", "solve")  # the operator's parts that x_step may call
 # Solves per case: the untimed loop is the best of these, and so is the
 # split.  A one-qubit solve takes a few ms, so it is repeated more often.
 OPERATOR_REPEATS = {1: 15, 2: 3}
@@ -377,15 +382,22 @@ OPERATOR_REPEATS = {1: 15, 2: 3}
 @contextlib.contextmanager
 def split_timer(problem):
     """Time the loop's parts inside the block: the operator's ``matvec``,
-    ``rmatvec`` and ``solve``, every cone projection and every Anderson
-    step, wrapped in timers.  Yields the per-part seconds and call counts.
-    A tree whose loop has no ``_kernels.anderson_step`` (its Anderson step
-    inline) leaves that step in "other" and its seconds at 0."""
+    ``rmatvec``, ``solve`` and ``x_step``, every cone projection and every
+    Anderson step, wrapped in timers.  Yields the per-part seconds and call
+    counts.  "x_step" is the step's own time, less the ``OPERATOR_CALLS``
+    it makes: on a program of the dense step the whole step, where the
+    three are called only outside it (the residual checks), else the
+    slicing between them.  A tree whose operator has no ``x_step`` (its
+    loop composes the three) leaves that part at 0, and one whose loop has
+    no ``_kernels.anderson_step`` (its Anderson step inline) leaves that
+    step in "other" and its seconds at 0."""
     seconds = {part: 0.0 for part in OPERATOR_PARTS[:-1]}  # "other" is not timed
     calls = {part: 0 for part in seconds}
     op = sdp.row_operator(problem)
-    for part in ("matvec", "rmatvec", "solve"):
+    for part in OPERATOR_CALLS:
         setattr(op, part, timed(getattr(op, part), seconds, calls, part))
+    if hasattr(op, "x_step"):
+        op.x_step = timed(op.x_step, seconds, calls, "x_step", OPERATOR_CALLS)
     # The loop makes these closures once per call: time what each returns.
     factories = {"cone_projection": "projection", "anderson_step": "anderson"}
     originals = {name: getattr(_kernels, name) for name in factories if hasattr(_kernels, name)}
@@ -789,7 +801,9 @@ def operator(trees):
         "the ADMM loop's time per iteration on seeded rank-4 one- and two-qubit programs "
         "of exact data (SQPT and AAPT, complete and half), untimed (best of 15 solves to "
         "tol 1e-7 at one qubit, 3 at two) and split by part (the best of as many solves "
-        "with each part wrapped in a timer; 'anderson' is the Anderson step, 0 on a tree "
+        "with each part wrapped in a timer; 'x_step' is the operator's x-step less the "
+        "matvec, rmatvec and solve it calls, 0 on a tree whose loop composes them itself; "
+        "'anderson' is the Anderson step, 0 on a tree "
         "whose loop has it inline, and 'other' the rest of the loop); "
         f"{PAIRS} alternating pairs of processes, medians; "
         "three_qubit: one reconstruct of complete noiseless 3q SQPT data of a seeded "

@@ -72,7 +72,8 @@ cone (dy <= 0 where the upper bound is open, >= 0 where the lower is),
 and stops when the three conditions hold to ``INFEASIBLE_TOL`` relative
 to the largest entry of dy.
 
-A is never formed.  Every row is a stored PSD row, by index, plus at
+A is formed only for a small program's dense x-step (end of this
+paragraph).  Every row is a stored PSD row, by index, plus at
 most one slack, so after equilibration (unit-norm rows)
 :class:`RowOperator` keeps each distinct (stored row, norm) once (the
 lo and hi rows of an envelope share one) and one (slack, coefficient)
@@ -86,7 +87,13 @@ block and the slacks the cross block touches get a low-rank correction.
 The factor is formed on the smaller side: with m < D^2 distinct rows
 (and no cross block) as I - U^T (I_m + U U^T)^{-1} U, an m x m inverse
 (Woodbury), else as the D^2 x D^2 inverse, whose Gram matrix U^T U is
-summed over chunks of distinct rows made on demand.
+summed over chunks of distinct rows made on demand.  A small program,
+of N <= ``RowOperator.DENSE_STEP`` variables and rows (every one-qubit
+program), takes the x-step and its row product as the one affine map
+[x; A x] = K (v - [c/rho; 0]), K = [I; A] S [I A^T] and S = (I + A^T
+A)^{-1}: one N x N product per iteration in place of A^T, the factor
+and A, each a few numpy calls on vectors of about 100 entries.  K is
+made once, by the factored solve of the block [I A^T].
 
 The loop's A x and A^T y read the distinct rows block by block.  A block
 whose stored rows come in Kronecker-factored form (one Hermitian table
@@ -242,7 +249,10 @@ class RowOperator:
     (``coeff[i] = 0`` for a row without a slack).  ``matvec``, ``rmatvec``
     and ``solve`` apply A, A^T and (I + A^T A)^{-1}, the last through the
     dense chi-block ``factor``, formed on the smaller side (an m x m
-    inverse for m < D^2 distinct rows).  ``parts`` applies the PSD
+    inverse for m < D^2 distinct rows).  ``x_step`` is the loop's x-step
+    and row product: with at most ``DENSE_STEP`` variables and rows (every
+    one-qubit program) one product with the dense map ``step``, made once
+    from ``solve``, else the three in turn.  ``parts`` applies the PSD
     coefficients in the loop, one :class:`DenseRows` or
     :class:`KroneckerRows` per run of rows (``row_splits`` between them).
     Dense rows are made only for a :class:`DenseRows` part and, a chunk
@@ -254,6 +264,14 @@ class RowOperator:
     """
 
     CHUNK = 256  # the fewest distinct rows in a chunk of the Gram sum
+    # The most variables plus rows, N, whose x-step is one dense N x N map.
+    # On two-qubit SQPT programs of a sweep's first steps (2-vCPU Xeon VM,
+    # one BLAS thread) the dense map took 12-14 us against 19 us for the
+    # structured step at N = 296-320, even at N = 368-416 and 31 against
+    # 23 us at N = 464; at one qubit (N = 92-129) 2-5 us against 9-10 us.
+    # 256 keeps every program with D^2 >= 256 structured, and its iterates
+    # unchanged.
+    DENSE_STEP = 256
 
     def __init__(self, D, n_slack, blocks):
         DD = D * D
@@ -385,6 +403,22 @@ class RowOperator:
                 chi_block -= (cross * self.slack_scale[self.cross_slots]) @ cross.T
             self.factor = np.linalg.inv(chi_block)
 
+        # A small program's x-step as one dense map over its variables and
+        # rows: K = [I; A] S [I A^T], S = (I + A^T A)^{-1}, the solve of the
+        # block [I A^T] by the factor above, times [I; A].
+        self.step = None
+        N = self.n_vars + self.n_rows
+        if N <= self.DENSE_STEP:
+            A = np.zeros((self.n_rows, self.n_vars))
+            if self.n_groups:
+                A[:, :DD] = gram_rows(0, self.n_groups)[self.group]
+            if n_slack:
+                A[np.arange(self.n_rows), self.slack_col] = self.coeff
+            self.step = np.empty((N, N))
+            top = self.step[: self.n_vars]
+            self.solve(np.concatenate([np.eye(self.n_vars), A.T], axis=1), out=top)
+            np.dot(A, top, out=self.step[self.n_vars :])
+
     def matvec(self, x):
         chi = x[: self.DD]
         if len(self.parts) == 1:
@@ -407,18 +441,36 @@ class RowOperator:
         return out
 
     def solve(self, r, out=None):
-        """(I + A^T A)^{-1} r, by block elimination of the diagonal slack block."""
+        """(I + A^T A)^{-1} r, for a vector r or a block of columns, by
+        block elimination of the diagonal slack block."""
         DD = self.DD
-        out = np.empty(self.n_vars) if out is None else out
+        out = np.empty(r.shape) if out is None else out
+        scale = self.slack_scale if r.ndim == 1 else self.slack_scale[:, None]
         r_chi = r[:DD]
         if self.cross is not None:
             J = self.cross_slots
-            r_chi = r_chi - self.cross @ (r[DD + J] * self.slack_scale[J])
+            r_chi = r_chi - self.cross @ (r[DD + J] * scale[J])
         np.matmul(self.factor, r_chi, out=out[:DD])
-        np.multiply(r[DD:], self.slack_scale, out=out[DD:])
+        np.multiply(r[DD:], scale, out=out[DD:])
         if self.cross is not None:
-            out[DD + J] -= (out[:DD] @ self.cross) * self.slack_scale[J]
+            out[DD + J] -= (self.cross.T @ out[:DD]) * scale[J]
         return out
+
+    def x_step(self, v, c_rho, out):
+        """The loop's x-step on v (over the variables then the rows): out =
+        [x; A x] with x = (I + A^T A)^{-1} (v_x + A^T v_rows - c_rho).  On the
+        dense path, ``step`` applied to v with c_rho taken off its variable
+        entries in place (K [c_rho; 0] = [I; A] S c_rho); otherwise A^T,
+        ``solve`` and A in turn."""
+        n = self.n_vars
+        if self.step is not None:
+            v[:n] -= c_rho
+            self.step.dot(v, out=out)
+            return
+        rhs = v[:n] - c_rho
+        rhs += self.rmatvec(v[n:])
+        self.solve(rhs, out=out[:n])
+        out[n:] = self.matvec(out[:n])
 
 
 @functools.lru_cache(maxsize=None)
@@ -622,10 +674,7 @@ def admm_loop(op, c, caps, x, w, rho, tol, n_iters, trace=None):
         # x-step on 2z - w: (I + A^T A) x = v_x + A^T v_rows - c/rho
         np.multiply(z, 2.0, out=v)
         v -= w
-        rhs = v[:n] - c_rho
-        rhs += op.rmatvec(v[n:])
-        op.solve(rhs, out=mx[:n])
-        mx[n:] = op.matvec(mx[:n])
+        op.x_step(v, c_rho, mx)
         np.subtract(mx, z, out=f)
         f *= ALPHA
         np.add(w, f, out=g)

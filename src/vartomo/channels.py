@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,7 +281,21 @@ def _complex_to_pairs(M: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _pairs_to_complex(pairs, shape) -> np.ndarray:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _pairs_to_complex(pairs, shape, name) -> np.ndarray:
+    """The document field ``name``, a list of ``[re, im]`` pairs, as a
+    complex array of ``shape``; ValueError naming the field for anything
+    else: a bool is not a number (``[true, 0.0]`` is not read as 1+0j),
+    nor is a string, and a pair has two entries."""
+    size = math.prod(shape)
+    if not isinstance(pairs, list) or len(pairs) != size:
+        raise ValueError(f"{name} must be a list of {size} [re, im] pairs")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+            raise ValueError(f"{name} must hold [re, im] pairs of numbers, got {pair!r}")
     flat = np.array([complex(re, im) for re, im in pairs])
     return flat.reshape(shape)
 
@@ -313,7 +328,7 @@ def process_from_json(text: str, basis: OperatorBasis | None = None) -> ProcessM
         basis = build_scaled_pauli_basis(n)
     if doc.get("basis_id") not in (None, basis.basis_id):
         raise ValueError(f"basis mismatch: file has {doc['basis_id']!r}, got {basis.basis_id!r}")
-    chi = _pairs_to_complex(doc["chi"], (d * d, d * d))
+    chi = _pairs_to_complex(doc["chi"], (d * d, d * d), "chi")
     return ProcessMatrix(d=d, basis=basis, chi=chi)
 
 
@@ -332,5 +347,7 @@ def kraus_from_json(text: str) -> KrausSet:
     d, trace_preserving = _dimension(doc), doc["trace_preserving"]
     if not isinstance(trace_preserving, bool):  # "false" would read as True
         raise ValueError(f"trace_preserving must be true or false, got {trace_preserving!r}")
-    ops = np.stack([_pairs_to_complex(p, (d, d)) for p in doc["operators"]])
+    ops = np.stack(
+        [_pairs_to_complex(p, (d, d), f"operators[{k}]") for k, p in enumerate(doc["operators"])]
+    )
     return KrausSet(d=d, operators=ops, trace_preserving=trace_preserving)

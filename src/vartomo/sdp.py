@@ -21,11 +21,15 @@ entry itself).  The dump writes such a block as its tables and indices.
 The solver is ADMM with PSD projection, run as the relaxed
 Douglas-Rachford iteration on one vector w = z + u and sped up by
 safeguarded type-II Anderson acceleration (see :mod:`vartomo._kernels`,
-which also holds the loop's constants).  It never forms the dense row
-matrix: :func:`row_operator` equilibrates the rows, keeps each distinct
-PSD row once with a per-row slack coefficient, and factors the x-step
-through one D^2 x D^2 factor plus a diagonal, the factor formed on the
-smaller side (an m x m inverse for m < D^2 distinct rows).  Stored rows
+which also holds the loop's constants).  It forms the dense row matrix
+only for a small program: :func:`row_operator` equilibrates the rows,
+keeps each distinct PSD row once with a per-row slack coefficient, and
+factors the x-step through one D^2 x D^2 factor plus a diagonal, the
+factor formed on the smaller side (an m x m inverse for m < D^2 distinct
+rows).  A program of at most ``RowOperator.DENSE_STEP`` (256) variables
+and rows, every one-qubit program among them, takes the x-step and its
+row product [x; A x] as one dense affine map of the loop's vector, made
+once from that factor and its rows.  Stored rows
 given in Kronecker-factored form (``BoxRows.factor_tables``) are applied
 in the loop by mode products once a block has more than one factor and
 D^2 distinct rows; their dense rows are then made only a chunk at a

@@ -314,6 +314,51 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             load(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ([True, 0.0], "pairs of numbers, got \\[True, 0.0\\]"),
+            ([1.0, False], "pairs of numbers"),
+            (["1", 0.0], "pairs of numbers"),
+            ([1.0], "pairs of numbers"),
+            ([1.0, 0.0, 0.0], "pairs of numbers"),
+            (1.0, "pairs of numbers"),
+            (None, "pairs of numbers"),
+        ],
+    )
+    @pytest.mark.parametrize("which", ["kraus", "process"])
+    def test_malformed_pairs_rejected_by_field(self, which, entry, message):
+        """An entry of ``chi`` or of an operator that is not a pair of two
+        numbers is a ValueError naming its field: ``[true, 0.0]`` is not
+        read as 1+0j, and a string is no bare TypeError."""
+        kraus = random_channel(2, 2, RngSeed(15))
+        if which == "kraus":
+            load, text, field = kraus_from_json, kraus_to_json(kraus), "operators\\[1\\]"
+            doc = json.loads(text)
+            pairs = doc["operators"][1]
+        else:
+            chi = kraus_to_chi(kraus, build_scaled_pauli_basis(1))
+            load, text, field = process_from_json, process_to_json(chi), "chi"
+            doc = json.loads(text)
+            pairs = doc["chi"]
+        pairs[3] = entry
+        with pytest.raises(ValueError, match=f"^{field} must hold \\[re, im\\] {message}"):
+            load(json.dumps(doc))
+
+    @pytest.mark.parametrize("which", ["kraus", "process"])
+    def test_wrong_number_of_pairs_rejected_by_field(self, which):
+        kraus = random_channel(2, 2, RngSeed(16))
+        if which == "kraus":
+            doc = json.loads(kraus_to_json(kraus))
+            doc["operators"][0].pop()
+            load, message = kraus_from_json, "operators\\[0\\] must be a list of 4 "
+        else:
+            doc = json.loads(process_to_json(kraus_to_chi(kraus, build_scaled_pauli_basis(1))))
+            doc["chi"] = {"re": 1.0}
+            load, message = process_from_json, "chi must be a list of 16 "
+        with pytest.raises(ValueError, match=message):
+            load(json.dumps(doc))
+
     def test_basis_mismatch_detected(self):
         basis = build_scaled_pauli_basis(1)
         doc = json.loads(process_to_json(identity_channel(basis)))

@@ -4,7 +4,9 @@
 solves the x-step through a D^2 x D^2 factor plus a diagonal, the factor
 formed on the smaller side (by Woodbury below D^2 distinct rows); rows
 in Kronecker-factored form are applied by mode products above a size
-rule.  ``canned_suite.dense_rows`` is the dense oracle.
+rule.  ``canned_suite.dense_rows`` is the dense oracle.  A program of at most
+``RowOperator.DENSE_STEP`` variables and rows takes the x-step as one
+dense map, checked against the structured composition it replaces.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from canned_suite import build_canned_problems, dense_rows
-from vartomo._kernels import DenseRows, KroneckerRows
+from vartomo._kernels import DenseRows, KroneckerRows, RowOperator
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
 from vartomo.probes import MeasurementRecord, RngSeed, Scheme, random_channel
 from vartomo.sdp import BoxRows, SdpProblem, row_operator
@@ -281,3 +283,65 @@ def test_factor_with_a_cross_block_stays_on_the_chi_side(monkeypatch):
     assert op.cross is not None and op.n_groups < op.DD
     assert sizes == [op.DD]
     assert np.abs(op.factor - factor_oracle(problem)).max() <= 1e-12
+
+
+# --- the x-step ---------------------------------------------------------------------
+
+
+def structured_step(op, v, c_rho):
+    """[x; A x] by A^T, the factored solve and A in turn: the composition
+    that a small program's dense step replaces."""
+    n = op.n_vars
+    rhs = v[:n] - c_rho
+    rhs += op.rmatvec(v[n:])
+    x = op.solve(rhs)
+    return np.concatenate([x, op.matvec(x)])
+
+
+def x_step_pair(problem):
+    """The operator, its ``x_step`` and the structured composition on one
+    seeded v and c/rho."""
+    op = row_operator(problem)
+    N = op.n_vars + op.n_rows
+    rng = np.random.default_rng(62)
+    v, c_rho = rng.normal(size=N), rng.normal(size=op.n_vars)
+    out = np.empty(N)
+    op.x_step(v.copy(), c_rho, out)  # the dense step consumes v
+    return op, out, structured_step(op, v, c_rho)
+
+
+def assert_dense_step_matches(problem):
+    op, got, want = x_step_pair(problem)
+    assert op.n_vars + op.n_rows <= RowOperator.DENSE_STEP
+    assert op.step is not None
+    assert relative_error(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("tp", [False, True])
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
+def test_one_qubit_dense_step(scheme, half, tp):
+    basis = build_scaled_pauli_basis(1)
+    truth = kraus_to_chi(random_channel(2, 2, RngSeed(7500)), basis)
+    selected = half_selection(1, scheme) if half else None
+    assert_dense_step_matches(program(make_dataset(truth, scheme, 1, selected), tp))
+
+
+NO_ROWS = SdpProblem(psd_dim=2, n_slack=1, objective=[1.0, 0.0, 0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "problem", [p for _, p, _ in CANNED] + [NO_ROWS], ids=[c[0] for c in CANNED] + ["no-rows"]
+)
+def test_small_problems_dense_step(problem):
+    """Every canned problem, among them ``mixed-blocks`` (a cross block)
+    and those of no slack, and a program without rows."""
+    assert_dense_step_matches(problem)
+
+
+def test_two_qubit_programs_keep_the_structured_step():
+    """Every 2q program has more than D^2 = 256 variables and rows, so its
+    x-step stays the composition, bit for bit."""
+    op, got, want = x_step_pair(program(tomography_dataset(2, Scheme.SQPT, 0), False))
+    assert op.step is None and op.n_vars + op.n_rows > RowOperator.DENSE_STEP
+    assert np.array_equal(got, want)
