@@ -26,8 +26,9 @@ numpy and BLAS versions, to ``BENCH_<mode>.json`` at the repository root.
   reconstruct per tree (:func:`three_qubit_case`): its set-up, build,
   iterations, status, fidelity and peak RSS.
 - ``dump``: the problem dump's bytes and the seconds of ``problem_to_json``
-  and ``problem_from_json`` for 2q SQPT, 2q AAPT and 3q SQPT programs,
-  ten calls (:func:`dump_case`).
+  and ``problem_from_json`` for 2q SQPT (without and with the
+  trace-preserving equalities), 2q AAPT and 3q SQPT programs, ten calls
+  (:func:`dump_case`).
 
 ``--case NAME [ARG ...]`` runs one case of ``CASES`` in this process and
 prints its JSON; the modes run it in their child processes.
@@ -88,10 +89,11 @@ def dataset(n_qubits, scheme, rank, channel_seed, select_seed=None, shots=0, sho
     return truth, make_dataset(truth, scheme, n_qubits, selected, shots, shots_seed)
 
 
-def program(data) -> SdpProblem:
-    """The program of ``data`` under the default options."""
+def program(data, tp=False) -> SdpProblem:
+    """The program of ``data`` under the default options, with the
+    trace-preserving equalities when ``tp``."""
     build = build_sqpt_program if data.scheme is Scheme.SQPT else build_aapt_program
-    return build(data, ReconstructionOptions())[0]
+    return build(data, ReconstructionOptions(tp_constraint=tp))[0]
 
 
 def random_diag_sdp(dim: int, n_rows: int) -> SdpProblem:
@@ -387,20 +389,16 @@ def split_timer(problem):
     counts.  "x_step" is the step's own time, less the ``OPERATOR_CALLS``
     it makes: on a program of the dense step the whole step, where the
     three are called only outside it (the residual checks), else the
-    slicing between them.  A tree whose operator has no ``x_step`` (its
-    loop composes the three) leaves that part at 0, and one whose loop has
-    no ``_kernels.anderson_step`` (its Anderson step inline) leaves that
-    step in "other" and its seconds at 0."""
+    slicing between them."""
     seconds = {part: 0.0 for part in OPERATOR_PARTS[:-1]}  # "other" is not timed
     calls = {part: 0 for part in seconds}
     op = sdp.row_operator(problem)
     for part in OPERATOR_CALLS:
         setattr(op, part, timed(getattr(op, part), seconds, calls, part))
-    if hasattr(op, "x_step"):
-        op.x_step = timed(op.x_step, seconds, calls, "x_step", OPERATOR_CALLS)
+    op.x_step = timed(op.x_step, seconds, calls, "x_step", OPERATOR_CALLS)
     # The loop makes these closures once per call: time what each returns.
     factories = {"cone_projection": "projection", "anderson_step": "anderson"}
-    originals = {name: getattr(_kernels, name) for name in factories if hasattr(_kernels, name)}
+    originals = {name: getattr(_kernels, name) for name in factories}
 
     def timed_factory(make, part):
         return lambda *args: timed(make(*args), seconds, calls, part)
@@ -479,36 +477,19 @@ def three_qubit_case():
     }
 
 
-DUMP_CASES = ((2, "sqpt"), (2, "aapt"), (3, "sqpt"))
+DUMP_CASES = ((2, "sqpt", False), (2, "sqpt", True), (2, "aapt", False), (3, "sqpt", False))
 DUMP_CALLS = 5
-DENSE_LIMIT_MB = 100  # 3q SQPT: 455 MB of dense rows, several GB of Python floats and text
-
-
-def writes_dense_rows():
-    """Whether this tree's dump writes the rows of a factored block densely
-    as well as its tables and indices."""
-    rows = BoxRows(None, [0.0], [1.0], factor_tables=(np.eye(2)[None],), factor_index=[[0]])
-    doc = json.loads(sdp.problem_to_json(SdpProblem(psd_dim=2, n_slack=0, inequalities=rows)))
-    return "psd" in doc["inequalities"]
 
 
 def dump_case():
-    """Per case: the bytes of the problem dump of complete noiseless data
-    of a seeded rank-1 channel, and the median seconds of ``DUMP_CALLS``
-    ``problem_to_json`` and ``problem_from_json`` calls.  On a tree that
-    writes a factored block's rows densely, a case whose dense rows pass
-    ``DENSE_LIMIT_MB`` is not run, and its entry says why."""
-    dense = writes_dense_rows()
+    """Per case (qubits, scheme, trace-preserving equalities): the bytes of
+    the problem dump of complete noiseless data of a seeded rank-1
+    channel, and the median seconds of ``DUMP_CALLS`` ``problem_to_json``
+    and ``problem_from_json`` calls."""
     results = {}
-    for n_qubits, scheme in DUMP_CASES:
+    for n_qubits, scheme, tp in DUMP_CASES:
         _, data = dataset(n_qubits, scheme, 1, RngSeed(9400).derive(n_qubits, scheme))
-        problem = program(data)
-        label = f"{n_qubits}q/{scheme}"
-        ineq = problem.inequalities
-        dense_mb = ineq.n_stored * ineq.width * 8 / 1e6
-        if dense and dense_mb > DENSE_LIMIT_MB:
-            results[label] = f"not run (dense rows {dense_mb:.0f} MB before JSON)"
-            continue
+        problem = program(data, tp)
         dump_s, load_s = [], []
         for _ in range(DUMP_CALLS):
             start = time.perf_counter()
@@ -517,7 +498,7 @@ def dump_case():
             start = time.perf_counter()
             sdp.problem_from_json(text)
             load_s.append(time.perf_counter() - start)
-        results[label] = {
+        results[f"{n_qubits}q/{scheme}" + ("/tp" if tp else "")] = {
             "bytes": len(text.encode()),
             "dump_s": statistics.median(dump_s),
             "load_s": statistics.median(load_s),
@@ -814,15 +795,12 @@ def operator(trees):
 
 
 def dump(trees):
-    """The dump case on ``trees``: per case the medians over the calls, or
-    the reason a tree did not run it."""
+    """The dump case on ``trees``: per case the bytes and the medians over the calls."""
     runs = alternate(trees, [("dump",)] * PAIRS)
 
     def summarized(results, case):
-        first = results[0][case]
-        if isinstance(first, str):  # not run, and why
-            return first
-        return {"bytes": first["bytes"], **medians([r[case] for r in results], ("dump_s", "load_s"))}
+        times = medians([r[case] for r in results], ("dump_s", "load_s"))
+        return {"bytes": results[0][case]["bytes"], **times}
 
     summary = {
         label: {case: summarized(results, case) for case in results[0]}
@@ -833,7 +811,8 @@ def dump(trees):
         return
     case = (
         "problem_to_json and problem_from_json on the programs of complete noiseless "
-        "2q SQPT, 2q AAPT and 3q SQPT data of a seeded rank-1 channel: the dump's bytes "
+        "2q SQPT (without and with the trace-preserving equalities), 2q AAPT and 3q SQPT "
+        "data of a seeded rank-1 channel: the dump's bytes "
         f"and, per process, the median of {DUMP_CALLS} calls each; {PAIRS} alternating "
         "pairs of processes, medians"
     )

@@ -95,9 +95,10 @@ A)^{-1}: one N x N product per iteration in place of A^T, the factor
 and A, each a few numpy calls on vectors of about 100 entries.  K is
 made once, by the factored solve of the block [I A^T].
 
-The loop's A x and A^T y read the distinct rows block by block.  A block
-whose stored rows come in Kronecker-factored form (one Hermitian table
-per factor, ``BoxRows.factor_tables``) is applied by
+The loop's A x and A^T y read the distinct rows block by block.  Every
+block holds its stored rows as one Hermitian table per factor
+(``BoxRows.factor_tables``) plus an index.  A block of more than one
+factor is applied by
 :class:`KroneckerRows`: mode products of the permuted chi with the
 tables give the value of every table combination at once, and each
 distinct row gathers its entry of that grid.  Such a block's dense rows
@@ -333,8 +334,7 @@ class RowOperator:
             (r0, r1), (g0, g1) = row_bounds[k : k + 2], group_bounds[k : k + 2]
             if r1 == r0:
                 continue
-            factored = rows.factor_tables is not None and len(rows.factor_tables) > 1
-            if factored and g1 - g0 >= DD:
+            if len(rows.factor_tables) > 1 and g1 - g0 >= DD:
                 index = rows.factor_index[psd_row[r0:r1] - offsets[k]]
                 runs.append((r0, g0, KroneckerRows(rows.factor_tables, index, 1.0 / norms[r0:r1])))
             elif not runs or runs[-1][2] is not None:

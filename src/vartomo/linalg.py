@@ -37,13 +37,15 @@ class EigenDecompositionError(RuntimeError):
 def hermitian_part(M: np.ndarray, reject_tol: float = tol.HERMITIAN_REJECT) -> np.ndarray:
     """Symmetrize M to (M + M^dag)/2.
 
-    Raises ValueError if the anti-Hermitian part exceeds ``reject_tol``
-    in max-norm; the caller is then holding a genuinely non-Hermitian
-    matrix, not a rounding artifact.
+    Raises ValueError if an entry is not finite, or if the anti-Hermitian
+    part exceeds ``reject_tol`` in max-norm; the caller is then holding a
+    genuinely non-Hermitian matrix, not a rounding artifact.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():  # NaN would pass the defect test below
+        raise ValueError("matrix has a non-finite entry")
     anti = 0.5 * (M - M.conj().T)
     defect = np.abs(anti).max() if M.size else 0.0
     if defect > reject_tol:
@@ -157,7 +159,7 @@ def kron_rows(tables, index: np.ndarray) -> np.ndarray:
     positions = _kron_entries(tuple(T.shape[1] for T in tables))
     entry = None
     for T, column, position in zip(tables, np.transpose(index), positions):
-        factor = T.reshape(len(T), -1)[:, position][column]
+        factor = T.reshape(len(T), T.shape[1] ** 2)[:, position][column]
         if entry is None:
             entry = factor
         else:

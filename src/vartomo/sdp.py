@@ -7,16 +7,17 @@ inequalities, and equalities.  The variable vector is
 
 Every box row carries its PSD-block coefficients and at most one slack:
 
-    lower <= <psd[psd_row], svec(X)> + slack_coeff * slacks[slack_index] <= upper
+    lower <= <stored[psd_row], svec(X)> + slack_coeff * slacks[slack_index] <= upper
 
 with ``slack_index = -1`` for a row without a slack.  Rows are held in
 bulk, one array per field, and rows may share a stored PSD row
-(:class:`BoxRows`); equalities are rows with ``lower == upper``.  The
-debug dump (:func:`problem_to_json`) writes these arrays as they are.
-Stored rows may instead be held by reference: per stored row, an index
-into each of a few small per-factor tables, the row being svec of the
-Kronecker product of the entries it names (with one factor, svec of the
-entry itself).  The dump writes such a block as its tables and indices.
+(:class:`BoxRows`); equalities are rows with ``lower == upper``.  Stored
+rows are held by reference, in one form: per stored row, an index into
+each of a few small per-factor tables of Hermitian matrices, the row
+being svec of the Kronecker product of the entries it names (with one
+factor, svec of the entry itself).  Dense svec rows given to
+:class:`BoxRows` become one such table.  The debug dump
+(:func:`problem_to_json`) writes these arrays as they are.
 
 The solver is ADMM with PSD projection, run as the relaxed
 Douglas-Rachford iteration on one vector w = z + u and sped up by
@@ -29,10 +30,9 @@ factor formed on the smaller side (an m x m inverse for m < D^2 distinct
 rows).  A program of at most ``RowOperator.DENSE_STEP`` (256) variables
 and rows, every one-qubit program among them, takes the x-step and its
 row product [x; A x] as one dense affine map of the loop's vector, made
-once from that factor and its rows.  Stored rows
-given in Kronecker-factored form (``BoxRows.factor_tables``) are applied
-in the loop by mode products once a block has more than one factor and
-D^2 distinct rows; their dense rows are then made only a chunk at a
+once from that factor and its rows.  A block of more than one factor
+(``BoxRows.factor_tables``) is applied in the loop by mode products once
+it has D^2 distinct rows; its dense rows are then made only a chunk at a
 time, to sum that factor's Gram matrix.  A solve may start from
 a given loop state (:class:`SolverState`: x, w and the penalty), such
 as the final state of a solve of a related program mapped onto this
@@ -50,9 +50,10 @@ the loop's duals (INFEASIBLE), or the iteration cap (MAX_ITER).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -92,43 +93,47 @@ class FactorTables(tuple):
 
 @dataclass
 class BoxRows:
-    """Rows ``lower <= psd[psd_row] . svec(X) + slack_coeff * slacks[slack_index] <= upper``.
+    """Rows ``lower <= stored[psd_row] . svec(X) + slack_coeff * slacks[slack_index] <= upper``.
 
-    ``psd`` is (stored rows, D^2); the other fields hold one entry per
-    box row, ``psd_row`` being the row's index into the stored rows
-    (default: one stored row per box row).  ``slack_index`` and
-    ``slack_coeff`` default to "no slack" (-1, 0).  Coefficients must be
-    finite and bounds not NaN; an infinite bound means an open side.
-    ``len()`` counts box rows.
+    The stored rows are held by reference: ``factor_tables`` holds one
+    (R_q, d_q, d_q) Hermitian table per factor, with prod d_q = D (kept
+    as :class:`FactorTables`, which checks tables given otherwise), and
+    ``factor_index`` one row of table indices per stored row, so that
+    stored row s is ``svec(T_1[t_1] (x) ... (x) T_n[t_n])`` (``np.kron``
+    order), (t_1, ..., t_n) = ``factor_index[s]``.  :meth:`stored` makes
+    dense rows on demand.  ``psd``, given in place of the tables, is an
+    init-only (stored rows, D^2) array of dense svec rows: they become
+    one table of their Hermitian matrices, indexed in order.
 
-    The stored rows may instead come in Kronecker-factored form, with
-    ``psd`` None: ``factor_tables`` holds one (R_q, d_q, d_q) Hermitian
-    table per factor, with prod d_q = D (kept as :class:`FactorTables`,
-    which checks tables given otherwise), and ``factor_index`` one row of
-    table indices per stored row, so that stored row s is
-    ``svec(T_1[t_1] (x) ... (x) T_n[t_n])`` (``np.kron`` order),
-    (t_1, ..., t_n) = ``factor_index[s]``.  A block holds one form or the
-    other, never both.  :meth:`stored` makes dense rows on demand.
+    The other fields hold one entry per box row, ``psd_row`` being the
+    row's index into the stored rows (default: one stored row per box
+    row).  ``slack_index`` and ``slack_coeff`` default to "no slack"
+    (-1, 0).  Coefficients must be finite and bounds not NaN; an
+    infinite bound means an open side.  ``len()`` counts box rows.
     """
 
-    psd: np.ndarray | None
+    psd: InitVar[np.ndarray | None]
     lower: np.ndarray
     upper: np.ndarray
     slack_index: np.ndarray = field(default=None)  # type: ignore[assignment]
     slack_coeff: np.ndarray = field(default=None)  # type: ignore[assignment]
     psd_row: np.ndarray = field(default=None)  # type: ignore[assignment]
-    factor_tables: tuple[np.ndarray, ...] | None = None
-    factor_index: np.ndarray | None = None
+    factor_tables: FactorTables = field(default=None)  # type: ignore[assignment]
+    factor_index: np.ndarray = field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
+    def __post_init__(self, psd):
         if (self.factor_tables is None) != (self.factor_index is None):
             raise ValueError("factor_tables and factor_index come together")
-        if self.psd is not None:
+        if psd is not None:
             if self.factor_tables is not None:
                 raise ValueError("stored rows come as psd coefficients or factor tables, not both")
-            self.psd = np.asarray(self.psd, dtype=float)
-            if self.psd.ndim != 2:
+            psd = np.asarray(psd, dtype=float)
+            if psd.ndim != 2:
                 raise ValueError("psd coefficients must be a (rows, D^2) array")
+            if not np.isfinite(psd).all():
+                raise ValueError("psd coefficients must be finite")
+            self.factor_tables = FactorTables((linalg.mat_hermitian(psd),))
+            self.factor_index = np.arange(len(psd))[:, None]
         elif self.factor_tables is None:
             raise ValueError("stored rows need psd coefficients or factor tables")
         self.lower = np.asarray(self.lower, dtype=float)
@@ -138,24 +143,21 @@ class BoxRows:
             self.slack_index = np.full(n, -1)
         if self.slack_coeff is None:
             self.slack_coeff = np.zeros(n)
+        if self.psd_row is None:
+            self.psd_row = np.arange(self.n_stored)
         for name in ("factor_index", "psd_row", "slack_index"):
-            if getattr(self, name) is None:  # factor_index, or psd_row (set below)
-                continue
             index = np.asarray(getattr(self, name))
             if index.size and index.dtype.kind not in "iu":  # casting would truncate 1.5
                 raise ValueError(f"{name} must hold integers")
             setattr(self, name, index.astype(np.intp, copy=False))
-        if self.psd_row is None:
-            self.psd_row = np.arange(self.n_stored)
         self.slack_coeff = np.asarray(self.slack_coeff, dtype=float)
         fields = (self.lower, self.upper, self.psd_row, self.slack_index, self.slack_coeff)
         if any(a.shape != (n,) for a in fields):
             raise ValueError("every per-row field needs one entry per box row")
         if np.any((self.psd_row < 0) | (self.psd_row >= self.n_stored)):
             raise ValueError("stored-row index out of range")
-        psd_finite = self.psd is None or np.isfinite(self.psd).all()
-        if not (psd_finite and np.isfinite(self.slack_coeff).all()):
-            raise ValueError("psd and slack coefficients must be finite")
+        if not np.isfinite(self.slack_coeff).all():
+            raise ValueError("slack coefficients must be finite")
         # lo <= hi is false on NaN; an infinite bound on the wrong side admits no value.
         lo, hi = self.lower, self.upper
         bad = np.flatnonzero(~(lo <= hi) | (lo == np.inf) | (hi == -np.inf))
@@ -163,10 +165,6 @@ class BoxRows:
             i = bad[0]
             what = "NaN bound" if np.isnan(lo[i]) or np.isnan(hi[i]) else "empty interval"
             raise ValueError(f"{what} [{lo[i]}, {hi[i]}] in row {i}")
-        if self.factor_tables is not None:
-            self._check_factors()
-
-    def _check_factors(self):
         tables = self.factor_tables = FactorTables(self.factor_tables)
         if self.factor_index.shape != (self.n_stored, len(tables)):
             raise ValueError("factor_index needs one table index per stored row and factor")
@@ -179,29 +177,29 @@ class BoxRows:
 
     @property
     def n_stored(self) -> int:
-        return len(self.psd) if self.psd is not None else len(self.factor_index)
+        return len(self.factor_index)
 
     @property
     def width(self) -> int:
         """D^2, the length of a stored row."""
-        if self.psd is not None:
-            return self.psd.shape[1]
         return math.prod(T.shape[1] for T in self.factor_tables) ** 2
 
     def stored(self, which=slice(None)) -> np.ndarray:
-        """The dense stored rows ``which`` (all by default), made from the
-        factors when the rows are factored."""
-        if self.factor_tables is None:
-            return self.psd[which]
+        """The dense stored rows ``which`` (all by default), made from the factors."""
         return linalg.kron_rows(self.factor_tables, self.factor_index[which])
 
     def sq_norms(self) -> np.ndarray:
         """The squared norm of every stored row.  svec is an isometry, so a
-        factored row's norm is the product of its tables' Frobenius norms."""
-        if self.factor_tables is None:
-            return np.einsum("ij,ij->i", self.psd, self.psd)
+        row's norm is the product of its tables' Frobenius norms."""
         sq = [np.einsum("rij,rij->r", T.conj(), T).real for T in self.factor_tables]
         return math.prod(s[column] for s, column in zip(sq, self.factor_index.T))
+
+
+@functools.lru_cache(maxsize=None)
+def _no_rows(D: int) -> BoxRows:
+    """The block without rows of a D x D program, made once per D and
+    shared: its arrays are empty, so no program can write to them."""
+    return BoxRows(None, [], [], factor_tables=(np.zeros((0, D, D)),), factor_index=np.zeros((0, 1), int))
 
 
 @dataclass
@@ -235,10 +233,10 @@ class SdpProblem:
         for name in ("inequalities", "equalities"):
             rows = getattr(self, name)
             if rows is None:
-                rows = BoxRows(np.zeros((0, self.psd_dim**2)), [], [])
+                rows = _no_rows(self.psd_dim)
                 setattr(self, name, rows)
             if rows.width != self.psd_dim**2:
-                raise ValueError(f"{name}: psd coefficients must have length {self.psd_dim**2}")
+                raise ValueError(f"{name}: stored rows must have length {self.psd_dim**2}")
             if np.any((rows.slack_index < -1) | (rows.slack_index >= self.n_slack)):
                 raise ValueError(f"{name}: slack index out of range")
         if np.any(self.equalities.lower != self.equalities.upper):
@@ -394,25 +392,19 @@ def solve(
 def problem_to_json(problem: SdpProblem) -> str:
     """Problem document holding the record's arrays as they are: the
     :class:`BoxRows` fields of the inequalities and the equalities, each
-    block's stored rows in the one form it holds them, ``psd`` or
-    ``factor_tables`` plus ``factor_index`` (a table as its real and
-    imaginary parts)."""
+    block's stored rows as its ``factor_tables`` (a table as its real and
+    imaginary parts) plus ``factor_index``."""
 
     def listed(values: np.ndarray) -> list:  # an open bound or uncapped slack as null
         return np.where(np.isinf(values), None, values).tolist()
 
     def rows(r: BoxRows) -> dict:
-        if r.factor_tables is None:
-            doc = {"psd": r.psd.tolist()}
-        else:
-            doc = {
-                "factor_tables": [
-                    {"re": T.real.tolist(), "im": T.imag.tolist()} for T in r.factor_tables
-                ],
-                "factor_index": r.factor_index.tolist(),
-            }
         fields = ("psd_row", "lower", "upper", "slack_index", "slack_coeff")
-        return {**doc, **{name: listed(getattr(r, name)) for name in fields}}
+        return {
+            "factor_tables": [{"re": T.real.tolist(), "im": T.imag.tolist()} for T in r.factor_tables],
+            "factor_index": r.factor_index.tolist(),
+            **{name: listed(getattr(r, name)) for name in fields},
+        }
 
     return json.dumps(
         {
@@ -428,11 +420,14 @@ def problem_to_json(problem: SdpProblem) -> str:
 
 def problem_from_json(text: str) -> SdpProblem:
     """The problem of a :func:`problem_to_json` document, validated by
-    construction: a malformed document raises ValueError.  Each block's
-    stored rows go to :class:`BoxRows` in the form the document gives,
-    which rejects a block with both forms, or with half of the factored
-    one.  The sizes must be integers and the other entries numbers: 2.9,
-    "1.0" and true are rejected, not truncated or coerced."""
+    construction: a malformed document raises ValueError.  A block's
+    stored rows may also be written by hand as dense ``psd`` rows, which
+    :class:`BoxRows` takes as one table; it rejects a block with both
+    forms, or with half of the factored one.  An empty one-factor table
+    is read as (rows, psd_dim, psd_dim), so that a block without rows, or
+    one of ``psd_dim`` 0, keeps its shape.  The sizes must be integers and the
+    other entries numbers: 2.9, "1.0" and true are rejected, not
+    truncated or coerced."""
     doc = json.loads(text)
 
     def reals(values, name: str) -> np.ndarray:  # float would parse "1.0" and read true as 1
@@ -452,7 +447,10 @@ def problem_from_json(text: str) -> SdpProblem:
         if "psd" in r:  # (rows, D^2) even when there are no rows; a ragged list raises
             stored["psd"] = reals(r["psd"], "psd").reshape(len(r["psd"]), psd_dim**2)
         if "factor_tables" in r:
-            stored["factor_tables"] = tuple(map(complex_table, r["factor_tables"]))
+            tables = tuple(map(complex_table, r["factor_tables"]))
+            if len(tables) == 1 and not tables[0].size:  # JSON keeps no shape of []
+                tables = (tables[0].reshape(len(tables[0]), psd_dim, psd_dim),)
+            stored["factor_tables"] = tables
         if "factor_index" in r:
             index = np.asarray(r["factor_index"])
             if not index.size:  # (0, factors), as for any other row count

@@ -154,26 +154,17 @@ class Setup:
         return tables * n, index
 
     @functools.cached_property
-    def tp_rows(self) -> np.ndarray:
-        """Read-only rows of sum_ij chi_ij E_j^dag E_i, one per svec entry;
-        pinning them to svec(I) makes chi trace preserving.
-
-        Column q is the map of the q-th svec unit chi, made from
-        G[i, j] = E_j^dag E_i: G[i, i] for a diagonal unit, r G[i, j] +
-        r G[j, i] for a real and i r G[i, j] - i r G[j, i] for an
-        imaginary off-diagonal one (r = 1/sqrt(2), i < j).
+    def tp_rows(self) -> FactorTables:
+        """The rows of sum_ij chi_ij E_j^dag E_i, one per svec entry, as one
+        table checked once per setup; pinning them to svec(I) makes chi
+        trace preserving.  Entry q of the svec of a Hermitian M is
+        Re Tr(S_q^dag M), S_q the q-th svec unit as a matrix, so row q's
+        table entry is sum_ac S_q[a, c] conj(G[i, j][a, c]), G[i, j] = E_j^dag E_i.
         """
-        els = self.basis.elements
+        els, dd = self.basis.elements, self.d**2  # dd = D, the chi dimension
         G = np.einsum("jba,ibc->ijac", els.conj(), els)  # (i, j) -> E_j^dag E_i
-        diag = np.arange(len(els))
-        iu, ju = np.triu_indices(len(els), k=1)
-        r = 1.0 / np.sqrt(2.0)
-        upper, lower = G[iu, ju], G[ju, iu]
-        maps = [G[diag, diag], r * upper + r * lower, 1j * r * upper - 1j * r * lower]
-        rows = linalg.vec_hermitian_stack(np.concatenate(maps))
-        rows = np.ascontiguousarray(rows.T)  # row norms then sum in the order of other rows
-        rows.flags.writeable = False
-        return rows
+        units = linalg.mat_hermitian(np.eye(dd)).reshape(dd, dd)
+        return FactorTables(((units @ G.reshape(-1, dd).conj().T).reshape(dd, dd, dd),))
 
     @functools.cached_property
     def schmidt_rank(self) -> int:
@@ -263,8 +254,8 @@ class ReconstructionOptions:
         if math.isnan(require_real(self.p_min, "p_min")):
             raise ValueError("p_min must not be NaN")
         scale = self.additive_scale
-        if scale is not None and not require_real(scale, "additive_scale") > 0:
-            raise ValueError(f"additive_scale must be positive, got {scale}")
+        if scale is not None and not 0 < require_real(scale, "additive_scale") < math.inf:
+            raise ValueError(f"additive_scale must be finite and positive, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -445,7 +436,9 @@ def _build_program(
     equalities = None
     if options.tp_constraint:
         targets = linalg.vec_hermitian(np.eye(data.d))
-        equalities = BoxRows(data.setup.tp_rows, targets, targets)
+        tp = data.setup.tp_rows
+        tp_index = np.arange(len(tp[0]))[:, None]
+        equalities = BoxRows(None, targets, targets, factor_tables=tp, factor_index=tp_index)
 
     problem = SdpProblem(
         psd_dim=data.d**2,

@@ -99,31 +99,22 @@ def build_canned_problems():
     return problems
 
 
-def all_rows(problem):
-    """The inequalities then the equalities, as one set of box rows with
-    dense stored rows (a factored block's made from its factors)."""
-    a, b = problem.inequalities, problem.equalities
-
-    def both(name):
-        return np.concatenate([getattr(a, name), getattr(b, name)])
-
-    return BoxRows(
-        np.concatenate([a.stored(), b.stored()]),
-        *map(both, ("lower", "upper", "slack_index", "slack_coeff")),
-        psd_row=np.concatenate([a.psd_row, a.n_stored + b.psd_row]),
-    )
-
-
 def dense_rows(problem):
-    """All box rows (inequalities then equalities) as dense (A, lower, upper):
-    the oracle the solver's structured row operator is tested against."""
-    rows = all_rows(problem)
+    """All box rows (inequalities then equalities) as dense (A, lower, upper),
+    the stored rows made from their tables: the oracle the solver's
+    structured row operator is tested against."""
+    blocks = (problem.inequalities, problem.equalities)
+
+    def joined(name):
+        return np.concatenate([getattr(rows, name) for rows in blocks])
+
     DD = problem.psd_dim**2
-    A = np.zeros((len(rows), problem.n_vars))
-    A[:, :DD] = rows.psd[rows.psd_row]
-    has = np.flatnonzero(rows.slack_index >= 0)
-    A[has, DD + rows.slack_index[has]] = rows.slack_coeff[has]
-    return A, rows.lower, rows.upper
+    slack_index = joined("slack_index")
+    A = np.zeros((len(slack_index), problem.n_vars))
+    A[:, :DD] = np.concatenate([rows.stored()[rows.psd_row] for rows in blocks])
+    has = np.flatnonzero(slack_index >= 0)
+    A[has, DD + slack_index[has]] = joined("slack_coeff")[has]
+    return A, joined("lower"), joined("upper")
 
 
 def shot_noise_program(rank):

@@ -72,10 +72,12 @@ def test_sweep_alone_runs_the_solver_table_in_a_child(bench, monkeypatch, capsys
 
 def test_dump_case_writes_each_program_in_its_factored_form(bench):
     """This tree dumps every program of the dump case, 3q SQPT included,
-    2q SQPT in at most 0.15 MB and 2q AAPT in at most 0.3 MB."""
-    assert not bench.writes_dense_rows()
+    2q SQPT in at most 0.15 MB and 2q AAPT in at most 0.3 MB; the 16 TP
+    rows of 2q SQPT, one table of 16 x 16 x 16 complex entries, add less
+    than 0.15 MB."""
     result = bench.run_in(bench.HERE, "dump")
-    assert list(result) == ["2q/sqpt", "2q/aapt", "3q/sqpt"]
+    assert list(result) == ["2q/sqpt", "2q/sqpt/tp", "2q/aapt", "3q/sqpt"]
     assert result["2q/sqpt"]["bytes"] <= 150_000
+    assert 0 < result["2q/sqpt/tp"]["bytes"] - result["2q/sqpt"]["bytes"] < 150_000
     assert result["2q/aapt"]["bytes"] <= 300_000
     assert result["3q/sqpt"]["bytes"] < 5_000_000

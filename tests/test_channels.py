@@ -383,6 +383,25 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             DensityMatrix(d=2, rho=np.diag([1.0, -0.1]).astype(complex))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_density_matrix_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(d=2, rho=[[value, 0], [0, 0.5]])
+
+    def test_non_tp_kraus_must_be_finite(self):
+        ops = np.stack([0.5 * np.eye(2, dtype=complex), np.full((2, 2), np.nan)])
+        with pytest.raises(ValueError, match="non-finite"):
+            KrausSet(d=2, operators=ops, trace_preserving=False)
+
+    def test_process_from_json_rejects_a_nan_entry(self):
+        """Python's json reads the NaN literal; the chi it gives is refused."""
+        doc = json.loads(process_to_json(identity_channel(build_scaled_pauli_basis(1))))
+        doc["chi"][6] = [float("nan"), 0.0]  # chi[1, 2], as one of the (re, im) pairs
+        text = json.dumps(doc)
+        assert "NaN" in text
+        with pytest.raises(ValueError, match="non-finite"):
+            process_from_json(text)
+
     def test_process_matrix_must_be_psd(self):
         basis = build_scaled_pauli_basis(1)
         with pytest.raises(ValueError):

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from vartomo import cli, tomography
-from vartomo.channels import identity_channel, build_scaled_pauli_basis, kraus_to_chi
+from vartomo.channels import KrausSet, identity_channel, build_scaled_pauli_basis, kraus_to_chi
 from vartomo.harness import (
     ChannelRow,
     ExperimentConfig,
@@ -372,6 +373,7 @@ class TestCli:
             ("--tol", "inf"),
             ("--tol", "1"),
             ("--tol", "1e300"),
+            ("--additive-scale", "inf"),
         ],
     )
     def test_reconstruct_invalid_option_exits_one(self, tmp_path, flag, value):
@@ -381,6 +383,32 @@ class TestCli:
         r = run_cli("reconstruct", "--dataset", str(fixture), flag, value)
         assert r.returncode == 1
         assert "invalid option" in r.stderr
+
+    def test_reconstruct_infinite_additive_envelope_exits_one(self, tmp_path):
+        """Every record on the additive branch with an infinite scale: an
+        invalid option, refused before the program build."""
+        basis = build_scaled_pauli_basis(1)
+        fixture = tmp_path / "dataset.json"
+        fixture.write_text(dataset_to_json(make_dataset(identity_channel(basis), Scheme.SQPT, 1)))
+        r = run_cli(
+            "reconstruct", "--dataset", str(fixture), "--p-min", "inf", "--additive-scale", "inf"
+        )
+        assert r.returncode == 1
+        assert "invalid option" in r.stderr and "additive_scale" in r.stderr
+
+    def test_reconstruct_non_finite_truth_exits_two_at_load(self, tmp_path):
+        """A non-trace-preserving truth with a NaN operator entry is refused
+        where the dataset is read, before any solve."""
+        basis = build_scaled_pauli_basis(1)
+        truth = KrausSet(d=2, operators=0.5 * np.eye(2)[None], trace_preserving=False)
+        doc = json.loads(dataset_to_json(make_dataset(identity_channel(basis), Scheme.SQPT, 1), truth))
+        doc["truth"]["operators"][0][0] = [float("nan"), 0.0]
+        fixture = tmp_path / "dataset.json"
+        fixture.write_text(json.dumps(doc))
+        r = run_cli("reconstruct", "--dataset", str(fixture), "--json")
+        assert r.returncode == 2
+        assert "non-finite" in r.stderr
+        assert r.stdout == ""
 
     @pytest.mark.parametrize(
         "field,value,message",

@@ -42,6 +42,15 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="not Hermitian"):
             linalg.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_entries(self, value):
+        """NaN fails every comparison, so the anti-Hermitian defect test
+        alone would pass it; an infinite entry makes the defect NaN."""
+        M = np.eye(2, dtype=complex)
+        M[0, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.hermitian_part(M)
+
     def test_symmetrizes_small_defects(self):
         M = np.eye(2) + 1e-10 * np.array([[0, 1], [0, 0]])
         w, _ = linalg.hermitian_eig(M)

@@ -2,9 +2,9 @@
 
 ``sdp.row_operator`` keeps each distinct equilibrated PSD row once and
 solves the x-step through a D^2 x D^2 factor plus a diagonal, the factor
-formed on the smaller side (by Woodbury below D^2 distinct rows); rows
-in Kronecker-factored form are applied by mode products above a size
-rule.  ``canned_suite.dense_rows`` is the dense oracle.  A program of at most
+formed on the smaller side (by Woodbury below D^2 distinct rows); a
+block of more than one Kronecker factor is applied by mode products
+above a size rule.  ``canned_suite.dense_rows`` is the dense oracle.  A program of at most
 ``RowOperator.DENSE_STEP`` variables and rows takes the x-step as one
 dense map, checked against the structured composition it replaces.
 """
@@ -167,14 +167,15 @@ def half_selection(n_qubits, scheme, seed=5):
 @pytest.mark.parametrize("half", [False, True])
 @pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
 def test_factored_rows_match_dense_rows(scheme, half, tp):
-    """Two-qubit programs carry their rows in factored form, and the
-    operator applies them by mode products (the TP equalities stay
-    dense); A x, A^T y and the x-step agree with the dense rows."""
+    """Two-qubit programs carry their rows as two factor tables, and the
+    operator applies them by mode products (the TP equalities, one
+    table, stay dense); A x, A^T y and the x-step agree with the dense
+    rows."""
     basis = build_scaled_pauli_basis(2)
     truth = kraus_to_chi(random_channel(4, 3, RngSeed(7300)), basis)
     selected = half_selection(2, scheme) if half else None
     problem = program(make_dataset(truth, scheme, 2, selected), tp)
-    assert problem.inequalities.factor_index is not None
+    assert len(problem.inequalities.factor_tables) == 2
     op = assert_matches_oracle(problem, 1e-13)
     assert [type(part) for part in op.parts] == [KroneckerRows] + [DenseRows] * tp
 

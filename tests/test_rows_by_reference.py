@@ -147,7 +147,7 @@ def relative_error(got, want):
 @pytest.mark.parametrize("n_qubits,scheme,half,tp", PROGRAMS)
 def test_program_matches_the_dense_path(n_qubits, scheme, half, tp):
     data, problem, layout, dense, stored = program_and_oracle(n_qubits, scheme, half, tp)
-    assert problem.inequalities.psd is None
+    assert len(problem.inequalities.factor_tables) == n_qubits  # one table per qubit
     assert np.abs(problem.objective - dense.objective).max() <= 1e-12
 
     op, oracle = row_operator(problem), row_operator(dense)
@@ -206,7 +206,6 @@ def test_two_qubit_runs_fill_no_table():
         data = make_dataset(truth, setup.scheme, 2)
         builder = build_sqpt_program if setup.scheme is Scheme.SQPT else build_aapt_program
         problem, _ = builder(data)
-        assert problem.inequalities.psd is None
         assert problem.inequalities.factor_index.shape == (problem.n_slack + data.k_t, 2)
         assert reconstruct(data).solver.status.value == "optimal"
     sweep = minimal_elements_sweep(
@@ -220,18 +219,19 @@ def test_two_qubit_runs_fill_no_table():
 
 def test_factored_dump_keeps_the_schema_and_solves_bit_for_bit():
     """The dump of a factored program writes its inequality block as
-    factor tables and indices in place of dense ``psd`` rows, the other
-    fields as every dump does; its reload holds the factors alone and
-    solves as the program does."""
+    factor tables and indices, with the fields of every dump (a block of
+    dense rows given to ``BoxRows`` dumps as one table); its reload holds
+    the factors and solves as the program does."""
     problem, data = sweep_sized(400)
     dense, _ = dense_path(problem, data)
     doc, plain = json.loads(problem_to_json(problem)), json.loads(problem_to_json(dense))
     assert doc.keys() == plain.keys()
     ineq = doc["inequalities"]
-    assert ineq.keys() == plain["inequalities"].keys() - {"psd"} | {"factor_tables", "factor_index"}
+    assert ineq.keys() == plain["inequalities"].keys()
+    assert len(plain["inequalities"]["factor_tables"]) == 1
     assert np.shape(ineq["factor_index"]) == (problem.inequalities.n_stored, 2)
     back = problem_from_json(json.dumps(doc))
-    assert back.inequalities.psd is None
+    assert len(back.inequalities.factor_tables) == 2
     assert np.array_equal(back.inequalities.factor_index, problem.inequalities.factor_index)
     a, b = row_operator(problem).solve, row_operator(back).solve
     r = np.random.default_rng(7651).normal(size=problem.n_vars)

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,7 +397,7 @@ class TestWarmStart:
             solve(shot_noise_program(1), tol_, max_iter=3000)
 
 
-ROW_FIELDS = ("psd", "psd_row", "lower", "upper", "slack_index", "slack_coeff", "factor_index")
+ROW_FIELDS = ("psd_row", "lower", "upper", "slack_index", "slack_coeff", "factor_index")
 
 
 def assert_same_problem(a, b):
@@ -404,15 +405,17 @@ def assert_same_problem(a, b):
     assert np.array_equal(a.objective, b.objective)
     assert np.array_equal(a.slack_caps, b.slack_caps)
     for block in ("inequalities", "equalities"):
+        rows = [getattr(p, block) for p in (a, b)]
         for field in ROW_FIELDS:
-            got, want = getattr(getattr(a, block), field), getattr(getattr(b, block), field)
-            if want is None:  # a factored block's psd, or an unfactored block's factors
-                assert got is None, (block, field)
-            else:
-                assert got.shape == want.shape and np.array_equal(got, want), (block, field)
-        tables = [getattr(p, block).factor_tables or () for p in (a, b)]
+            got, want = (getattr(r, field) for r in rows)
+            assert got.shape == want.shape and np.array_equal(got, want), (block, field)
+        tables = [r.factor_tables for r in rows]
         assert len(tables[0]) == len(tables[1])
-        assert all(np.array_equal(x, y) for x, y in zip(*tables)), (block, "factor_tables")
+        assert all(x.shape == y.shape and np.array_equal(x, y) for x, y in zip(*tables)), (
+            block,
+            "factor_tables",
+        )
+        assert np.array_equal(rows[0].stored(), rows[1].stored()), (block, "stored")
 
 
 def assert_same_solve(a, b, tol_):
@@ -424,13 +427,12 @@ def assert_same_solve(a, b, tol_):
 
 def reloaded(problem):
     """The reload of ``problem``'s dump, which writes each block's stored
-    rows in the one form the block holds and dumps to the same bytes."""
+    rows as its tables and index and dumps to the same bytes."""
     text = problem_to_json(problem)
     doc = json.loads(text)
     for block in ("inequalities", "equalities"):
-        factored = getattr(problem, block).factor_tables is not None
         forms = doc[block].keys() & {"psd", "factor_tables", "factor_index"}
-        assert forms == ({"factor_tables", "factor_index"} if factored else {"psd"}), block
+        assert forms == {"factor_tables", "factor_index"}, block
     back = problem_from_json(text)
     assert problem_to_json(back) == text
     return back
@@ -459,6 +461,33 @@ def test_problem_json_roundtrip_tomography(n_qubits, scheme, tp):
     back = reloaded(problem)
     assert_same_problem(back, problem)
     assert_same_solve(back, problem, 1e-7)
+
+
+def readme_problem_text():
+    """The first document of the README's problem file schema: the
+    mixed-blocks problem, its stored rows written by hand as dense
+    ``psd`` rows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Problem file schema") :]
+    start = section.index("```json\n") + len("```json\n")
+    return section[start : section.index("```", start)]
+
+
+def test_hand_written_dense_rows_load_as_one_table():
+    """A hand-written ``psd`` block loads as one table of its rows'
+    Hermitian matrices: the same program as its own table dump, which
+    re-dumps as tables to the same bytes and solves bit for bit."""
+    text = readme_problem_text()
+    doc = json.loads(text)
+    assert {"psd"} == doc["inequalities"].keys() & {"psd", "factor_tables"}
+    problem = problem_from_json(text)
+    (table,) = problem.inequalities.factor_tables
+    assert table.shape == (2, 2, 2)
+    assert np.array_equal(problem.inequalities.stored(), doc["inequalities"]["psd"])
+    assert problem.equalities.stored().shape == (0, 4)
+    back = reloaded(problem)  # written as tables, to stable bytes
+    assert_same_problem(back, problem)
+    assert_same_solve(back, problem, 1e-8)
 
 
 def test_problem_json_roundtrip_keeps_row_sharing():
@@ -526,10 +555,14 @@ MALFORMED = [
 def test_problem_json_rejects_malformed(path, value, message):
     """Loading is construction: every malformed or out-of-cone document
     raises ValueError.  The base document is the mixed-blocks problem
-    plus the eigenvalue-LP equality, so both row blocks are present."""
+    plus the eigenvalue-LP equality, so both row blocks are present,
+    each block's stored rows written by hand as dense ``psd`` rows."""
     _, problem, _ = build_canned_problems()[9]
     problem.equalities = BoxRows([linalg.vec_hermitian(np.eye(2))], [1.0], [1.0])
     doc = json.loads(problem_to_json(problem))
+    for block in ("inequalities", "equalities"):
+        del doc[block]["factor_tables"], doc[block]["factor_index"]
+        doc[block]["psd"] = getattr(problem, block).stored().tolist()
     problem_from_json(json.dumps(doc))  # the unchanged document loads
     *parents, last = path
     entry = doc
@@ -549,8 +582,8 @@ def test_problem_json_rejects_malformed(path, value, message):
 
 def factored_problem(n_stored=24, seed=7400):
     """min <I, X> over a 4x4 X (two factors of dimension 2) with
-    floors <psd[s], svec X> >= b_s, the stored rows in factored form
-    alone."""
+    floors <stored[s], svec X> >= b_s, the stored rows given as two
+    factor tables."""
     rng = np.random.default_rng(seed)
     tables = tuple(
         np.stack([rand_hermitian(rng, 2) + 2 * np.eye(2) for _ in range(5)]) for _ in "ab"
@@ -593,7 +626,8 @@ def test_problem_json_roundtrip_keeps_factors():
     rows = problem.inequalities
     assert np.array_equal(back.factor_index, rows.factor_index)
     assert all(np.array_equal(a, b) for a, b in zip(back.factor_tables, rows.factor_tables))
-    assert problem_from_json(problem_to_json(SdpProblem(2, 0))).inequalities.factor_tables is None
+    (table,) = problem_from_json(problem_to_json(SdpProblem(2, 0))).inequalities.factor_tables
+    assert table.shape == (0, 2, 2)
     empty = reloaded(factored_problem(n_stored=0)).inequalities  # no stored rows
     assert empty.factor_index.shape == (0, 2)
 
@@ -606,9 +640,22 @@ def test_problem_json_rejects_factor_table_entries_not_numbers(part, value):
         problem_from_json(json.dumps(doc))
 
 
+def test_dense_rows_are_held_as_one_table():
+    """``psd`` is an init-only argument: dense svec rows are held as one
+    table of their Hermitian matrices, indexed in order, and not kept."""
+    psd = np.random.default_rng(7410).normal(size=(5, 9))
+    rows = BoxRows(psd, np.zeros(5), np.ones(5))
+    assert not hasattr(rows, "psd")
+    (table,) = rows.factor_tables
+    assert np.array_equal(table, linalg.mat_hermitian(psd))
+    assert np.array_equal(rows.factor_index, np.arange(5)[:, None])
+    assert np.abs(rows.stored() - psd).max() <= 1e-15
+    assert np.abs(rows.sq_norms() - (psd * psd).sum(axis=1)).max() <= 1e-14
+
+
 def with_factors(rows, **changes):
     fields = dict(
-        psd=rows.psd,
+        psd=None,
         lower=rows.lower,
         upper=rows.upper,
         factor_tables=rows.factor_tables,
@@ -639,7 +686,7 @@ def test_factored_rows_are_checked(changes, message):
 
 
 def test_problem_json_rejects_rows_unlike_their_factors():
-    """A block holds its stored rows in one form: a factored block that
+    """A block is given its stored rows one way: a factored block that
     also carries dense rows, which could disagree with its factors, is
     rejected by :class:`BoxRows`, not reconciled."""
     with pytest.raises(ValueError, match="psd coefficients or factor tables, not both"):

@@ -29,7 +29,7 @@ from vartomo.probes import (
     random_channel,
     simulate_measurements,
 )
-from vartomo.sdp import SolveStatus, row_operator
+from vartomo.sdp import FactorTables, SolveStatus, row_operator
 from vartomo.tomography import (
     InfeasibleDataError,
     ReconstructionOptions,
@@ -60,6 +60,11 @@ def setup_rows(setup):
     k_t, m = len(setup.probes.states), len(setup.effects) + 1
     probe, effect = np.divmod(np.arange(k_t * m), m)
     return setup.rows(probe, effect).reshape(k_t, m, -1)
+
+
+def tp_rows(setup):
+    """The dense trace-preserving rows of ``setup``, made from its table."""
+    return linalg.kron_rows(setup.tp_rows, np.arange(setup.d**2)[:, None])
 
 
 def bell_setup():
@@ -261,7 +266,7 @@ class TestProgramRows:
             assert (ineq.slack_index[row], ineq.lower[row], ineq.upper[row]) == (-1, -np.inf, 1.0)
         # then the trace-preserving equalities, which a channel meets exactly
         assert np.all(problem.equalities.slack_index == -1)
-        tp_values = problem.equalities.psd @ chi_vec
+        tp_values = problem.equalities.stored() @ chi_vec
         assert np.abs(tp_values - problem.equalities.lower).max() <= 1e-12
 
 
@@ -388,7 +393,7 @@ class TestMeasurementTable:
         problem, _ = build_aapt_program(data)
         (table,), index = setup.factors
         assert table.shape == (3, 64, 64) and index.shape == (1, 3, 1)
-        assert problem.inequalities.psd is None
+        assert problem.inequalities.factor_tables is setup.factors[0]
         assert [type(part) for part in row_operator(problem).parts] == [DenseRows]
 
     def test_dataset_with_another_schemes_setup_rejected(self):
@@ -503,6 +508,8 @@ class TestReconstructionOptions:
             dict(tol=float("inf")),
             dict(tol=1.0),
             dict(tol=1e300),
+            # an infinite scale would put infinite coefficients in the program
+            dict(additive_scale=float("inf")),
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -924,7 +931,7 @@ class TestTableAgainstSimulator:
     def test_two_qubit_rows_give_simulated_p(self, scheme, seed, rank, scale):
         self.check_rows(scheme, 2, seed, rank, scale)
 
-    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_tp_rows_match_basis_sum(self, n_qubits, seed):
@@ -939,11 +946,12 @@ class TestTableAgainstSimulator:
             for i in range(len(els))
             for j in range(len(els))
         )
-        got = setup.tp_rows @ linalg.vec_hermitian(H)
+        rows = tp_rows(setup)
+        got = rows @ linalg.vec_hermitian(H)
         assert np.abs(got - linalg.vec_hermitian(total)).max() <= 1e-12 * np.abs(H).max()
         # a trace-preserving channel meets the rows at svec(I)
         channel = kraus_to_chi(random_channel(setup.d, 2, RngSeed(seed)), setup.basis)
-        got = setup.tp_rows @ linalg.vec_hermitian(channel.chi)
+        got = rows @ linalg.vec_hermitian(channel.chi)
         assert np.abs(got - linalg.vec_hermitian(np.eye(setup.d))).max() <= 1e-12
 
 
@@ -959,17 +967,20 @@ class TestDefaultSetup:
     @pytest.mark.parametrize("n_qubits", [1, 2])
     def test_trace_preserving_rows_cached_read_only(self, n_qubits):
         setup = default_setup(Scheme.SQPT, n_qubits)
-        rows = setup.tp_rows
-        assert setup.tp_rows is rows  # one computation per setup
+        tables = setup.tp_rows
+        assert setup.tp_rows is tables  # one computation per setup
+        assert isinstance(tables, FactorTables) and len(tables) == 1
+        assert tables[0].shape == (setup.d**2, setup.basis.size, setup.basis.size)
         fresh = Setup(setup.scheme, setup.basis, setup.probes, setup.effects).tp_rows
-        assert fresh is not rows and np.array_equal(rows, fresh)
-        assert not rows.flags.writeable
-        # the oracle: the map of every svec unit chi, stacked, bit for bit
+        assert fresh is not tables and np.array_equal(tables[0], fresh[0])
+        assert not tables[0].flags.writeable
+        # the oracle: the map of every svec unit chi, stacked; one table
+        # entry per row, to the rounding of the sqrt(2) scalings
         els = setup.basis.elements
         G = np.einsum("jba,ibc->ijac", els.conj(), els)  # (i, j) -> E_j^dag E_i
         units = np.stack([linalg.mat_hermitian(e) for e in np.eye(setup.basis.size**2)])
         oracle = linalg.vec_hermitian_stack(np.einsum("qij,ijac->qac", units, G)).T
-        assert np.array_equal(rows, oracle)
+        assert np.abs(tp_rows(setup) - oracle).max() <= 1e-15
 
     @pytest.mark.parametrize("n_qubits", [0, tomography.MAX_QUBITS + 1])
     def test_size_outside_the_limit_rejected(self, n_qubits):
