@@ -20,11 +20,12 @@ numpy and BLAS versions, to ``BENCH_<mode>.json`` at the repository root.
   and re-solves here, tightly, the cases whose objectives differ.  It
   exits 1 if this tree reported a case infeasible: none is.
 - ``simulate``: dataset simulation, ten calls (:func:`simulate_case`).
-- ``operator``: the loop's time per iteration split by part, at one and
-  two qubits, ten calls (:func:`operator_case`), then one three-qubit
-  complete-SQPT
-  reconstruct per tree (:func:`three_qubit_case`): its set-up, build,
-  iterations, status, fidelity and peak RSS.
+- ``operator``: the loop's time per iteration split by part, and the
+  row operator's set-up, at one and two qubits, ten calls
+  (:func:`operator_case`), then one three-qubit complete-SQPT
+  reconstruct per tree (:func:`three_qubit_case`): its set-up (the
+  Gram and the factor apart), build, iterations, status, fidelity and
+  peak RSS.
 - ``dump``: the problem dump's bytes and the seconds of ``problem_to_json``
   and ``problem_from_json`` for 2q SQPT (without and with the
   trace-preserving equalities), 2q AAPT and 3q SQPT programs, ten calls
@@ -418,14 +419,19 @@ def split_timer(problem):
 def operator_case():
     """Per case: the loop's microseconds per iteration, untimed (best of
     ``OPERATOR_REPEATS`` solves) and split by part (the best of as many
-    solves with the timers), on a seeded rank-4 program of exact data,
-    half of each probe's effects at random when not complete."""
+    solves with the timers), and the seconds of the row operator's
+    set-up (``sdp.row_operator``, best of as many calls), on a seeded
+    rank-4 program of exact data, half of each probe's effects at random
+    when not complete."""
     results = {}
     for n_qubits, scheme, complete in OPERATOR_CASES:
         seed = RngSeed(9200).derive(scheme, complete)
         _, data = dataset(n_qubits, scheme, 4, seed, None if complete else seed.derive("select"))
         problem = program(data)
         repeats = OPERATOR_REPEATS[n_qubits]
+        row_operator_s = min(
+            timeit.timeit(lambda: sdp.row_operator(problem), number=1) for _ in range(repeats)
+        )
         _, loop_s, solution = time_solve(problem, repeats=repeats)
         iters = solution.iterations
         splits = []
@@ -442,6 +448,7 @@ def operator_case():
             "loop_us_per_iter": loop_s / iters * 1e6,
             "split_us_per_iter": per_iter,
             "calls": calls,
+            "row_operator_s": row_operator_s,
         }
     return results
 
@@ -450,25 +457,41 @@ def three_qubit_case():
     """One reconstruct of complete noiseless three-qubit SQPT data of a
     seeded rank-1 channel: the dataset's time, the program build's, the
     reconstruct's time outside the loop (the set-up: build, row operator
-    and its factor, then the short finish), the loop's, the iterations,
-    status and fidelity, and the process's peak RSS (``ru_maxrss``)."""
+    and its factor, then the short finish), the row operator's set-up
+    split into its factor (``_kernels.spd_inverse``, or ``np.linalg.inv``
+    on a tree without it) and the rest, which is mostly the Gram matrix,
+    the loop's time, the iterations, status and fidelity, and the
+    process's peak RSS (``ru_maxrss``)."""
     start = time.perf_counter()
     truth, data = dataset(3, "sqpt", 1, RngSeed(9300))
     dataset_s = time.perf_counter() - start
-    seconds, calls = {"build": 0.0}, {"build": 0}
-    build = tomography.build_sqpt_program
-    tomography.build_sqpt_program = timed(build, seconds, calls, "build")
+    keys = ("build", "row_operator", "factor")
+    seconds, calls = dict.fromkeys(keys, 0.0), dict.fromkeys(keys, 0)
+    factor_owner, factor_name = (
+        (_kernels, "spd_inverse") if hasattr(_kernels, "spd_inverse") else (np.linalg, "inv")
+    )
+    patched = [
+        (tomography, "build_sqpt_program", "build"),
+        (sdp, "row_operator", "row_operator"),
+        (factor_owner, factor_name, "factor"),
+    ]
+    originals = [getattr(owner, name) for owner, name, _ in patched]
+    for (owner, name, key), original in zip(patched, originals):
+        setattr(owner, name, timed(original, seconds, calls, key))
     try:
         with loop_timer() as loop_s:
             start = time.perf_counter()
             result = reconstruct(data)
             wall_s = time.perf_counter() - start
     finally:
-        tomography.build_sqpt_program = build
+        for (owner, name, _), original in zip(patched, originals):
+            setattr(owner, name, original)
     return {
         "dataset_s": dataset_s,
         "build_s": seconds["build"],
         "setup_s": wall_s - loop_s["loop"],
+        "gram_s": seconds["row_operator"] - seconds["factor"],
+        "factor_s": seconds["factor"],
         "loop_s": loop_s["loop"],
         "iterations": result.solver.iterations,
         "status": result.solver.status.value,
@@ -762,7 +785,7 @@ def operator(trees):
         label: {
             case: {
                 "iterations": results[0][case]["iterations"],
-                **medians([r[case] for r in results], ("loop_us_per_iter",)),
+                **medians([r[case] for r in results], ("loop_us_per_iter", "row_operator_s")),
                 "split_us_per_iter": medians(
                     [r[case]["split_us_per_iter"] for r in results], OPERATOR_PARTS
                 ),
@@ -777,7 +800,8 @@ def operator(trees):
     if len(trees) == 1:
         return
     faster = faster_in_pairs(runs, "loop_us_per_iter")
-    show(change_faster_in_pairs=faster)
+    setup_faster = faster_in_pairs(runs, "row_operator_s")
+    show(change_faster_in_pairs=faster, change_setup_faster_in_pairs=setup_faster)
     case = (
         "the ADMM loop's time per iteration on seeded rank-4 one- and two-qubit programs "
         "of exact data (SQPT and AAPT, complete and half), untimed (best of 15 solves to "
@@ -785,12 +809,19 @@ def operator(trees):
         "with each part wrapped in a timer; 'x_step' is the operator's x-step less the "
         "matvec, rmatvec and solve it calls, 0 on a tree whose loop composes them itself; "
         "'anderson' is the Anderson step, 0 on a tree "
-        "whose loop has it inline, and 'other' the rest of the loop); "
+        "whose loop has it inline, and 'other' the rest of the loop), and the row "
+        "operator's set-up (row_operator_s, best of as many calls); "
         f"{PAIRS} alternating pairs of processes, medians; "
         "three_qubit: one reconstruct of complete noiseless 3q SQPT data of a seeded "
-        "rank-1 channel per tree, each in its own process"
+        "rank-1 channel per tree, each in its own process (factor_s: the x-step factor's "
+        "inverse; gram_s: the rest of the row operator's set-up, mostly the Gram matrix)"
     )
-    doc = {"summary": summary, "change_faster_in_pairs": faster, "three_qubit": three_qubit}
+    doc = {
+        "summary": summary,
+        "change_faster_in_pairs": faster,
+        "change_setup_faster_in_pairs": setup_faster,
+        "three_qubit": three_qubit,
+    }
     write("operator", case, runs, **doc)
 
 

@@ -87,7 +87,9 @@ block and the slacks the cross block touches get a low-rank correction.
 The factor is formed on the smaller side: with m < D^2 distinct rows
 (and no cross block) as I - U^T (I_m + U U^T)^{-1} U, an m x m inverse
 (Woodbury), else as the D^2 x D^2 inverse, whose Gram matrix U^T U is
-summed over chunks of distinct rows made on demand.  A small program,
+summed over the parts below, each giving its own.  Both inverses are
+of symmetric positive definite matrices, taken from their Cholesky
+factors (:func:`spd_inverse`).  A small program,
 of N <= ``RowOperator.DENSE_STEP`` variables and rows (every one-qubit
 program), takes the x-step and its row product as the one affine map
 [x; A x] = K (v - [c/rho; 0]), K = [I; A] S [I A^T] and S = (I + A^T
@@ -101,8 +103,9 @@ block holds its stored rows as one Hermitian table per factor
 factor is applied by
 :class:`KroneckerRows`: mode products of the permuted chi with the
 tables give the value of every table combination at once, and each
-distinct row gathers its entry of that grid.  Such a block's dense rows
-exist only a chunk at a time, while the Gram matrix is summed.  The
+distinct row gathers its entry of that grid.  Its Gram matrix comes
+from the tables too (:func:`vartomo.linalg.kron_gram`), so no dense row
+of such a block is made, but for a small program's map.  The
 operator takes that path for a block with more than one factor and at
 least D^2 distinct rows, where it was measured to be the cheaper one.
 Other blocks are made dense (:class:`DenseRows`) once, for the loop: a
@@ -123,7 +126,7 @@ import math
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .linalg import mat_hermitian, svec_gathers
+from .linalg import kron_gram, mat_hermitian, svec_gathers
 
 # The gufuncs behind np.linalg.eigh and np.linalg.solve, bound once: at
 # the loop's sizes the public calls' Python wrappers cost more than LAPACK
@@ -157,6 +160,41 @@ def lapack_solve(a, b):
     return x
 
 
+SPD_BASE = 32  # the largest matrix that spd_inverse hands to LAPACK's inverse whole
+
+
+def spd_inverse(a):
+    """The inverse of a symmetric positive definite matrix, as L^-T L^-1
+    from its Cholesky factor L: L is inverted in place by halves
+    (:func:`_tril_inverse`, down to blocks of ``SPD_BASE`` rows, which
+    ``np.linalg.inv`` inverts), then one product L^-T L^-1.  A matrix of
+    at most ``SPD_BASE`` rows goes to ``np.linalg.inv`` whole, once the
+    Cholesky factorization has checked it.  Raises LinAlgError on a
+    matrix that is not finite or not positive definite (LAPACK's
+    Cholesky reads the lower triangle and lets NaN through, so the
+    entries are checked first)."""
+    if not np.isfinite(a).all():
+        raise LinAlgError("non-finite matrix")
+    L = np.linalg.cholesky(a)
+    if len(a) <= SPD_BASE:
+        return np.linalg.inv(a)
+    _tril_inverse(L)
+    return L.T @ L
+
+
+def _tril_inverse(L):
+    """Invert the lower-triangular L in place: the inverse of [[A, 0], [B,
+    C]] is [[A^-1, 0], [-C^-1 B A^-1, C^-1]]."""
+    n = len(L)
+    if n <= SPD_BASE:
+        L[...] = np.tril(np.linalg.inv(L))
+        return
+    h = n // 2
+    _tril_inverse(L[:h, :h])
+    _tril_inverse(L[h:, h:])
+    L[h:, :h] = -(L[h:, h:] @ (L[h:, :h] @ L[:h, :h]))
+
+
 class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
     MAX_ITER = "max_iter"
@@ -188,6 +226,11 @@ class DenseRows:
     def adjoint(self, v):
         return np.bincount(self.group, v, len(self.rows)).dot(self.rows)
 
+    def gram(self):
+        """The Gram matrix of the rows: each distinct row weighted by its count."""
+        weighted = self.rows * np.sqrt(np.bincount(self.group, minlength=len(self.rows)))[:, None]
+        return weighted.T @ weighted
+
 
 class KroneckerRows:
     """Rows ``scale[i] * svec(T_1[t_1] (x) ... (x) T_n[t_n])``, (t_1, ..., t_n)
@@ -203,6 +246,7 @@ class KroneckerRows:
     """
 
     def __init__(self, tables, index, scale=1.0):
+        self.tables = tables
         self.flat = [T.reshape(len(T), -1) for T in tables]  # (i, j) -> i d_q + j
         self.conj = [F.conj() for F in self.flat]
         self.conj_last = np.ascontiguousarray(self.conj[-1].T)
@@ -239,6 +283,14 @@ class KroneckerRows:
                 Z = Z.T
         return Z.view(np.float64).ravel()[self.back] * self.back_coeff
 
+    def gram(self):
+        """The Gram matrix of the rows, :func:`vartomo.linalg.kron_gram` of
+        the tables with each cell weighted by its rows' squared scales."""
+        sq = np.broadcast_to(np.square(self.scale), self.cell.shape)
+        weights = np.bincount(self.cell, sq, self.n_cells)
+        weights = weights.reshape([len(self.flat[q]) for q in self.grid_axes])
+        return kron_gram(self.tables, weights.transpose(np.argsort(self.grid_axes)))
+
 
 class RowOperator:
     """Equilibrated box rows ``l <= A x <= u`` and the x-step solve.
@@ -255,16 +307,16 @@ class RowOperator:
     one-qubit program) one product with the dense map ``step``, made once
     from ``solve``, else the three in turn.  ``parts`` applies the PSD
     coefficients in the loop, one :class:`DenseRows` or
-    :class:`KroneckerRows` per run of rows (``row_splits`` between them).
-    Dense rows are made only for a :class:`DenseRows` part and, a chunk
-    of max(``CHUNK``, D^2) distinct rows at a time, to sum the Gram
-    matrix of the factor: from D^2 = 256 on no chunk is larger than the
-    factor itself, and thinner chunks slow the Gram's product (3q
-    complete SQPT, 2-vCPU Xeon VM, one OpenBLAS thread: 13.0 s of
-    set-up with 1,024-row chunks, 9.3 s with 4,096).
+    :class:`KroneckerRows` per run of rows (``row_splits`` between them);
+    each part gives its Gram matrix (``gram``) to the factor, and its
+    ``adjoint`` or dense rows to a cross block.  Dense rows are made
+    only for a :class:`DenseRows` part and, from a factored part's
+    values, for a small program's map: on 3q complete SQPT (2-vCPU Xeon
+    VM, one OpenBLAS thread) the set-up took 3.5 s, 0.6 s of it the
+    Kronecker Gram and 2.9 s the Cholesky inverse, against 8.0 s with
+    the rows' Gram summed over 4,096-row chunks and an LU inverse.
     """
 
-    CHUNK = 256  # the fewest distinct rows in a chunk of the Gram sum
     # The most variables plus rows, N, whose x-step is one dense N x N map.
     # On two-qubit SQPT programs of a sweep's first steps (2-vCPU Xeon VM,
     # one BLAS thread) the dense map took 12-14 us against 19 us for the
@@ -346,18 +398,6 @@ class RowOperator:
             for (r0, g0, kron), (r1, g1, _) in zip(runs[:-1], runs[1:])
         ]
         self.row_splits = [r0 for r0, _, _ in runs[1:-1]]
-        part_groups = [g0 for _, g0, _ in runs]
-
-        def gram_rows(g0, g1):
-            """The dense distinct rows g0 to g1, as a fresh array: copied
-            from the dense parts, made from their blocks elsewhere."""
-            pieces = []
-            for part, p0, p1 in zip(self.parts, part_groups[:-1], part_groups[1:]):
-                a, b = max(g0, p0), min(g1, p1)
-                if a < b:
-                    dense = isinstance(part, DenseRows)
-                    pieces.append(part.rows[a - p0 : b - p0].copy() if dense else distinct_rows(a, b))
-            return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
         # Slack block: diagonal.  Cross block U^T W, W[u, j] = sum of coeff
         # over the rows of group u that use slack j.
@@ -377,41 +417,51 @@ class RowOperator:
         # square root of their counts, is inverted on the smaller side:
         # with fewer than D^2 rows (and no cross block) by Woodbury,
         # (I + U^T U)^{-1} = I - U^T (I + U U^T)^{-1} U, on the rows of
-        # the one dense part; else U^T U and the cross block are summed
-        # over chunks of rows.
-        weight = np.sqrt(np.bincount(self.group, minlength=self.n_groups).astype(float))
+        # the one dense part; else U^T U is summed over the parts' Gram
+        # matrices.  Either inverse is :func:`spd_inverse`.
         has_cross = len(self.cross_slots) > 0
         self.cross = None
         if not has_cross and self.n_groups < DD:
-            weighted = self.parts[0].rows * weight[:, None]
-            inner = np.linalg.inv(np.eye(self.n_groups) + weighted @ weighted.T)
+            (part,) = self.parts
+            weight = np.sqrt(np.bincount(part.group, minlength=self.n_groups))
+            weighted = part.rows * weight[:, None]
+            inner = spd_inverse(np.eye(self.n_groups) + weighted @ weighted.T)
             self.factor = -(weighted.T @ (inner @ weighted))
             self.factor.flat[:: DD + 1] += 1.0
         else:
             chi_block = np.eye(DD)
-            cross = np.zeros((DD, len(self.cross_slots)))
-            chunk = max(self.CHUNK, DD)
-            for g0 in range(0, self.n_groups, chunk):
-                g1 = min(g0 + chunk, self.n_groups)
-                rows = gram_rows(g0, g1)
-                if has_cross:
-                    cross += rows.T @ W[g0:g1]
-                rows *= weight[g0:g1, None]
-                chi_block += rows.T @ rows
+            for part in self.parts:
+                chi_block += part.gram()
             if has_cross:
-                self.cross = cross
-                chi_block -= (cross * self.slack_scale[self.cross_slots]) @ cross.T
-            self.factor = np.linalg.inv(chi_block)
+                # U^T W by part: a dense part's rows times W, a factored
+                # part's adjoint of each cross slot's coefficients.
+                self.cross = np.zeros((DD, len(self.cross_slots)))
+                for part, (r0, g0, _), (r1, g1, _) in zip(self.parts, runs[:-1], runs[1:]):
+                    if isinstance(part, DenseRows):
+                        self.cross += part.rows.T @ W[g0:g1]
+                        continue
+                    slack, coeff = self.slack[r0:r1], self.coeff[r0:r1]
+                    for column, slot in zip(self.cross.T, self.cross_slots):
+                        column += part.adjoint(np.where(slack == slot, coeff, 0.0))
+                chi_block -= (self.cross * self.slack_scale[self.cross_slots]) @ self.cross.T
+            self.factor = spd_inverse(chi_block)
 
         # A small program's x-step as one dense map over its variables and
         # rows: K = [I; A] S [I A^T], S = (I + A^T A)^{-1}, the solve of the
         # block [I A^T] by the factor above, times [I; A].
+        # A factored part's columns of A are its values on chi's units.
         self.step = None
         N = self.n_vars + self.n_rows
         if N <= self.DENSE_STEP:
             A = np.zeros((self.n_rows, self.n_vars))
-            if self.n_groups:
-                A[:, :DD] = gram_rows(0, self.n_groups)[self.group]
+            A[:, :DD] = np.concatenate(
+                [
+                    part.rows[part.group]
+                    if isinstance(part, DenseRows)
+                    else np.column_stack([part.values(unit) for unit in np.eye(DD)])
+                    for part in self.parts
+                ]
+            )
             if n_slack:
                 A[np.arange(self.n_rows), self.slack_col] = self.coeff
             self.step = np.empty((N, N))

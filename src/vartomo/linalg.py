@@ -170,6 +170,110 @@ def kron_rows(tables, index: np.ndarray) -> np.ndarray:
     return np.concatenate([entry[:, :D].real, off.real, off.imag], axis=1)
 
 
+def kron_gram(tables, weights) -> np.ndarray:
+    """sum over cells t of weights[t] s s^T, s = svec(T_1[t_1] (x) ... (x)
+    T_n[t_n]) (``np.kron`` order): the weighted Gram matrix of every
+    table combination.  ``weights`` holds one weight per cell, shape
+    (R_1, ..., R_n); a zero weight drops its cell.
+
+    With s_q the svec of factor q's entry, s = Q (s_1 (x) ... (x) s_n),
+    Q the orthogonal change from the product basis B_a1 (x) ... (x) B_an
+    (B_a the matrix of svec unit a) to svec (:func:`_product_basis`).
+    So the Gram is Q H Q^T, where H, the Gram in the product basis,
+    contracts the weight grid with each factor's svec outer products:
+    one real (R_q x d_q^4) product per factor.  Q is applied as gathers,
+    256 rows at a time: from the rows of H (whose axes the contraction
+    leaves as (a_1, b_1, ..., a_n, b_n)), then from the columns of Q H;
+    no D^2 x D^2 array but H, Q H and the result is made.
+    """
+    dims = tuple(T.shape[1] for T in tables)
+    DD, block = math.prod(dims) ** 2, 256
+    H = np.asarray(weights, dtype=float)
+    for T in tables:
+        s = vec_hermitian_stack(T)
+        outer = (s[:, :, None] * s[:, None, :]).reshape(len(s), -1)  # (R_q, d_q^4)
+        H = H.reshape(len(s), -1).T @ outer
+    H = H.reshape([d * d for d in dims for _ in "ab"])
+    index, coeff = _product_basis(dims)
+    factor_index = np.unravel_index(index, [d * d for d in dims])  # a_q of each gathered row
+    QH = np.empty((DD, DD))
+    for k in range(0, DD, block):
+        rows = slice(k, k + block)
+        for p, c in enumerate(coeff[:, rows]):
+            where = [x for a in factor_index for x in (a[p, rows], slice(None))]
+            _accumulate(QH[rows], H[tuple(where)].reshape(-1, DD), c[:, None], p)
+    del H
+    gram = np.empty((DD, DD))
+    for k in range(0, DD, block):
+        rows = slice(k, k + block)
+        for p, (i, c) in enumerate(zip(index, coeff)):
+            _accumulate(gram[rows], QH[rows].take(i, axis=1), c, p)
+    return gram
+
+
+def _accumulate(out, gathered, c, p):
+    """out = gathered * c for the first entry p = 0 of a gather, else out += it."""
+    if p:
+        gathered *= c
+        out += gathered
+    else:
+        np.multiply(gathered, c, out=out)
+
+
+@functools.lru_cache(maxsize=None)
+def _product_basis(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The change from the product basis of :func:`kron_gram` to svec,
+    read-only: (index, coeff), each (m, D^2), with svec coordinate k of
+    the matrix of product-basis coordinates h being sum_p coeff[p, k]
+    h[index[p, k]] (a padding entry has coeff 0).  m <= 2^(n-1) for n
+    factors.
+
+    Per factor, svec unit a as a matrix B_a has a diagonal entry or a
+    conjugate pair: two (entry, value) slots, the second of a diagonal
+    unit of value 0.  A product of units then has an entry per choice of
+    slots, real or imaginary, and each entry on or above the diagonal
+    is one svec coordinate's share.
+    """
+    D = math.prod(dims)
+    columns = np.unravel_index(np.arange(D * D), [d * d for d in dims])
+    slots = []  # per factor: (flat entry i d + j, value) of each unit's two slots
+    for d in dims:
+        B = mat_hermitian(np.eye(d * d))
+        a, i, j = np.nonzero(B)
+        count = np.bincount(a, minlength=d * d)  # 1 on the diagonal, else 2
+        pair = np.cumsum(count) - count + np.outer([0, 1], count - 1)
+        value = B[a, i, j][pair]
+        value[1, count == 1] = 0.0
+        slots.append(((i * d + j)[pair], value))
+    _, _, back, back_coeff = svec_gathers(D)
+    coordinate = np.full(2 * D * D, -1)
+    coordinate[back] = np.arange(D * D)
+    k, col, coeff = [], [], []
+    for choice in np.ndindex(*(2,) * len(dims)):
+        i = j = 0
+        v = 1.0
+        for (entry, value), d, c, a in zip(slots, dims, choice, columns):
+            i_q, j_q = np.divmod(entry[c, a], d)
+            i, j, v = i * d + i_q, j * d + j_q, v * value[c, a]
+        imaginary = v.imag != 0
+        keep = np.flatnonzero((v != 0) & (i <= j))
+        k.append(coordinate[2 * (i * D + j) + imaginary][keep])
+        col.append(keep)
+        coeff.append(np.where(imaginary, v.imag, v.real)[keep])
+    k, col, coeff = map(np.concatenate, (k, col, coeff))
+    # One row of (index, coeff) per share of a coordinate, padded with zeros.
+    order = np.argsort(k, kind="stable")
+    k, col, coeff = k[order], col[order], coeff[order] * back_coeff[k[order]]
+    count = np.bincount(k, minlength=D * D)
+    row = np.arange(len(k)) - np.repeat(np.cumsum(count) - count, count)
+    shape = (count.max(initial=1), D * D)
+    index, padded = np.zeros(shape, dtype=np.intp), np.zeros(shape)
+    index[row, k], padded[row, k] = col, coeff
+    for a in (index, padded):
+        a.flags.writeable = False
+    return index, padded
+
+
 @functools.lru_cache(maxsize=None)
 def _kron_entries(dims: tuple[int, ...]) -> list[np.ndarray]:
     """Per factor of dimensions ``dims``, the flat position i_q d_q + j_q

@@ -27,13 +27,14 @@ only for a small program: :func:`row_operator` equilibrates the rows,
 keeps each distinct PSD row once with a per-row slack coefficient, and
 factors the x-step through one D^2 x D^2 factor plus a diagonal, the
 factor formed on the smaller side (an m x m inverse for m < D^2 distinct
-rows).  A program of at most ``RowOperator.DENSE_STEP`` (256) variables
-and rows, every one-qubit program among them, takes the x-step and its
-row product [x; A x] as one dense affine map of the loop's vector, made
-once from that factor and its rows.  A block of more than one factor
+rows), each inverse from a Cholesky factor.  A program of at most
+``RowOperator.DENSE_STEP`` (256) variables and rows, every one-qubit
+program among them, takes the x-step and its row product [x; A x] as
+one dense affine map of the loop's vector, made once from that factor
+and its rows.  A block of more than one factor
 (``BoxRows.factor_tables``) is applied in the loop by mode products once
-it has D^2 distinct rows; its dense rows are then made only a chunk at a
-time, to sum that factor's Gram matrix.  A solve may start from
+it has D^2 distinct rows, and its share of the factor's Gram matrix is
+contracted from the tables, without dense rows.  A solve may start from
 a given loop state (:class:`SolverState`: x, w and the penalty), such
 as the final state of a solve of a related program mapped onto this
 one's variables and rows.  A solve started from a state is a fresh loop

@@ -81,10 +81,11 @@ class Setup:
     """One measurement setup: the chi basis, the probe states and the
     measured effects of a scheme.
 
-    ``factors`` and ``tp_rows`` are computed on first use and are freed
-    with the setup.  The canonical setups of :func:`default_setup` live
-    for the life of the process, and so do their cached rows.  The
-    programs, the sweep and :meth:`rows` read every row from ``factors``.
+    ``factors``, ``tp_rows`` and ``tp_block`` are computed on first use
+    and are freed with the setup.  The canonical setups of
+    :func:`default_setup` live for the life of the process, and so do
+    their cached rows.  The programs, the sweep and :meth:`rows` read
+    every row from ``factors``.
     """
 
     scheme: Scheme
@@ -165,6 +166,19 @@ class Setup:
         G = np.einsum("jba,ibc->ijac", els.conj(), els)  # (i, j) -> E_j^dag E_i
         units = linalg.mat_hermitian(np.eye(dd)).reshape(dd, dd)
         return FactorTables(((units @ G.reshape(-1, dd).conj().T).reshape(dd, dd, dd),))
+
+    @functools.cached_property
+    def tp_block(self) -> BoxRows:
+        """The trace-preserving equalities: ``tp_rows`` pinned to svec(I),
+        one block per setup, shared by every program built with it (as
+        programs share the empty block); its arrays are read-only."""
+        targets = linalg.vec_hermitian(np.eye(self.d))
+        index = np.arange(len(targets))[:, None]
+        block = BoxRows(None, targets, targets, factor_tables=self.tp_rows, factor_index=index)
+        for name in ("lower", "upper", "slack_index", "slack_coeff", "psd_row"):
+            getattr(block, name).flags.writeable = False
+        index.flags.writeable = False
+        return block
 
     @functools.cached_property
     def schmidt_rank(self) -> int:
@@ -433,19 +447,12 @@ def _build_program(
         factor_tables=tables,
         factor_index=index,
     )
-    equalities = None
-    if options.tp_constraint:
-        targets = linalg.vec_hermitian(np.eye(data.d))
-        tp = data.setup.tp_rows
-        tp_index = np.arange(len(tp[0]))[:, None]
-        equalities = BoxRows(None, targets, targets, factor_tables=tp, factor_index=tp_index)
-
     problem = SdpProblem(
         psd_dim=data.d**2,
         n_slack=n_slack,
         objective=np.concatenate([chi_weight, np.ones(n_slack)]),
         inequalities=inequalities,
-        equalities=equalities,
+        equalities=data.setup.tp_block if options.tp_constraint else None,
         slack_caps=caps,
     )
     layout = ProgramLayout(

@@ -227,6 +227,38 @@ class TestOneSvec:
         assert chi.shape == (0, 0) and chi.dtype == complex
 
 
+class TestKronGram:
+    """``kron_gram`` against the Gram matrix of the dense ``kron_rows`` of
+    every cell, each row weighted."""
+
+    @pytest.mark.parametrize(
+        "dims,sizes",
+        [((4, 4), (5, 6)), ((2, 3), (3, 4)), ((2, 3, 2), (3, 2, 4)), ((4, 4, 4), (2, 3, 2))],
+    )
+    def test_matches_the_weighted_rows_gram(self, dims, sizes):
+        rng = np.random.default_rng(7720 + len(dims))
+        tables = [np.stack([rand_hermitian(rng, d) for _ in range(R)]) for d, R in zip(dims, sizes)]
+        weights = rng.uniform(0.5, 2.0, size=sizes)
+        weights.flat[::3] = 0.0  # cells without rows
+        rows = linalg.kron_rows(tables, np.array(list(np.ndindex(*sizes))))
+        want = (rows * weights.reshape(-1, 1)).T @ rows
+        got = linalg.kron_gram(tables, weights)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 4), (2, 3, 2), (4, 4, 4)])
+    def test_product_basis_change_is_orthogonal_and_sparse(self, dims):
+        """The change to svec has at most 2^(n-1) entries per coordinate
+        (a 2-term gather cannot sum three factors) and is orthogonal."""
+        index, coeff = linalg._product_basis(dims)
+        DD = int(np.prod(dims)) ** 2
+        assert index.shape == coeff.shape == (2 ** (len(dims) - 1), DD)
+        Q = np.zeros((DD, DD))
+        np.add.at(Q, (np.broadcast_to(np.arange(DD), index.shape), index), coeff)
+        assert np.abs(Q @ Q.T - np.eye(DD)).max() <= 1e-15
+        assert not index.flags.writeable and not coeff.flags.writeable
+        assert linalg._product_basis(dims)[0] is index  # cached per dims
+
+
 def test_matrices_equal_requires_explicit_tolerance():
     A = np.eye(2)
     assert linalg.matrices_equal(A, A + 1e-9, 1e-8)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from canned_suite import build_canned_problems, dense_rows
+from vartomo import _kernels
 from vartomo._kernels import DenseRows, KroneckerRows, RowOperator
 from vartomo.channels import build_scaled_pauli_basis, kraus_to_chi
 from vartomo.probes import MeasurementRecord, RngSeed, Scheme, random_channel
@@ -178,6 +179,8 @@ def test_factored_rows_match_dense_rows(scheme, half, tp):
     assert len(problem.inequalities.factor_tables) == 2
     op = assert_matches_oracle(problem, 1e-13)
     assert [type(part) for part in op.parts] == [KroneckerRows] + [DenseRows] * tp
+    # the factor, from the tables' Kronecker Gram, is the dense rows' one
+    assert np.abs(op.factor - factor_oracle(problem)).max() <= 1e-12
 
 
 def test_factored_path_only_above_the_crossover():
@@ -233,17 +236,18 @@ def factor_oracle(problem):
 
 
 def inverted_sizes(monkeypatch, problem):
-    """The operator, and the sizes of the matrices its set-up inverted."""
+    """The operator, and the sizes of the matrices its set-up inverted
+    (by ``_kernels.spd_inverse``, the one factorization it calls)."""
     sizes = []
-    inv = np.linalg.inv
+    inverse = _kernels.spd_inverse
 
     def spy(a):
         sizes.append(len(a))
-        return inv(a)
+        return inverse(a)
 
-    monkeypatch.setattr(np.linalg, "inv", spy)
+    monkeypatch.setattr(_kernels, "spd_inverse", spy)
     op = row_operator(problem)
-    monkeypatch.setattr(np.linalg, "inv", inv)
+    monkeypatch.setattr(_kernels, "spd_inverse", inverse)
     return op, sizes
 
 
@@ -284,6 +288,69 @@ def test_factor_with_a_cross_block_stays_on_the_chi_side(monkeypatch):
     assert op.cross is not None and op.n_groups < op.DD
     assert sizes == [op.DD]
     assert np.abs(op.factor - factor_oracle(problem)).max() <= 1e-12
+
+
+def factored_cross_program():
+    """A hand-written two-factor program (D = 4 x 4) with 289 distinct
+    stored rows, so the operator applies them by mode products, whose
+    rows share slacks with coefficients that do not cancel: its cross
+    block lies on the Kronecker part."""
+    rng = np.random.default_rng(7410)
+
+    def table(R):
+        M = rng.normal(size=(R, 4, 4)) + 1j * rng.normal(size=(R, 4, 4))
+        return M + M.conj().transpose(0, 2, 1)
+
+    index = np.array(list(np.ndindex(17, 17)))
+    psd_row = np.concatenate([np.arange(289), rng.integers(0, 289, 40)])  # some rows twice
+    n = len(psd_row)
+    rows = BoxRows(
+        None,
+        lower=np.full(n, -1.0),
+        upper=np.full(n, 1.0),
+        slack_index=rng.integers(-1, 5, n),
+        slack_coeff=rng.uniform(0.5, 2.0, n),
+        psd_row=psd_row,
+        factor_tables=(table(17), table(17)),
+        factor_index=index,
+    )
+    return SdpProblem(psd_dim=16, n_slack=5, inequalities=rows)
+
+
+def test_factor_with_a_cross_block_on_a_kronecker_part():
+    """The Kronecker part's share of the cross block comes from its
+    adjoint; the factor is the chi block of (I + A^T A)^{-1}."""
+    problem = factored_cross_program()
+    op = assert_matches_oracle(problem, 1e-13)
+    assert [type(part) for part in op.parts] == [KroneckerRows]
+    assert op.cross is not None and len(op.cross_slots) == 5
+    assert np.abs(op.factor - factor_oracle(problem)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 256])
+def test_spd_inverse_is_the_inverse(n):
+    """At most ``SPD_BASE`` = 32 rows, ``np.linalg.inv`` bit for bit;
+    above, the Cholesky inverse, to rounding."""
+    rng = np.random.default_rng(7420 + n)
+    X = rng.normal(size=(n, n))
+    a = np.eye(n) + X @ X.T / n
+    got, want = _kernels.spd_inverse(a), np.linalg.inv(a)
+    if n <= _kernels.SPD_BASE:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [2, 40])
+@pytest.mark.parametrize("bad", ["indefinite", "nan-lower", "nan-upper", "inf"])
+def test_spd_inverse_rejects_what_it_cannot_invert(n, bad):
+    a = np.eye(n)
+    if bad == "indefinite":
+        a[-1, -1] = -1.0
+    else:
+        a[(1, 0) if bad != "nan-upper" else (0, 1)] = np.inf if bad == "inf" else np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _kernels.spd_inverse(a)
 
 
 # --- the x-step ---------------------------------------------------------------------

@@ -282,12 +282,39 @@ def test_builds_share_the_setups_checked_tables(scheme, n_qubits):
             assert all(a is b for a, b in zip(gathers(rows), shared))
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
+def test_builds_share_the_setups_trace_preserving_block(scheme, n_qubits):
+    """The trace-preserving equalities depend on the setup alone: every
+    build with ``tp_constraint`` holds the setup's one block, whose
+    arrays no program can write, and which is the block a build made
+    for itself before: ``tp_rows`` pinned to svec(I)."""
+    setup = default_setup(scheme, n_qubits)
+    truth = kraus_to_chi(random_channel(2**n_qubits, 2, RngSeed(7665)), setup.basis)
+    build = build_sqpt_program if scheme is Scheme.SQPT else build_aapt_program
+    data = make_dataset(truth, scheme, n_qubits)
+    options = ReconstructionOptions(tp_constraint=True)
+    blocks = [build(d, options)[0].equalities for d in (data, setup.dataset(data.records[:5]))]
+    assert blocks[0] is blocks[1] is setup.tp_block
+    block = setup.tp_block
+    for name in ("lower", "upper", "slack_index", "slack_coeff", "psd_row", "factor_index"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(block, name)[...] = 0
+    targets = linalg.vec_hermitian(np.eye(setup.d))
+    assert block.factor_tables is setup.tp_rows
+    assert np.array_equal(block.lower, targets) and np.array_equal(block.upper, targets)
+    assert np.array_equal(block.factor_index[:, 0], np.arange(len(targets)))
+    assert np.array_equal(block.psd_row, np.arange(len(targets)))
+    assert (block.slack_index == -1).all() and (block.slack_coeff == 0).all()
+
+
 @pytest.mark.parametrize("scheme", [Scheme.SQPT, Scheme.AAPT])
 def test_one_qubit_row_operator_makes_its_rows_once(monkeypatch, scheme):
     """A one-qubit program has one dense part, and complete data give it
     more distinct rows than D^2 = 16, so the x-step factor is summed from
-    their Gram matrix: that sum copies the part's rows, and the operator
-    makes its rows from the factors in one ``kron_rows`` call."""
+    their Gram matrix: the part's ``gram`` weighs a copy of its rows, and
+    the operator makes its rows from the factors in one ``kron_rows``
+    call."""
     truth = kraus_to_chi(random_channel(2, 2, RngSeed(7670)), build_scaled_pauli_basis(1))
     build = build_sqpt_program if scheme is Scheme.SQPT else build_aapt_program
     problem, _ = build(make_dataset(truth, scheme, 1))
